@@ -3,8 +3,9 @@
 //
 // Paper claims reproduced (§3): threshold decryption is practical — per
 // server one pairing; the recombiner pays t Fp2 exponentiations; the
-// robustness proofs add 2 pairings to prove and 4 to verify per share,
-// and let the recombiner exclude cheating servers.
+// robustness proofs cost each server Miller replays instead of pairings
+// and the recombiner one batched check (docs/PERF.md §6), and let the
+// recombiner exclude cheating servers.
 #include <cstdio>
 
 #include "bench_util.h"

@@ -30,6 +30,8 @@ const char* stage_name(Stage stage) {
       return "share.combine";
     case Stage::kSnapshotPublish:
       return "revocation.snapshot_publish";
+    case Stage::kShareVerify:
+      return "share.verify";
   }
   return "unknown";
 }

@@ -61,8 +61,9 @@ enum class Stage : std::uint8_t {
   kShareCompute,        // threshold: one player's decryption share
   kShareCombine,        // threshold: Lagrange recombination of t shares
   kSnapshotPublish,     // RevocationList: copy-mutate-publish of a snapshot
+  kShareVerify,         // threshold: select_valid_shares proof checks
 };
-inline constexpr std::size_t kStageCount = 12;
+inline constexpr std::size_t kStageCount = 13;
 
 /// Dotted stage name as it appears in the metric catalog (the exported
 /// histogram is "stage.<name>_ns").

@@ -1,6 +1,11 @@
 #include "threshold/robust.h"
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "hash/kdf.h"
+#include "pairing/prepared_cache.h"
 
 namespace medcrypt::threshold {
 
@@ -10,56 +15,191 @@ using field::Fp2;
 
 namespace {
 
+// Batch weights ρ_i and c are 80-bit: the batch's soundness error is
+// 2·2^-80 per attempt (docs/PERF.md §6).
+constexpr std::size_t kWeightBytes = 10;
+
+void append(Bytes& out, const Bytes& part) {
+  out.insert(out.end(), part.begin(), part.end());
+}
+
 // Fiat–Shamir challenge over the full statement and commitments.
 BigInt challenge(const Fp2& share_value, const Fp2& vk_pairing, const Fp2& w1,
                  const Fp2& w2, const Point& u, const BigInt& order) {
   Bytes data = share_value.to_bytes();
-  const Bytes vk = vk_pairing.to_bytes();
-  const Bytes b1 = w1.to_bytes();
-  const Bytes b2 = w2.to_bytes();
-  const Bytes ub = u.to_bytes();
-  data.insert(data.end(), vk.begin(), vk.end());
-  data.insert(data.end(), b1.begin(), b1.end());
-  data.insert(data.end(), b2.begin(), b2.end());
-  data.insert(data.end(), ub.begin(), ub.end());
+  append(data, vk_pairing.to_bytes());
+  append(data, w1.to_bytes());
+  append(data, w2.to_bytes());
+  append(data, u.to_bytes());
   return hash::hash_to_range("TIBE.proof", data, order);
+}
+
+// Membership in the order-q subgroup G_T of F*_{p^2}. Pairing outputs
+// always pass; a published value with a small-order component (−S has
+// order 2·q) would let a forger cancel that component against a weight's
+// parity, so the batch is only sound after this check.
+bool in_gt(const Fp2& x, const BigInt& order) {
+  return !x.is_zero() && x.pow(order).is_one();
+}
+
+// Nonzero 80-bit weights ρ_1..ρ_n, then c, from SHA-256 over U and every
+// statement (index, S, w1, w2, e, V): no weight is known before the whole
+// batch is fixed.
+std::vector<BigInt> batch_weights(const Point& u, const BigInt& order,
+                                  std::span<const ShareStatement> batch) {
+  const std::size_t e_len = (order.bit_length() + 7) / 8;
+  Bytes data = u.to_bytes();
+  for (const ShareStatement& s : batch) {
+    data.push_back(static_cast<std::uint8_t>(s.index >> 24));
+    data.push_back(static_cast<std::uint8_t>(s.index >> 16));
+    data.push_back(static_cast<std::uint8_t>(s.index >> 8));
+    data.push_back(static_cast<std::uint8_t>(s.index));
+    append(data, s.value->to_bytes());
+    append(data, s.proof->w1.to_bytes());
+    append(data, s.proof->w2.to_bytes());
+    append(data, s.proof->e.to_bytes_be_padded(e_len));
+    append(data, s.proof->v.to_bytes());
+  }
+  const std::size_t count = batch.size() + 1;
+  const Bytes stream = hash::expand("TIBE.batch", data, count * kWeightBytes);
+  std::vector<BigInt> weights;
+  weights.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    BigInt w = BigInt::from_bytes_be(
+        BytesView(stream).subspan(i * kWeightBytes, kWeightBytes));
+    // A zero draw (probability 2^-80) would drop a statement.
+    weights.push_back(w.is_zero() ? BigInt(1) : std::move(w));
+  }
+  return weights;
+}
+
+// Π bases[j]^exps[j] over one shared squaring chain (Straus).
+Fp2 multi_pow(std::span<const Fp2> bases, std::span<const BigInt> exps) {
+  std::size_t bits = 0;
+  for (const BigInt& e : exps) bits = std::max(bits, e.bit_length());
+  Fp2 acc = Fp2::one(bases.front().re().field());
+  for (std::size_t i = bits; i-- > 0;) {
+    acc.square_inplace();
+    for (std::size_t j = 0; j < bases.size(); ++j) {
+      if (exps[j].bit(i)) acc.mul_inplace(bases[j]);
+    }
+  }
+  return acc;
+}
+
+// base^k for the secret nonce k < 2^bits: fixed 4-bit windows with one
+// multiplication in every window (digit 0 multiplies by 1), so the
+// operation sequence does not depend on k.
+Fp2 pow_nonce(const Fp2& base, const BigInt& k, std::size_t bits) {
+  std::array<Fp2, 16> table;
+  table[0] = Fp2::one(base.re().field());
+  for (std::size_t i = 1; i < table.size(); ++i) {
+    table[i] = table[i - 1];
+    table[i].mul_inplace(base);
+  }
+  Fp2 acc = table[0];
+  for (std::size_t w = (bits + 3) / 4; w-- > 0;) {
+    for (int i = 0; i < 4; ++i) acc.square_inplace();
+    unsigned d = 0;
+    for (int i = 3; i >= 0; --i) d = (d << 1) | unsigned{k.bit(w * 4 + i)};
+    acc.mul_inplace(table[d]);
+  }
+  return acc;
 }
 
 }  // namespace
 
-ShareProof prove_share(const pairing::TatePairing& pairing,
-                       const Point& generator, const Point& u,
-                       const Point& d_idi, const Fp2& share_value,
-                       const Fp2& vk_pairing, const BigInt& order,
-                       RandomSource& rng) {
-  // Commitment R = k·P for random k (a uniform subgroup element).
-  const BigInt k = BigInt::random_unit(rng, order);
-  const Point r = generator.mul(k);
+std::shared_ptr<const pairing::PreparedPairing> prepared_generator(
+    const pairing::TatePairing& pairing, const Point& generator) {
+  return pairing::shared_prepared(pairing, generator, "threshold.P");
+}
 
-  ShareProof proof;
-  proof.w1 = pairing.pair(generator, r);
-  proof.w2 = pairing.pair(u, r);
-  proof.e = challenge(share_value, vk_pairing, proof.w1, proof.w2, u, order);
+ProvedShare prove_share(const pairing::ParamSet& group,
+                        const pairing::TatePairing& pairing, const Point& u,
+                        const Point& d_idi, RandomSource& rng) {
+  const BigInt& order = group.order();
+  // Commitment R = k·P for random k (a uniform subgroup element).
+  BigInt k = BigInt::random_unit(rng, order);
+  Point r = group.mul_g(k);
+
+  // S = ê(U, d_idi) and w2 = ê(U, R) replay one program of U;
+  // Y1 = ê(P, d_idi) replays the cached program of P. One batched final
+  // exponentiation finishes all three.
+  const pairing::PreparedPairing prep_u = pairing.prepare(u);
+  const auto prep_g = prepared_generator(pairing, group.generator);
+  std::array<Fp2, 3> f = {pairing.miller_with(prep_u, d_idi),
+                          pairing.miller_with(prep_u, r),
+                          pairing.miller_with(*prep_g, d_idi)};
+  pairing.final_exponentiation_batch(f);
+
+  ProvedShare out;
+  out.value = f[0];
+  ShareProof& proof = out.proof;
+  proof.w2 = f[1];
+  // w1 = ê(P, k·P) = ê(P, P)^k.
+  proof.w1 = pow_nonce(pairing::cached_pair(pairing, group.generator,
+                                            group.generator, "threshold.gpp"),
+                       k, order.bit_length());
+  proof.e = challenge(out.value, f[2], proof.w1, proof.w2, u, order);
   proof.v = r + d_idi.mul(proof.e);
-  return proof;
+  k.wipe();
+  r.wipe();
+  return out;
+}
+
+bool verify_share_batch(const pairing::TatePairing& pairing,
+                        const Point& generator, const Point& u,
+                        const BigInt& order,
+                        std::span<const ShareStatement> batch) {
+  if (batch.empty()) return true;
+  // Per-statement checks first: each is far cheaper than the pairing.
+  // The challenge and the published values are public proof components;
+  // branching on them reveals only the (public) verdict.
+  for (const ShareStatement& s : batch) {
+    const ShareProof& proof = *s.proof;
+    if (challenge(*s.value, *s.vk_pairing, proof.w1, proof.w2, u, order) !=
+        proof.e) {
+      return false;
+    }
+    if (!in_gt(*s.value, order) || !in_gt(proof.w1, order) ||
+        !in_gt(proof.w2, order)) {
+      return false;
+    }
+  }
+
+  // ê(P + c·U, Σ ρ_i·V_i) = Π w1_i^ρ_i · Y1_i^(e_i·ρ_i) · w2_i^(c·ρ_i) ·
+  // S_i^(c·e_i·ρ_i), exponents reduced mod q (every base is in G_T now).
+  const std::vector<BigInt> weights = batch_weights(u, order, batch);
+  const BigInt& c = weights.back();
+  Point w = generator.curve()->infinity();
+  std::vector<Fp2> bases;
+  std::vector<BigInt> exps;
+  bases.reserve(4 * batch.size());
+  exps.reserve(4 * batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const ShareStatement& s = batch[i];
+    const BigInt& rho = weights[i];
+    const BigInt e_rho = s.proof->e.mul_mod(rho, order);
+    w += s.proof->v.mul(rho);
+    bases.push_back(s.proof->w1);
+    exps.push_back(rho);
+    bases.push_back(*s.vk_pairing);
+    exps.push_back(e_rho);
+    bases.push_back(s.proof->w2);
+    exps.push_back(rho.mul_mod(c, order));
+    bases.push_back(*s.value);
+    exps.push_back(e_rho.mul_mod(c, order));
+  }
+  return pairing.pair(generator + u.mul(c), w) == multi_pow(bases, exps);
 }
 
 bool verify_share_proof(const pairing::TatePairing& pairing,
                         const Point& generator, const Point& u,
                         const Fp2& share_value, const Fp2& vk_pairing,
                         const BigInt& order, const ShareProof& proof) {
-  const BigInt e =
-      challenge(share_value, vk_pairing, proof.w1, proof.w2, u, order);
-  // The Fiat–Shamir challenge is a published proof component; branching
-  // on it reveals only the (public) accept/reject verdict.
-  // medlint: allow(secret-branch, ct-variable-time)
-  if (e != proof.e) return false;
-  // ê(P, V) = w1 · ê(P_pub^(i), Q_ID)^e  medlint: allow(secret-branch, ct-variable-time)
-  if (!(pairing.pair(generator, proof.v) == proof.w1 * vk_pairing.pow(e))) {
-    return false;
-  }
-  // ê(U, V) = w2 · S^e
-  return pairing.pair(u, proof.v) == proof.w2 * share_value.pow(e);
+  const ShareStatement statement{0, &share_value, &vk_pairing, &proof};
+  return verify_share_batch(pairing, generator, u, order,
+                            std::span(&statement, 1));
 }
 
 }  // namespace medcrypt::threshold

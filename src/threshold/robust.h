@@ -4,18 +4,39 @@
 // Player i proves that his decryption share S = ê(U, d_IDi) uses the same
 // d_IDi that underlies his verification key P_pub^(i), i.e. that
 //   (ê(P, ·), ê(U, ·)) evaluated at d_IDi
-// yields (ê(P_pub^(i), Q_ID), S), without revealing d_IDi:
+// yields (Y1, S) with Y1 = ê(P_pub^(i), Q_ID), without revealing d_IDi:
 //
-//   commit   R ∈_R G1, w1 = ê(P, R), w2 = ê(U, R)
-//   challenge e = H(S, ê(P_pub^(i), Q_ID), w1, w2)       (Fiat–Shamir)
+//   commit   R = k·P for random k, w1 = ê(P, R), w2 = ê(U, R)
+//   challenge e = H(S, Y1, w1, w2, U)                    (Fiat–Shamir)
 //   response V = R + e·d_IDi ∈ G1
 //
-//   verify   ê(P, V) = w1 · ê(P_pub^(i), Q_ID)^e
+//   verify   S, w1, w2 ∈ G_T (x ≠ 0, x^q = 1)
+//            ê(P, V) = w1 · Y1^e
 //            ê(U, V) = w2 · S^e
+//
+// The prover runs no full pairing: S and w2 replay one prepared program
+// of U, Y1 = ê(P, d_IDi) replays the cached program of P, one batched
+// final exponentiation finishes all three, and w1 = ê(P, P)^k.
+//
+// The verifier folds a whole batch of n statements into one pairing
+// (small-exponent randomized batching, Bellare–Garay–Rabin '98): with
+// nonzero 80-bit weights ρ_1..ρ_n and c hashed from the batch,
+//
+//   ê(P + c·U, Σ ρ_i·V_i) = Π (w1_i · Y1_i^e_i)^ρ_i · (Π (w2_i · S_i^e_i)^ρ_i)^c
+//
+// A batch holding any false statement passes with probability at most
+// 2·2^-80 per attempt, provided every value lies in the prime-order G_T
+// (Boyd–Pavlovski '00) — hence the membership checks. docs/PERF.md §6
+// has the derivation and the cost.
 #pragma once
+
+#include <cstdint>
+#include <memory>
+#include <span>
 
 #include "ec/point.h"
 #include "field/fp2.h"
+#include "pairing/param_gen.h"
 #include "pairing/tate.h"
 
 namespace medcrypt::threshold {
@@ -28,15 +49,41 @@ struct ShareProof {
   ec::Point v;
 };
 
-/// Produces the proof for share value `share_value` = ê(U, d_idi).
-/// `vk_pairing` = ê(P_pub^(i), Q_ID) is the statement's public side.
-ShareProof prove_share(const pairing::TatePairing& pairing,
-                       const ec::Point& generator, const ec::Point& u,
-                       const ec::Point& d_idi, const field::Fp2& share_value,
-                       const field::Fp2& vk_pairing,
-                       const bigint::BigInt& order, RandomSource& rng);
+/// A decryption share value S = ê(U, d_idi) with its proof.
+struct ProvedShare {
+  field::Fp2 value;
+  ShareProof proof;
+};
 
-/// Verifies a proof against the same statement.
+/// One statement for the batch verifier. `vk_pairing` is the verifier's
+/// own Y1 = ê(P_pub^(i), Q_ID); `index` only enters the weight hash.
+struct ShareStatement {
+  std::uint32_t index = 0;
+  const field::Fp2* value = nullptr;
+  const field::Fp2* vk_pairing = nullptr;
+  const ShareProof* proof = nullptr;
+};
+
+/// The process-wide prepared Miller program of the generator P, shared
+/// by the prover (Y1 = ê(P, d_idi)) and the key-share check.
+std::shared_ptr<const pairing::PreparedPairing> prepared_generator(
+    const pairing::TatePairing& pairing, const ec::Point& generator);
+
+/// Computes the share value ê(U, d_idi) and its proof.
+ProvedShare prove_share(const pairing::ParamSet& group,
+                        const pairing::TatePairing& pairing,
+                        const ec::Point& u, const ec::Point& d_idi,
+                        RandomSource& rng);
+
+/// True iff every statement in `batch` holds: each challenge matches its
+/// Fiat–Shamir hash, each S, w1, w2 lies in G_T, and the weighted
+/// combined check above passes. Empty batches are vacuously true.
+bool verify_share_batch(const pairing::TatePairing& pairing,
+                        const ec::Point& generator, const ec::Point& u,
+                        const bigint::BigInt& order,
+                        std::span<const ShareStatement> batch);
+
+/// verify_share_batch over the single statement (S, Y1, proof).
 bool verify_share_proof(const pairing::TatePairing& pairing,
                         const ec::Point& generator, const ec::Point& u,
                         const field::Fp2& share_value,

@@ -1,5 +1,6 @@
 #include "threshold/threshold_ibe.h"
 
+#include <array>
 #include <set>
 
 #include "common/error.h"
@@ -66,10 +67,17 @@ Point ThresholdDealer::extract_full_key(std::string_view identity) const {
 
 bool verify_key_share(const ThresholdSetup& setup, std::string_view identity,
                       const KeyShare& share) {
+  // ê(P_pub^(i), Q_ID) · ê(P, −d_IDi) = 1 as one product pairing, with P
+  // from the generator program the prover replays.
   const Point q_id = ibe::map_identity(setup.params, identity);
   const pairing::TatePairing pairing(setup.params.curve());
-  return pairing.pair(setup.verification_key(share.index), q_id) ==
-         pairing.pair(setup.params.generator(), share.value);
+  const auto prep_g = prepared_generator(pairing, setup.params.generator());
+  const Point neg_d = -share.value;
+  const std::array<pairing::TatePairing::PairTerm, 2> terms = {{
+      {.p = &setup.verification_key(share.index), .q = &q_id},
+      {.prepared = prep_g.get(), .q = &neg_d},
+  }};
+  return pairing.pair_many(terms).is_one();
 }
 
 bool verify_setup_consistency(const ThresholdSetup& setup,
@@ -91,17 +99,17 @@ DecryptionShare compute_decryption_share(const ThresholdSetup& setup,
   const pairing::TatePairing pairing(setup.params.curve());
   DecryptionShare out;
   out.index = share.index;
-  out.value = pairing.pair(u, share.value);
-  if (prove) {
-    // The proof statement needs Q_ID only through the verification-key
-    // pairing; that is supplied at verification time. The prover computes
-    // it implicitly through its own key share:
-    //   ê(P_pub^(i), Q_ID) = ê(P, d_IDi),
-    // which equals the verifier-side value by key-share correctness.
-    const Fp2 vk_pairing = pairing.pair(setup.params.generator(), share.value);
-    out.proof = prove_share(pairing, setup.params.generator(), u, share.value,
-                            out.value, vk_pairing, setup.params.order(), rng);
+  if (!prove) {
+    out.value = pairing.pair(u, share.value);
+    return out;
   }
+  // The proof statement's public side Y1 = ê(P_pub^(i), Q_ID) is
+  // recomputed by the verifier; the prover reaches the same value
+  // through its own key share, ê(P, d_IDi) = Y1 by key-share correctness.
+  ProvedShare proved = prove_share(setup.params.group, pairing, u,
+                                   share.value, rng);
+  out.value = proved.value;
+  out.proof = std::move(proved.proof);
   return out;
 }
 
@@ -134,21 +142,68 @@ Fp2 combine_decryption_shares(const ThresholdSetup& setup,
 std::vector<DecryptionShare> select_valid_shares(
     const ThresholdSetup& setup, std::string_view identity, const Point& u,
     std::span<const DecryptionShare> shares) {
-  const Point q_id = ibe::map_identity(setup.params, identity);
-  const pairing::TatePairing pairing(setup.params.curve());
-
-  std::vector<DecryptionShare> valid;
+  obs::Span span(obs::Stage::kShareVerify);
+  // Well-formed candidates in input order: a proof, an index in range,
+  // and an index not seen before (the first occurrence wins).
+  std::vector<const DecryptionShare*> candidates;
+  std::set<std::uint32_t> seen;
   for (const DecryptionShare& s : shares) {
-    if (valid.size() == setup.threshold) break;
     if (!s.proof.has_value()) continue;
     if (s.index == 0 || s.index > setup.players) continue;
-    const Fp2 vk_pairing = pairing.pair(setup.verification_key(s.index), q_id);
-    if (verify_share_proof(pairing, setup.params.generator(), u, s.value,
-                           vk_pairing, setup.params.order(), *s.proof)) {
-      valid.push_back(s);
-    }
+    if (!seen.insert(s.index).second) continue;
+    candidates.push_back(&s);
   }
-  if (valid.size() < setup.threshold) {
+  const std::size_t t = setup.threshold;
+  if (candidates.size() < t) {
+    throw ProofError("select_valid_shares: fewer than t provably valid shares");
+  }
+
+  // Y1_i = ê(P_pub^(i), Q_ID) = ê(Q_ID, P_pub^(i)) (the pairing is
+  // symmetric): replays of one program of Q_ID, finished together.
+  const pairing::TatePairing pairing(setup.params.curve());
+  const pairing::PreparedPairing prep_q =
+      pairing.prepare(ibe::map_identity(setup.params, identity));
+  std::vector<Fp2> vk_pairings;
+  vk_pairings.reserve(candidates.size());  // statements point into it
+  for (std::size_t i = 0; i < t; ++i) {
+    vk_pairings.push_back(pairing.miller_with(
+        prep_q, setup.verification_key(candidates[i]->index)));
+  }
+  pairing.final_exponentiation_batch(vk_pairings);
+
+  const auto statement = [&](std::size_t i) {
+    const DecryptionShare& s = *candidates[i];
+    return ShareStatement{s.index, &s.value, &vk_pairings[i], &*s.proof};
+  };
+  const auto verify = [&](std::span<const ShareStatement> batch) {
+    return verify_share_batch(pairing, setup.params.generator(), u,
+                              setup.params.order(), batch);
+  };
+
+  std::vector<ShareStatement> batch;
+  batch.reserve(t);
+  for (std::size_t i = 0; i < t; ++i) batch.push_back(statement(i));
+  std::vector<DecryptionShare> valid;
+  valid.reserve(t);
+  if (verify(batch)) {
+    for (std::size_t i = 0; i < t; ++i) valid.push_back(*candidates[i]);
+    return valid;
+  }
+
+  // Some statement is false: check one at a time, in input order, to
+  // name the cheater.
+  static obs::Counter& fallbacks =
+      obs::registry().counter("threshold.batch_fallbacks");
+  fallbacks.add();
+  for (std::size_t i = 0; i < candidates.size() && valid.size() < t; ++i) {
+    if (i == vk_pairings.size()) {
+      vk_pairings.push_back(pairing.pair_with(
+          prep_q, setup.verification_key(candidates[i]->index)));
+    }
+    const ShareStatement single = statement(i);
+    if (verify(std::span(&single, 1))) valid.push_back(*candidates[i]);
+  }
+  if (valid.size() < t) {
     throw ProofError("select_valid_shares: fewer than t provably valid shares");
   }
   return valid;

@@ -89,7 +89,8 @@ class ThresholdDealer {
 };
 
 /// Player-side check on a received key share (paper §3 Keygen):
-/// ê(P_pub^(i), Q_ID) = ê(P, d_IDi).
+/// ê(P_pub^(i), Q_ID) = ê(P, d_IDi), run as the one product pairing
+/// ê(P_pub^(i), Q_ID)·ê(P, −d_IDi) = 1.
 bool verify_key_share(const ThresholdSetup& setup, std::string_view identity,
                       const KeyShare& share);
 
@@ -119,10 +120,13 @@ DecryptionShare compute_decryption_share(const ThresholdSetup& setup,
 Fp2 combine_decryption_shares(const ThresholdSetup& setup,
                               std::span<const DecryptionShare> shares);
 
-/// Robust recombination front-end: verifies each share's proof against
-/// the verification keys and returns the first t valid ones.
-/// Shares without proofs are rejected. Throws ProofError if fewer than t
-/// shares survive.
+/// Robust recombination front-end: verifies the shares' proofs against
+/// the verification keys and returns the first t valid ones, in input
+/// order. Shares without proofs, with an out-of-range index, or with an
+/// index already seen earlier in `shares` are skipped. The first t
+/// remaining shares are checked as one batch (robust.h); only if that
+/// fails is each share checked on its own, which names the cheater.
+/// Throws ProofError if fewer than t shares survive.
 std::vector<DecryptionShare> select_valid_shares(
     const ThresholdSetup& setup, std::string_view identity, const Point& u,
     std::span<const DecryptionShare> shares);

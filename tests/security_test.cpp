@@ -15,6 +15,7 @@
 
 #include "common/error.h"
 #include "hash/drbg.h"
+#include "hash/kdf.h"
 #include "mediated/mediated_ibe.h"
 #include "pairing/params.h"
 #include "threshold/threshold_ibe.h"
@@ -240,6 +241,64 @@ TEST(RobustProofSoundness, EveryFieldOfTheProofIsBinding) {
   EXPECT_FALSE(threshold::verify_share_proof(pairing, P, ct.u,
                                              share.value.square(), vk, q,
                                              *share.proof));
+}
+
+// A cheating player who publishes S' = −S (order 2·q, outside G_T) can
+// prove it: w2' = ±w2 is ground until (−1)^e' matches, which makes
+// ê(U, V') = w2'·S'^e' hold. The verifier must reject S' on membership,
+// exclude the cheater and still decrypt from the honest shares.
+TEST(RobustProofSoundness, OrderTwoShareForgeryRejected) {
+  HmacDrbg rng(168);
+  threshold::ThresholdDealer dealer(pairing::toy_params(), 32, 3, 5, rng);
+  const threshold::ThresholdSetup& setup = dealer.setup();
+  const auto keys = dealer.extract_shares("alice");
+  Bytes m(32);
+  rng.fill(m);
+  const auto ct = ibe::full_encrypt(setup.params, "alice", m, rng);
+
+  const pairing::TatePairing pairing(setup.params.curve());
+  const auto& P = setup.params.generator();
+  const auto& q = setup.params.order();
+  const ec::Point& d = keys[0].value;
+  const auto s_forged = -pairing.pair(ct.u, d);
+  ASSERT_FALSE(s_forged.pow(q).is_one());
+  const auto y1 = pairing.pair(P, d);
+
+  threshold::DecryptionShare forged;
+  forged.index = 1;
+  forged.value = s_forged;
+  // Grind: w2' = w2 needs an even challenge, w2' = −w2 an odd one.
+  for (int attempt = 0; attempt < 16 && !forged.proof; ++attempt) {
+    const auto k = bigint::BigInt::random_unit(rng, q);
+    const ec::Point r = P.mul(k);
+    const auto w1 = pairing.pair(P, r);
+    const auto w2 = pairing.pair(ct.u, r);
+    for (const bool odd : {false, true}) {
+      const auto w2_try = odd ? -w2 : w2;
+      const Bytes data = concat(concat(s_forged.to_bytes(), y1.to_bytes()),
+                                concat(w1.to_bytes(), w2_try.to_bytes()),
+                                ct.u.to_bytes());
+      const auto e = hash::hash_to_range("TIBE.proof", data, q);
+      if (e.bit(0) == odd) {
+        forged.proof = threshold::ShareProof{w1, w2_try, e, r + d.mul(e)};
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(forged.proof.has_value());
+  EXPECT_FALSE(threshold::verify_share_proof(pairing, P, ct.u, forged.value,
+                                             y1, q, *forged.proof));
+
+  std::vector<threshold::DecryptionShare> shares = {forged};
+  for (int i : {1, 2, 3}) {
+    shares.push_back(threshold::compute_decryption_share(setup, keys[i], ct.u,
+                                                         true, rng));
+  }
+  const auto valid = threshold::select_valid_shares(setup, "alice", ct.u,
+                                                    shares);
+  ASSERT_EQ(valid.size(), 3u);
+  for (const auto& s : valid) EXPECT_NE(s.index, 1u);
+  EXPECT_EQ(threshold::threshold_full_decrypt(setup, valid, ct), m);
 }
 
 }  // namespace

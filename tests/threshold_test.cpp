@@ -3,8 +3,12 @@
 // ElGamal, cheater detection and recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "hash/drbg.h"
+#include "hash/kdf.h"
+#include "obs/registry.h"
 #include "pairing/params.h"
 #include "threshold/threshold_elgamal.h"
 #include "threshold/threshold_gdh.h"
@@ -14,6 +18,57 @@ namespace medcrypt::threshold {
 namespace {
 
 using hash::HmacDrbg;
+
+// Y1 = ê(P_pub^(i), Q_ID), the public side of player i's statement.
+Fp2 vk_pairing(const ThresholdSetup& setup, std::string_view identity,
+               std::uint32_t index) {
+  const pairing::TatePairing pairing(setup.params.curve());
+  return pairing.pair(setup.verification_key(index),
+                      ibe::map_identity(setup.params, identity));
+}
+
+// The original per-share verifier, kept as an oracle for the batch one:
+// e = H("TIBE.proof", S‖Y1‖w1‖w2‖U), ê(P, V) = w1·Y1^e and
+// ê(U, V) = w2·S^e, with raw pairings.
+bool two_equation_check(const ThresholdSetup& setup,
+                        std::string_view identity, const ec::Point& u,
+                        const DecryptionShare& s) {
+  const pairing::TatePairing pairing(setup.params.curve());
+  const ShareProof& proof = *s.proof;
+  const Fp2 y1 = vk_pairing(setup, identity, s.index);
+  const Bytes data =
+      concat(concat(s.value.to_bytes(), y1.to_bytes()),
+             concat(proof.w1.to_bytes(), proof.w2.to_bytes()), u.to_bytes());
+  return hash::hash_to_range("TIBE.proof", data, setup.params.order()) ==
+             proof.e &&
+         pairing.pair(setup.params.generator(), proof.v) ==
+             proof.w1 * y1.pow(proof.e) &&
+         pairing.pair(u, proof.v) == proof.w2 * s.value.pow(proof.e);
+}
+
+// The per-share path's selection: the first t shares, in input order,
+// that pass the oracle.
+std::vector<std::uint32_t> oracle_selection(
+    const ThresholdSetup& setup, std::string_view identity,
+    const ec::Point& u, const std::vector<DecryptionShare>& shares) {
+  std::vector<std::uint32_t> out;
+  for (const DecryptionShare& s : shares) {
+    if (out.size() == setup.threshold) break;
+    if (two_equation_check(setup, identity, u, s)) out.push_back(s.index);
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> indices_of(
+    const std::vector<DecryptionShare>& shares) {
+  std::vector<std::uint32_t> out;
+  for (const DecryptionShare& s : shares) out.push_back(s.index);
+  return out;
+}
+
+std::uint64_t batch_fallbacks() {
+  return obs::registry().counter("threshold.batch_fallbacks").value();
+}
 
 class ThresholdIbeTest : public ::testing::Test {
  protected:
@@ -183,6 +238,108 @@ TEST_F(ThresholdIbeTest, SharesWithoutProofsRejectedInRobustMode) {
                ProofError);
 }
 
+TEST_F(ThresholdIbeTest, ReplayedSharesSkipped) {
+  // [s1, s1, s2, s3]: the replayed copy of s1 must not take a slot.
+  const Bytes m = random_message();
+  const auto ct = ibe::full_encrypt(dealer_.setup().params, "alice", m, rng_);
+  const auto keys = dealer_.extract_shares("alice");
+  const auto shares = shares_for(keys, ct.u, true, {0, 0, 1, 2});
+  const auto valid =
+      select_valid_shares(dealer_.setup(), "alice", ct.u, shares);
+  EXPECT_EQ(indices_of(valid), (std::vector<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(threshold_full_decrypt(dealer_.setup(), valid, ct), m);
+
+  // Replays alone never make up t distinct players.
+  const auto replays = shares_for(keys, ct.u, true, {0, 0, 1, 1});
+  EXPECT_THROW(select_valid_shares(dealer_.setup(), "alice", ct.u, replays),
+               ProofError);
+}
+
+TEST_F(ThresholdIbeTest, NewProofsPassTwoEquationOracle) {
+  const Bytes m = random_message();
+  const auto ct = ibe::full_encrypt(dealer_.setup().params, "alice", m, rng_);
+  const auto keys = dealer_.extract_shares("alice");
+  for (const DecryptionShare& s :
+       shares_for(keys, ct.u, true, {0, 1, 2, 3, 4})) {
+    EXPECT_TRUE(two_equation_check(dealer_.setup(), "alice", ct.u, s))
+        << "player " << s.index;
+    // The share value itself is unchanged: S = ê(U, d_IDi).
+    const pairing::TatePairing pairing(dealer_.setup().params.curve());
+    EXPECT_EQ(s.value, pairing.pair(ct.u, keys[s.index - 1].value));
+  }
+}
+
+TEST_F(ThresholdIbeTest, BatchNamesCheaterAtEveryPosition) {
+  const Bytes m = random_message();
+  const auto ct = ibe::full_encrypt(dealer_.setup().params, "alice", m, rng_);
+  const auto keys = dealer_.extract_shares("alice");
+  for (std::size_t pos = 0; pos < dealer_.setup().threshold; ++pos) {
+    auto shares = shares_for(keys, ct.u, true, {0, 1, 2, 3, 4});
+    shares[pos].value = shares[pos].value.square();
+    const std::uint64_t before = batch_fallbacks();
+    const auto valid =
+        select_valid_shares(dealer_.setup(), "alice", ct.u, shares);
+#if MEDCRYPT_OBS_ENABLED
+    EXPECT_EQ(batch_fallbacks() - before, 1u);
+#else
+    (void)before;
+#endif
+    const std::vector<std::uint32_t> selected = indices_of(valid);
+    EXPECT_EQ(selected,
+              oracle_selection(dealer_.setup(), "alice", ct.u, shares))
+        << "cheater at batch position " << pos;
+    EXPECT_EQ(std::count(selected.begin(), selected.end(), shares[pos].index),
+              0);
+    EXPECT_EQ(threshold_full_decrypt(dealer_.setup(), valid, ct), m);
+  }
+  // An honest batch never falls back.
+  const auto honest = shares_for(keys, ct.u, true, {0, 1, 2});
+  const std::uint64_t before = batch_fallbacks();
+  EXPECT_EQ(select_valid_shares(dealer_.setup(), "alice", ct.u, honest).size(),
+            3u);
+  EXPECT_EQ(batch_fallbacks(), before);
+}
+
+TEST_F(ThresholdIbeTest, CompensatingForgeriesRejectedByWeights) {
+  // V_1 + X and V_2 − X leave Σ V_i unchanged, so an unweighted product
+  // of the verification equations still holds; the weights must not.
+  const ThresholdSetup& setup = dealer_.setup();
+  const Bytes m = random_message();
+  const auto ct = ibe::full_encrypt(setup.params, "alice", m, rng_);
+  const auto keys = dealer_.extract_shares("alice");
+  auto shares = shares_for(keys, ct.u, true, {0, 1, 2, 3, 4});
+  const ec::Point x =
+      setup.params.group.mul_g(BigInt::random_unit(rng_, setup.params.order()));
+  shares[0].proof->v += x;
+  shares[1].proof->v = shares[1].proof->v - x;
+
+  const pairing::TatePairing pairing(setup.params.curve());
+  ec::Point v_sum = setup.params.curve()->infinity();
+  Fp2 lhs1 = Fp2::one(setup.params.curve()->field());
+  Fp2 lhs2 = lhs1;
+  std::vector<Fp2> y1s;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const DecryptionShare& s = shares[i];
+    y1s.push_back(vk_pairing(setup, "alice", s.index));
+    v_sum += s.proof->v;
+    lhs1 = lhs1 * s.proof->w1 * y1s.back().pow(s.proof->e);
+    lhs2 = lhs2 * s.proof->w2 * s.value.pow(s.proof->e);
+  }
+  EXPECT_EQ(pairing.pair(setup.params.generator(), v_sum), lhs1);
+  EXPECT_EQ(pairing.pair(ct.u, v_sum), lhs2);
+
+  std::vector<ShareStatement> batch;
+  for (std::size_t i = 0; i < 3; ++i) {
+    batch.push_back({shares[i].index, &shares[i].value, &y1s[i],
+                     &*shares[i].proof});
+  }
+  EXPECT_FALSE(verify_share_batch(pairing, setup.params.generator(), ct.u,
+                                  setup.params.order(), batch));
+  const auto valid = select_valid_shares(setup, "alice", ct.u, shares);
+  EXPECT_EQ(indices_of(valid), (std::vector<std::uint32_t>{3, 4, 5}));
+  EXPECT_EQ(threshold_full_decrypt(setup, valid, ct), m);
+}
+
 TEST_F(ThresholdIbeTest, CheaterKeyShareRecovery) {
   // §3.2: t honest players reconstruct the cheater's key share.
   const auto keys = dealer_.extract_shares("alice");
@@ -342,6 +499,43 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, std::size_t>{2, 5},
                       std::pair<std::size_t, std::size_t>{4, 7},
                       std::pair<std::size_t, std::size_t>{5, 9}));
+
+// Robust decryption across thresholds on the test and the paper's
+// parameter sets, with a cheater among the first t responders whenever
+// n > t leaves room for one.
+using RobustGridCase = std::tuple<std::string, std::size_t, std::size_t>;
+
+class ThresholdRobustGrid : public ::testing::TestWithParam<RobustGridCase> {};
+
+TEST_P(ThresholdRobustGrid, SelectsAndDecryptsAcrossGrid) {
+  const auto [params, t, n] = GetParam();
+  HmacDrbg rng(130 + t * 16 + n);
+  ThresholdDealer dealer(pairing::named_params(params), 32, t, n, rng);
+  Bytes m(32);
+  rng.fill(m);
+  const auto ct = ibe::full_encrypt(dealer.setup().params, "grid", m, rng);
+  const auto keys = dealer.extract_shares("grid");
+  std::vector<DecryptionShare> shares;
+  for (std::size_t i = 0; i < n; ++i) {
+    shares.push_back(
+        compute_decryption_share(dealer.setup(), keys[i], ct.u, true, rng));
+  }
+  if (n > t) shares[t - 1].value = shares[t - 1].value.square();
+  const auto valid = select_valid_shares(dealer.setup(), "grid", ct.u, shares);
+  ASSERT_EQ(valid.size(), t);
+  EXPECT_EQ(indices_of(valid),
+            oracle_selection(dealer.setup(), "grid", ct.u, shares));
+  EXPECT_EQ(threshold_full_decrypt(dealer.setup(), valid, ct), m);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ThresholdRobustGrid,
+    ::testing::Values(RobustGridCase{"toy64", 1, 1},
+                      RobustGridCase{"toy64", 2, 3},
+                      RobustGridCase{"toy64", 5, 9},
+                      RobustGridCase{"sec80", 1, 2},
+                      RobustGridCase{"sec80", 3, 5},
+                      RobustGridCase{"sec80", 4, 7}));
 
 }  // namespace
 }  // namespace medcrypt::threshold
