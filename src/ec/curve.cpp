@@ -1,6 +1,7 @@
 #include "ec/curve.h"
 
 #include "common/error.h"
+#include "ec/jacobian.h"
 #include "ec/point.h"
 
 namespace medcrypt::ec {
@@ -8,7 +9,8 @@ namespace medcrypt::ec {
 Curve::Curve(std::shared_ptr<const PrimeField> field, Fp a, Fp b, BigInt order,
              BigInt cofactor)
     : field_(std::move(field)), a_(std::move(a)), b_(std::move(b)),
-      order_(std::move(order)), cofactor_(std::move(cofactor)) {}
+      order_(std::move(order)), cofactor_(std::move(cofactor)),
+      order_naf_(naf_digits(order_)), cofactor_naf_(naf_digits(cofactor_)) {}
 
 std::shared_ptr<const Curve> Curve::make(
     std::shared_ptr<const PrimeField> field, Fp a, Fp b, BigInt order,
@@ -61,14 +63,11 @@ Point Curve::decompress(BytesView bytes) const {
     throw InvalidArgument("Curve::decompress: bad tag");
   }
   const Fp x = field_->from_bytes(bytes.subspan(1));
-  const Fp rhs_val = rhs(x);
-  if (!rhs_val.is_square()) {
-    throw InvalidArgument("Curve::decompress: x not on curve");
-  }
-  Fp y = rhs_val.sqrt();
+  std::optional<Fp> y = rhs(x).try_sqrt();
+  if (!y) throw InvalidArgument("Curve::decompress: x not on curve");
   const bool want_odd = bytes[0] == 0x03;
-  if (y.parity() != want_odd) y = -y;
-  return Point(shared_from_this(), false, x, y);
+  if (y->parity() != want_odd) y->negate_inplace();
+  return Point(shared_from_this(), false, x, std::move(*y));
 }
 
 }  // namespace medcrypt::ec

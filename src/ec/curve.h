@@ -6,7 +6,9 @@
 // curve y^2 = x^3 + x with p ≡ 3 (mod 4), where #E(F_p) = p + 1.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "field/fp.h"
 
@@ -37,6 +39,13 @@ class Curve : public std::enable_shared_from_this<Curve> {
   /// Cofactor h with #E(F_p) = h·q.
   const BigInt& cofactor() const { return cofactor_; }
 
+  /// naf_digits(q) and naf_digits(h) (ec/jacobian.h), computed once:
+  /// the fixed public scalars of subgroup checks and cofactor clearing.
+  const std::vector<std::int8_t>& order_naf() const { return order_naf_; }
+  const std::vector<std::int8_t>& cofactor_naf() const {
+    return cofactor_naf_;
+  }
+
   /// The point at infinity.
   Point infinity() const;
 
@@ -64,6 +73,8 @@ class Curve : public std::enable_shared_from_this<Curve> {
   Fp a_, b_;
   BigInt order_;
   BigInt cofactor_;
+  std::vector<std::int8_t> order_naf_;
+  std::vector<std::int8_t> cofactor_naf_;
 };
 
 }  // namespace medcrypt::ec

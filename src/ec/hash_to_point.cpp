@@ -30,25 +30,17 @@ bool derive_candidate(const std::shared_ptr<const Curve>& curve,
       BigInt::from_bytes_be(BytesView(material.data(), xbytes)));
   const Fp rhs = curve->rhs(x);
 
-  Fp y;
-  if (!field->sqrt_exponent().is_zero()) {
-    // p ≡ 3 (mod 4): fuse the Legendre test into the root. s = rhs^((p+1)/4)
-    // is a square root iff rhs is a QR; the s^2 == rhs check accepts the
-    // exact same candidate set as the separate Euler-criterion power
-    // (including rhs == 0, where s == 0 passes and the order-2 point is
-    // later killed by cofactor clearing) at half the exponentiation cost.
-    Fp s = rhs.pow(field->sqrt_exponent());
-    if (!(s.square() == rhs)) return false;
-    y = std::move(s);
-  } else {
-    if (!rhs.is_square()) return false;
-    y = rhs.sqrt();
-  }
+  // With p ≡ 3 (mod 4), try_sqrt fuses the Legendre test into the root
+  // (one exponentiation). It accepts rhs == 0, whose order-2 point (x, 0)
+  // the callers discard: cofactor clearing kills it, and the raw
+  // candidate path skips it explicitly.
+  std::optional<Fp> y = rhs.try_sqrt();
+  if (!y) return false;
   // Use one derived bit to pick the root deterministically.
   const bool want_odd = (material[xbytes] & 1) != 0;
-  if (y.parity() != want_odd) y.negate_inplace();
+  if (y->parity() != want_odd) y->negate_inplace();
   x_out = std::move(x);
-  y_out = std::move(y);
+  y_out = std::move(*y);
   return true;
 }
 
@@ -77,9 +69,28 @@ Point hash_to_subgroup(const std::shared_ptr<const Curve>& curve,
     if (!derive_candidate(curve, domain, ctr_input, counter, xbytes, x, y)) {
       continue;
     }
-    Point candidate = curve->point(x, y).mul(curve->cofactor());
-    if (candidate.is_infinity()) continue;  // killed by cofactor clearing
-    return candidate;
+    const JacPoint cleared =
+        jac_mul_naf(curve->point(x, y), curve->cofactor_naf());
+    if (cleared.inf) continue;  // killed by cofactor clearing
+    return jac_to_affine(curve, cleared);
+  }
+}
+
+Point hash_to_curve_candidate(const std::shared_ptr<const Curve>& curve,
+                              std::string_view domain, BytesView input) {
+  obs::Span span(obs::Stage::kHashToCurve);
+  const std::size_t xbytes = curve->field()->byte_size() + 16;
+  Bytes ctr_input = make_ctr_input(input);
+
+  Fp x, y;
+  for (std::uint32_t counter = 0;; ++counter) {
+    if (!derive_candidate(curve, domain, ctr_input, counter, xbytes, x, y)) {
+      continue;
+    }
+    // (0, 0) is the one candidate hash_to_subgroup always discards; it is
+    // also the one point whose distorted image zeroes a Miller line.
+    if (y.is_zero()) continue;
+    return curve->point(x, y);
   }
 }
 
@@ -100,7 +111,7 @@ std::vector<Point> hash_to_subgroup_batch(
                             y)) {
         continue;
       }
-      cleared[i] = jac_mul_raw(curve->point(x, y), curve->cofactor());
+      cleared[i] = jac_mul_naf(curve->point(x, y), curve->cofactor_naf());
       if (cleared[i].inf) continue;  // killed by cofactor clearing
       break;
     }

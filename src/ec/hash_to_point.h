@@ -5,7 +5,7 @@
 // SHA-256(domain, counter, input), test the curve equation, take a square
 // root, then clear the cofactor. The output is never the identity.
 //
-// Three entry points share one candidate derivation (identical outputs,
+// The entry points share one candidate derivation (identical outputs,
 // pinned by the golden-vector test):
 //   - hash_to_subgroup: the single-input reference path.
 //   - hash_to_subgroup_batch: clears every accepted candidate's cofactor
@@ -14,6 +14,9 @@
 //     point. With p ≡ 3 (mod 4) both paths also fuse the Legendre test
 //     into the sqrt: one exponentiation s = rhs^((p+1)/4) plus a cheap
 //     s^2 == rhs check replaces the separate Euler-criterion power.
+//   - hash_to_curve_candidate: the same candidate without the cofactor
+//     multiplication (~2/3 of the hash at the paper's parameters), for
+//     pairing-based verifiers that absorb the cofactor elsewhere.
 //   - hash_to_subgroup_cached: consults the process-wide identity-point
 //     LRU (src/ec/identity_cache.h) before computing. Mediators pass
 //     their RevocationList epoch so revoke/unrevoke invalidates; pure
@@ -33,6 +36,16 @@ namespace medcrypt::ec {
 /// `domain`. Deterministic; output is never the point at infinity.
 Point hash_to_subgroup(const std::shared_ptr<const Curve>& curve,
                        std::string_view domain, BytesView input);
+
+/// The try-and-increment candidate H' of hash_to_subgroup, before
+/// cofactor clearing: hash_to_subgroup(...) == h·H' (up to a ~1/q chance
+/// that h·H' = O, where hash_to_subgroup moves on to the next counter).
+/// A point of E(F_p), not of G1. Verifiers that only use h(M) as the
+/// second argument of a pairing can take H' instead and move the
+/// cofactor to the fixed first argument (see gdh::verify), skipping the
+/// cofactor multiplication. Never returns O or the order-2 point (0, 0).
+Point hash_to_curve_candidate(const std::shared_ptr<const Curve>& curve,
+                              std::string_view domain, BytesView input);
 
 /// Batch variant: hashes every input with the exact same derivation as
 /// hash_to_subgroup (element-wise identical outputs) while sharing one

@@ -163,6 +163,9 @@ JacPoint jac_add_mixed(const Curve& curve, const JacPoint& t, const Point& p,
   return JacPoint{std::move(x3), std::move(y3), std::move(z3), false};
 }
 
+namespace {
+
+// jac_mul before its final affine conversion.
 JacPoint jac_mul_raw(const Point& p, const bigint::BigInt& k) {
   const auto& curve = p.curve();
   if (!curve) throw InvalidArgument("jac_mul: default-constructed point");
@@ -200,6 +203,40 @@ JacPoint jac_mul_raw(const Point& p, const bigint::BigInt& k) {
       if (table[idx].is_infinity()) continue;  // only if p had tiny order
       acc = jac_add_mixed(*curve, acc, table[idx]);
     }
+  }
+  return acc;
+}
+
+}  // namespace
+
+std::vector<std::int8_t> naf_digits(const bigint::BigInt& k) {
+  if (k.is_negative()) throw InvalidArgument("naf_digits: negative scalar");
+  std::vector<std::int8_t> digits;
+  digits.reserve(k.bit_length() + 1);
+  bigint::BigInt rest = k;
+  while (!rest.is_zero()) {
+    std::int8_t d = 0;
+    if (rest.bit(0)) {
+      // rest ≡ 1 (mod 4) takes digit 1, rest ≡ 3 takes -1; either way
+      // the next digit is then 0.
+      d = rest.bit(1) ? -1 : 1;
+      rest = d > 0 ? rest - bigint::BigInt(1) : rest + bigint::BigInt(1);
+    }
+    digits.push_back(d);
+    rest = rest >> 1;
+  }
+  return digits;
+}
+
+JacPoint jac_mul_naf(const Point& p, std::span<const std::int8_t> naf) {
+  const auto& curve = p.curve();
+  if (!curve) throw InvalidArgument("jac_mul_naf: default-constructed point");
+  if (p.is_infinity()) return JacPoint{};
+  const Point neg = -p;
+  JacPoint acc{};
+  for (std::size_t i = naf.size(); i-- > 0;) {
+    acc = jac_dbl(*curve, acc);
+    if (naf[i] != 0) acc = jac_add_mixed(*curve, acc, naf[i] > 0 ? p : neg);
   }
   return acc;
 }

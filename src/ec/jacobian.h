@@ -16,6 +16,7 @@
 // tests cross-check the two and an ablation bench measures the gap.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -81,10 +82,15 @@ JacPoint jac_add_mixed(const Curve& curve, const JacPoint& t, const Point& p,
 /// Semantics identical to the affine reference (negative k negates).
 Point jac_mul(const Point& p, const bigint::BigInt& k);
 
-/// jac_mul without the final affine conversion: the result stays in
-/// Jacobian form so batch callers (hash_to_subgroup_batch's cofactor
-/// clearing) can share one inversion across many results via
-/// jac_to_affine_batch.
-JacPoint jac_mul_raw(const Point& p, const bigint::BigInt& k);
+/// Non-adjacent form of k >= 0, least significant digit first: digits in
+/// {-1, 0, 1}, no two adjacent ones nonzero (about a third are).
+std::vector<std::int8_t> naf_digits(const bigint::BigInt& k);
+
+/// k·p for a PUBLIC k given as naf_digits(k): double-and-add with mixed
+/// additions of ±p. No table, so no field inversion — for fixed public
+/// scalars (the curve's q and h, see Curve::order_naf) it beats the
+/// windowed ladder of jac_mul, whose table costs one inversion. Its
+/// operation sequence follows the digits, so never pass a secret scalar.
+JacPoint jac_mul_naf(const Point& p, std::span<const std::int8_t> naf);
 
 }  // namespace medcrypt::ec

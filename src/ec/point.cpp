@@ -97,7 +97,10 @@ Point Point::mul_affine(const BigInt& k) const {
 
 bool Point::in_subgroup() const {
   if (!curve_) throw InvalidArgument("Point: in_subgroup of default point");
-  return mul(curve_->order()).is_infinity();
+  // q·P stays Jacobian (only its identity flag is needed), and the NAF
+  // walk of the fixed q needs no table, so the check runs without a
+  // single field inversion.
+  return jac_mul_naf(*this, curve_->order_naf()).inf;
 }
 
 Bytes Point::to_bytes() const {

@@ -209,16 +209,23 @@ bool Fp::is_square() const {
 }
 
 Fp Fp::sqrt() const {
+  std::optional<Fp> root = try_sqrt();
+  if (!root) throw InvalidArgument("Fp: sqrt of non-square");
+  return std::move(*root);
+}
+
+std::optional<Fp> Fp::try_sqrt() const {
   check_bound("sqrt");
   if (is_zero()) return *this;
-  const BigInt& p = field_->modulus();
-  if (!is_square()) throw InvalidArgument("Fp: sqrt of non-square");
-
-  if (p.bit(0) && p.bit(1)) {  // p ≡ 3 (mod 4)
-    return pow(field_->sqrt_exponent());
+  if (!field_->sqrt_exponent().is_zero()) {  // p ≡ 3 (mod 4)
+    Fp s = pow(field_->sqrt_exponent());
+    if (!(s.square() == *this)) return std::nullopt;
+    return s;
   }
+  if (!is_square()) return std::nullopt;
 
   // Tonelli–Shanks for p ≡ 1 (mod 4).
+  const BigInt& p = field_->modulus();
   BigInt q = p - BigInt(1);
   std::size_t s = 0;
   while (q.is_even()) {

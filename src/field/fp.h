@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "bigint/bigint.h"
 #include "bigint/montgomery.h"
@@ -123,6 +124,12 @@ class Fp {
   /// negation); throws InvalidArgument if not a square.
   /// Uses x^((p+1)/4) when p ≡ 3 (mod 4), Tonelli–Shanks otherwise.
   Fp sqrt() const;
+
+  /// A square root, or nullopt if this is not a square. With
+  /// p ≡ 3 (mod 4) it costs one exponentiation: s = x^((p+1)/4) is a
+  /// root iff x is a square, so the s^2 == x check replaces the
+  /// separate Euler-criterion power.
+  std::optional<Fp> try_sqrt() const;
 
   /// Canonical integer representative in [0, p).
   BigInt to_bigint() const;

@@ -3,12 +3,10 @@
 #include <set>
 
 #include "common/error.h"
-#include "pairing/tate.h"
 
 namespace medcrypt::gdh {
 
 using bigint::BigInt;
-using field::Fp2;
 
 Point aggregate_signatures(const pairing::ParamSet& group,
                            std::span<const Point> signatures) {
@@ -24,7 +22,6 @@ bool verify_aggregate(const pairing::ParamSet& group,
                       std::span<const AggregateEntry> entries,
                       const Point& aggregate) {
   if (entries.empty()) return false;
-  if (aggregate.is_infinity() || !aggregate.in_subgroup()) return false;
 
   // Rogue-aggregation guard: (pub, message) statements must be distinct.
   std::set<Bytes> seen;
@@ -34,12 +31,15 @@ bool verify_aggregate(const pairing::ParamSet& group,
     }
   }
 
-  const pairing::TatePairing pairing(group.curve);
-  Fp2 rhs = Fp2::one(group.curve->field());
+  std::vector<Point> pubs;
+  std::vector<Point> candidates;
+  pubs.reserve(entries.size());
+  candidates.reserve(entries.size());
   for (const AggregateEntry& e : entries) {
-    rhs = rhs * pairing.pair(e.pub, hash_message(group, e.message));
+    pubs.push_back(e.pub);
+    candidates.push_back(hash_candidate(group, e.message));
   }
-  return pairing.pair(group.generator, aggregate) == rhs;
+  return verify_candidates(group, pubs, candidates, aggregate);
 }
 
 Point multisig_key(const pairing::ParamSet& group,

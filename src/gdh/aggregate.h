@@ -8,7 +8,8 @@
 //     threshold (§5) and mediated GDH schemes work.
 //
 //   Aggregate signature (distinct messages):
-//     agg = Σ σ_i; verify ê(P, agg) = Π ê(R_i, h(M_i)). The (key,
+//     agg = Σ σ_i; verify ê(P, agg) = Π ê(R_i, h(M_i)), run as one
+//     cofactor-free product pairing (gdh::verify_candidates). The (key,
 //     message) pairs must be distinct (classic rogue-aggregation
 //     restriction) — enforced here.
 //

@@ -1,5 +1,8 @@
 #include "gdh/bls.h"
 
+#include <vector>
+
+#include "common/error.h"
 #include "ec/hash_to_point.h"
 #include "pairing/prepared_cache.h"
 #include "pairing/tate.h"
@@ -15,29 +18,66 @@ Point hash_message(const pairing::ParamSet& group, BytesView message) {
   return ec::hash_to_subgroup(group.curve, "GDH.h", message);
 }
 
+Point hash_candidate(const pairing::ParamSet& group, BytesView message) {
+  return ec::hash_to_curve_candidate(group.curve, "GDH.h", message);
+}
+
 Point sign(const pairing::ParamSet& group, const BigInt& secret,
            BytesView message) {
   return hash_message(group, message).mul(secret);
 }
 
-bool verify(const pairing::ParamSet& group, const Point& pub,
-            BytesView message, const Point& signature) {
+namespace {
+
+// The one verification equation behind every GDH verifier:
+// σ ∈ G1 \ {O} and ê(base, σ)·Π ê(−R_i, H_i) == 1, as one product
+// multi-pairing (shared squaring chain, single final exponentiation)
+// with every first argument's Miller program served from the prepared
+// cache. `base` is P against cleared hashes, P~ against raw candidates.
+// The G1 check on σ is what the pairing cannot do: ê(·, T) = 1 for every
+// T of order dividing h, so σ + T would pass the equation.
+bool check_dh(const pairing::ParamSet& group, const Point& base,
+              std::span<const Point> pubs, std::span<const Point> hashes,
+              const Point& signature) {
+  if (pubs.size() != hashes.size()) {
+    throw InvalidArgument("gdh: key and hash counts differ");
+  }
   if (signature.is_infinity() || !signature.in_subgroup()) return false;
   const pairing::TatePairing pairing(group.curve);
-  // ê(P, σ) = ê(R, h)  ⇔  ê(P, σ)·ê(−R, h) == 1 — one product
-  // multi-pairing (shared squaring chain, single final exponentiation)
-  // instead of two independent pairings, with both fixed first
-  // arguments' Miller programs served from the prepared cache.
-  const Point h = hash_message(group, message);
-  const Point neg_pub = -pub;
-  const auto prep_gen =
-      pairing::shared_prepared(pairing, group.generator, "gdh.verify");
-  const auto prep_neg_pub =
-      pairing::shared_prepared(pairing, neg_pub, "gdh.verify");
-  const pairing::TatePairing::PairTerm terms[] = {
-      {nullptr, prep_gen.get(), &signature},
-      {nullptr, prep_neg_pub.get(), &h}};
+  std::vector<std::shared_ptr<const pairing::PreparedPairing>> programs;
+  programs.reserve(pubs.size() + 1);
+  programs.push_back(pairing::shared_prepared(pairing, base, "gdh.verify"));
+  for (const Point& pub : pubs) {
+    programs.push_back(pairing::shared_prepared(pairing, -pub, "gdh.verify"));
+  }
+  std::vector<pairing::TatePairing::PairTerm> terms;
+  terms.reserve(programs.size());
+  terms.push_back({nullptr, programs[0].get(), &signature});
+  for (std::size_t i = 0; i < hashes.size(); ++i) {
+    terms.push_back({nullptr, programs[i + 1].get(), &hashes[i]});
+  }
   return pairing.pair_many(terms).is_one();
+}
+
+}  // namespace
+
+bool verify(const pairing::ParamSet& group, const Point& pub,
+            BytesView message, const Point& signature) {
+  const Point candidate = hash_candidate(group, message);
+  return verify_candidates(group, {&pub, 1}, {&candidate, 1}, signature);
+}
+
+bool verify_prehashed(const pairing::ParamSet& group, const Point& pub,
+                      const Point& h, const Point& signature) {
+  return check_dh(group, group.generator, {&pub, 1}, {&h, 1}, signature);
+}
+
+bool verify_candidates(const pairing::ParamSet& group,
+                       std::span<const Point> pubs,
+                       std::span<const Point> candidates,
+                       const Point& signature) {
+  return check_dh(group, group.inv_cofactor_generator, pubs, candidates,
+                  signature);
 }
 
 std::pair<BigInt, BigInt> split_key(const BigInt& secret, const BigInt& q,

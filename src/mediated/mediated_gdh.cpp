@@ -118,8 +118,11 @@ Point MediatedGdhUser::sign(BytesView message, const GdhMediator& sem,
   }
 
   const Point signature = s_sem + h.mul(user_key_);
-  // §5 protocol step 3: the user checks validity before releasing.
-  if (!gdh::verify(group_, public_key_, message, signature)) {
+  // §5 protocol step 3: the user checks validity before releasing,
+  // against the h(M) already in hand. The G1 check inside stays: s_sem
+  // crosses the SEM trust boundary, and a SEM-added small-order point
+  // would pass the pairing equation but fail every relying party.
+  if (!gdh::verify_prehashed(group_, public_key_, h, signature)) {
     throw Error("MediatedGdhUser::sign: assembled signature invalid");
   }
   return signature;

@@ -5,8 +5,10 @@
 //   Sign(M):
 //     SEM:  check revocation; S_sem = x_sem·h(M)              → token
 //     user: S_user = x_user·h(M); S = S_sem + S_user;
-//           verify S before releasing (the §5 protocol's final step).
-//   Verify: standard GDH check ê(P, S) = ê(R, h(M)).
+//           verify S before releasing (the §5 protocol's final step,
+//           against the h(M) just computed — no second hash).
+//   Verify: standard GDH check ê(P, S) = ê(R, h(M)) (gdh::verify runs it
+//     cofactor-free).
 //
 // Efficiency claims reproduced by the benches: each side performs one
 // scalar multiplication; the SEM → user token is ONE compressed G1 point

@@ -32,6 +32,8 @@ const char* stage_name(Stage stage) {
       return "revocation.snapshot_publish";
     case Stage::kShareVerify:
       return "share.verify";
+    case Stage::kHashToCurve:
+      return "hash_to_curve";
   }
   return "unknown";
 }

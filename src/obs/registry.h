@@ -62,8 +62,9 @@ enum class Stage : std::uint8_t {
   kShareCombine,        // threshold: Lagrange recombination of t shares
   kSnapshotPublish,     // RevocationList: copy-mutate-publish of a snapshot
   kShareVerify,         // threshold: select_valid_shares proof checks
+  kHashToCurve,         // ec::hash_to_curve_candidate — no cofactor clearing
 };
-inline constexpr std::size_t kStageCount = 13;
+inline constexpr std::size_t kStageCount = 14;
 
 /// Dotted stage name as it appears in the metric catalog (the exported
 /// histogram is "stage.<name>_ns").

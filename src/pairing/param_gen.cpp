@@ -23,6 +23,7 @@ ParamSet generate_params(std::size_t p_bits, std::size_t q_bits,
     h = h << 2;  // multiple of 4 with top bit in place
     p = h * q - BigInt(1);
     if (p.bit_length() != p_bits) continue;
+    if (h.mod(q).is_zero()) continue;  // h must be invertible mod q
     if (bigint::is_probable_prime(p, rng)) break;
   }
 
@@ -33,13 +34,14 @@ ParamSet generate_params(std::size_t p_bits, std::size_t q_bits,
   // public parameter.  medlint: allow(ct-variable-time)
   for (;;) {
     const field::Fp x = field->random(rng);
-    const field::Fp rhs = curve->rhs(x);
-    if (!rhs.is_square()) continue;
-    const Point candidate = curve->point(x, rhs.sqrt()).mul(h);
+    std::optional<field::Fp> y = curve->rhs(x).try_sqrt();
+    if (!y) continue;
+    const Point candidate = curve->point(x, std::move(*y)).mul(h);
     if (candidate.is_infinity()) continue;
     // With q prime, any non-identity multiple of h has exact order q.
     return ParamSet{curve, candidate,
-                    std::make_shared<ec::FixedBaseTable>(candidate, q)};
+                    std::make_shared<ec::FixedBaseTable>(candidate, q),
+                    candidate.mul(h.mod_inverse(q))};
   }
 }
 

@@ -29,6 +29,12 @@ struct ParamSet {
   /// ~600 affine points at sec80).
   std::shared_ptr<const ec::FixedBaseTable> generator_table;
 
+  /// P~ = (h^-1 mod q)·P, so h·P~ = P. A verifier that pairs against a
+  /// hash candidate H' with h(M) = h·H' checks ê(P~, σ) where the
+  /// standard equation has ê(P, σ): ê(P~, σ)^h = ê(P, σ) and
+  /// ê(R, H')^h = ê(R, h(M)). generate_params always fills it.
+  Point inv_cofactor_generator;
+
   /// Shorthand for curve->order().
   const BigInt& order() const { return curve->order(); }
 

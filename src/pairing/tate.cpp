@@ -227,13 +227,15 @@ void TatePairing::final_exponentiation_batch(std::span<Fp2> fs) const {
 }
 
 void PreparedPairing::wipe() {
-  for (Step& step : steps_) {
-    step.c0.wipe();
-    step.c1.wipe();
-    step.c2.wipe();
+  for (Line& line : lines_) {
+    line.c0.wipe();
+    line.c1.wipe();
+    line.c2.wipe();
   }
-  steps_.clear();
-  steps_.shrink_to_fit();
+  lines_.clear();
+  lines_.shrink_to_fit();
+  lines_per_bit_.clear();
+  lines_per_bit_.shrink_to_fit();
   curve_.reset();
   infinity_ = false;
 }
@@ -254,21 +256,29 @@ PreparedPairing TatePairing::prepare(const Point& p) const {
   // the line functions at a concrete Q', record their coefficients:
   //   doubling  L = (M·X - 2Y^2) - (M·Z^2)·x' + i·(2YZ^3)·y'
   //   addition  L = (r·x_P - ZH·y_P) - r·x'   + i·(ZH)·y'
-  // so each recorded step is L = (c0 - c1·x') + i·(c2·y').
-  using Op = PreparedPairing::Op;
+  // so each recorded line is L = (c0 - c1·x') + i·(c2·y').
   ec::JacPoint t = ec::jac_from_affine(p);
   const BigInt& order = curve_->order();
-  out.steps_.reserve(2 * order.bit_length());
+  // Exact capacities, so the program never reallocates: at most one
+  // doubling line per bit below the top, plus one addition line per set
+  // bit there.
+  const std::size_t bits = order.bit_length() - 1;
+  std::size_t max_lines = bits;
+  for (std::size_t i = 0; i < bits; ++i) {
+    if (order.bit(i)) ++max_lines;
+  }
+  out.lines_.reserve(max_lines);
+  out.lines_per_bit_.reserve(bits);
 
-  for (std::size_t i = order.bit_length() - 1; i-- > 0;) {
-    out.steps_.push_back({Op::kSquare, {}, {}, {}});
+  for (std::size_t i = bits; i-- > 0;) {
+    std::uint8_t lines = 0;
     const bool have_line = !t.inf && !t.y.is_zero();
     ec::DblTrace dbl_trace;
     t = ec::jac_dbl(*curve_, t, have_line ? &dbl_trace : nullptr);
     if (have_line) {
-      out.steps_.push_back({Op::kMulLine,
-                            dbl_trace.m * dbl_trace.x - dbl_trace.y_sq.dbl(),
+      out.lines_.push_back({dbl_trace.m * dbl_trace.x - dbl_trace.y_sq.dbl(),
                             dbl_trace.m * dbl_trace.z_sq, dbl_trace.zp_zsq});
+      ++lines;
     }
 
     if (order.bit(i)) {
@@ -278,12 +288,13 @@ PreparedPairing TatePairing::prepare(const Point& p) const {
         ec::AddTrace add_trace;
         t = ec::jac_add_mixed(*curve_, t, p, &add_trace);
         if (!add_trace.vertical) {
-          out.steps_.push_back(
-              {Op::kMulLine, add_trace.r * p.x() - add_trace.zh * p.y(),
-               add_trace.r, add_trace.zh});
+          out.lines_.push_back({add_trace.r * p.x() - add_trace.zh * p.y(),
+                                add_trace.r, add_trace.zh});
+          ++lines;
         }
       }
     }
+    out.lines_per_bit_.push_back(lines);
   }
   return out;
 }
@@ -305,11 +316,11 @@ Fp2 TatePairing::miller_with(const PreparedPairing& prepared,
   const Fp xq = -q.x();
   const Fp& yq = q.y();
   Fp2 f = Fp2::one(field);
-  for (const PreparedPairing::Step& step : prepared.steps_) {
-    if (step.op == PreparedPairing::Op::kSquare) {
-      f.square_inplace();
-    } else {
-      mul_replay_line(f, step.c0, step.c1, step.c2, xq, yq);
+  const PreparedPairing::Line* line = prepared.lines_.data();
+  for (const std::uint8_t lines : prepared.lines_per_bit_) {
+    f.square_inplace();
+    for (std::uint8_t k = 0; k < lines; ++k, ++line) {
+      mul_replay_line(f, line->c0, line->c1, line->c2, xq, yq);
     }
   }
   if (f.is_zero()) {
@@ -356,8 +367,8 @@ Fp2 TatePairing::pair_many(std::span<const PairTerm> terms) const {
     Fp yq;
   };
   struct PrepState {
-    const PreparedPairing::Step* cur;
-    const PreparedPairing::Step* end;
+    const std::uint8_t* lines_per_bit;
+    const PreparedPairing::Line* line;
     Fp xq;
     Fp yq;
   };
@@ -381,9 +392,9 @@ Fp2 TatePairing::pair_many(std::span<const PairTerm> terms) const {
             "TatePairing::pair_many: prepared term from another curve");
       }
       if (term.prepared->infinity_ || term.q->is_infinity()) continue;
-      const auto* steps = term.prepared->steps_.data();
-      preps.push_back(PrepState{steps, steps + term.prepared->steps_.size(),
-                                -term.q->x(), term.q->y()});
+      preps.push_back(PrepState{term.prepared->lines_per_bit_.data(),
+                                term.prepared->lines_.data(), -term.q->x(),
+                                term.q->y()});
     } else {
       if (term.p->curve() != curve_) {
         throw InvalidArgument(
@@ -425,16 +436,13 @@ Fp2 TatePairing::pair_many(std::span<const PairTerm> terms) const {
     }
 
     for (PrepState& ps : preps) {
-      // Each prepared program records exactly one kSquare marker per
-      // order bit (the shared squaring above replaces it), followed by
-      // that bit's line steps.
-      ++ps.cur;  // the kSquare marker
-      while (ps.cur != ps.end &&
-             ps.cur->op == PreparedPairing::Op::kMulLine) {
-        mul_replay_line(f, ps.cur->c0, ps.cur->c1, ps.cur->c2, ps.xq,
+      // A program stores, per order bit, how many of its lines follow
+      // that bit's squaring (here the shared one above).
+      for (std::uint8_t k = 0; k < *ps.lines_per_bit; ++k, ++ps.line) {
+        mul_replay_line(f, ps.line->c0, ps.line->c1, ps.line->c2, ps.xq,
                         ps.yq);
-        ++ps.cur;
       }
+      ++ps.lines_per_bit;
     }
   }
   if (f.is_zero()) {

@@ -53,8 +53,11 @@ class PreparedPairing {
   /// from another curve.
   const std::shared_ptr<const Curve>& curve() const { return curve_; }
 
-  /// Number of Miller-loop steps in the program (0 for O).
-  std::size_t step_count() const { return steps_.size(); }
+  /// Number of Miller-loop steps in the program, squarings and lines
+  /// (0 for O).
+  std::size_t step_count() const {
+    return lines_per_bit_.size() + lines_.size();
+  }
 
   /// Scrubs all line coefficients and unbinds; the object returns to the
   /// default-constructed (empty) state.
@@ -63,17 +66,18 @@ class PreparedPairing {
  private:
   friend class TatePairing;
 
-  enum class Op : std::uint8_t { kSquare, kMulLine };
-
-  // One Miller-loop step: either f <- f^2, or
-  // f <- f · ((c0 - c1·x(Q)) + i·(c2·y(Q))).
-  struct Step {
-    Op op = Op::kSquare;
+  // One recorded line: f <- f · ((c0 - c1·x(Q)) + i·(c2·y(Q))).
+  struct Line {
     Fp c0, c1, c2;
   };
 
   std::shared_ptr<const Curve> curve_;
-  std::vector<Step> steps_;
+  // The lines in Miller-loop order, and for each order bit below the
+  // top (most significant first) how many of them (0 to 2) follow that
+  // bit's f <- f^2. Squarings carry no coefficients, so only their
+  // count is stored.
+  std::vector<Line> lines_;
+  std::vector<std::uint8_t> lines_per_bit_;
   bool infinity_ = false;
 };
 

@@ -3,7 +3,6 @@
 #include <set>
 
 #include "common/error.h"
-#include "pairing/tate.h"
 
 namespace medcrypt::threshold {
 
@@ -46,10 +45,9 @@ GdhSignatureShare gdh_sign_share(const GdhSetup& setup,
 bool gdh_verify_share(const GdhSetup& setup, BytesView message,
                       const GdhSignatureShare& share) {
   if (share.index == 0 || share.index > setup.players) return false;
-  const pairing::TatePairing pairing(setup.group.curve);
-  return pairing.pair(setup.group.generator, share.value) ==
-         pairing.pair(setup.verification_key(share.index),
-                      gdh::hash_message(setup.group, message));
+  // σ_i is an ordinary GDH signature under R_i.
+  return gdh::verify(setup.group, setup.verification_key(share.index),
+                     message, share.value);
 }
 
 Point gdh_combine_shares(const GdhSetup& setup,

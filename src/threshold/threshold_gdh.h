@@ -66,7 +66,8 @@ struct GdhSignatureShare {
 GdhSignatureShare gdh_sign_share(const GdhSetup& setup,
                                  const GdhKeyShare& share, BytesView message);
 
-/// Robustness check: ê(P, σ_i) = ê(R_i, h(M)).
+/// Robustness check: ê(P, σ_i) = ê(R_i, h(M)) with σ_i ∈ G1 \ {O} —
+/// gdh::verify of σ_i under R_i.
 bool gdh_verify_share(const GdhSetup& setup, BytesView message,
                       const GdhSignatureShare& share);
 

@@ -146,6 +146,88 @@ TEST(Point, DecompressRejectsGarbage) {
   }
 }
 
+TEST(Point, DecompressRejectsEveryNonResidue) {
+  // Exhaustive over F_103: an x whose right-hand side is a non-residue
+  // is rejected under both tags; every other x decodes to the root of
+  // the requested parity.
+  auto c = tiny_curve();
+  int rejected = 0;
+  for (std::uint64_t xv = 0; xv < 103; ++xv) {
+    const auto x = c->field()->from_u64(xv);
+    for (const std::uint8_t tag : {0x02, 0x03}) {
+      Bytes enc{tag};
+      const Bytes xb = x.to_bytes();
+      enc.insert(enc.end(), xb.begin(), xb.end());
+      if (!c->rhs(x).is_square()) {
+        EXPECT_THROW(c->decompress(enc), InvalidArgument) << "x = " << xv;
+        ++rejected;
+        continue;
+      }
+      const Point p = c->decompress(enc);
+      EXPECT_EQ(p.x(), x);
+      EXPECT_TRUE(c->contains(p.x(), p.y()));
+      if (!p.y().is_zero()) {
+        EXPECT_EQ(p.y().parity(), tag == 0x03);
+      }
+    }
+  }
+  // 104 points = O + (0, 0) + 102 others in ± pairs over 51 x values,
+  // so 103 - 52 = 51 x values have no point.
+  EXPECT_EQ(rejected, 2 * 51);
+}
+
+// The order-2 point (0, 0) of y^2 = x^3 + x.
+Point order_two_point(const std::shared_ptr<const Curve>& c) {
+  return c->point(c->field()->zero(), c->field()->zero());
+}
+
+TEST(Point, InSubgroupMatchesAffineReferenceTinyCurve) {
+  // Every point of the tiny curve: the Jacobian identity flag of q·P
+  // agrees with converting q·P to affine.
+  auto c = tiny_curve();
+  int members = 0;
+  for (std::uint64_t xv = 0; xv < 103; ++xv) {
+    const auto x = c->field()->from_u64(xv);
+    const auto y = c->rhs(x).try_sqrt();
+    if (!y) continue;
+    for (const Point& p : {c->point(x, *y), c->point(x, -*y)}) {
+      const bool reference = p.mul(c->order()).is_infinity();
+      EXPECT_EQ(p.in_subgroup(), reference) << "x = " << xv;
+      if (reference) ++members;
+    }
+  }
+  EXPECT_EQ(members, 12);  // the non-identity points of order 13
+}
+
+class InSubgroupDiffTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(InSubgroupDiffTest, MatchesAffineReference) {
+  const auto& params = pairing::named_params(GetParam());
+  const auto& c = params.curve;
+  HmacDrbg rng(31);
+  const Point t = order_two_point(c);
+  std::vector<std::pair<Point, bool>> cases = {
+      {c->infinity(), true}, {t, false}, {params.generator, true}};
+  for (int i = 0; i < 4; ++i) {
+    const Point s = params.mul_g(BigInt::random_unit(rng, params.order()));
+    cases.push_back({s, true});
+    cases.push_back({s + t, false});
+    // A raw hash candidate: a point of E(F_p), outside G1 unless its
+    // cofactor part happens to vanish (probability ~1/h).
+    cases.push_back({hash_to_curve_candidate(c, "InSubgroup",
+                                             str_bytes(std::to_string(i))),
+                     false});
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [p, member] = cases[i];
+    EXPECT_EQ(p.in_subgroup(), p.mul(c->order()).is_infinity()) << i;
+    EXPECT_EQ(p.in_subgroup(), member) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Params, InSubgroupDiffTest,
+                         ::testing::Values("toy64", "sec80"));
+
 TEST(Point, MixedCurveThrows) {
   auto c1 = tiny_curve();
   auto c2 = tiny_curve();  // distinct context object
@@ -204,6 +286,50 @@ TEST(Jacobian, MulMatchesAffineReferenceBigCurve) {
     const BigInt k = BigInt::random_below(rng, params.order());
     EXPECT_EQ(params.generator.mul(k), params.generator.mul_affine(k));
   }
+}
+
+TEST(Jacobian, NafDigitsAreNonAdjacentAndSumToK) {
+  HmacDrbg rng(33);
+  std::vector<BigInt> scalars = {BigInt(0), BigInt(1), BigInt(3), BigInt(7),
+                                 pairing::paper_params().order(),
+                                 pairing::paper_params().curve->cofactor()};
+  for (int i = 0; i < 8; ++i) scalars.push_back(BigInt::random_bits(rng, 200));
+  for (const BigInt& k : scalars) {
+    const std::vector<std::int8_t> naf = naf_digits(k);
+    BigInt sum(0);
+    for (std::size_t i = naf.size(); i-- > 0;) {
+      sum = sum + sum + BigInt(naf[i]);
+      if (i + 1 < naf.size()) {
+        EXPECT_FALSE(naf[i] != 0 && naf[i + 1] != 0);
+      }
+    }
+    EXPECT_EQ(sum, k);
+    EXPECT_LE(naf.size(), k.bit_length() + 1);
+  }
+}
+
+TEST(Jacobian, NafMulMatchesWindowedMul) {
+  // Every multiple on the tiny curve (small orders, T == ±P additions),
+  // then random scalars and the curve's own q and h on toy64.
+  auto c = tiny_curve();
+  const Point p = some_point(c);
+  for (int k = 0; k < 120; ++k) {
+    EXPECT_EQ(jac_to_affine(c, jac_mul_naf(p, naf_digits(BigInt(k)))),
+              p.mul(BigInt(k)))
+        << "k = " << k;
+  }
+  const auto& params = pairing::toy_params();
+  HmacDrbg rng(34);
+  const Point g = hash_to_curve_candidate(params.curve, "naf", str_bytes("g"));
+  std::vector<BigInt> scalars = {params.order(), params.curve->cofactor()};
+  for (int i = 0; i < 8; ++i) scalars.push_back(BigInt::random_bits(rng, 130));
+  for (const BigInt& k : scalars) {
+    EXPECT_EQ(jac_to_affine(params.curve, jac_mul_naf(g, naf_digits(k))),
+              g.mul(k));
+  }
+  EXPECT_EQ(params.curve->order_naf(), naf_digits(params.order()));
+  EXPECT_EQ(params.curve->cofactor_naf(),
+            naf_digits(params.curve->cofactor()));
 }
 
 TEST(Jacobian, RoundTripThroughCoordinates) {

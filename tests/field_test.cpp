@@ -125,6 +125,28 @@ TEST(Fp, NonSquareThrows) {
   EXPECT_EQ(non_squares, 51);  // (p-1)/2 non-squares
 }
 
+TEST(Fp, TrySqrtMatchesEulerCriterion) {
+  // The fused p ≡ 3 (mod 4) root (one power, then s^2 == x) and the
+  // Tonelli–Shanks path both accept exactly the squares.
+  for (const auto& f : {small_field(), PrimeField::make(BigInt(97))}) {
+    for (std::uint64_t v = 0; v < 97; ++v) {
+      const Fp a = f->from_u64(v);
+      const std::optional<Fp> root = a.try_sqrt();
+      ASSERT_EQ(root.has_value(), a.is_square()) << "v = " << v;
+      if (root) {
+        EXPECT_EQ(root->square(), a);
+        EXPECT_EQ(*root, a.sqrt());
+      }
+    }
+  }
+  auto f = big_field_3mod4();
+  HmacDrbg rng(24);
+  for (int i = 0; i < 20; ++i) {
+    const Fp a = f->random(rng);
+    EXPECT_EQ(a.try_sqrt().has_value(), a.is_square()) << "iteration " << i;
+  }
+}
+
 TEST(Fp, BytesRoundTrip) {
   auto f = big_field_3mod4();
   HmacDrbg rng(24);

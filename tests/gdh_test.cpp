@@ -1,14 +1,20 @@
 // Tests for the GDH (BLS) signature: correctness, unforgeability smoke
-// checks, key splitting for the mediated variant, signature size.
+// checks, key splitting for the mediated variant, signature size, and
+// equivalence of the cofactor-free verifier with the standard equation.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "gdh/bls.h"
 #include "hash/drbg.h"
 #include "pairing/params.h"
+#include "pairing/tate.h"
 
 namespace medcrypt::gdh {
 namespace {
 
+using bigint::BigInt;
 using hash::HmacDrbg;
 
 class GdhTest : public ::testing::Test {
@@ -102,6 +108,111 @@ TEST_F(GdhTest, AggregationProperty) {
       sign(group_, a.secret, msg) + sign(group_, b.secret, msg);
   const Point joint_pub = a.pub + b.pub;
   EXPECT_TRUE(verify(group_, joint_pub, msg, joint_sig));
+}
+
+// The verifier before the cofactor-free form, kept as the oracle: the
+// G1 check on σ, then two full pairings against the cleared h(M).
+bool oracle_verify(const pairing::ParamSet& group, const Point& pub,
+                   BytesView message, const Point& signature) {
+  if (signature.is_infinity() || !signature.in_subgroup()) return false;
+  const pairing::TatePairing pairing(group.curve);
+  return pairing.pair(group.generator, signature) ==
+         pairing.pair(pub, hash_message(group, message));
+}
+
+// The order-2 point (0, 0) of y^2 = x^3 + x: outside G1, and invisible
+// to the pairing (ê(·, T) = 1 for T of order dividing the cofactor).
+Point order_two_point(const pairing::ParamSet& group) {
+  const auto& field = group.curve->field();
+  return group.curve->point(field->zero(), field->zero());
+}
+
+class GdhEquivalenceTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GdhEquivalenceTest, InvCofactorGeneratorTimesCofactorIsGenerator) {
+  const auto& group = pairing::named_params(GetParam());
+  EXPECT_TRUE(group.inv_cofactor_generator.in_subgroup());
+  EXPECT_EQ(group.inv_cofactor_generator.mul(group.curve->cofactor()),
+            group.generator);
+}
+
+TEST_P(GdhEquivalenceTest, AgreesWithClearedHashOracle) {
+  const auto& group = pairing::named_params(GetParam());
+  HmacDrbg rng(131);
+  const KeyPair kp = keygen(group, rng);
+  const KeyPair other = keygen(group, rng);
+  const Point t = order_two_point(group);
+
+  struct Case {
+    std::string name;
+    Point pub;
+    Bytes message;
+    Point signature;
+    bool valid;
+  };
+  for (const std::string m : {"", "pay 10 to bob", "cofactor-free"}) {
+    const Bytes msg = str_bytes(m);
+    const Point sig = sign(group, kp.secret, msg);
+    const Case cases[] = {
+        {"honest", kp.pub, msg, sig, true},
+        {"another message", kp.pub, str_bytes(m + "!"), sig, false},
+        {"another key", other.pub, msg, sig, false},
+        {"signed by another key", kp.pub, msg, sign(group, other.secret, msg),
+         false},
+        {"identity", kp.pub, msg, group.curve->infinity(), false},
+        {"sigma + (0,0)", kp.pub, msg, sig + t, false},
+        {"(0,0)", kp.pub, msg, t, false},
+        {"negated", kp.pub, msg, -sig, false},
+        {"random G1 point", kp.pub, msg,
+         group.mul_g(BigInt::random_unit(rng, group.order())), false},
+        {"random curve point", kp.pub, msg,
+         hash_candidate(group, str_bytes("random " + m)), false},
+    };
+    for (const Case& c : cases) {
+      const bool fast = verify(group, c.pub, c.message, c.signature);
+      EXPECT_EQ(fast, oracle_verify(group, c.pub, c.message, c.signature))
+          << c.name << " on \"" << m << "\"";
+      EXPECT_EQ(fast, c.valid) << c.name << " on \"" << m << "\"";
+      EXPECT_EQ(verify_prehashed(group, c.pub, hash_message(group, c.message),
+                                 c.signature),
+                c.valid)
+          << c.name << " (prehashed) on \"" << m << "\"";
+    }
+  }
+}
+
+TEST_P(GdhEquivalenceTest, CandidateTimesCofactorIsTheMessageHash) {
+  const auto& group = pairing::named_params(GetParam());
+  for (const char* m : {"", "a", "hello world"}) {
+    const Point candidate = hash_candidate(group, str_bytes(m));
+    EXPECT_FALSE(candidate.in_subgroup()) << m;
+    EXPECT_EQ(candidate.mul(group.curve->cofactor()),
+              hash_message(group, str_bytes(m)))
+        << m;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Params, GdhEquivalenceTest,
+                         ::testing::Values("toy64", "sec80"));
+
+TEST_F(GdhTest, VerifyNeverThrowsOnRandomMessages) {
+  // 10k seeded random messages of random length: every raw candidate
+  // lands in a Miller loop without a degenerate line, and only the
+  // messages actually signed verify.
+  const KeyPair kp = keygen(group_, rng_);
+  const Point foreign = sign(group_, kp.secret, str_bytes("foreign"));
+  int accepted = 0;
+  for (int i = 0; i < 10000; ++i) {
+    Bytes msg(rng_.next_u64() % 65);
+    rng_.fill(msg);
+    const bool honest = i % 100 == 0;
+    const Point sig = honest ? sign(group_, kp.secret, msg) : foreign;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = verify(group_, kp.pub, msg, sig)) << "message " << i;
+    EXPECT_EQ(ok, honest) << "message " << i;
+    accepted += ok ? 1 : 0;
+  }
+  EXPECT_EQ(accepted, 100);
 }
 
 }  // namespace

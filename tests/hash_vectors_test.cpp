@@ -1,4 +1,6 @@
-// Golden-vector regression tests for hash_to_subgroup.
+// Golden-vector regression tests for hash_to_subgroup (and for the
+// cofactor-free hash_to_curve_candidate and point decompression, which
+// must agree with it).
 //
 // The compressed encodings below were captured from the reference
 // try-and-increment implementation (per-counter hash::expand, Euler
@@ -84,6 +86,42 @@ TEST(HashVectors, Sec80MatchesSeedEncodings) {
     const Point p = hash_to_subgroup(params.curve, v.domain, str_bytes(v.id));
     EXPECT_EQ(hex(p.to_bytes()), v.expect)
         << v.domain << "(\"" << v.id << "\")";
+  }
+}
+
+// Every golden vector, with its parameter set.
+std::vector<std::pair<const char*, GoldenVector>> all_vectors() {
+  std::vector<std::pair<const char*, GoldenVector>> out;
+  for (const GoldenVector& v : kToy64) out.push_back({"toy64", v});
+  for (const GoldenVector& v : kSec80) out.push_back({"sec80", v});
+  return out;
+}
+
+TEST(HashVectors, CandidateTimesCofactorIsTheHash) {
+  // hash_to_curve_candidate is hash_to_subgroup without the cofactor
+  // multiplication: same counter, same root, same sign choice.
+  for (const auto& [name, v] : all_vectors()) {
+    const auto& params = pairing::named_params(name);
+    const Point candidate =
+        hash_to_curve_candidate(params.curve, v.domain, str_bytes(v.id));
+    EXPECT_FALSE(candidate.is_infinity());
+    EXPECT_FALSE(candidate.y().is_zero());
+    EXPECT_EQ(hex(candidate.mul(params.curve->cofactor()).to_bytes()),
+              v.expect)
+        << name << " " << v.domain << "(\"" << v.id << "\")";
+  }
+}
+
+TEST(HashVectors, CompressedVectorsRoundTrip) {
+  // Decompression (one fused square root) reproduces every golden point
+  // and re-encodes it to the same bytes.
+  for (const auto& [name, v] : all_vectors()) {
+    const auto& params = pairing::named_params(name);
+    const Point decoded = params.curve->decompress(from_hex(v.expect));
+    EXPECT_EQ(decoded,
+              hash_to_subgroup(params.curve, v.domain, str_bytes(v.id)))
+        << name << " " << v.id;
+    EXPECT_EQ(hex(decoded.to_bytes()), v.expect) << name << " " << v.id;
   }
 }
 

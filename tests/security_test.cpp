@@ -11,13 +11,18 @@
 //    transcript distribution shape.
 //  - A small IND-style game harness sanity-checks that a key-less
 //    distinguisher wins with probability ~1/2.
+//  - §5: every GDH verifier rejects a signature carrying a small-order
+//    component, which the pairing equation alone cannot see.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "gdh/aggregate.h"
 #include "hash/drbg.h"
 #include "hash/kdf.h"
 #include "mediated/mediated_ibe.h"
 #include "pairing/params.h"
+#include "pairing/tate.h"
+#include "threshold/threshold_gdh.h"
 #include "threshold/threshold_ibe.h"
 
 namespace medcrypt {
@@ -299,6 +304,49 @@ TEST(RobustProofSoundness, OrderTwoShareForgeryRejected) {
   ASSERT_EQ(valid.size(), 3u);
   for (const auto& s : valid) EXPECT_NE(s.index, 1u);
   EXPECT_EQ(threshold::threshold_full_decrypt(setup, valid, ct), m);
+}
+
+// σ + T with T = (0, 0) of order 2: ê(P, σ + T) = ê(P, σ), so the DDH
+// equation accepts it, but σ + T is outside G1 and every relying party
+// that checks membership rejects it. A SEM that adds T to its half
+// s_sem would otherwise get past the mediated user's final check, and
+// a threshold player past the share check, poisoning the combined σ.
+TEST(GdhSmallOrderComponent, EveryVerifierRejectsSigmaPlusT) {
+  HmacDrbg rng(170);
+  const pairing::ParamSet& group = pairing::toy_params();
+  const auto& field = group.curve->field();
+  const ec::Point t = group.curve->point(field->zero(), field->zero());
+  const Bytes msg = str_bytes("wire 100 to mallory");
+  const gdh::KeyPair kp = gdh::keygen(group, rng);
+  const ec::Point h = gdh::hash_message(group, msg);
+  const ec::Point sig = h.mul(kp.secret);
+
+  const pairing::TatePairing pairing(group.curve);
+  ASSERT_EQ(pairing.pair(group.generator, sig + t),
+            pairing.pair(group.generator, sig));
+
+  // Relying party and the mediated user's prehashed final check.
+  EXPECT_TRUE(gdh::verify(group, kp.pub, msg, sig));
+  EXPECT_FALSE(gdh::verify(group, kp.pub, msg, sig + t));
+  EXPECT_TRUE(gdh::verify_prehashed(group, kp.pub, h, sig));
+  EXPECT_FALSE(gdh::verify_prehashed(group, kp.pub, h, sig + t));
+
+  // Aggregate over two statements.
+  const gdh::KeyPair kp2 = gdh::keygen(group, rng);
+  const Bytes msg2 = str_bytes("second statement");
+  const ec::Point sigs[] = {sig, gdh::sign(group, kp2.secret, msg2)};
+  const gdh::AggregateEntry entries[] = {{kp.pub, msg}, {kp2.pub, msg2}};
+  const ec::Point agg = gdh::aggregate_signatures(group, sigs);
+  EXPECT_TRUE(gdh::verify_aggregate(group, entries, agg));
+  EXPECT_FALSE(gdh::verify_aggregate(group, entries, agg + t));
+
+  // Threshold signature share.
+  const auto dealing = threshold::gdh_threshold_setup(group, 2, 3, rng);
+  threshold::GdhSignatureShare share =
+      threshold::gdh_sign_share(dealing.setup, dealing.shares[0], msg);
+  EXPECT_TRUE(threshold::gdh_verify_share(dealing.setup, msg, share));
+  share.value += t;
+  EXPECT_FALSE(threshold::gdh_verify_share(dealing.setup, msg, share));
 }
 
 }  // namespace
