@@ -1,14 +1,13 @@
 // Runtime kernel selection.
 //
 // Detection runs once, on the first active() call (thread-safe via the
-// function-local static): CPUID leaf 7 gates the BMI2+ADX tier,
-// __builtin_cpu_supports gates AVX2 (it also checks the OS enabled the
-// YMM state via XSAVE), and MEDCRYPT_KERNEL=portable|bmi2|avx2 forces a
-// tier for testing. A forced tier is clamped DOWN to what the CPU
-// supports — never up — so a stray env var cannot SIGILL the process;
-// the clamp is reported once on stderr. The winning tier is surfaced as
-// info-style gauges core.kernel.{portable,avx2,bmi2} = 0/1 so bench
-// baselines and `medcrypt_cli stats` record which path produced them.
+// function-local static): CPUID leaf 7 gates the BMI2+ADX tier, and
+// MEDCRYPT_KERNEL=portable|bmi2 forces a tier for testing. A forced
+// tier is clamped DOWN to what the CPU supports — never up — so a stray
+// env var cannot SIGILL the process; the clamp is reported once on
+// stderr. The winning tier is surfaced as info-style gauges
+// core.kernel.{portable,bmi2} = 0/1 so bench baselines and
+// `medcrypt_cli stats` record which path produced them.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -37,23 +36,9 @@ bool detect_bmi2_adx() {
 #endif
 }
 
-bool detect_avx2() {
-#if defined(__x86_64__) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
 // Best supported tier at or below `want` (portable is always supported).
 Kind clamp_down(Kind want) {
-  if (want == Kind::kBmi2 && !cpu_supports(Kind::kBmi2)) {
-    want = Kind::kAvx2;
-  }
-  if (want == Kind::kAvx2 && !cpu_supports(Kind::kAvx2)) {
-    want = Kind::kPortable;
-  }
-  return want;
+  return cpu_supports(want) ? want : Kind::kPortable;
 }
 
 Kind select() {
@@ -78,7 +63,7 @@ Kind select() {
     if (!known) {
       std::fprintf(stderr,
                    "medcrypt: ignoring unknown MEDCRYPT_KERNEL=%s "
-                   "(expected portable|avx2|bmi2)\n",
+                   "(expected portable|bmi2)\n",
                    env);
     }
   }
@@ -94,8 +79,6 @@ Kind select() {
 
 const char* kind_name(Kind kind) {
   switch (kind) {
-    case Kind::kAvx2:
-      return "avx2";
     case Kind::kBmi2:
       return "bmi2";
     case Kind::kPortable:
@@ -110,11 +93,6 @@ bool cpu_supports(Kind kind) {
   // portable table (kind == kPortable) when their target or build mode
   // rules the implementation out (e.g. the bmi2 asm under sanitizers).
   switch (kind) {
-    case Kind::kAvx2: {
-      static const bool ok =
-          detect_avx2() && avx2_table().kind == Kind::kAvx2;
-      return ok;
-    }
     case Kind::kBmi2: {
       static const bool ok =
           detect_bmi2_adx() && bmi2_table().kind == Kind::kBmi2;
@@ -128,8 +106,6 @@ bool cpu_supports(Kind kind) {
 
 const Table& table(Kind kind) {
   switch (kind) {
-    case Kind::kAvx2:
-      return avx2_table();
     case Kind::kBmi2:
       return bmi2_table();
     case Kind::kPortable:

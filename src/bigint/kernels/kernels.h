@@ -7,21 +7,18 @@
 // (non-reducing) multiply + standalone Montgomery reduction pair that
 // backs the lazy Fp2 tower, and width-generic modular add/sub/neg.
 //
-// Three tiers exist:
+// Two tiers exist:
 //   - portable: plain C++ (u128 carries), bit-identical to the historic
 //     cios_fixed<K> code. Always available, the reference for the
 //     differential fuzz suite.
-//   - avx2:     portable multiplies + branch-free AVX2 helpers for the
-//     width-independent add/sub/neg (compute both candidate results,
-//     vector-blend on the carry/borrow verdict).
 //   - bmi2:     hand-scheduled MULX/ADCX/ADOX inline-asm CIOS and wide
 //     multiplies for K = 4 and K = 8 (requires BMI2 + ADX).
 //
 // Selection happens once, at the first active() call: CPUID picks the
-// best supported tier, MEDCRYPT_KERNEL=portable|bmi2|avx2 forces one for
+// best supported tier, MEDCRYPT_KERNEL=portable|bmi2 forces one for
 // testing (clamped down to what the CPU supports, never up), and the
 // result is surfaced through the obs registry as info-style gauges
-// core.kernel.{portable,avx2,bmi2} = 0/1. bigint::Montgomery caches the
+// core.kernel.{portable,bmi2} = 0/1. bigint::Montgomery caches the
 // table pointer at construction, so `-march` never has to leak into the
 // default build: one binary runs correctly on any x86-64.
 //
@@ -38,8 +35,8 @@ namespace medcrypt::bigint::kernels {
 
 using u64 = std::uint64_t;
 
-enum class Kind : std::uint8_t { kPortable = 0, kAvx2 = 1, kBmi2 = 2 };
-inline constexpr std::size_t kKindCount = 3;
+enum class Kind : std::uint8_t { kPortable = 0, kBmi2 = 1 };
+inline constexpr std::size_t kKindCount = 2;
 
 /// Dispatched entry points. All pointers are always non-null; tiers that
 /// do not accelerate an entry alias the portable implementation.
@@ -90,11 +87,10 @@ bool cpu_supports(Kind kind);
 /// Lowercase tier name as used by MEDCRYPT_KERNEL and the obs gauges.
 const char* kind_name(Kind kind);
 
-// Per-tier tables (portable.cpp / avx2.cpp / bmi2.cpp). Prefer active()
+// Per-tier tables (portable.cpp / bmi2.cpp). Prefer active()
 // or table(); these exist so the dispatcher and tests can name a tier
 // directly.
 const Table& portable_table();
-const Table& avx2_table();
 const Table& bmi2_table();
 
 // --- width-generic portable helpers (non-dispatched) ----------------------

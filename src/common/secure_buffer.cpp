@@ -8,7 +8,6 @@ namespace medcrypt {
 namespace {
 // Monotonic telemetry total; readers only ever sum it, so unordered
 // increments are safe.
-// medlint: relaxed_ok
 std::atomic<std::uint64_t> g_wipe_total{0};
 }  // namespace
 

@@ -226,17 +226,16 @@ class ShardedLruCache {
 
   struct Shard {
     mutable std::mutex mu;
-    // Front = most recent. The index's string_view keys alias the
-    // entries' own tag storage (list nodes never move).
-    std::list<Entry> lru;  // medlint: guarded_by(mu)
-    std::map<std::string_view, typename std::list<Entry>::iterator>
-        index;  // medlint: guarded_by(mu)
+    // Both guarded by mu. Front = most recent. The index's string_view
+    // keys alias the entries' own tag storage (list nodes never move).
+    std::list<Entry> lru;
+    std::map<std::string_view, typename std::list<Entry>::iterator> index;
     // Audit counters (always on, unlike the obs mirrors). Monotonic;
     // stats() sums with the same weak-consistency contract as SemStats.
-    std::atomic<std::uint64_t> hits{0};           // medlint: relaxed_ok
-    std::atomic<std::uint64_t> misses{0};         // medlint: relaxed_ok
-    std::atomic<std::uint64_t> evictions{0};      // medlint: relaxed_ok
-    std::atomic<std::uint64_t> invalidations{0};  // medlint: relaxed_ok
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> misses{0};
+    std::atomic<std::uint64_t> evictions{0};
+    std::atomic<std::uint64_t> invalidations{0};
   };
 
   // Length-framed so ("ab", "c") and ("a", "bc") cannot collide.

@@ -106,7 +106,7 @@ class RevocationList {
   // Shared lock: copy the published pointer. Exclusive lock: the whole
   // copy-mutate-publish sequence in revoke()/unrevoke().
   mutable std::shared_mutex mu_;
-  std::shared_ptr<const Snapshot> snap_;  // medlint: published_by(mu_)
+  std::shared_ptr<const Snapshot> snap_;  // swapped only under exclusive mu_
 };
 
 /// Audit counters every mediator maintains. `tokens_issued` counts only
@@ -275,18 +275,18 @@ class MediatorBase {
  private:
   struct Shard {
     mutable std::shared_mutex mu;
-    std::map<std::string, KeyHalf, std::less<>> keys;  // medlint: guarded_by(mu)
+    std::map<std::string, KeyHalf, std::less<>> keys;  // guarded by mu
   };
 
   // Audit counters, sharded per thread cell (obs::kThreadCells, 1 when
   // obs is compiled out) so concurrent issuance on different threads
   // does not bounce one cache line. stats() sums the cells in one pass.
   // Monotonic counters; stats() documents the weak-consistency contract,
-  // so relaxed increments/reads are vetted per cell.
+  // so relaxed increments and reads are safe.
   struct alignas(64) AuditCell {
-    std::atomic<std::uint64_t> issued{0};   // medlint: relaxed_ok
-    std::atomic<std::uint64_t> denied{0};   // medlint: relaxed_ok
-    std::atomic<std::uint64_t> unknown{0};  // medlint: relaxed_ok
+    std::atomic<std::uint64_t> issued{0};
+    std::atomic<std::uint64_t> denied{0};
+    std::atomic<std::uint64_t> unknown{0};
   };
 
   static_assert((kShardCount & (kShardCount - 1)) == 0,

@@ -247,20 +247,22 @@ class MetricsRegistry {
     std::function<ScrapeSeries()> fn;
   };
 
-  mutable std::shared_mutex mu_;  // instrument maps + sources
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;   // medlint: guarded_by(mu_)
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;       // medlint: guarded_by(mu_)
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;  // medlint: guarded_by(mu_)
-  std::vector<Source> sources_;  // medlint: guarded_by(mu_)
-  std::vector<MultiSource> multi_sources_;  // medlint: guarded_by(mu_)
+  // Guards the instrument maps and both source lists below.
+  mutable std::shared_mutex mu_;
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  std::vector<Source> sources_;
+  std::vector<MultiSource> multi_sources_;
   std::uint64_t next_source_id_ = 1;
 
   std::array<std::unique_ptr<Histogram>, kStageCount> stage_;
 
+  // Guards the trace ring and its cursors below.
   mutable std::mutex trace_mu_;
-  std::array<TraceData, kTraceRingSize> traces_{};  // medlint: guarded_by(trace_mu_)
-  std::size_t trace_next_ = 0;   // medlint: guarded_by(trace_mu_)
-  std::size_t trace_count_ = 0;  // medlint: guarded_by(trace_mu_)
+  std::array<TraceData, kTraceRingSize> traces_{};
+  std::size_t trace_next_ = 0;
+  std::size_t trace_count_ = 0;
 };
 
 #else  // !MEDCRYPT_OBS_ENABLED

@@ -293,6 +293,7 @@ void ScenarioRunner::resolve_exemplars(ScenarioResult& result) const {
       dump.parent_id = t.parent_id;
       dump.pipeline = t.pipeline;
       dump.total_us = static_cast<double>(t.total_ns) / 1e3;
+      dump.dropped = t.dropped;
       for (std::uint32_t s = 0; s < t.stage_count; ++s) {
         dump.stages.push_back(
             {obs::stage_name(t.stages[s].stage),
@@ -538,9 +539,10 @@ std::string capacity_report_json(const std::vector<ScenarioResult>& results,
       appendf(out,
               "%s\n      {\"trace_id\": \"%016" PRIx64
               "\", \"parent_id\": \"%016" PRIx64
-              "\", \"pipeline\": \"%s\", \"total_us\": %.1f, \"stages\": [",
+              "\", \"pipeline\": \"%s\", \"total_us\": %.1f, \"dropped\": %u, "
+              "\"stages\": [",
               t ? "," : "", d.trace_id, d.parent_id, d.pipeline.c_str(),
-              d.total_us);
+              d.total_us, static_cast<unsigned>(d.dropped));
       for (std::size_t s = 0; s < d.stages.size(); ++s) {
         appendf(out,
                 "%s{\"stage\": \"%s\", \"offset_us\": %.1f, "

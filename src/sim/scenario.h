@@ -96,6 +96,7 @@ struct TraceDump {
   std::uint64_t parent_id = 0;
   std::string pipeline;
   double total_us = 0.0;
+  std::uint32_t dropped = 0;  // spans past obs::TraceData::kMaxStages
   struct StageCut {
     std::string stage;
     double offset_us = 0.0;

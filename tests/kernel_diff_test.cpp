@@ -40,7 +40,7 @@ constexpr const char* kNamedSets[] = {"toy64", "mid128", "sweep384",
 
 std::vector<Kind> available_kinds() {
   std::vector<Kind> out;
-  for (const Kind kind : {Kind::kPortable, Kind::kAvx2, Kind::kBmi2}) {
+  for (const Kind kind : {Kind::kPortable, Kind::kBmi2}) {
     if (kernels::cpu_supports(kind)) out.push_back(kind);
   }
   return out;
@@ -225,7 +225,7 @@ TEST(KernelDiff, RedcBitIdenticalAcrossKernelsUpToBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// Width-generic add/sub/neg (the AVX2 tier's accelerated entries)
+// Width-generic add/sub/neg (every tier runs the portable entries)
 // ---------------------------------------------------------------------------
 
 TEST(KernelDiff, ModularAddSubNegBitIdenticalAcrossKernels) {

@@ -191,6 +191,44 @@ TEST_F(MediatedIbeTest, BatchIssueTokensMatchesSingleRequests) {
   EXPECT_EQ(stats.unknown_identities, 1u);
 }
 
+// Curve::decompress accepts any on-curve U, including U + T for the
+// order-2 point T = (0, 0), and issue_token does not subgroup-check it.
+// That is safe only because d_ID,sem is the Miller-loop base: the
+// reduced pairing maps T to 1, so U + T yields exactly U's token. Pin it
+// on both the single and the batch path.
+class IbeTokenCofactorTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(IbeTokenCofactorTest, OrderTwoComponentOnUDoesNotChangeTheToken) {
+  HmacDrbg rng(141);
+  const ibe::Pkg pkg(pairing::named_params(GetParam()), 32, rng);
+  IbeMediator sem(pkg.params(), std::make_shared<RevocationList>());
+  auto alice = enroll_ibe_user(pkg, sem, "alice", rng);
+  Bytes m(32);
+  rng.fill(m);
+  const auto ct = ibe::full_encrypt(pkg.params(), "alice", m, rng);
+
+  const auto& field = pkg.params().group.curve->field();
+  const Point t = pkg.params().group.curve->point(field->zero(), field->zero());
+  const Point u_t = ct.u + t;
+  ASSERT_FALSE(u_t == ct.u);
+  ASSERT_FALSE(u_t.in_subgroup());
+
+  const auto token = sem.issue_token("alice", ct.u);
+  EXPECT_EQ(sem.issue_token("alice", u_t), token);
+
+  const std::vector<IbeMediator::TokenRequest> requests = {
+      {"alice", &ct.u}, {"alice", &u_t}};
+  const auto batch = sem.issue_tokens(requests);
+  ASSERT_EQ(batch.size(), 2u);
+  ASSERT_TRUE(batch[0].has_value());
+  ASSERT_TRUE(batch[1].has_value());
+  EXPECT_EQ(*batch[0], token);
+  EXPECT_EQ(*batch[1], token);
+}
+
+INSTANTIATE_TEST_SUITE_P(NamedSets, IbeTokenCofactorTest,
+                         ::testing::Values("toy64", "sec80"));
+
 TEST_F(MediatedIbeTest, RevocationSnapshotsAreEpochPublished) {
   auto alice = enroll_ibe_user(pkg_, sem_, "alice", rng_);
   const auto before = revocations_->snapshot();

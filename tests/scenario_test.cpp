@@ -5,10 +5,12 @@
 // invariants on the full-size CI artifact).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "obs/registry.h"
 #include "pairing/params.h"
 #include "sim/scenario.h"
 
@@ -152,6 +154,32 @@ TEST(Scenario, ExemplarsResolveToCompleteSpanBreakdowns) {
     }
     EXPECT_TRUE(matches_exemplar);
   }
+}
+
+TEST(Scenario, ExemplarTracesReportTheirDroppedSpanCount) {
+  // A batch of 8 emits more spans than TraceData::kMaxStages holds; the
+  // overflow count travels with each dump and into the report JSON.
+  sim::ScenarioConfig cfg = tiny_config();
+  cfg.batch = 8;
+  sim::ScenarioRunner runner(cfg);
+  const sim::ScenarioResult r = runner.run("steady");
+  ASSERT_FALSE(r.exemplar_traces.empty());
+  const std::vector<obs::TraceData> ring = obs::registry().recent_traces();
+  for (const sim::TraceDump& dump : r.exemplar_traces) {
+    bool found = false;
+    for (const obs::TraceData& t : ring) {
+      if (t.trace_id != dump.trace_id) continue;
+      found = true;
+      EXPECT_EQ(dump.dropped, t.dropped);
+      EXPECT_EQ(dump.stages.size(), t.stage_count);
+    }
+    EXPECT_TRUE(found) << dump.trace_id;
+  }
+  const std::string report = sim::capacity_report_json({r}, runner.config());
+  char expected[32];
+  std::snprintf(expected, sizeof(expected), "\"dropped\": %u",
+                static_cast<unsigned>(r.exemplar_traces[0].dropped));
+  EXPECT_NE(report.find(expected), std::string::npos) << report;
 }
 
 #endif  // MEDCRYPT_OBS_ENABLED

@@ -126,7 +126,8 @@ def render(report):
             stages = ", ".join(f"{st['stage']}={st['dur_us']:.0f}us"
                                for st in trace["stages"][:6])
             print(f"    p99 trace {trace['trace_id']} "
-                  f"({trace['total_us']:.0f} us): {stages}")
+                  f"({trace['total_us']:.0f} us, "
+                  f"{trace.get('dropped', 0)} dropped spans): {stages}")
     return 0
 
 

@@ -250,7 +250,7 @@ int cmd_stats(const fs::path& dir, std::size_t ops, const std::string& format) {
     std::printf("  %-32s %" PRIu64 "\n", c.name.c_str(), c.value);
   }
   if (!snap.gauges.empty()) {
-    // Includes the core.kernel.{portable,avx2,bmi2} selection flags: the
+    // Includes the core.kernel.{portable,bmi2} selection flags: the
     // dispatched limb kernel publishes 1 on its own gauge, 0 on the rest.
     std::cout << "\ngauges:\n";
     for (const auto& g : snap.gauges) {

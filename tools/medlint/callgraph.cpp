@@ -1,7 +1,6 @@
 #include "callgraph.h"
 
 #include <cctype>
-#include <regex>
 
 #include "common.h"
 
@@ -14,46 +13,6 @@ using Tokens = std::vector<Token>;
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 // ---------------------------------------------------------------------------
-// annotations: `// medlint: guarded_by(m)` and friends, matched against
-// the comment on the declaration's own line or the line directly above.
-// ---------------------------------------------------------------------------
-
-const std::regex kAnnotRe(
-    R"(medlint:\s*(guarded_by|published_by|requires_lock)\(\s*([A-Za-z_]\w*)\s*\))");
-const std::regex kRelaxedOkRe(R"(medlint:\s*relaxed_ok\b)");
-
-struct Annotations {
-  std::string guarded_by;
-  std::string published_by;
-  std::string requires_lock;
-  bool relaxed_ok = false;
-};
-
-Annotations annotations_at(const std::vector<std::string>& comments,
-                           std::size_t line) {
-  Annotations a;
-  for (std::size_t l : {line, line - 1}) {
-    if (l == 0 || l > comments.size()) continue;
-    const std::string& c = comments[l - 1];
-    std::smatch m;
-    if (std::regex_search(c, m, kAnnotRe)) {
-      const std::string kind = m[1].str();
-      if (kind == "guarded_by") a.guarded_by = m[2].str();
-      else if (kind == "published_by") a.published_by = m[2].str();
-      else if (kind == "requires_lock") a.requires_lock = m[2].str();
-    }
-    if (std::regex_search(c, kRelaxedOkRe)) a.relaxed_ok = true;
-  }
-  return a;
-}
-
-bool mutex_type(const std::vector<std::string>& tids) {
-  for (const std::string& t : tids)
-    if (t.find("mutex") != std::string::npos) return true;
-  return false;
-}
-
-// ---------------------------------------------------------------------------
 // generic declaration shape: [cv]* Type[::T]*[<...>] [&|*]* name, used for
 // class members and namespace-scope globals. Terminators: ';' '=' '{'.
 // A '(' after the name means function — rejected here.
@@ -62,7 +21,6 @@ bool mutex_type(const std::vector<std::string>& tids) {
 struct ParsedDecl {
   std::vector<std::string> type_idents;
   std::string name;
-  std::size_t name_line = 0;
   std::size_t term = 0;  // token index of the terminator
 };
 
@@ -77,14 +35,12 @@ std::optional<ParsedDecl> parse_decl(const Tokens& toks, std::size_t i,
       "static_assert", "include", "define", "ifdef", "ifndef", "pragma",
   };
   std::vector<std::vector<std::string>> groups;
-  std::vector<std::size_t> group_idx;
   std::size_t j = i;
   while (j < hi && is_ident(toks[j])) {
     const std::string& id = toks[j].text;
     if (kControlKeywords.count(id) || id == "operator") return std::nullopt;
     if (kNotADecl.count(id)) return std::nullopt;
     std::vector<std::string> g{id};
-    const std::size_t gstart = j;
     ++j;
     while (j + 1 < hi && is_punct(toks[j], "::") && is_ident(toks[j + 1])) {
       g.push_back(toks[j + 1].text);
@@ -98,7 +54,6 @@ std::optional<ParsedDecl> parse_decl(const Tokens& toks, std::size_t i,
       j = tclose + 1;
     }
     groups.push_back(std::move(g));
-    group_idx.push_back(gstart);
     while (j < hi && (is_punct(toks[j], "&") || is_punct(toks[j], "&&") ||
                       is_punct(toks[j], "*")))
       ++j;
@@ -110,7 +65,6 @@ std::optional<ParsedDecl> parse_decl(const Tokens& toks, std::size_t i,
     return std::nullopt;
   ParsedDecl d;
   d.name = groups.back()[0];
-  d.name_line = toks[group_idx.back()].line;
   d.term = j;
   bool has_real_type = false;
   for (std::size_t g = 0; g + 1 < groups.size(); ++g)
@@ -170,7 +124,6 @@ struct ClassRange {
   std::string name;
   std::size_t open;   // '{' token index
   std::size_t close;  // matching '}'
-  std::size_t line;
 };
 
 }  // namespace
@@ -267,7 +220,6 @@ FileModel build_file_model(const LexedFile& lf) {
     }
     if (j >= toks.size() || !is_ident(toks[j])) continue;
     const std::string name = toks[j].text;
-    const std::size_t name_line = toks[j].line;
     // find '{' (definition) or ';' (fwd decl / elaborated type) next
     std::size_t k = j + 1;
     std::size_t open = kNpos;
@@ -284,13 +236,10 @@ FileModel build_file_model(const LexedFile& lf) {
     if (open == kNpos) continue;
     const std::size_t close = match_group(toks, open);
     if (close >= toks.size()) continue;
-    class_ranges.push_back({name, open, close, name_line});
+    class_ranges.push_back({name, open, close});
 
     ClassInfo& ci = model.classes[name];
     ci.name = name;
-    ci.line = name_line;
-    const Annotations ca = annotations_at(lf.comments, name_line);
-    if (ca.relaxed_ok) ci.relaxed_ok = true;
 
     // -- members at class depth 0 --------------------------------------
     std::size_t m = open + 1;
@@ -299,7 +248,6 @@ FileModel build_file_model(const LexedFile& lf) {
       if (is_punct(t, "~") && m + 2 < close && is_ident(toks[m + 1], name.c_str()) &&
           is_punct(toks[m + 2], "(")) {
         // in-class destructor: record which members it wipes
-        ci.has_dtor = true;
         std::size_t b = match_group(toks, m + 2) + 1;
         while (b < close && !is_punct(toks[b], "{") && !is_punct(toks[b], ";") &&
                !is_punct(toks[b], "="))
@@ -344,12 +292,6 @@ FileModel build_file_model(const LexedFile& lf) {
       if (auto d = parse_decl(toks, m, close)) {
         MemberInfo mi;
         mi.type_idents = d->type_idents;
-        mi.line = d->name_line;
-        mi.is_mutex = mutex_type(d->type_idents);
-        const Annotations ma = annotations_at(lf.comments, d->name_line);
-        mi.guarded_by = ma.guarded_by;
-        mi.published_by = ma.published_by;
-        mi.relaxed_ok = ma.relaxed_ok;
         ci.members[d->name] = std::move(mi);
         m = skip_statement(toks, d->term, close);
         continue;
@@ -420,11 +362,6 @@ FileModel build_file_model(const LexedFile& lf) {
         if (auto d = parse_decl(toks, i, toks.size())) {
           MemberInfo gi;
           gi.type_idents = d->type_idents;
-          gi.line = d->name_line;
-          gi.is_mutex = mutex_type(d->type_idents);
-          const Annotations ga = annotations_at(lf.comments, d->name_line);
-          gi.guarded_by = ga.guarded_by;
-          gi.relaxed_ok = ga.relaxed_ok;
           model.globals[d->name] = std::move(gi);
           i = skip_statement(toks, d->term, toks.size());
           continue;
@@ -564,8 +501,6 @@ FileModel build_file_model(const LexedFile& lf) {
     if (q >= 2 && is_punct(toks[q - 1], "::") && is_ident(toks[q - 2]))
       fn.qualifier = toks[q - 2].text;
     fn.lexical_class = lexical_class_at(i);
-    fn.requires_lock =
-        annotations_at(lf.comments, fn.sig_line).requires_lock;
     if (is_def) {
       fn.body_open = j;
       fn.body_close = match_group(toks, j);

@@ -3,12 +3,10 @@
 //
 // This is the shared substrate of the interprocedural engine. The taint
 // pass (taint.cpp) used to locate function signatures itself; that logic
-// now lives here so the summary pass (summary.cpp), the concurrency pass
-// (concurrency.cpp) and the dataflow pass all walk the *same* model of
-// the file: every function with its parameter list, body token range and
-// constructor member-init entries; every class with its members, their
-// `// medlint: guarded_by(...)` / `published_by(...)` / `relaxed_ok`
-// annotations and the set of members its destructor wipes; and the
+// now lives here so the summary pass (summary.cpp) and the dataflow pass
+// walk the *same* model of the file: every function with its parameter
+// list, body token range and constructor member-init entries; every class
+// with its members and the set of members its destructor wipes; and the
 // file-scope variables that a helper could stash a secret into.
 #pragma once
 
@@ -51,7 +49,6 @@ struct FnInfo {
   std::vector<Param> params;
   std::vector<MemberInit> inits;
   std::vector<std::string> wiped_members;  // dtor bodies: members wiped
-  std::string requires_lock;  // `// medlint: requires_lock(m)` annotation
   bool is_definition = false;
   bool is_dtor = false;
   bool ctor_like = false;  // uppercase first letter: constructor/factory
@@ -68,18 +65,10 @@ struct FnInfo {
 
 struct MemberInfo {
   std::vector<std::string> type_idents;
-  std::size_t line = 0;
-  std::string guarded_by;    // mutex member name, or empty
-  std::string published_by;  // epoch-publish pattern: swap under this lock
-  bool relaxed_ok = false;   // relaxed atomic ops on this member are vetted
-  bool is_mutex = false;
 };
 
 struct ClassInfo {
   std::string name;
-  std::size_t line = 0;
-  bool relaxed_ok = false;  // class-level: all relaxed ops on it are vetted
-  bool has_dtor = false;
   std::map<std::string, MemberInfo> members;
   std::set<std::string> dtor_wiped;  // members wiped in an in-class dtor
 };

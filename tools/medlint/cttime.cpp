@@ -1,7 +1,7 @@
 // ct-variable-time engine. See cttime.h for the model; the short version:
 // a secret value must never pick the latency of an instruction or the
 // trip count of a loop. Pass 1 (add_vartime_param_facts) runs inside the
-// summary walk and is cached with the other facts; pass 2
+// summary walk alongside the other facts; pass 2
 // (run_cttime_checks) re-scans each file with the linked Program in
 // scope so call sites inherit their callees' vartime bits.
 

@@ -22,8 +22,8 @@
 //
 // Interprocedural: pass 1 records, per function parameter, whether its
 // value reaches a variable-latency operation (add_vartime_param_facts,
-// called from summary.cpp's facts walk and cached alongside the other
-// facts); link_program fixpoints those bits across call edges with the
+// called from summary.cpp's facts walk alongside the other facts);
+// link_program fixpoints those bits across call edges with the
 // chain named, so a secret scalar reaching a division three calls deep
 // is flagged at the entry call site as
 //   "... variable-latency division/modulus operand (via f() ) (via g())".

@@ -12,11 +12,7 @@
 // per-function summaries (param escapes into return values, stores into
 // members/globals beyond the call, out-parameter flows, wipes) that are
 // linked and fixpointed into a whole-program view, and the dataflow
-// engine (taint.cpp) consumes those summaries at call sites. File facts
-// are cached by content hash (--summary-cache) so re-lints stay fast.
-// A concurrency pass (concurrency.cpp) checks the SEM service's lock
-// discipline against `// medlint: guarded_by/published_by/requires_lock/
-// relaxed_ok` annotations.
+// engine (taint.cpp) consumes those summaries at call sites.
 //
 // lexical (line/regex over the stripped view):
 //   secret-memcmp          byte-wise libc comparisons are banned; use
@@ -47,29 +43,17 @@
 //   secret-param-by-value  secret-typed or secret-named parameter taken
 //                          by value across a call boundary
 //
-// concurrency (annotation-driven, over the same file model):
-//   lock-discipline        guarded_by(m) member touched without m held
-//                          (writes need an exclusive hold); calling a
-//                          requires_lock(m) function without m
-//   epoch-publish          published_by(m) snapshot replaced without an
-//                          exclusive hold, or mutated in place
-//   atomic-ordering        memory_order_relaxed outside src/obs/ without
-//                          a relaxed_ok-annotated cell
-//
-// v4 adds execution-time verification on the same two-pass machinery:
+// constant time (on the same two-pass machinery):
 //   ct-variable-time       secret operand reaches a variable-latency
 //                          operation (division/modulus, shift amount,
 //                          loop trip count, early exit) directly or
 //                          through a call chain; unbounded loops with
 //                          data-dependent exits (cttime.cpp)
-//   lazy-budget            abstract interpretation of WideAcc
-//                          accumulation units against the kBudget
-//                          magnitude contract of field/lazy.h
-//                          (lazybudget.cpp)
-//   asm-audit              GCC-extended-asm parser: clobber-list
-//                          completeness, output-constraint consistency,
-//                          counter-driven-branches-only discipline for
-//                          the BMI2/AVX2 kernels (asmaudit.cpp)
+//
+// Properties with a runtime guard have no check here: the SEM's lock
+// and epoch contracts run under TSan (SemStress* suites), the WideAcc
+// lazy-reduction budget aborts under MEDCRYPT_CHECKED_LAZY, and the
+// asm kernels are diffed bit for bit against portable (kernel_diff_test).
 //
 // Suppression, most specific first:
 //   * `// medlint: allow(<check-id>)` on the finding's line or the line
@@ -82,17 +66,13 @@
 //     RandomSource implementation using std::random_device).
 //
 // Usage:
-//   medlint --src <dir> [--src <dir> ...] [--allowlist <file>]
+//   medlint --src <dir|file> [--src <dir|file> ...] [--allowlist <file>]
 //           [--baseline <file>] [--extern-allowlist <file>]
-//           [--summary-cache <file>] [--sarif <file>] [--stats]
-//           [--check <id,id,...>] [--incremental] [--verbose]
+//           [--sarif <file>] [--stats] [--check <id,id,...>] [--verbose]
 //   medlint --list-checks
 //
 // --check restricts reporting (and stale-baseline enforcement) to the
-// named check ids. --incremental re-analyzes only files whose content
-// hash missed the summary cache — the fast pre-commit mode; the full
-// run in CI remains authoritative (a changed callee can surface new
-// findings in an unchanged caller, which incremental mode won't see).
+// named check ids.
 //
 // Exit status: 0 clean, 1 violations found, 2 usage/IO error (including
 // a stale --baseline entry that matches no current finding).
@@ -100,7 +80,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -112,12 +91,9 @@
 #include <string>
 #include <vector>
 
-#include "asmaudit.h"
 #include "callgraph.h"
 #include "common.h"
-#include "concurrency.h"
 #include "cttime.h"
-#include "lazybudget.h"
 #include "lexer.h"
 #include "summary.h"
 #include "taint.h"
@@ -171,30 +147,11 @@ constexpr CheckInfo kChecks[] = {
      "tainted secret passed to a function with no visible definition or "
      "declaration (or through a function pointer); its wipe discipline "
      "is unknowable — allowlist vetted externs with --extern-allowlist"},
-    {"lock-discipline",
-     "guarded_by(m) member accessed without lock m held (writes need an "
-     "exclusive hold), or a requires_lock(m) function called without m"},
-    {"epoch-publish",
-     "published_by(m) snapshot replaced without an exclusive hold of m, "
-     "or mutated in place; published epochs are immutable"},
-    {"atomic-ordering",
-     "memory_order_relaxed outside src/obs/ on a cell not annotated "
-     "`// medlint: relaxed_ok`"},
     {"ct-variable-time",
      "secret operand reaches a variable-latency operation "
      "(division/modulus, shift amount, loop trip count, early exit) "
      "directly or through a call chain; or an unbounded loop with a "
      "data-dependent exit"},
-    {"lazy-budget",
-     "a path accumulates more WideAcc units than the field/lazy.h "
-     "kBudget magnitude contract allows, a loop accumulates without a "
-     "`// medlint: lazy_bound(N)` annotation, or an accumulator escapes "
-     "the analysis"},
-    {"asm-audit",
-     "extended-asm defect: register written without a clobber, EFLAGS "
-     "written without \"cc\", memory store without \"memory\", "
-     "input-only or '='-constrained operand misused, non-counter-driven "
-     "branch, or data-dependent-latency instruction"},
 };
 
 bool known_check(const std::string& id) {
@@ -727,36 +684,30 @@ std::vector<std::string> read_lines(const fs::path& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> src_dirs;
+  std::vector<std::string> src_paths;
   std::string allowlist_path;
   std::string baseline_path;
   std::string extern_allow_path;
-  std::string cache_path;
   std::string sarif_path;
   bool verbose = false;
   bool stats = false;
-  bool incremental = false;
   std::set<std::string> enabled;  // empty = every check
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--src" && i + 1 < argc) {
-      src_dirs.push_back(argv[++i]);
+      src_paths.push_back(argv[++i]);
     } else if (arg == "--allowlist" && i + 1 < argc) {
       allowlist_path = argv[++i];
     } else if (arg == "--baseline" && i + 1 < argc) {
       baseline_path = argv[++i];
     } else if (arg == "--extern-allowlist" && i + 1 < argc) {
       extern_allow_path = argv[++i];
-    } else if (arg == "--summary-cache" && i + 1 < argc) {
-      cache_path = argv[++i];
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--stats") {
       stats = true;
-    } else if (arg == "--incremental") {
-      incremental = true;
     } else if (arg == "--check" && i + 1 < argc) {
       std::stringstream ids(argv[++i]);
       std::string id;
@@ -777,16 +728,15 @@ int main(int argc, char** argv) {
         std::cout << c.id << "\t" << c.summary << "\n";
       return 0;
     } else {
-      std::cerr << "usage: medlint --src <dir> [--src <dir>...] "
+      std::cerr << "usage: medlint --src <dir|file> [--src <dir|file>...] "
                    "[--allowlist <file>] [--baseline <file>] "
-                   "[--extern-allowlist <file>] [--summary-cache <file>] "
-                   "[--sarif <file>] [--stats] [--check <id,...>] "
-                   "[--incremental] [--verbose] [--list-checks]\n";
+                   "[--extern-allowlist <file>] [--sarif <file>] [--stats] "
+                   "[--check <id,...>] [--verbose] [--list-checks]\n";
       return 2;
     }
   }
-  if (src_dirs.empty()) {
-    std::cerr << "medlint: no --src directory given\n";
+  if (src_paths.empty()) {
+    std::cerr << "medlint: no --src path given\n";
     return 2;
   }
 
@@ -800,15 +750,20 @@ int main(int argc, char** argv) {
   if (!extern_allow_path.empty())
     extern_allow = load_extern_allowlist(extern_allow_path);
 
+  // A --src names a directory (linted recursively) or one source file.
   std::vector<fs::path> files;
-  for (const std::string& dir : src_dirs) {
-    if (!fs::is_directory(dir)) {
-      std::cerr << "medlint: not a directory: " << dir << "\n";
+  for (const std::string& src : src_paths) {
+    if (fs::is_regular_file(src) && scannable(src)) {
+      files.push_back(src);
+    } else if (fs::is_directory(src)) {
+      for (const auto& entry : fs::recursive_directory_iterator(src)) {
+        if (entry.is_regular_file() && scannable(entry.path()))
+          files.push_back(entry.path());
+      }
+    } else {
+      std::cerr << "medlint: not a directory or C++ source file: " << src
+                << "\n";
       return 2;
-    }
-    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-      if (entry.is_regular_file() && scannable(entry.path()))
-        files.push_back(entry.path());
     }
   }
   std::sort(files.begin(), files.end());
@@ -816,17 +771,14 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
 
   // Pass 1: lex every file once, build its structural model, and compute
-  // (or fetch from the content-hash cache) its function facts. Linking
-  // merges the per-file facts and runs the store/return fixpoint so that
-  // pass 2 sees every callee's summary regardless of file order.
+  // its function facts. Linking merges the per-file facts and runs the
+  // store/return fixpoint so that pass 2 sees every callee's summary
+  // regardless of file order.
   struct Unit {
     fs::path path;
-    std::vector<std::string> lines;  // raw text (asm-audit needs literals)
     medlint::LexedFile lf;
     medlint::FileModel model;
-    bool cached = false;  // facts served by the content-hash cache
   };
-  medlint::SummaryCache cache(cache_path);
   std::vector<Unit> units;
   std::vector<medlint::FileFacts> all_facts;
   units.reserve(files.size());
@@ -834,62 +786,26 @@ int main(int argc, char** argv) {
   for (const fs::path& file : files) {
     Unit u;
     u.path = file;
-    u.lines = read_lines(file);
-    std::string joined;
-    for (const std::string& l : u.lines) {
-      joined += l;
-      joined += '\n';
-    }
-    u.lf = medlint::lex_file(u.lines);
+    u.lf = medlint::lex_file(read_lines(file));
     u.model = medlint::build_file_model(u.lf);
-    const std::uint64_t h = medlint::fnv1a_hash(joined);
-    medlint::FileFacts facts;
-    if (cache.lookup(file.string(), h, &facts)) {
-      u.cached = true;
-    } else {
-      facts = medlint::compute_file_facts(u.lf, u.model);
-      cache.store(file.string(), h, facts);
-    }
-    all_facts.push_back(std::move(facts));
+    all_facts.push_back(medlint::compute_file_facts(u.lf, u.model));
     units.push_back(std::move(u));
   }
-  cache.save();
   medlint::Program prog = medlint::link_program(all_facts);
   prog.extern_allow = std::move(extern_allow);
-
-  // The lazy-budget engine audits against the budget the code actually
-  // declares: find the `kBudget = N` initializer (field/lazy.h) in the
-  // scanned tree so the analyzer cannot drift from the contract.
-  unsigned lazy_budget = 8;
-  for (const Unit& u : units) {
-    const auto& toks = u.lf.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (!medlint::is_ident(toks[i], "kBudget") ||
-          !medlint::is_punct(toks[i + 1], "=") ||
-          toks[i + 2].kind != medlint::TokKind::kNumber)
-        continue;
-      lazy_budget = static_cast<unsigned>(
-          std::strtoul(toks[i + 2].text.c_str(), nullptr, 0));
-      break;
-    }
-  }
 
   const auto check_on = [&enabled](const char* id) {
     return enabled.empty() || enabled.count(id) != 0;
   };
 
-  // Pass 2: per-file checks, with the linked program in scope. In
-  // --incremental mode only cache-miss (changed) files are re-analyzed.
+  // Pass 2: per-file checks, with the linked program in scope.
   std::vector<Violation> violations;
   std::size_t allowlisted = 0;
   std::size_t baselined = 0;
   std::size_t inline_suppressed = 0;
-  std::size_t analyzed = 0;
   std::vector<std::size_t> baseline_hits(baseline.size(), 0);
   std::map<std::string, std::size_t> per_check;
   for (const Unit& u : units) {
-    if (incremental && u.cached) continue;
-    ++analyzed;
     const std::string file = u.path.string();
     std::vector<Violation> found;
     for (std::size_t i = 0; i < u.lf.stripped.size(); ++i) {
@@ -898,13 +814,8 @@ int main(int argc, char** argv) {
     }
     check_secret_types(file, u.lf.stripped, found);
     medlint::run_dataflow_checks(file, u.lf, u.model, prog, found);
-    medlint::run_concurrency_checks(file, u.lf, u.model, prog, found);
     if (check_on("ct-variable-time"))
       medlint::run_cttime_checks(file, u.lf, u.model, prog, found);
-    if (check_on("lazy-budget"))
-      medlint::run_lazybudget_checks(file, u.lf, u.model, lazy_budget, found);
-    if (check_on("asm-audit"))
-      medlint::run_asmaudit_checks(file, u.lines, found);
     if (!enabled.empty()) {
       found.erase(std::remove_if(found.begin(), found.end(),
                                  [&](const Violation& v) {
@@ -945,12 +856,10 @@ int main(int argc, char** argv) {
   // A baseline entry that no longer matches anything is debt already
   // paid: keeping it would let a *new* finding of the same shape slip
   // through unreviewed. Hard error so the file only ever shrinks.
-  // --check runs see only a slice of the findings and --incremental runs
-  // only a slice of the files, so enforcement is scoped accordingly (the
-  // full CI run remains the authority on staleness).
+  // --check runs see only a slice of the findings, so enforcement is
+  // scoped to the enabled checks.
   bool stale = false;
   for (std::size_t i = 0; i < baseline.size(); ++i) {
-    if (incremental) break;
     if (!enabled.empty() && baseline[i].check != "*" &&
         enabled.count(baseline[i].check) == 0)
       continue;
@@ -980,18 +889,10 @@ int main(int argc, char** argv) {
   if (stats) {
     const auto ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0).count();
-    const std::size_t lookups = cache.hits() + cache.misses();
     std::cout << "medlint stats:\n"
               << "  analysis time: " << ms << " ms over " << files.size()
-              << " file(s)\n";
-    if (incremental)
-      std::cout << "  incremental: re-analyzed " << analyzed << " of "
-                << files.size() << " file(s)\n";
-    std::cout << "  summary cache: " << cache.hits() << " hit(s), "
-              << cache.misses() << " miss(es)";
-    if (lookups > 0)
-      std::cout << " (" << (100 * cache.hits() / lookups) << "% hit rate)";
-    std::cout << "\n  findings by check (pre-suppression):\n";
+              << " file(s)\n"
+              << "  findings by check (pre-suppression):\n";
     if (per_check.empty()) std::cout << "    (none)\n";
     for (const auto& [check, n] : per_check)
       std::cout << "    " << check << ": " << n << "\n";

@@ -1,5 +1,5 @@
-// Function-summary computation (per file), whole-program linking with a
-// fixpoint over call edges, and the on-disk facts cache.
+// Function-summary computation (per file) and whole-program linking with a
+// fixpoint over call edges.
 //
 // The facts walk mirrors find_tainted's expression traversal (taint.cpp):
 // sanitizers and public accessors hide their arguments, propagators and
@@ -11,9 +11,8 @@
 // ("stash's parameter lands in member 'k_' of Holder").
 #include "summary.h"
 
+#include <algorithm>
 #include <cctype>
-#include <fstream>
-#include <sstream>
 
 #include "common.h"
 #include "cttime.h"
@@ -199,9 +198,6 @@ void collect_locals(const Tokens& toks, std::size_t lo, std::size_t hi,
   }
 }
 
-std::string dash_if_empty(const std::string& s) { return s.empty() ? "-" : s; }
-std::string undash(const std::string& s) { return s == "-" ? "" : s; }
-
 }  // namespace
 
 bool member_wiping(const ClassInfo& cls, const std::string& member) {
@@ -233,7 +229,6 @@ FileFacts compute_file_facts(const LexedFile& lf, const FileModel& model) {
       if (!cname.empty()) {
         ClassInfo& ci = ff.classes[cname];
         if (ci.name.empty()) ci.name = cname;
-        ci.has_dtor = true;
         for (const std::string& w : fn.wiped_members) ci.dtor_wiped.insert(w);
       }
     }
@@ -242,8 +237,6 @@ FileFacts compute_file_facts(const LexedFile& lf, const FileModel& model) {
     FnFacts f;
     f.name = fn.name;
     f.cls = fn.enclosing_class();
-    f.requires_lock = fn.requires_lock;
-    f.is_definition = true;
     std::map<std::string, unsigned> pidx;
     for (const Param& p : fn.params) {
       if (!p.name.empty())
@@ -459,22 +452,8 @@ Program link_program(const std::vector<FileFacts>& files) {
         dst = ci;
         continue;
       }
-      dst.relaxed_ok |= ci.relaxed_ok;
-      dst.has_dtor |= ci.has_dtor;
-      if (dst.line == 0) dst.line = ci.line;
       for (const std::string& w : ci.dtor_wiped) dst.dtor_wiped.insert(w);
-      for (const auto& [mn, mi] : ci.members) {
-        auto it = dst.members.find(mn);
-        if (it == dst.members.end()) {
-          dst.members[mn] = mi;
-        } else {
-          if (it->second.guarded_by.empty())
-            it->second.guarded_by = mi.guarded_by;
-          if (it->second.published_by.empty())
-            it->second.published_by = mi.published_by;
-          it->second.relaxed_ok |= mi.relaxed_ok;
-        }
-      }
+      for (const auto& [mn, mi] : ci.members) dst.members.emplace(mn, mi);
     }
     for (const auto& [name, gi] : ff.globals) {
       if (!prog.globals.count(name)) prog.globals[name] = gi;
@@ -487,8 +466,6 @@ Program link_program(const std::vector<FileFacts>& files) {
   for (const FileFacts& ff : files) {
     for (const FnFacts& f : ff.fns) {
       flat.push_back(&f);
-      if (!f.requires_lock.empty())
-        prog.fn_requires_lock[f.name] = f.requires_lock;
       FnSummary& s = prog.fns[f.name];
       s.has_definition = true;
       if (s.params.size() < f.params.size()) s.params.resize(f.params.size());
@@ -589,231 +566,6 @@ Program link_program(const std::vector<FileFacts>& files) {
     if (!changed) break;
   }
   return prog;
-}
-
-std::uint64_t fnv1a_hash(const std::string& data) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// ---------------------------------------------------------------------------
-// facts cache: line-oriented text, one block per file keyed by content
-// hash. Identifiers never contain whitespace, so fields are
-// space-separated; the (potentially space-bearing) path ends its line.
-// ---------------------------------------------------------------------------
-
-SummaryCache::SummaryCache(std::string path) : path_(std::move(path)) {
-  if (path_.empty()) return;
-  std::ifstream in(path_);
-  if (!in) return;
-  std::string line;
-  // v2 added the per-param vartime record ("v"); a v1 cache predates the
-  // ct-variable-time facts and must be recomputed wholesale.
-  if (!std::getline(in, line) || line != "medlint-facts-v2") return;
-  Entry* cur = nullptr;
-  FnFacts* fn = nullptr;
-  ParamFacts* par = nullptr;
-  CallFact* call = nullptr;
-  ClassInfo* cls = nullptr;
-  std::string cur_file;
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag)) continue;
-    if (tag == "file") {
-      std::uint64_t h = 0;
-      ls >> h;
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest[0] == ' ') rest.erase(0, 1);
-      cur_file = rest;
-      cur = &entries_[cur_file];
-      cur->hash = h;
-      cur->facts = FileFacts{};
-      fn = nullptr;
-      par = nullptr;
-      call = nullptr;
-      cls = nullptr;
-      continue;
-    }
-    if (cur == nullptr) continue;
-    if (tag == "fn") {
-      std::string name, c, rl;
-      ls >> name >> c >> rl;
-      cur->facts.fns.emplace_back();
-      fn = &cur->facts.fns.back();
-      fn->name = name;
-      fn->cls = undash(c);
-      fn->requires_lock = undash(rl);
-      fn->is_definition = true;
-      par = nullptr;
-      call = nullptr;
-    } else if (tag == "p" && fn != nullptr) {
-      std::string name;
-      int esc = 0, wiped = 0;
-      ls >> name >> esc >> wiped;
-      fn->param_names.push_back(undash(name));
-      fn->params.emplace_back();
-      par = &fn->params.back();
-      par->escapes_return = esc != 0;
-      par->wiped = wiped != 0;
-      call = nullptr;
-    } else if (tag == "s" && par != nullptr) {
-      StoreFact st;
-      std::string owner;
-      ls >> owner >> st.member >> st.line;
-      st.owner = undash(owner);
-      par->stores.push_back(std::move(st));
-    } else if (tag == "o" && par != nullptr) {
-      unsigned idx = 0;
-      ls >> idx;
-      par->out_flows.push_back(idx);
-    } else if (tag == "v" && par != nullptr) {
-      par->vartime = true;
-      ls >> par->vartime_line;
-      std::string desc;
-      std::getline(ls, desc);
-      if (!desc.empty() && desc[0] == ' ') desc.erase(0, 1);
-      par->vartime_desc = desc;
-    } else if (tag == "c" && fn != nullptr) {
-      fn->calls.emplace_back();
-      call = &fn->calls.back();
-      int r2r = 0;
-      ls >> call->callee >> call->line >> r2r;
-      call->result_to_return = r2r != 0;
-    } else if (tag == "a" && call != nullptr) {
-      CallFact::ArgFlow fl{0, 0, false};
-      int direct = 0;
-      ls >> fl.arg >> fl.param >> direct;
-      fl.direct = direct != 0;
-      call->flows.push_back(fl);
-    } else if (tag == "k") {
-      std::string name;
-      int relaxed = 0, has_dtor = 0;
-      std::size_t cline = 0;
-      ls >> name >> cline >> relaxed >> has_dtor;
-      cls = &cur->facts.classes[name];
-      cls->name = name;
-      cls->line = cline;
-      cls->relaxed_ok = relaxed != 0;
-      cls->has_dtor = has_dtor != 0;
-    } else if (tag == "m" && cls != nullptr) {
-      std::string name, guarded, published;
-      MemberInfo mi;
-      int relaxed = 0, mtx = 0;
-      ls >> name >> mi.line >> guarded >> published >> relaxed >> mtx;
-      mi.guarded_by = undash(guarded);
-      mi.published_by = undash(published);
-      mi.relaxed_ok = relaxed != 0;
-      mi.is_mutex = mtx != 0;
-      std::string tid;
-      while (ls >> tid) mi.type_idents.push_back(tid);
-      cls->members[name] = std::move(mi);
-    } else if (tag == "w" && cls != nullptr) {
-      std::string member;
-      ls >> member;
-      cls->dtor_wiped.insert(member);
-    } else if (tag == "g") {
-      std::string name, guarded, published;
-      MemberInfo gi;
-      int relaxed = 0, mtx = 0;
-      ls >> name >> gi.line >> guarded >> published >> relaxed >> mtx;
-      gi.guarded_by = undash(guarded);
-      gi.published_by = undash(published);
-      gi.relaxed_ok = relaxed != 0;
-      gi.is_mutex = mtx != 0;
-      std::string tid;
-      while (ls >> tid) gi.type_idents.push_back(tid);
-      cur->facts.globals[name] = std::move(gi);
-    } else if (tag == "d") {
-      std::string name;
-      while (ls >> name) cur->facts.declared.insert(name);
-    }
-  }
-}
-
-bool SummaryCache::lookup(const std::string& file, std::uint64_t hash,
-                          FileFacts* out) {
-  if (path_.empty()) return false;
-  const auto it = entries_.find(file);
-  if (it == entries_.end() || it->second.hash != hash) {
-    ++misses_;
-    return false;
-  }
-  ++hits_;
-  *out = it->second.facts;
-  return true;
-}
-
-void SummaryCache::store(const std::string& file, std::uint64_t hash,
-                         const FileFacts& facts) {
-  if (path_.empty()) return;
-  Entry& e = entries_[file];
-  e.hash = hash;
-  e.facts = facts;
-}
-
-void SummaryCache::save() const {
-  if (path_.empty()) return;
-  std::ofstream out(path_, std::ios::trunc);
-  if (!out) return;
-  out << "medlint-facts-v2\n";
-  for (const auto& [file, e] : entries_) {
-    out << "file " << e.hash << ' ' << file << '\n';
-    for (const auto& [name, ci] : e.facts.classes) {
-      out << "k " << name << ' ' << ci.line << ' ' << (ci.relaxed_ok ? 1 : 0)
-          << ' ' << (ci.has_dtor ? 1 : 0) << '\n';
-      for (const auto& [mn, mi] : ci.members) {
-        out << "m " << mn << ' ' << mi.line << ' '
-            << dash_if_empty(mi.guarded_by) << ' '
-            << dash_if_empty(mi.published_by) << ' '
-            << (mi.relaxed_ok ? 1 : 0) << ' ' << (mi.is_mutex ? 1 : 0);
-        for (const std::string& tid : mi.type_idents) out << ' ' << tid;
-        out << '\n';
-      }
-      for (const std::string& w : ci.dtor_wiped) out << "w " << w << '\n';
-    }
-    for (const auto& [gn, gi] : e.facts.globals) {
-      out << "g " << gn << ' ' << gi.line << ' '
-          << dash_if_empty(gi.guarded_by) << ' '
-          << dash_if_empty(gi.published_by) << ' ' << (gi.relaxed_ok ? 1 : 0)
-          << ' ' << (gi.is_mutex ? 1 : 0);
-      for (const std::string& tid : gi.type_idents) out << ' ' << tid;
-      out << '\n';
-    }
-    if (!e.facts.declared.empty()) {
-      out << "d";
-      for (const std::string& d : e.facts.declared) out << ' ' << d;
-      out << '\n';
-    }
-    for (const FnFacts& f : e.facts.fns) {
-      out << "fn " << f.name << ' ' << dash_if_empty(f.cls) << ' '
-          << dash_if_empty(f.requires_lock) << '\n';
-      for (std::size_t p = 0; p < f.params.size(); ++p) {
-        const ParamFacts& pf = f.params[p];
-        out << "p " << dash_if_empty(f.param_names[p]) << ' '
-            << (pf.escapes_return ? 1 : 0) << ' ' << (pf.wiped ? 1 : 0)
-            << '\n';
-        for (const StoreFact& st : pf.stores)
-          out << "s " << dash_if_empty(st.owner) << ' ' << st.member << ' '
-              << st.line << '\n';
-        for (unsigned o : pf.out_flows) out << "o " << o << '\n';
-        if (pf.vartime)
-          out << "v " << pf.vartime_line << ' ' << pf.vartime_desc << '\n';
-      }
-      for (const CallFact& c : f.calls) {
-        out << "c " << c.callee << ' ' << c.line << ' '
-            << (c.result_to_return ? 1 : 0) << '\n';
-        for (const CallFact::ArgFlow& fl : c.flows)
-          out << "a " << fl.arg << ' ' << fl.param << ' '
-              << (fl.direct ? 1 : 0) << '\n';
-      }
-    }
-  }
 }
 
 }  // namespace medlint

@@ -1,5 +1,5 @@
 // Pass 1 of the interprocedural engine: per-function summaries and the
-// linked whole-program view the dataflow/concurrency passes consume.
+// linked whole-program view the dataflow passes consume.
 //
 // For every function definition the facts pass records, per parameter:
 //   - escapes into the return value (directly, or through a call chain
@@ -10,15 +10,8 @@
 //     "unwiped" storage;
 //   - flows into a by-reference out-parameter;
 //   - is wiped by the function (secure_wipe / .wipe() / .clear()).
-//
-// File-level facts are a pure function of the file's bytes, so they are
-// cached keyed by an FNV-1a content hash (--summary-cache); linking and
-// the fixpoint over call edges re-run each invocation (they are cheap and
-// depend on the whole file set).
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <set>
 #include <string>
@@ -70,8 +63,6 @@ struct FnFacts {
   std::vector<std::string> param_names;
   std::vector<ParamFacts> params;
   std::vector<CallFact> calls;
-  std::string requires_lock;
-  bool is_definition = false;
 };
 
 struct FileFacts {
@@ -108,7 +99,6 @@ struct Program {
   std::map<std::string, MemberInfo> globals;
   std::set<std::string> declared;
   std::set<std::string> extern_allow;
-  std::map<std::string, std::string> fn_requires_lock;
 
   const FnSummary* summary(const std::string& name) const {
     const auto it = fns.find(name);
@@ -143,29 +133,5 @@ FileFacts compute_file_facts(const LexedFile& lf, const FileModel& model);
 // Merges per-file facts, runs the store/return fixpoint over call edges,
 // and resolves stores against the merged class table.
 Program link_program(const std::vector<FileFacts>& files);
-
-std::uint64_t fnv1a_hash(const std::string& data);
-
-// On-disk cache of FileFacts keyed by (path, content hash).
-class SummaryCache {
- public:
-  explicit SummaryCache(std::string path);  // empty path = disabled
-  bool lookup(const std::string& file, std::uint64_t hash, FileFacts* out);
-  void store(const std::string& file, std::uint64_t hash,
-             const FileFacts& facts);
-  void save() const;
-  std::size_t hits() const { return hits_; }
-  std::size_t misses() const { return misses_; }
-
- private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    FileFacts facts;
-  };
-  std::string path_;
-  std::map<std::string, Entry> entries_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-};
 
 }  // namespace medlint

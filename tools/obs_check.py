@@ -28,8 +28,7 @@ REQUIRED_STAGES = ["stage.token_issue_ns"]
 
 # The limb-kernel dispatcher (src/bigint/kernels/dispatch.cpp) publishes
 # one selection flag per kernel tier; exactly one must read 1.
-KERNEL_GAUGES = ["core.kernel.portable", "core.kernel.avx2",
-                 "core.kernel.bmi2"]
+KERNEL_GAUGES = ["core.kernel.portable", "core.kernel.bmi2"]
 
 # The SLO engine (src/obs/slo.h) publishes one ppm gauge family per
 # tracked objective; the throughput bench always tracks token-issue

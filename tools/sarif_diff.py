@@ -8,10 +8,8 @@ CI runs medlint over the base revision and over the head revision, then:
 Findings are keyed by (ruleId, file path, message) — deliberately NOT by
 line number, so shifting code around a pre-existing (baselined or
 tolerated) finding does not fail the build; only genuinely new findings
-do. --rules <id,id,...> restricts the diff to the named check ids (the
-ct-verify job ratchets ct-variable-time/lazy-budget/asm-audit this way
-without re-diffing the whole hygiene surface). Exit codes: 0 no new
-findings, 1 new findings (listed on stdout), 2 usage / unreadable input.
+do. Exit codes: 0 no new findings, 1 new findings (listed on stdout),
+2 usage / unreadable input.
 """
 
 import argparse
@@ -19,7 +17,7 @@ import json
 import sys
 
 
-def load_findings(path, rules=None):
+def load_findings(path):
     """Returns the multiset of finding keys in a SARIF file."""
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -30,8 +28,6 @@ def load_findings(path, rules=None):
     for run in doc.get("runs", []):
         for res in run.get("results", []):
             rule = res.get("ruleId", "?")
-            if rules is not None and rule not in rules:
-                continue
             msg = res.get("message", {}).get("text", "")
             for loc in res.get("locations", [{}]):
                 uri = (
@@ -48,20 +44,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--base", required=True, help="SARIF from the base revision")
     ap.add_argument("--current", required=True, help="SARIF from this revision")
-    ap.add_argument(
-        "--rules",
-        help="comma-separated check ids; diff only these (default: all)",
-    )
     args = ap.parse_args()
 
-    rules = None
-    if args.rules:
-        rules = {r.strip() for r in args.rules.split(",") if r.strip()}
-        if not rules:
-            ap.error("--rules given but names no check ids")
-
-    base = load_findings(args.base, rules)
-    current = load_findings(args.current, rules)
+    base = load_findings(args.base)
+    current = load_findings(args.current)
 
     new = []
     for key, n in sorted(current.items()):
