@@ -1,5 +1,7 @@
 #include "field/fp2.h"
 
+#include <algorithm>
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -114,6 +116,36 @@ Fp2 Fp2::pow(const BigInt& e) const {
     if (e.bit(i)) result.mul_inplace(*this);
   }
   return result;
+}
+
+Fp2 pow_fixed_window(const Fp2& base, const BigInt& k, std::size_t bits) {
+  std::array<Fp2, 16> table;
+  table[0] = Fp2::one(base.re().field());
+  for (std::size_t i = 1; i < table.size(); ++i) {
+    table[i] = table[i - 1];
+    table[i].mul_inplace(base);
+  }
+  Fp2 acc = table[0];
+  for (std::size_t w = (bits + 3) / 4; w-- > 0;) {
+    for (int i = 0; i < 4; ++i) acc.square_inplace();
+    unsigned d = 0;
+    for (int i = 3; i >= 0; --i) d = (d << 1) | unsigned{k.bit(w * 4 + i)};
+    acc.mul_inplace(table[d]);
+  }
+  return acc;
+}
+
+Fp2 multi_pow(std::span<const Fp2> bases, std::span<const BigInt> exps) {
+  std::size_t bits = 0;
+  for (const BigInt& e : exps) bits = std::max(bits, e.bit_length());
+  Fp2 acc = Fp2::one(bases.front().re().field());
+  for (std::size_t i = bits; i-- > 0;) {
+    acc.square_inplace();
+    for (std::size_t j = 0; j < bases.size(); ++j) {
+      if (exps[j].bit(i)) acc.mul_inplace(bases[j]);
+    }
+  }
+  return acc;
 }
 
 Bytes Fp2::to_bytes() const {

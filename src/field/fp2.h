@@ -62,7 +62,8 @@ class Fp2 {
   /// Multiplicative inverse; throws InvalidArgument on zero.
   Fp2 inverse() const;
 
-  /// this^e for e >= 0 (square-and-multiply).
+  /// this^e for e >= 0 (square-and-multiply). Variable time: e must be
+  /// public; secret exponents go through pow_fixed_window.
   Fp2 pow(const BigInt& e) const;
 
   /// Serialization: re || im, fixed width.
@@ -86,6 +87,17 @@ class Fp2 {
 
   Fp a_, b_;
 };
+
+/// base^k for a secret k < 2^bits: fixed 4-bit windows with one
+/// multiplication in every window (digit 0 multiplies by 1), so the
+/// sequence of field operations depends only on `bits`, never on k.
+/// The window digit still indexes a 16-entry table in memory.
+Fp2 pow_fixed_window(const Fp2& base, const BigInt& k, std::size_t bits);
+
+/// Π bases[j]^exps[j] over one shared squaring chain (Straus).
+/// Variable time like Fp2::pow: public exponents only. `bases` must be
+/// non-empty and as long as `exps`.
+Fp2 multi_pow(std::span<const Fp2> bases, std::span<const BigInt> exps);
 
 /// In-place simultaneous inversion (Montgomery's trick): one inversion
 /// plus 3(n-1) multiplications replace n inversions — and each Fp2

@@ -1,21 +1,20 @@
 #include "ibe/boneh_franklin.h"
 
-#include <array>
-
 #include "common/error.h"
 #include "ec/hash_to_point.h"
-#include "ec/jacobian.h"
 #include "hash/kdf.h"
+#include "pairing/prepared_cache.h"
 
 namespace medcrypt::ibe {
 
 namespace {
 
-// Shared core of both encryption variants: U = rP and the pairing mask
-// g^r. By bilinearity ê(P_pub, Q_ID)^r = ê(r·P_pub, Q_ID), so instead of
-// an F_{p^2} exponentiation after the pairing we take one extra
-// fixed-base walk before it; rP and r·P_pub stay Jacobian and share a
-// single batched inversion.
+// Shared core of both encryption variants: U = rP and the mask g_ID^r.
+// g_ID = ê(P_pub, Q_ID) depends only on the recipient, so it comes from
+// the process-wide pair-value cache and a repeat encryption to the same
+// identity pays no pairing [BF01]. r is the secret encryption
+// randomness, hence the fixed-window power. The mask equals ê(rP_pub,
+// Q_ID) by bilinearity, so ciphertexts do not depend on the cache state.
 struct EncryptCore {
   Point u;   // rP
   Fp2 mask;  // ê(P_pub, Q_ID)^r
@@ -24,16 +23,10 @@ struct EncryptCore {
 EncryptCore encrypt_core(const SystemParams& params, const Point& q_id,
                          const BigInt& r) {
   const pairing::TatePairing pairing(params.curve());
-  if (params.group.generator_table && params.p_pub_table) {
-    const std::array<ec::JacPoint, 2> jac{
-        params.group.generator_table->mul_jac(r),
-        params.p_pub_table->mul_jac(r)};
-    std::vector<Point> affine = ec::jac_to_affine_batch(params.curve(), jac);
-    return EncryptCore{std::move(affine[0]), pairing.pair(affine[1], q_id)};
-  }
-  // Hand-assembled params without tables: the pre-table path.
-  return EncryptCore{params.generator().mul(r),
-                     pairing.pair(params.p_pub, q_id).pow(r)};
+  const Fp2 g_id = pairing::cached_pair(pairing, params.p_pub, q_id, "BF.gID");
+  return EncryptCore{params.group.mul_g(r),
+                     field::pow_fixed_window(g_id, r,
+                                             params.order().bit_length())};
 }
 
 }  // namespace

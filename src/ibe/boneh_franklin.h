@@ -38,19 +38,9 @@ struct SystemParams {
   Point p_pub;
   std::size_t message_len = 32;
 
-  /// Fixed-base table for p_pub; the PKG/dealer fills it at setup so
-  /// every encryption's r·P_pub is a table walk. Optional: hand-built
-  /// params without one fall back to the generic ladder.
-  std::shared_ptr<const ec::FixedBaseTable> p_pub_table;
-
   const std::shared_ptr<const ec::Curve>& curve() const { return group.curve; }
   const Point& generator() const { return group.generator; }
   const BigInt& order() const { return group.order(); }
-
-  /// k·P_pub through the precomputed table when present.
-  Point mul_p_pub(const BigInt& k) const {
-    return p_pub_table ? p_pub_table->mul(k) : p_pub.mul(k);
-  }
 };
 
 /// H1: maps an identity string to Q_ID in G1.

@@ -16,8 +16,6 @@ Pkg::Pkg(pairing::ParamSet group, std::size_t message_len, BigInt master_key)
     throw InvalidArgument("Pkg: master key out of range");
   }
   params_.p_pub = group.mul_g(master_key_);
-  params_.p_pub_table =
-      std::make_shared<ec::FixedBaseTable>(params_.p_pub, group.order());
   params_.group = std::move(group);
   params_.message_len = message_len;
 }

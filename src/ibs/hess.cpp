@@ -49,10 +49,12 @@ HessSignature hess_sign(const ibe::SystemParams& params, const Point& d_id,
   const pairing::TatePairing pairing(params.curve());
   const BigInt k = BigInt::random_unit(rng, params.order());
   // r = ê(P, P)^k; the base is a per-curve public constant, served from
-  // the pairing-value cache after the first signature.
-  const Fp2 r = pairing::cached_pair(pairing, params.generator(),
-                                     params.generator(), "ibs.gpp")
-                    .pow(k);
+  // the pairing-value cache after the first signature. k is the secret
+  // nonce, hence the fixed-window power.
+  const Fp2 r = field::pow_fixed_window(
+      pairing::cached_pair(pairing, params.generator(), params.generator(),
+                           "ibs.gpp"),
+      k, params.order().bit_length());
   HessSignature sig;
   sig.v = hess_challenge(params, message, r);
   sig.u = d_id.mul(sig.v) + params.group.mul_g(k);

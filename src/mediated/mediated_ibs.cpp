@@ -39,9 +39,10 @@ ibs::HessSignature MediatedIbsUser::sign(BytesView message,
                                          sim::Transport* transport) const {
   const pairing::TatePairing pairing(params_.curve());
   const bigint::BigInt k = bigint::BigInt::random_unit(rng, params_.order());
-  const Fp2 r = pairing::cached_pair(pairing, params_.generator(),
-                                     params_.generator(), "ibs.gpp")
-                    .pow(k);
+  const Fp2 r = field::pow_fixed_window(
+      pairing::cached_pair(pairing, params_.generator(), params_.generator(),
+                           "ibs.gpp"),
+      k, params_.order().bit_length());
 
   // Request: identity + message + commitment (one G2 element).
   if (transport != nullptr) {

@@ -1,7 +1,5 @@
 #include "pairing/prepared_cache.h"
 
-#include "ec/identity_cache.h"
-
 namespace medcrypt::pairing {
 
 namespace {
@@ -9,8 +7,8 @@ namespace {
 // Leaked like the metrics registry: entries keep their curve contexts
 // alive and lookups may run during static teardown. The prepared cache
 // is sized for verification bases (a handful per deployment, plus the
-// public keys of the verify-side working set); the pair-value cache for
-// the per-curve constants like ê(P, P).
+// public keys of the verify-side working set); the pair-value cache, like
+// the H1 cache, for ê(P, P) plus one g_ID per recent encryption recipient.
 const ec::ShardedLruCache<std::shared_ptr<const PreparedPairing>>&
 prepared_cache() {
   static const auto* cache =
@@ -19,13 +17,13 @@ prepared_cache() {
   return *cache;
 }
 
+}  // namespace
+
 const ec::ShardedLruCache<Fp2>& pair_value_cache() {
   static const auto* cache = new ec::ShardedLruCache<Fp2>(
-      {.capacity = 256, .metric_prefix = "sem.cache.gpp"});
+      {.capacity = 4096, .metric_prefix = "sem.cache.gpp"});
   return *cache;
 }
-
-}  // namespace
 
 std::shared_ptr<const PreparedPairing> shared_prepared(
     const TatePairing& pairing, const Point& p, std::string_view domain) {

@@ -9,8 +9,9 @@
 //     but shared across call sites and bounded by LRU eviction
 //     (metric family `sem.cache.prepared`).
 //   - cached_pair(): full pairing values of fixed PUBLIC argument pairs,
-//     keyed by both compressed encodings — ê(P, P) for the Hess IBS
-//     commitment is the canonical entry (metric family `sem.cache.gpp`).
+//     keyed by both compressed encodings: ê(P, P) for the Hess and
+//     threshold-proof commitments, and g_ID = ê(P_pub, Q_ID) per BF
+//     encryption recipient (metric family `sem.cache.gpp`).
 //
 // SECRET first arguments (d_ID,sem halves) must NOT go through here:
 // this cache never wipes, and entries outlive their enrolling mediator.
@@ -21,6 +22,7 @@
 #include <memory>
 #include <string_view>
 
+#include "ec/identity_cache.h"
 #include "pairing/tate.h"
 
 namespace medcrypt::pairing {
@@ -34,9 +36,12 @@ namespace medcrypt::pairing {
 std::shared_ptr<const PreparedPairing> shared_prepared(
     const TatePairing& pairing, const Point& p, std::string_view domain);
 
+/// The process-wide cache behind cached_pair(), exposed for audit and tests.
+const ec::ShardedLruCache<Fp2>& pair_value_cache();
+
 /// Cached full pairing ê(p, q) of two public points (both encodings form
 /// the tag). Use for fixed pairs recomputed per operation, like the Hess
-/// signer's ê(P, P).
+/// signer's ê(P, P) or an encryptor's g_ID = ê(P_pub, Q_ID).
 Fp2 cached_pair(const TatePairing& pairing, const Point& p, const Point& q,
                 std::string_view domain);
 

@@ -143,8 +143,6 @@ ThresholdSetup ibe_setup_from_dkg(const pairing::ParamSet& group,
   ThresholdSetup setup;
   setup.params.group = group;
   setup.params.p_pub = r.public_key;
-  setup.params.p_pub_table =
-      std::make_shared<ec::FixedBaseTable>(r.public_key, group.order());
   setup.params.message_len = message_len;
   setup.threshold = t;
   setup.players = n;

@@ -1,6 +1,5 @@
 #include "threshold/robust.h"
 
-#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -12,6 +11,8 @@ namespace medcrypt::threshold {
 using bigint::BigInt;
 using ec::Point;
 using field::Fp2;
+using field::multi_pow;
+using field::pow_fixed_window;
 
 namespace {
 
@@ -73,40 +74,6 @@ std::vector<BigInt> batch_weights(const Point& u, const BigInt& order,
   return weights;
 }
 
-// Π bases[j]^exps[j] over one shared squaring chain (Straus).
-Fp2 multi_pow(std::span<const Fp2> bases, std::span<const BigInt> exps) {
-  std::size_t bits = 0;
-  for (const BigInt& e : exps) bits = std::max(bits, e.bit_length());
-  Fp2 acc = Fp2::one(bases.front().re().field());
-  for (std::size_t i = bits; i-- > 0;) {
-    acc.square_inplace();
-    for (std::size_t j = 0; j < bases.size(); ++j) {
-      if (exps[j].bit(i)) acc.mul_inplace(bases[j]);
-    }
-  }
-  return acc;
-}
-
-// base^k for the secret nonce k < 2^bits: fixed 4-bit windows with one
-// multiplication in every window (digit 0 multiplies by 1), so the
-// operation sequence does not depend on k.
-Fp2 pow_nonce(const Fp2& base, const BigInt& k, std::size_t bits) {
-  std::array<Fp2, 16> table;
-  table[0] = Fp2::one(base.re().field());
-  for (std::size_t i = 1; i < table.size(); ++i) {
-    table[i] = table[i - 1];
-    table[i].mul_inplace(base);
-  }
-  Fp2 acc = table[0];
-  for (std::size_t w = (bits + 3) / 4; w-- > 0;) {
-    for (int i = 0; i < 4; ++i) acc.square_inplace();
-    unsigned d = 0;
-    for (int i = 3; i >= 0; --i) d = (d << 1) | unsigned{k.bit(w * 4 + i)};
-    acc.mul_inplace(table[d]);
-  }
-  return acc;
-}
-
 }  // namespace
 
 std::shared_ptr<const pairing::PreparedPairing> prepared_generator(
@@ -137,9 +104,10 @@ ProvedShare prove_share(const pairing::ParamSet& group,
   ShareProof& proof = out.proof;
   proof.w2 = f[1];
   // w1 = ê(P, k·P) = ê(P, P)^k.
-  proof.w1 = pow_nonce(pairing::cached_pair(pairing, group.generator,
-                                            group.generator, "threshold.gpp"),
-                       k, order.bit_length());
+  proof.w1 = pow_fixed_window(pairing::cached_pair(pairing, group.generator,
+                                                  group.generator,
+                                                  "threshold.gpp"),
+                              k, order.bit_length());
   proof.e = challenge(out.value, f[2], proof.w1, proof.w2, u, order);
   proof.v = r + d_idi.mul(proof.e);
   k.wipe();

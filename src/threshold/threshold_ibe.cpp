@@ -27,8 +27,6 @@ ThresholdDealer::ThresholdDealer(pairing::ParamSet group,
   coefficients_ = std::move(sharing.coefficients);
 
   setup_.params.p_pub = group.mul_g(s);
-  setup_.params.p_pub_table = std::make_shared<ec::FixedBaseTable>(
-      setup_.params.p_pub, group.order());
   setup_.params.message_len = message_len;
   setup_.threshold = t;
   setup_.players = n;
@@ -129,14 +127,18 @@ Fp2 combine_decryption_shares(const ThresholdSetup& setup,
     }
     indices.push_back(s.index);
   }
+  // g = Π S_i^λ_i over one shared squaring chain.
   const BigInt& q = setup.params.order();
-  Fp2 acc = Fp2::one(setup.params.curve()->field());
+  std::vector<Fp2> values;
+  std::vector<BigInt> lambdas;
+  values.reserve(shares.size());
+  lambdas.reserve(shares.size());
   for (const DecryptionShare& s : shares) {
-    const BigInt lambda =
-        shamir::lagrange_coefficient(indices, s.index, BigInt{}, q);
-    acc = acc * s.value.pow(lambda);
+    values.push_back(s.value);
+    lambdas.push_back(
+        shamir::lagrange_coefficient(indices, s.index, BigInt{}, q));
   }
-  return acc;
+  return field::multi_pow(values, lambdas);
 }
 
 std::vector<DecryptionShare> select_valid_shares(

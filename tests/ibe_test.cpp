@@ -1,14 +1,21 @@
 // Tests for the Boneh–Franklin IBE (BasicIdent and FullIdent) and the PKG:
 // round trips, wrong-identity failures, FO validity checks, malleability
-// of BasicIdent (a documented non-property), serialization.
+// of BasicIdent (a documented non-property), serialization, and byte
+// identity of cached-g_ID encryption against a pairing oracle.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "hash/drbg.h"
 #include "hash/kdf.h"
 #include "ibe/boneh_franklin.h"
 #include "ibe/pkg.h"
+#include "obs/registry.h"
 #include "pairing/params.h"
+#include "pairing/prepared_cache.h"
 
 namespace medcrypt::ibe {
 namespace {
@@ -203,6 +210,126 @@ TEST_P(IbeMessageLen, FullRoundTripAcrossSizes) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, IbeMessageLen,
                          ::testing::Values(1, 16, 32, 64, 100));
+
+
+// Encryption raises the cached g_ID = ê(P_pub, Q_ID) to r. The oracle
+// recomputes each ciphertext the textbook way, with the pairing
+// ê(r·P_pub, Q_ID), from a twin DRBG; the bytes must match whatever the
+// state of the pair-value cache: cold, warm, or after eviction.
+class IbeEncryptOracleTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  IbeEncryptOracleTest()
+      : rng_(150), pkg_(pairing::named_params(GetParam()), 32, rng_) {}
+
+  const SystemParams& params() const { return pkg_.params(); }
+
+  Bytes oracle_encrypt(std::string_view identity, BytesView m, bool full,
+                       RandomSource& rng) const {
+    const std::size_t n = params().message_len;
+    Bytes sigma(n);
+    if (full) rng.fill(sigma);
+    const BigInt r = full ? derive_r(sigma, m, params().order())
+                          : BigInt::random_unit(rng, params().order());
+    const pairing::TatePairing e(params().curve());
+    const Fp2 g =
+        e.pair(params().p_pub.mul(r), map_identity(params(), identity));
+    const Bytes u = params().generator().mul(r).to_bytes();
+    if (!full) return concat(u, xor_bytes(m, mask_from_g(g, n)));
+    return concat(u, xor_bytes(sigma, mask_from_g(g, n)),
+                  xor_bytes(m, mask_from_sigma(sigma, n)));
+  }
+
+  // One encryption to `identity`, checked against the oracle on a twin
+  // DRBG. Returns the pair-value cache's {hits, misses} delta.
+  std::pair<std::uint64_t, std::uint64_t> expect_matches_oracle(
+      std::string_view identity, bool full) {
+    Bytes m(params().message_len);
+    rng_.fill(m);
+    const std::uint64_t seed = ++seed_;
+    HmacDrbg enc_rng(seed), oracle_rng(seed);
+    const auto before = pairing::pair_value_cache().stats();
+    const Bytes ct =
+        full ? full_encrypt(params(), identity, m, enc_rng).to_bytes()
+             : basic_encrypt(params(), identity, m, enc_rng).to_bytes();
+    const auto after = pairing::pair_value_cache().stats();
+    EXPECT_EQ(ct, oracle_encrypt(identity, m, full, oracle_rng))
+        << identity << (full ? " full" : " basic");
+    return {after.hits - before.hits, after.misses - before.misses};
+  }
+
+  bool g_id_cached(std::string_view identity) const {
+    const Bytes tag = concat(params().p_pub.to_bytes(),
+                             map_identity(params(), identity).to_bytes());
+    return pairing::pair_value_cache().get("BF.gID", tag, 0).has_value();
+  }
+
+  // Twice the cache's capacity in fresh entries turns over every shard.
+  static void flood_pair_value_cache(const Fp2& filler) {
+    const auto& cache = pairing::pair_value_cache();
+    for (std::uint32_t i = 0; i < 2 * 4096; ++i) {
+      const std::uint8_t id[4] = {static_cast<std::uint8_t>(i >> 24),
+                                  static_cast<std::uint8_t>(i >> 16),
+                                  static_cast<std::uint8_t>(i >> 8),
+                                  static_cast<std::uint8_t>(i)};
+      cache.put("test.flood", id, 0, filler);
+    }
+  }
+
+  HmacDrbg rng_;
+  Pkg pkg_;
+  std::uint64_t seed_ = 1000;
+};
+
+TEST_P(IbeEncryptOracleTest, CiphertextsMatchOracleColdWarmAndEvicted) {
+  using Delta = std::pair<std::uint64_t, std::uint64_t>;
+  const Delta hit{1, 0}, miss{0, 1};
+  for (const bool full : {false, true}) {
+    const std::string id =
+        std::string(full ? "full" : "basic") + "-oracle@" + GetParam();
+    ASSERT_FALSE(g_id_cached(id));
+    EXPECT_EQ(expect_matches_oracle(id, full), miss);  // cold
+    EXPECT_EQ(expect_matches_oracle(id, full), hit);   // warm
+    EXPECT_EQ(expect_matches_oracle(id, full), hit);
+
+    const auto& cache = pairing::pair_value_cache();
+    const std::uint64_t evictions = cache.stats().evictions;
+    flood_pair_value_cache(Fp2::one(params().curve()->field()));
+    EXPECT_GT(cache.stats().evictions, evictions);
+    ASSERT_FALSE(g_id_cached(id));
+    EXPECT_EQ(expect_matches_oracle(id, full), miss);  // evicted
+    EXPECT_EQ(expect_matches_oracle(id, full), hit);
+  }
+  pairing::pair_value_cache().clear();  // drop the filler entries
+}
+
+#if MEDCRYPT_OBS_ENABLED
+TEST_P(IbeEncryptOracleTest, WarmEncryptionRunsNoPairing) {
+  auto& reg = obs::registry();
+  const auto count = [&] {
+    return std::array<std::uint64_t, 3>{
+        reg.stage_histogram(obs::Stage::kPairingMiller).count(),
+        reg.stage_histogram(obs::Stage::kPairingFinalExp).count(),
+        reg.stage_histogram(obs::Stage::kPairingFinalExpBatch).count()};
+  };
+  const std::string id = std::string("warm@") + GetParam();
+  Bytes m(params().message_len);
+  rng_.fill(m);
+
+  auto before = count();
+  full_encrypt(params(), id, m, rng_);  // cold: computes g_ID once
+  auto after = count();
+  EXPECT_EQ(after[0], before[0] + 1);
+  EXPECT_EQ(after[1], before[1] + 1);
+
+  before = count();
+  full_encrypt(params(), id, m, rng_);
+  basic_encrypt(params(), id, m, rng_);
+  EXPECT_EQ(count(), before);
+}
+#endif  // MEDCRYPT_OBS_ENABLED
+
+INSTANTIATE_TEST_SUITE_P(NamedSets, IbeEncryptOracleTest,
+                         ::testing::Values("toy64", "sec80"));
 
 }  // namespace
 }  // namespace medcrypt::ibe

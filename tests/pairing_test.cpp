@@ -329,5 +329,64 @@ TEST_P(PairingParamSweep, BilinearityHolds) {
 INSTANTIATE_TEST_SUITE_P(Sets, PairingParamSweep,
                          ::testing::Values("toy64", "mid128"));
 
+
+// The G_T exponentiation helpers of the field layer, on pairing outputs:
+// pow_fixed_window must agree with the square-and-multiply Fp2::pow on
+// every exponent shape (edge values, all-zero windows, random), and
+// multi_pow with the product of single powers.
+class GtPowTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  const ParamSet& params() const { return named_params(GetParam()); }
+  Fp2 gt_element(const BigInt& k) const {
+    const TatePairing e(params().curve);
+    return e.pair(params().generator, params().generator).pow(k);
+  }
+};
+
+TEST_P(GtPowTest, FixedWindowMatchesPow) {
+  const BigInt& q = params().order();
+  const std::size_t bits = q.bit_length();
+  HmacDrbg rng(60);
+  const Fp2 base = gt_element(BigInt::random_unit(rng, q));
+  const BigInt one(std::uint64_t{1});
+  std::vector<BigInt> ks = {
+      BigInt(), one, q - one, (one << bits) - one,
+      one << (bits - 1),                           // every low window zero
+      (one << (bits - 1)) + one,                   // zero windows in between
+      BigInt::from_hex("f0000000f") << (bits - 40)};
+  for (int i = 0; i < 100; ++i) ks.push_back(BigInt::random_bits(rng, bits));
+  for (const BigInt& k : ks) {
+    EXPECT_EQ(field::pow_fixed_window(base, k, bits), base.pow(k)) << k;
+  }
+  // A width that is not a multiple of the window: 7-bit exponents.
+  for (std::uint64_t k : {0u, 1u, 64u, 127u}) {
+    EXPECT_EQ(field::pow_fixed_window(base, BigInt(k), 7), base.pow(BigInt(k)));
+  }
+}
+
+TEST_P(GtPowTest, MultiPowMatchesProductOfPowers) {
+  const BigInt& q = params().order();
+  HmacDrbg rng(61);
+  std::vector<Fp2> bases;
+  std::vector<BigInt> exps;
+  for (int i = 0; i < 5; ++i) {
+    bases.push_back(gt_element(BigInt::random_unit(rng, q)));
+    exps.push_back(BigInt::random_below(rng, q));
+  }
+  exps[1] = BigInt();                    // a zero exponent
+  exps[3] = BigInt(std::uint64_t{3});    // a short one
+  Fp2 expected = Fp2::one(params().curve->field());
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    expected *= bases[i].pow(exps[i]);
+  }
+  EXPECT_EQ(field::multi_pow(bases, exps), expected);
+  EXPECT_EQ(field::multi_pow(std::span(bases).first(1),
+                             std::span(exps).first(1)),
+            bases[0].pow(exps[0]));
+}
+
+INSTANTIATE_TEST_SUITE_P(NamedSets, GtPowTest,
+                         ::testing::Values("toy64", "sec80"));
+
 }  // namespace
 }  // namespace medcrypt::pairing
