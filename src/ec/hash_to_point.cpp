@@ -128,10 +128,9 @@ const ShardedLruCache<Point>& identity_point_cache() {
 }
 
 Point hash_to_subgroup_cached(const std::shared_ptr<const Curve>& curve,
-                              std::string_view domain, BytesView input,
-                              std::uint64_t epoch) {
+                              std::string_view domain, BytesView input) {
   return identity_point_cache().get_or_compute(
-      domain, input, epoch,
+      domain, input,
       [&] { return hash_to_subgroup(curve, domain, input); },
       // Distinct curve contexts may produce colliding tags; a cached
       // point from another curve is a miss, not a wrong answer.

@@ -18,9 +18,8 @@
 //     multiplication (~2/3 of the hash at the paper's parameters), for
 //     pairing-based verifiers that absorb the cofactor elsewhere.
 //   - hash_to_subgroup_cached: consults the process-wide identity-point
-//     LRU (src/ec/identity_cache.h) before computing. Mediators pass
-//     their RevocationList epoch so revoke/unrevoke invalidates; pure
-//     hash callers with no revocation context pass epoch 0.
+//     LRU (src/ec/identity_cache.h) before computing. The output is a
+//     public function of (domain, input), so entries never go stale.
 #pragma once
 
 #include <span>
@@ -62,13 +61,8 @@ std::vector<Point> hash_to_subgroup_batch(
 /// a curve-identity check.
 const ShardedLruCache<Point>& identity_point_cache();
 
-/// hash_to_subgroup through identity_point_cache(). `epoch` is the
-/// caller's revocation epoch (RevocationList::epoch()); callers with no
-/// revocation context pass 0. An entry cached at a different epoch is
-/// recomputed, so a revoked-then-restored identity never serves a stale
-/// point.
+/// hash_to_subgroup through identity_point_cache().
 Point hash_to_subgroup_cached(const std::shared_ptr<const Curve>& curve,
-                              std::string_view domain, BytesView input,
-                              std::uint64_t epoch);
+                              std::string_view domain, BytesView input);
 
 }  // namespace medcrypt::ec

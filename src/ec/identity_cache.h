@@ -13,12 +13,11 @@
 //     concurrent SEM threads rarely contend.
 //   - Bounded: per-shard LRU eviction against a fixed total capacity —
 //     a million-identity tail cannot grow the cache without bound.
-//   - Epoch-invalidated: every entry is stamped with the caller's
-//     revocation epoch (RevocationList::epoch() for mediator-owned
-//     lookups, 0 for pure-hash callers with no revocation context). A
-//     lookup whose epoch differs from the stored stamp is a miss and
-//     drops the entry, so a revoked-then-restored identity never serves
-//     a stale value (docs/SEM_SERVICE.md, "Cache invalidation").
+//   - Revocation-free: entries are pure functions of their tag, so
+//     nothing about an identity's revocation state is cached here and a
+//     revoke never flushes anything. The SEM enforces revocation on the
+//     key-half lookup instead (docs/SEM_SERVICE.md, "Why cache entries
+//     carry no revocation state").
 //   - Observable: hit/miss/eviction/invalidation counters both in
 //     always-on local atomics (stats(), for tests and audit) and in the
 //     obs registry under `<metric_prefix>.{hits,misses,evictions,
@@ -47,7 +46,7 @@
 
 namespace medcrypt::ec {
 
-/// Sharded LRU of (domain, id) -> Value with epoch invalidation.
+/// Sharded LRU of (domain, id) -> Value.
 /// Value must be copyable; lookups return copies so no reference ever
 /// escapes a shard lock.
 template <typename Value>
@@ -72,6 +71,7 @@ class ShardedLruCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
+    /// Entries dropped at lookup because `validate` rejected them.
     std::uint64_t invalidations = 0;
   };
 
@@ -91,14 +91,13 @@ class ShardedLruCache {
   ShardedLruCache(const ShardedLruCache&) = delete;
   ShardedLruCache& operator=(const ShardedLruCache&) = delete;
 
-  /// Looks up (domain, id) at `epoch`. A stored entry from a different
-  /// epoch is dropped and counted as an invalidation + miss. `validate`,
-  /// when given, vets the stored value (e.g. "same curve as the caller's"
-  /// — distinct curve contexts may collide on serialized ids); a failing
-  /// validation is treated as a plain miss and drops the entry.
+  /// Looks up (domain, id). `validate`, when given, vets the stored
+  /// value (e.g. "same curve as the caller's" — distinct curve contexts
+  /// may collide on serialized ids); a failing validation drops the entry
+  /// and counts as an invalidation plus a miss.
   template <typename Validate>
   std::optional<Value> get(std::string_view domain, BytesView id,
-                           std::uint64_t epoch, Validate&& validate) const {
+                           Validate&& validate) const {
     const std::string tag = make_tag(domain, id);
     Shard& shard = shard_for(tag);
     std::lock_guard lock(shard.mu);
@@ -107,17 +106,11 @@ class ShardedLruCache {
       record_miss(shard);
       return std::nullopt;
     }
-    if (it->second->epoch != epoch) {
+    if (!validate(std::as_const(it->second->value))) {
       shard.lru.erase(it->second);
       shard.index.erase(it);
       shard.invalidations.fetch_add(1, std::memory_order_relaxed);
       obs_invalidations_->add();
-      record_miss(shard);
-      return std::nullopt;
-    }
-    if (!validate(std::as_const(it->second->value))) {
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
       record_miss(shard);
       return std::nullopt;
     }
@@ -130,25 +123,22 @@ class ShardedLruCache {
     return it->second->value;
   }
 
-  std::optional<Value> get(std::string_view domain, BytesView id,
-                           std::uint64_t epoch) const {
-    return get(domain, id, epoch, [](const Value&) { return true; });
+  std::optional<Value> get(std::string_view domain, BytesView id) const {
+    return get(domain, id, [](const Value&) { return true; });
   }
 
-  /// Inserts (or replaces) the entry for (domain, id) at `epoch`,
-  /// evicting the shard's least-recently-used entry when over capacity.
-  void put(std::string_view domain, BytesView id, std::uint64_t epoch,
-           Value value) const {
+  /// Inserts (or replaces) the entry for (domain, id), evicting the
+  /// shard's least-recently-used entry when over capacity.
+  void put(std::string_view domain, BytesView id, Value value) const {
     std::string tag = make_tag(domain, id);
     Shard& shard = shard_for(tag);
     std::lock_guard lock(shard.mu);
     if (const auto it = shard.index.find(tag); it != shard.index.end()) {
-      it->second->epoch = epoch;
       it->second->value = std::move(value);
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       return;
     }
-    shard.lru.push_front(Entry{std::move(tag), epoch, std::move(value)});
+    shard.lru.push_front(Entry{std::move(tag), std::move(value)});
     // The string_view key aliases the entry's own tag; list nodes are
     // stable, so the view outlives every splice.
     shard.index.emplace(std::string_view(shard.lru.front().tag),
@@ -166,22 +156,20 @@ class ShardedLruCache {
   /// last-write-wins) — the value is a deterministic function of the
   /// tag, so duplicated work is the only cost, never an inconsistency.
   template <typename MakeFn, typename Validate>
-  Value get_or_compute(std::string_view domain, BytesView id,
-                       std::uint64_t epoch, MakeFn&& make,
+  Value get_or_compute(std::string_view domain, BytesView id, MakeFn&& make,
                        Validate&& validate) const {
-    if (auto found =
-            get(domain, id, epoch, std::forward<Validate>(validate))) {
+    if (auto found = get(domain, id, std::forward<Validate>(validate))) {
       return std::move(*found);
     }
     Value value = make();
-    put(domain, id, epoch, value);
+    put(domain, id, value);
     return value;
   }
 
   template <typename MakeFn>
   Value get_or_compute(std::string_view domain, BytesView id,
-                       std::uint64_t epoch, MakeFn&& make) const {
-    return get_or_compute(domain, id, epoch, std::forward<MakeFn>(make),
+                       MakeFn&& make) const {
+    return get_or_compute(domain, id, std::forward<MakeFn>(make),
                           [](const Value&) { return true; });
   }
 
@@ -220,7 +208,6 @@ class ShardedLruCache {
  private:
   struct Entry {
     std::string tag;  // length-framed domain ‖ id (public lookup material)
-    std::uint64_t epoch = 0;
     Value value;
   };
 

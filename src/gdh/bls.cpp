@@ -15,11 +15,11 @@ KeyPair keygen(const pairing::ParamSet& group, RandomSource& rng) {
 }
 
 Point hash_message(const pairing::ParamSet& group, BytesView message) {
-  return ec::hash_to_subgroup(group.curve, "GDH.h", message);
+  return ec::hash_to_subgroup(group.curve, kHashDomain, message);
 }
 
 Point hash_candidate(const pairing::ParamSet& group, BytesView message) {
-  return ec::hash_to_curve_candidate(group.curve, "GDH.h", message);
+  return ec::hash_to_curve_candidate(group.curve, kHashDomain, message);
 }
 
 Point sign(const pairing::ParamSet& group, const BigInt& secret,

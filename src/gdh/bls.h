@@ -23,6 +23,7 @@
 #pragma once
 
 #include <span>
+#include <string_view>
 
 #include "ec/point.h"
 #include "pairing/param_gen.h"
@@ -50,7 +51,11 @@ struct KeyPair {
 /// Samples a key pair over `group`.
 KeyPair keygen(const pairing::ParamSet& group, RandomSource& rng);
 
+/// Hash domain of h(M) (ec::hash_to_subgroup's `domain`).
+inline constexpr std::string_view kHashDomain = "GDH.h";
+
 /// The message hash h : {0,1}* -> G1 (full-domain hash onto the subgroup).
+/// Uncached: signers and verifiers hash in their own processes.
 Point hash_message(const pairing::ParamSet& group, BytesView message);
 
 /// The candidate H' of hash_message before cofactor clearing:

@@ -33,10 +33,9 @@ EncryptCore encrypt_core(const SystemParams& params, const Point& q_id,
 
 Point map_identity(const SystemParams& params, std::string_view identity) {
   // Through the process-wide H1 cache: encryptors and verifiers hit the
-  // same Zipf-skewed identity working set over and over. H1(ID) is a
-  // pure hash with no revocation dependence, so the epoch is fixed at 0.
+  // same Zipf-skewed identity working set over and over.
   return ec::hash_to_subgroup_cached(params.curve(), "BF.H1",
-                                     str_bytes(identity), /*epoch=*/0);
+                                     str_bytes(identity));
 }
 
 Bytes mask_from_g(const Fp2& g, std::size_t n) {

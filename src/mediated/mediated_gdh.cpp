@@ -5,13 +5,6 @@
 
 namespace medcrypt::mediated {
 
-namespace {
-// Cache tag domain for SEM-side h(M) lookups. Distinct from the hash's
-// own "GDH.h" domain string so mediator entries (stamped with the
-// revocation epoch) never thrash against epoch-less user-side callers.
-constexpr std::string_view kHashTag = "GDH.h@sem";
-}  // namespace
-
 GdhMediator::GdhMediator(pairing::ParamSet group,
                          std::shared_ptr<RevocationList> revocations)
     : MediatorBase<BigInt>(std::move(revocations)), group_(std::move(group)) {}
@@ -21,12 +14,10 @@ Point GdhMediator::issue_token(std::string_view identity,
   // Mediator entry point: allocate (or inherit) the request's trace.
   obs::TraceScope trace("gdh.issue_token");
   // Hash outside the lock scope — only the scalar multiplication needs
-  // the lent key half. The cache is consulted at this SEM's current
-  // revocation epoch (see the header contract).
-  const Point h = ec::identity_point_cache().get_or_compute(
-      kHashTag, message, revocations()->epoch(),
-      [&] { return gdh::hash_message(group_, message); },
-      [&](const Point& p) { return p.curve() == group_.curve; });
+  // the lent key half. h(M) is public and names no identity, so it is
+  // cached under the hash's own domain; with_key enforces revocation.
+  const Point h =
+      ec::hash_to_subgroup_cached(group_.curve, gdh::kHashDomain, message);
   return with_key(identity, [&](const BigInt& x_sem) {
     obs::Span span(obs::Stage::kScalarMul);
     return h.mul(x_sem);
@@ -50,7 +41,7 @@ std::vector<std::optional<Point>> GdhMediator::issue_tokens(
   std::vector<std::size_t> miss_slots;
   std::vector<BytesView> miss_messages;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (auto hit = cache.get(kHashTag, requests[i].message, snapshot->epoch,
+    if (auto hit = cache.get(gdh::kHashDomain, requests[i].message,
                              same_curve)) {
       hashes[i] = std::move(*hit);
     } else {
@@ -62,10 +53,10 @@ std::vector<std::optional<Point>> GdhMediator::issue_tokens(
   // Phase 2: hash every miss in one batch (one shared inversion for the
   // batch's cofactor-cleared conversions) and refill the cache.
   if (!miss_slots.empty()) {
-    std::vector<Point> hashed =
-        ec::hash_to_subgroup_batch(group_.curve, "GDH.h", miss_messages);
+    std::vector<Point> hashed = ec::hash_to_subgroup_batch(
+        group_.curve, gdh::kHashDomain, miss_messages);
     for (std::size_t j = 0; j < miss_slots.size(); ++j) {
-      cache.put(kHashTag, miss_messages[j], snapshot->epoch, hashed[j]);
+      cache.put(gdh::kHashDomain, miss_messages[j], hashed[j]);
       hashes[miss_slots[j]] = std::move(hashed[j]);
     }
   }

@@ -41,12 +41,12 @@ class GdhMediator : public MediatorBase<BigInt> {
   /// Issues the half-signature S_sem = x_sem·h(M).
   /// Throws RevokedError if `identity` is revoked.
   ///
-  /// h(M) — at 1.34 ms the dominant cost of a GDH token after PR 3 — is
-  /// served from the process-wide identity-point cache keyed by the
-  /// message bytes, stamped with this SEM's revocation epoch (real
-  /// traffic re-signs a Zipf-skewed working set of messages, so hit
-  /// rates are high; any revocation flips the epoch and the cache
-  /// refills).
+  /// h(M) — at 1.34 ms the dominant cost of a GDH token — is served
+  /// from the process-wide identity-point cache under gdh::kHashDomain,
+  /// keyed by the message bytes (real traffic re-signs a Zipf-skewed
+  /// working set of messages, so hit rates are high). The entry is public
+  /// and carries no revocation state: revoking an identity denies its
+  /// key half and leaves every cached h(M) in place.
   Point issue_token(std::string_view identity, BytesView message) const;
 
   /// One entry of an issue_tokens() batch; `message` must outlive the

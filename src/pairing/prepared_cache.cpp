@@ -29,7 +29,7 @@ std::shared_ptr<const PreparedPairing> shared_prepared(
     const TatePairing& pairing, const Point& p, std::string_view domain) {
   const Bytes encoded = p.to_bytes();
   return prepared_cache().get_or_compute(
-      domain, encoded, /*epoch=*/0,
+      domain, encoded,
       [&] {
         return std::make_shared<const PreparedPairing>(pairing.prepare(p));
       },
@@ -42,7 +42,7 @@ Fp2 cached_pair(const TatePairing& pairing, const Point& p, const Point& q,
                 std::string_view domain) {
   const Bytes encoded = concat(p.to_bytes(), q.to_bytes());
   return pair_value_cache().get_or_compute(
-      domain, encoded, /*epoch=*/0, [&] { return pairing.pair(p, q); },
+      domain, encoded, [&] { return pairing.pair(p, q); },
       [&](const Fp2& v) {
         return v.re().field() == pairing.curve()->field();
       });

@@ -161,10 +161,8 @@ TEST(HashVectors, CachedPathMatchesAndHits) {
   const auto& params = pairing::named_params("toy64");
   const Bytes id = str_bytes("alice@example.com");
   const auto before = identity_point_cache().stats();
-  const Point first =
-      hash_to_subgroup_cached(params.curve, "BF.H1", id, /*epoch=*/0);
-  const Point second =
-      hash_to_subgroup_cached(params.curve, "BF.H1", id, /*epoch=*/0);
+  const Point first = hash_to_subgroup_cached(params.curve, "BF.H1", id);
+  const Point second = hash_to_subgroup_cached(params.curve, "BF.H1", id);
   const auto after = identity_point_cache().stats();
   EXPECT_EQ(hex(first.to_bytes()), "02c523cc2e354906ad278ba30507cc824b");
   EXPECT_EQ(first, second);

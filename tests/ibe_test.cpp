@@ -260,7 +260,7 @@ class IbeEncryptOracleTest : public ::testing::TestWithParam<const char*> {
   bool g_id_cached(std::string_view identity) const {
     const Bytes tag = concat(params().p_pub.to_bytes(),
                              map_identity(params(), identity).to_bytes());
-    return pairing::pair_value_cache().get("BF.gID", tag, 0).has_value();
+    return pairing::pair_value_cache().get("BF.gID", tag).has_value();
   }
 
   // Twice the cache's capacity in fresh entries turns over every shard.
@@ -271,7 +271,7 @@ class IbeEncryptOracleTest : public ::testing::TestWithParam<const char*> {
                                   static_cast<std::uint8_t>(i >> 16),
                                   static_cast<std::uint8_t>(i >> 8),
                                   static_cast<std::uint8_t>(i)};
-      cache.put("test.flood", id, 0, filler);
+      cache.put("test.flood", id, filler);
     }
   }
 
