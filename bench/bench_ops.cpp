@@ -104,6 +104,32 @@ void BM_FpMul_sec80(benchmark::State& state) {
 }
 BENCHMARK(BM_FpMul_sec80);
 
+// The in-place Fp2 operations the Miller loop and the final
+// exponentiation run: one Karatsuba multiply (3 Fp multiplies) and one
+// complex squaring (2 Fp multiplies).
+void BM_Fp2Mul_sec80(benchmark::State& state) {
+  auto& f = fixture();
+  auto field = params().curve->field();
+  field::Fp2 x = field::Fp2::random(field, f.rng);
+  const field::Fp2 y = field::Fp2::random(field, f.rng);
+  for (auto _ : state) {
+    x.mul_inplace(y);
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_Fp2Mul_sec80);
+
+void BM_Fp2Sqr_sec80(benchmark::State& state) {
+  auto& f = fixture();
+  auto field = params().curve->field();
+  field::Fp2 x = field::Fp2::random(field, f.rng);
+  for (auto _ : state) {
+    x.square_inplace();
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_Fp2Sqr_sec80);
+
 struct RsaFixture {
   RsaFixture() : rng(2) {
     rsa::KeyGenOptions opts;

@@ -1,14 +1,14 @@
-// BMI2/ADX kernel tier: hand-scheduled CIOS Montgomery multiply and
-// plain wide multiply for K = 4 and K = 8 limbs using MULX (flag-free
-// 64x64 multiply) with the ADCX/ADOX dual carry chains, so the low and
-// high halves of each row retire on independent CF/OF chains.
+// BMI2/ADX kernel tier: hand-scheduled CIOS Montgomery multiply for
+// K = 4 and K = 8 limbs using MULX (flag-free 64x64 multiply) with the
+// ADCX/ADOX dual carry chains, so the low and high halves of each row
+// retire on independent CF/OF chains.
 //
 // Everything is inline asm, so no -m flag is needed at compile time —
 // the instructions are emitted literally and only ever executed when
 // runtime dispatch (or a cpu_supports-gated caller) selected this tier
 // on a CPU with BMI2 + ADX.
 //
-// Scheduling notes, shared by all four kernels:
+// Scheduling notes, shared by both kernels:
 //  - The accumulator window lives entirely in registers. A CIOS row
 //    needs t[0..K+1]; with K = 8 that is 10 registers, plus one scratch
 //    pair (lo/hi) for MULX, one pointer register reloaded per phase, and
@@ -216,136 +216,19 @@ void mul4_bmi2(const u64* a, const u64* b, const u64* n, u64 n0inv,
   scrub_scratch(t, 5);
 }
 
-// --- wide (non-reducing) K x K -> 2K multiply -----------------------------
-// Product scanning with a K+1-register window: each row adds a[i]*b into
-// w[0..K], emits w0 as out[i], zeroes it and rotates it in as the new
-// top limb. The window residual is < b < 2^(64K) at every row start, so
-// w[K] = 0 on entry and the row sum < 2^(64(K+1)) — the single CF fold
-// into w[K] cannot wrap (a carry out would contradict that bound).
-
-#define WIDE_ROW8(AOFF, OOFF, W0, W1, W2, W3, W4, W5, W6, W7, W8)    \
-  "movq %[a], %%rdx\n\t"                                             \
-  "movq " AOFF "(%%rdx), %%rdx\n\t"                                  \
-  "movq %[b], %[p]\n\t"                                              \
-  "xorl %k[lo], %k[lo]\n\t"                                          \
-  "mulxq 0(%[p]), %[lo], %[hi]\n\t"                                  \
-  "adcxq %[lo], %[" W0 "]\n\t"                                       \
-  "adoxq %[hi], %[" W1 "]\n\t"                                       \
-  "mulxq 8(%[p]), %[lo], %[hi]\n\t"                                  \
-  "adcxq %[lo], %[" W1 "]\n\t"                                       \
-  "adoxq %[hi], %[" W2 "]\n\t"                                       \
-  "mulxq 16(%[p]), %[lo], %[hi]\n\t"                                 \
-  "adcxq %[lo], %[" W2 "]\n\t"                                       \
-  "adoxq %[hi], %[" W3 "]\n\t"                                       \
-  "mulxq 24(%[p]), %[lo], %[hi]\n\t"                                 \
-  "adcxq %[lo], %[" W3 "]\n\t"                                       \
-  "adoxq %[hi], %[" W4 "]\n\t"                                       \
-  "mulxq 32(%[p]), %[lo], %[hi]\n\t"                                 \
-  "adcxq %[lo], %[" W4 "]\n\t"                                       \
-  "adoxq %[hi], %[" W5 "]\n\t"                                       \
-  "mulxq 40(%[p]), %[lo], %[hi]\n\t"                                 \
-  "adcxq %[lo], %[" W5 "]\n\t"                                       \
-  "adoxq %[hi], %[" W6 "]\n\t"                                       \
-  "mulxq 48(%[p]), %[lo], %[hi]\n\t"                                 \
-  "adcxq %[lo], %[" W6 "]\n\t"                                       \
-  "adoxq %[hi], %[" W7 "]\n\t"                                       \
-  "mulxq 56(%[p]), %[lo], %[hi]\n\t"                                 \
-  "adcxq %[lo], %[" W7 "]\n\t"                                       \
-  "adoxq %[hi], %[" W8 "]\n\t"                                       \
-  "movl $0, %k[lo]\n\t"                                              \
-  "adcxq %[lo], %[" W8 "]\n\t"                                       \
-  "movq %[o], %[hi]\n\t"                                             \
-  "movq %[" W0 "], " OOFF "(%[hi])\n\t"                              \
-  "xorl %k[" W0 "], %k[" W0 "]\n\t"
-
-#define WIDE_ROW4(AOFF, OOFF, W0, W1, W2, W3, W4)                    \
-  "movq %[a], %%rdx\n\t"                                             \
-  "movq " AOFF "(%%rdx), %%rdx\n\t"                                  \
-  "movq %[b], %[p]\n\t"                                              \
-  "xorl %k[lo], %k[lo]\n\t"                                          \
-  "mulxq 0(%[p]), %[lo], %[hi]\n\t"                                  \
-  "adcxq %[lo], %[" W0 "]\n\t"                                       \
-  "adoxq %[hi], %[" W1 "]\n\t"                                       \
-  "mulxq 8(%[p]), %[lo], %[hi]\n\t"                                  \
-  "adcxq %[lo], %[" W1 "]\n\t"                                       \
-  "adoxq %[hi], %[" W2 "]\n\t"                                       \
-  "mulxq 16(%[p]), %[lo], %[hi]\n\t"                                 \
-  "adcxq %[lo], %[" W2 "]\n\t"                                       \
-  "adoxq %[hi], %[" W3 "]\n\t"                                       \
-  "mulxq 24(%[p]), %[lo], %[hi]\n\t"                                 \
-  "adcxq %[lo], %[" W3 "]\n\t"                                       \
-  "adoxq %[hi], %[" W4 "]\n\t"                                       \
-  "movl $0, %k[lo]\n\t"                                              \
-  "adcxq %[lo], %[" W4 "]\n\t"                                       \
-  "movq %[o], %[hi]\n\t"                                             \
-  "movq %[" W0 "], " OOFF "(%[hi])\n\t"                              \
-  "xorl %k[" W0 "], %k[" W0 "]\n\t"
-
-void mul8_wide_bmi2(const u64* a, const u64* b, u64* out) {
-  const u64* ap = a;
-  const u64* bp = b;
-  u64* op = out;
-  u64 w0 = 0, w1 = 0, w2 = 0, w3 = 0, w4 = 0;
-  u64 w5 = 0, w6 = 0, w7 = 0, w8 = 0;
-  u64 lo, hi, p;
-  __asm__(
-      WIDE_ROW8("0", "0", "w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7", "w8")
-      WIDE_ROW8("8", "8", "w1", "w2", "w3", "w4", "w5", "w6", "w7", "w8", "w0")
-      WIDE_ROW8("16", "16", "w2", "w3", "w4", "w5", "w6", "w7", "w8", "w0", "w1")
-      WIDE_ROW8("24", "24", "w3", "w4", "w5", "w6", "w7", "w8", "w0", "w1", "w2")
-      WIDE_ROW8("32", "32", "w4", "w5", "w6", "w7", "w8", "w0", "w1", "w2", "w3")
-      WIDE_ROW8("40", "40", "w5", "w6", "w7", "w8", "w0", "w1", "w2", "w3", "w4")
-      WIDE_ROW8("48", "48", "w6", "w7", "w8", "w0", "w1", "w2", "w3", "w4", "w5")
-      WIDE_ROW8("56", "56", "w7", "w8", "w0", "w1", "w2", "w3", "w4", "w5", "w6")
-      : [w0] "+&r"(w0), [w1] "+&r"(w1), [w2] "+&r"(w2), [w3] "+&r"(w3),
-        [w4] "+&r"(w4), [w5] "+&r"(w5), [w6] "+&r"(w6), [w7] "+&r"(w7),
-        [w8] "+&r"(w8), [lo] "=&r"(lo), [hi] "=&r"(hi), [p] "=&r"(p)
-      : [a] "m"(ap), [b] "m"(bp), [o] "m"(op)
-      : "rdx", "cc", "memory");
-  // Residual window = out[8..15]; logical w[j] is register (8+j) mod 9.
-  out[8] = w8;
-  out[9] = w0;
-  out[10] = w1;
-  out[11] = w2;
-  out[12] = w3;
-  out[13] = w4;
-  out[14] = w5;
-  out[15] = w6;
-}
-
-void mul4_wide_bmi2(const u64* a, const u64* b, u64* out) {
-  const u64* ap = a;
-  const u64* bp = b;
-  u64* op = out;
-  u64 w0 = 0, w1 = 0, w2 = 0, w3 = 0, w4 = 0;
-  u64 lo, hi, p;
-  __asm__(
-      WIDE_ROW4("0", "0", "w0", "w1", "w2", "w3", "w4")
-      WIDE_ROW4("8", "8", "w1", "w2", "w3", "w4", "w0")
-      WIDE_ROW4("16", "16", "w2", "w3", "w4", "w0", "w1")
-      WIDE_ROW4("24", "24", "w3", "w4", "w0", "w1", "w2")
-      : [w0] "+&r"(w0), [w1] "+&r"(w1), [w2] "+&r"(w2), [w3] "+&r"(w3),
-        [w4] "+&r"(w4), [lo] "=&r"(lo), [hi] "=&r"(hi), [p] "=&r"(p)
-      : [a] "m"(ap), [b] "m"(bp), [o] "m"(op)
-      : "rdx", "cc", "memory");
-  out[4] = w4;
-  out[5] = w0;
-  out[6] = w1;
-  out[7] = w2;
-}
-
 }  // namespace
 
 const Table& bmi2_table() {
-  // Montgomery reduction of the lazy accumulator is carry-sweep bound
-  // rather than multiply bound, so this tier shares the portable redc
-  // (and the portable add/sub/neg — dispatch keeps tiers orthogonal).
+  // Modular add/sub/neg are carry-chain bound, not multiply bound, so
+  // this tier shares the portable ones (dispatch keeps tiers orthogonal).
   static const Table kTable = {
-      mul4_bmi2,          mul8_bmi2,      mul4_wide_bmi2,
-      mul8_wide_bmi2,     portable_table().redc4,
-      portable_table().redc8,             portable_table().add,
-      portable_table().sub,               portable_table().neg,
-      Kind::kBmi2,        "bmi2",
+      mul4_bmi2,
+      mul8_bmi2,
+      portable_table().add,
+      portable_table().sub,
+      portable_table().neg,
+      Kind::kBmi2,
+      "bmi2",
   };
   return kTable;
 }

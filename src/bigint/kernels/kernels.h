@@ -3,16 +3,15 @@
 // A Table is a function-pointer bundle covering the limb-level operations
 // the field hot path runs millions of times per second: fixed-width CIOS
 // Montgomery multiply for the limb counts the named parameter sets use
-// (4 limbs = mid128, 8 limbs = the paper's sec80), the matching wide
-// (non-reducing) multiply + standalone Montgomery reduction pair that
-// backs the lazy Fp2 tower, and width-generic modular add/sub/neg.
+// (4 limbs = mid128, 8 limbs = the paper's sec80) and width-generic
+// modular add/sub/neg.
 //
 // Two tiers exist:
 //   - portable: plain C++ (u128 carries), bit-identical to the historic
 //     cios_fixed<K> code. Always available, the reference for the
 //     differential fuzz suite.
-//   - bmi2:     hand-scheduled MULX/ADCX/ADOX inline-asm CIOS and wide
-//     multiplies for K = 4 and K = 8 (requires BMI2 + ADX).
+//   - bmi2:     hand-scheduled MULX/ADCX/ADOX inline-asm CIOS multiplies
+//     for K = 4 and K = 8 (requires BMI2 + ADX).
 //
 // Selection happens once, at the first active() call: CPUID picks the
 // best supported tier, MEDCRYPT_KERNEL=portable|bmi2 forces one for
@@ -45,12 +44,6 @@ struct Table {
   /// arrays (K fixed per entry). `out` may alias `a` and/or `b`.
   using MulFixedFn = void (*)(const u64* a, const u64* b, const u64* n,
                               u64 n0inv, u64* out);
-  /// Plain K×K→2K-limb product, no reduction. `out` must not alias.
-  using MulWideFixedFn = void (*)(const u64* a, const u64* b, u64* out);
-  /// Montgomery reduction of a (2K+2)-limb accumulator T < 8·R·n:
-  /// writes T·R^{-1} mod n (fully reduced to [0, n)) into `out` (K
-  /// limbs). `t` is clobbered.
-  using RedcFixedFn = void (*)(u64* t, const u64* n, u64 n0inv, u64* out);
   /// (a ± b) mod n / (-a) mod n on reduced k-limb operands; `out` may
   /// alias any input.
   using ModBinFn = void (*)(const u64* a, const u64* b, const u64* n,
@@ -60,10 +53,6 @@ struct Table {
 
   MulFixedFn mul4;
   MulFixedFn mul8;
-  MulWideFixedFn mul4_wide;
-  MulWideFixedFn mul8_wide;
-  RedcFixedFn redc4;
-  RedcFixedFn redc8;
   ModBinFn add;
   ModBinFn sub;
   ModNegFn neg;
@@ -92,17 +81,6 @@ const char* kind_name(Kind kind);
 // directly.
 const Table& portable_table();
 const Table& bmi2_table();
-
-// --- width-generic portable helpers (non-dispatched) ----------------------
-// Used by Montgomery for limb counts outside the accelerated set
-// (toy64 = 2, sweep384 = 6, RSA-1024 = 16, and arbitrary moduli).
-
-/// Plain k×k→2k-limb product. `out` must not alias `a`/`b`.
-void mul_wide_generic(const u64* a, const u64* b, std::size_t k, u64* out);
-
-/// Montgomery reduction of a (2k+2)-limb accumulator T < 8·R·n into
-/// [0, n). `t` is clobbered.
-void redc_generic(u64* t, const u64* n, u64 n0inv, std::size_t k, u64* out);
 
 // --- scratch hygiene ------------------------------------------------------
 

@@ -143,23 +143,6 @@ void Montgomery::mul_limbs(const u64* a, const u64* b, u64* out) const {
   kernels::scrub_scratch(t, k_ + 2);
 }
 
-void Montgomery::mul_wide_limbs(const u64* a, const u64* b, u64* out) const {
-  switch (k_) {
-    case 4: return kt_->mul4_wide(a, b, out);
-    case 8: return kt_->mul8_wide(a, b, out);
-    default: return kernels::mul_wide_generic(a, b, k_, out);
-  }
-}
-
-void Montgomery::redc_limbs(u64* t, u64* out) const {
-  const u64* n = n_.limbs_.data();
-  switch (k_) {
-    case 4: return kt_->redc4(t, n, n0inv_, out);
-    case 8: return kt_->redc8(t, n, n0inv_, out);
-    default: return kernels::redc_generic(t, n, n0inv_, k_, out);
-  }
-}
-
 void Montgomery::add_limbs(const u64* a, const u64* b, u64* out) const {
   kt_->add(a, b, n_.limbs_.data(), k_, out);
 }

@@ -86,18 +86,6 @@ class Montgomery {
   /// R mod n zero-padded to k limbs (the Montgomery form of 1).
   const std::uint64_t* one_limbs() const { return one_padded_.data(); }
 
-  // --- lazy-reduction API (field/lazy.h WideAcc) --------------------------
-
-  /// Plain k x k -> 2k-limb product of Montgomery-form operands, no
-  /// reduction. `out` (2k limbs) must not alias `a`/`b`. With inputs
-  /// a^, b^ < n the product is < n^2 < R*n — one WideAcc budget unit.
-  void mul_wide_limbs(const std::uint64_t* a, const std::uint64_t* b,
-                      std::uint64_t* out) const;
-
-  /// Montgomery reduction of a (2k+2)-limb accumulator T < 8*R*n into a
-  /// fully reduced k-limb result T*R^{-1} mod n. `t` is clobbered.
-  void redc_limbs(std::uint64_t* t, std::uint64_t* out) const;
-
   /// -n^{-1} mod 2^64 (kernel/test plumbing).
   std::uint64_t n0inv() const { return n0inv_; }
 

@@ -150,11 +150,6 @@ class Fp {
 
  private:
   friend class PrimeField;
-  // Lazy-reduction accumulators (field/lazy.h) read the raw limb store
-  // and write reduced results back without round-tripping through the
-  // public op chain.
-  friend class WideAcc;
-  friend class WideProduct;
   Fp(std::shared_ptr<const PrimeField> field, LimbStore store)
       : field_(std::move(field)), store_(std::move(store)) {}
 

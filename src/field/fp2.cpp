@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "field/lazy.h"
 
 namespace medcrypt::field {
 
@@ -16,47 +15,16 @@ Fp2::Fp2(Fp a) : a_(std::move(a)) {
   b_ = a_.field()->zero();
 }
 
-void Fp2::mul_pair_lazy(const Fp& c, const Fp& d) {
-  // Karatsuba with lazy reduction: the three cross products are
-  // computed once as unreduced double-width values, then each component
-  // pays exactly ONE Montgomery reduction — 3 wide multiplies + 2
-  // reductions instead of the 3 fully reduced multiplies (≈ 5/6 of the
-  // 64x64 multiply count) plus none of the interleaved cond-sub passes.
-  WideProduct ac, bd, cross;
-  ac.assign(a_, c);
-  bd.assign(b_, d);
-  Fp s1 = a_;
-  s1 += b_;
-  Fp s2 = c;
-  s2 += d;
-  cross.assign(s1, s2);
-  WideAcc acc(*a_.field());
-  acc.add(ac);   // real: ac + R·n - bd   (< 2·R·n)
-  acc.sub(bd);
-  acc.reduce_into(a_);
-  acc.add(cross);  // imag: (a+b)(c+d) + 2·R·n - ac - bd   (< 3·R·n)
-  acc.sub(ac);
-  acc.sub(bd);
-  acc.reduce_into(b_);
-}
-
-void Fp2::mul_inplace(const Fp2& o) {
-  if (WideAcc::supports(*a_.field())) {
-    // All reads of `o` land in the wide products before any component
-    // is overwritten, so o == *this is fine.
-    mul_pair_lazy(o.a_, o.b_);
-    return;
-  }
-  // Karatsuba-style: (a + bi)(c + di) = (ac - bd) + ((a+b)(c+d) - ac - bd) i
-  // All reads of `o` happen before any write, so o == *this is fine.
+void Fp2::mul_pair(const Fp& c, const Fp& d) {
+  // (a + bi)(c + di) = (ac - bd) + ((a+b)(c+d) - ac - bd) i
   Fp ac = a_;
-  ac *= o.a_;
+  ac *= c;
   Fp bd = b_;
-  bd *= o.b_;
+  bd *= d;
   Fp cross = a_;
   cross += b_;
-  Fp sum2 = o.a_;
-  sum2 += o.b_;
+  Fp sum2 = c;
+  sum2 += d;
   cross *= sum2;
   cross -= ac;
   cross -= bd;
@@ -65,13 +33,9 @@ void Fp2::mul_inplace(const Fp2& o) {
   b_ = std::move(cross);
 }
 
-void Fp2::mul_line_inplace(const Fp& c, const Fp& d) {
-  if (WideAcc::supports(*a_.field())) {
-    mul_pair_lazy(c, d);
-    return;
-  }
-  mul_inplace(Fp2(c, d));
-}
+void Fp2::mul_inplace(const Fp2& o) { mul_pair(o.a_, o.b_); }
+
+void Fp2::mul_line_inplace(const Fp& c, const Fp& d) { mul_pair(c, d); }
 
 void Fp2::square_inplace() {
   // (a + bi)^2 = (a+b)(a-b) + 2ab i

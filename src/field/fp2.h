@@ -49,8 +49,7 @@ class Fp2 {
 
   /// *this *= (c + d·i) given as bare components — the Miller loop's
   /// line multiply, skipping the Fp2 temporary (and its two shared_ptr
-  /// copies) a mul_inplace(Fp2(c, d)) would cost. `c`/`d` must not
-  /// alias this element's own components.
+  /// copies) a mul_inplace(Fp2(c, d)) would cost.
   void mul_line_inplace(const Fp& c, const Fp& d);
 
   /// Complex conjugate a - b·i; equals the Frobenius x -> x^p here.
@@ -81,9 +80,10 @@ class Fp2 {
   static Fp2 one(const std::shared_ptr<const PrimeField>& field);
 
  private:
-  // Karatsuba with lazy reduction (field/lazy.h); requires
-  // WideAcc::supports(field). Writes a_ <- ac - bd, b_ <- cross terms.
-  void mul_pair_lazy(const Fp& c, const Fp& d);
+  // *this *= (c + d·i) by Karatsuba on reduced Fp values; every read of
+  // c and d happens before a_ or b_ is written, so either may alias a
+  // component of *this.
+  void mul_pair(const Fp& c, const Fp& d);
 
   Fp a_, b_;
 };

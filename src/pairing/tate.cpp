@@ -5,41 +5,22 @@
 
 #include "common/error.h"
 #include "ec/jacobian.h"
-#include "field/lazy.h"
 #include "obs/span.h"
 
 namespace medcrypt::pairing {
 
 using field::Fp;
-using field::WideAcc;
 
 namespace {
 
 // The three line-evaluation shapes of the Miller loop, each multiplied
-// straight into the accumulator f. On fields the lazy accumulator
-// serves (field/lazy.h), the real part threads through one WideAcc so
-// every product lands unreduced and each intermediate pays exactly one
-// Montgomery reduction; otherwise the historic reduced Fp chain runs.
+// straight into the accumulator f.
 
 // Doubling step: L = M(X - Z²x') - 2Y² + i·(2YZ³)·y'.
 void mul_dbl_line(Fp2& f, const ec::DblTrace& tr, const Fp& xq,
                   const Fp& yq) {
   Fp im = tr.zp_zsq;
   im *= yq;
-  const auto& field = *xq.field();
-  if (WideAcc::supports(field)) {
-    WideAcc acc(field);
-    Fp u = tr.x;
-    acc.add_shifted(tr.x);       // u = X - Z²·x'   (one reduction)
-    acc.sub_product(tr.z_sq, xq);
-    acc.reduce_into(u);
-    acc.add_product(tr.m, u);    // re = M·u - 2Y²  (one reduction)
-    acc.sub_shifted(tr.y_sq);
-    acc.sub_shifted(tr.y_sq);
-    acc.reduce_into(u);
-    f.mul_line_inplace(u, im);
-    return;
-  }
   Fp re = tr.z_sq;
   re *= xq;
   re.negate_inplace();
@@ -55,17 +36,6 @@ void mul_add_line(Fp2& f, const ec::AddTrace& tr, const Point& p,
                   const Fp& xq, const Fp& yq) {
   Fp im = tr.zh;
   im *= yq;
-  const auto& field = *xq.field();
-  if (WideAcc::supports(field)) {
-    Fp u = p.x();
-    u -= xq;
-    WideAcc acc(field);
-    acc.add_product(u, tr.r);    // re = u·r - ZH·y_P (one reduction)
-    acc.sub_product(tr.zh, p.y());
-    acc.reduce_into(u);
-    f.mul_line_inplace(u, im);
-    return;
-  }
   Fp re = p.x();
   re -= xq;
   re *= tr.r;
@@ -80,16 +50,6 @@ void mul_replay_line(Fp2& f, const Fp& c0, const Fp& c1, const Fp& c2,
                      const Fp& xq, const Fp& yq) {
   Fp im = c2;
   im *= yq;
-  const auto& field = *xq.field();
-  if (WideAcc::supports(field)) {
-    WideAcc acc(field);
-    Fp re = c0;
-    acc.add_shifted(c0);         // re = c0 - c1·x' (one reduction)
-    acc.sub_product(c1, xq);
-    acc.reduce_into(re);
-    f.mul_line_inplace(re, im);
-    return;
-  }
   Fp re = c1;
   re *= xq;
   re.negate_inplace();

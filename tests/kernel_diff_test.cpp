@@ -5,7 +5,7 @@
 // subtraction leaves a partially reduced residue that all tiers must
 // agree on. Inputs cover random values (reduced and unreduced) plus the
 // edge set {0, 1, p-1, R-1, R mod p} for every named parameter set, and
-// the lazy-reduction WideAcc paths are checked against plain Fp chains.
+// the Fp2 multiply is checked against a BigInt schoolbook.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,7 +17,6 @@
 #include "bigint/montgomery.h"
 #include "field/fp.h"
 #include "field/fp2.h"
-#include "field/lazy.h"
 #include "hash/drbg.h"
 #include "pairing/params.h"
 
@@ -28,8 +27,6 @@ using bigint::BigInt;
 using bigint::Montgomery;
 using field::Fp;
 using field::PrimeField;
-using field::WideAcc;
-using field::WideProduct;
 using hash::HmacDrbg;
 namespace kernels = bigint::kernels;
 using kernels::Kind;
@@ -138,93 +135,6 @@ TEST(KernelDiff, FixedWidthMulAllowsAliasedOutput) {
 }
 
 // ---------------------------------------------------------------------------
-// Wide multiply and standalone reduction
-// ---------------------------------------------------------------------------
-
-TEST(KernelDiff, WideMulBitIdenticalAcrossKernels) {
-  HmacDrbg rng(7103);
-  const auto kinds = available_kinds();
-  for (const char* name : kNamedSets) {
-    const auto& mont = pairing::named_params(name).curve->field()->mont();
-    const std::size_t k = mont.limbs();
-    if (k != 4 && k != 8) continue;
-    const auto pool = operand_pool(mont, rng, 12);
-    for (const auto& a : pool) {
-      for (const auto& b : pool) {
-        std::vector<u64> ref(2 * k);
-        const auto& pt = kernels::portable_table();
-        (k == 4 ? pt.mul4_wide : pt.mul8_wide)(a.data(), b.data(),
-                                               ref.data());
-        // The generic fallback must agree with the fixed-width entries.
-        std::vector<u64> gen(2 * k);
-        kernels::mul_wide_generic(a.data(), b.data(), k, gen.data());
-        EXPECT_EQ(gen, ref) << name << " generic wide mul diverges";
-        for (const Kind kind : kinds) {
-          const auto& t = kernels::table(kind);
-          std::vector<u64> out(2 * k, 0xa5a5a5a5a5a5a5a5ull);
-          (k == 4 ? t.mul4_wide : t.mul8_wide)(a.data(), b.data(),
-                                               out.data());
-          EXPECT_EQ(out, ref) << name << " wide mul diverges on "
-                              << kernels::kind_name(kind);
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelDiff, RedcBitIdenticalAcrossKernelsUpToBudget) {
-  HmacDrbg rng(7104);
-  const auto kinds = available_kinds();
-  for (const char* name : kNamedSets) {
-    const auto& mont = pairing::named_params(name).curve->field()->mont();
-    const std::size_t k = mont.limbs();
-    if (k != 4 && k != 8) continue;
-    const auto pool = operand_pool(mont, rng, 8);
-    const u64* n = mont.modulus_limbs();
-    const u64 n0 = mont.n0inv();
-    for (std::size_t trial = 0; trial < pool.size(); ++trial) {
-      // Accumulate 1..8 products of pool operands: each is < R·n, so
-      // the total exercises the full T < 8·R·n redc contract.
-      std::vector<u64> acc(2 * k + 2, 0);
-      const std::size_t terms = 1 + trial % 8;
-      for (std::size_t j = 0; j < terms; ++j) {
-        const auto& a = pool[(trial + j) % pool.size()];
-        const auto& b = pool[(trial + 3 * j + 1) % pool.size()];
-        std::vector<u64> w(2 * k);
-        kernels::mul_wide_generic(a.data(), b.data(), k, w.data());
-        u64 carry = 0;
-        for (std::size_t i = 0; i < 2 * k + 2; ++i) {
-          const unsigned __int128 s =
-              static_cast<unsigned __int128>(acc[i]) +
-              (i < 2 * k ? w[i] : 0) + carry;
-          acc[i] = static_cast<u64>(s);
-          carry = static_cast<u64>(s >> 64);
-        }
-        ASSERT_EQ(carry, 0u);
-      }
-      std::vector<u64> ref(k);
-      std::vector<u64> scratch = acc;  // t is clobbered; feed copies
-      const auto& pt = kernels::portable_table();
-      (k == 4 ? pt.redc4 : pt.redc8)(scratch.data(), n, n0, ref.data());
-      // The reduced value must be canonical and match the generic path.
-      EXPECT_TRUE(mont.bigint_from_limbs(ref.data()) < mont.modulus());
-      std::vector<u64> gen(k);
-      scratch = acc;
-      kernels::redc_generic(scratch.data(), n, n0, k, gen.data());
-      EXPECT_EQ(gen, ref) << name << " generic redc diverges";
-      for (const Kind kind : kinds) {
-        const auto& t = kernels::table(kind);
-        std::vector<u64> out(k, 0xa5a5a5a5a5a5a5a5ull);
-        scratch = acc;
-        (k == 4 ? t.redc4 : t.redc8)(scratch.data(), n, n0, out.data());
-        EXPECT_EQ(out, ref) << name << " redc diverges on "
-                            << kernels::kind_name(kind);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Width-generic add/sub/neg (every tier runs the portable entries)
 // ---------------------------------------------------------------------------
 
@@ -307,107 +217,46 @@ TEST(KernelDiff, MulMatchesBigIntReferenceOnReducedInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// Lazy-reduction accumulator vs plain Fp chains
+// Fp2 multiply vs a BigInt schoolbook
 // ---------------------------------------------------------------------------
 
-TEST(KernelDiff, WideAccMatchesFpChains) {
-  HmacDrbg rng(7107);
-  for (const char* name : kNamedSets) {
-    const auto field = pairing::named_params(name).curve->field();
-    ASSERT_TRUE(WideAcc::supports(*field)) << name;
-    for (int iter = 0; iter < 32; ++iter) {
-      const Fp a = field->random(rng), b = field->random(rng);
-      const Fp c = field->random(rng), d = field->random(rng);
-      const Fp e = field->random(rng), g = field->random(rng);
-
-      // a·b - c·d + e - g through the accumulator...
-      WideAcc acc(*field);
-      Fp got = a;
-      acc.add_product(a, b);
-      acc.sub_product(c, d);
-      acc.add_shifted(e);
-      acc.sub_shifted(g);
-      acc.reduce_into(got);
-      // ...vs the reduced chain.
-      Fp want = a;
-      want *= b;
-      Fp cd = c;
-      cd *= d;
-      want -= cd;
-      want += e;
-      want -= g;
-      EXPECT_EQ(got, want) << name;
-
-      // Worst-case magnitude: the full 8-unit budget of subtractions,
-      // each paying the R·n bias — T peaks just under 8·R·n.
-      WideAcc worst(*field);
-      Fp got2 = a;
-      for (int j = 0; j < 8; ++j) worst.sub_product(a, b);
-      worst.reduce_into(got2);
-      Fp want2 = a;
-      want2 *= b;
-      Fp acc8 = field->zero();
-      for (int j = 0; j < 8; ++j) acc8 -= want2;
-      EXPECT_EQ(got2, acc8) << name << " (8x sub budget)";
-
-      // A reused WideProduct must feed several accumulations.
-      WideProduct ab;
-      ab.assign(a, b);
-      WideAcc reuse(*field);
-      Fp got3 = a;
-      reuse.add(ab);
-      reuse.add(ab);
-      reuse.sub(ab);
-      reuse.reduce_into(got3);
-      Fp want3 = a;
-      want3 *= b;
-      EXPECT_EQ(got3, want3) << name << " (WideProduct reuse)";
-    }
-  }
-}
-
-#if defined(MEDCRYPT_CHECKED_LAZY) || !defined(NDEBUG)
-// The budget check must fire on the (kBudget+1)-th accumulation: via
-// assert() in debug builds, via the MEDCRYPT_CHECKED_LAZY abort path
-// when assert compiles out. Either way the process dies before
-// reduce_into can hand back a wrapped value.
-TEST(KernelDiffDeathTest, WideAccBudgetOverflowAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  HmacDrbg rng(7109);
-  const auto field = pairing::named_params(kNamedSets[0]).curve->field();
-  const Fp a = field->random(rng), b = field->random(rng);
-  EXPECT_DEATH(
-      {
-        WideAcc acc(*field);
-        for (unsigned j = 0; j <= WideAcc::kBudget; ++j) acc.sub_product(a, b);
-      },
-      "budget");
-}
-#endif
-
-TEST(KernelDiff, LazyFp2MulMatchesSchoolbook) {
+TEST(KernelDiff, Fp2MulMatchesSchoolbook) {
   HmacDrbg rng(7108);
   for (const char* name : kNamedSets) {
     const auto field = pairing::named_params(name).curve->field();
     const BigInt& p = field->modulus();
+    // (xa + xb·i)(ya + yb·i) over BigInt.
+    const auto expect_product = [&](const field::Fp2& got,
+                                    const field::Fp2& x, const Fp& yre,
+                                    const Fp& yim, const char* what) {
+      const BigInt xa = x.re().to_bigint(), xb = x.im().to_bigint();
+      const BigInt ya = yre.to_bigint(), yb = yim.to_bigint();
+      const BigInt re = xa.mul_mod(ya, p).sub_mod(xb.mul_mod(yb, p), p);
+      const BigInt im = xa.mul_mod(yb, p).add_mod(xb.mul_mod(ya, p), p);
+      EXPECT_EQ(got.re().to_bigint(), re) << name << " " << what;
+      EXPECT_EQ(got.im().to_bigint(), im) << name << " " << what;
+    };
     for (int iter = 0; iter < 24; ++iter) {
       const field::Fp2 x = field::Fp2::random(field, rng);
       const field::Fp2 y = field::Fp2::random(field, rng);
       field::Fp2 got = x;
-      got.mul_inplace(y);  // lazy path on every named set (k <= 8)
-      // Schoolbook reference over BigInt.
-      const BigInt xa = x.re().to_bigint(), xb = x.im().to_bigint();
-      const BigInt ya = y.re().to_bigint(), yb = y.im().to_bigint();
-      const BigInt re = xa.mul_mod(ya, p).sub_mod(xb.mul_mod(yb, p), p);
-      const BigInt im = xa.mul_mod(yb, p).add_mod(xb.mul_mod(ya, p), p);
-      EXPECT_EQ(got.re().to_bigint(), re) << name;
-      EXPECT_EQ(got.im().to_bigint(), im) << name;
+      got.mul_inplace(y);
+      expect_product(got, x, y.re(), y.im(), "mul_inplace");
+      // The Miller loop's line multiply takes bare components.
+      field::Fp2 line = x;
+      line.mul_line_inplace(y.re(), y.im());
+      expect_product(line, x, y.re(), y.im(), "mul_line_inplace");
       // Aliased multiply (squaring through mul_inplace).
       field::Fp2 sq = x;
       sq.mul_inplace(sq);
-      field::Fp2 sq2 = x;
-      sq2.mul_inplace(field::Fp2(x.re(), x.im()));
-      EXPECT_EQ(sq, sq2) << name;
+      expect_product(sq, x, x.re(), x.im(), "aliased mul_inplace");
+      // Line components that are the element's own components.
+      field::Fp2 own = x;
+      own.mul_line_inplace(own.re(), own.im());
+      expect_product(own, x, x.re(), x.im(), "aliased mul_line_inplace");
+      field::Fp2 swapped = x;
+      swapped.mul_line_inplace(swapped.im(), swapped.re());
+      expect_product(swapped, x, x.im(), x.re(), "swapped mul_line_inplace");
     }
   }
 }

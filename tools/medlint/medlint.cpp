@@ -51,9 +51,8 @@
 //                          data-dependent exits (cttime.cpp)
 //
 // Properties with a runtime guard have no check here: the SEM's lock
-// and epoch contracts run under TSan (SemStress* suites), the WideAcc
-// lazy-reduction budget aborts under MEDCRYPT_CHECKED_LAZY, and the
-// asm kernels are diffed bit for bit against portable (kernel_diff_test).
+// and epoch contracts run under TSan (SemStress* suites), and the asm
+// kernels are diffed bit for bit against portable (kernel_diff_test).
 //
 // Suppression, most specific first:
 //   * `// medlint: allow(<check-id>)` on the finding's line or the line
