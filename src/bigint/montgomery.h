@@ -2,7 +2,8 @@
 //
 // A Montgomery context precomputes R = 2^(64k), R^2 mod N and
 // -N^{-1} mod 2^64 for a fixed odd modulus N of k limbs, and offers CIOS
-// multiplication and windowed exponentiation. The prime-field layer keeps
+// multiplication, windowed exponentiation and a constant-time safegcd
+// inversion. The prime-field layer keeps
 // its elements permanently in Montgomery form and reuses one shared
 // context per field, which is what makes the 512-bit Tate pairing usable.
 //
@@ -83,6 +84,14 @@ class Montgomery {
   /// written into k limbs (`out` must hold k limbs).
   void to_mont_limbs(const BigInt& a, std::uint64_t* out) const;
 
+  /// Montgomery-domain inverse: for a = xR mod n writes x^{-1}R mod n
+  /// (zero maps to zero). Requires 0 <= a < n and gcd(a, n) = 1, which a
+  /// prime modulus gives for every nonzero a; `out` may alias `a`.
+  /// Bernstein–Yang safegcd: a fixed count of divsteps set by the bit
+  /// length of n alone, updated with masks only, so `a` may be secret.
+  /// Moduli up to 4096 bits.
+  void inv_limbs(const std::uint64_t* a, std::uint64_t* out) const;
+
   /// R mod n zero-padded to k limbs (the Montgomery form of 1).
   const std::uint64_t* one_limbs() const { return one_padded_.data(); }
 
@@ -108,6 +117,12 @@ class Montgomery {
   BigInt one_;               // R mod n
   std::vector<std::uint64_t> one_padded_;  // R mod n, k limbs
   std::vector<std::uint64_t> r2_padded_;   // R^2 mod n, k limbs
+  // inv_limbs state: n and R^2 mod n in signed 62-bit limbs.
+  std::size_t s62_len_ = 0;                // signed 62-bit limb count
+  std::size_t divstep_batches_ = 0;        // batches of 62 divsteps
+  std::uint64_t n_inv62_ = 0;              // n^{-1} mod 2^62
+  std::vector<std::int64_t> n_s62_;
+  std::vector<std::int64_t> r2_s62_;
 };
 
 }  // namespace medcrypt::bigint

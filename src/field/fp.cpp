@@ -11,7 +11,6 @@ PrimeField::PrimeField(BigInt p)
   // Exponents Fp recomputed per call before this cache existed.
   const BigInt& m = mont_.modulus();
   legendre_exp_ = (m - BigInt(1)) >> 1;
-  fermat_exp_ = m - BigInt(2);
   if (m.bit(0) && m.bit(1)) sqrt_exp_ = (m + BigInt(1)) >> 2;  // p ≡ 3 (mod 4)
 }
 
@@ -162,10 +161,9 @@ bool Fp::operator==(const Fp& o) const {
 Fp Fp::inverse() const {
   check_bound("inverse");
   if (is_zero()) throw InvalidArgument("Fp: inverse of zero");
-  // Fermat: (aR)^(p-2) under Montgomery multiplication is a^(p-2)·R, so
-  // the element never leaves the Montgomery domain (the old path
-  // converted out, ran the extended GCD and converted back in).
-  return pow(field_->fermat_exponent());
+  Fp r = *this;
+  field_->mont().inv_limbs(r.store_.data(), r.store_.data());
+  return r;
 }
 
 Fp Fp::pow(const BigInt& e) const {

@@ -65,9 +65,6 @@ class PrimeField : public std::enable_shared_from_this<PrimeField> {
   /// (p+1)/4 when p ≡ 3 (mod 4), zero otherwise (cached; Fp::sqrt).
   const BigInt& sqrt_exponent() const { return sqrt_exp_; }
 
-  /// p-2, the Fermat-inversion exponent (cached; Fp::inverse).
-  const BigInt& fermat_exponent() const { return fermat_exp_; }
-
  private:
   explicit PrimeField(BigInt p);
 
@@ -75,7 +72,6 @@ class PrimeField : public std::enable_shared_from_this<PrimeField> {
   std::size_t byte_size_;
   BigInt legendre_exp_;  // (p-1)/2
   BigInt sqrt_exp_;      // (p+1)/4 for p ≡ 3 (mod 4), else zero
-  BigInt fermat_exp_;    // p-2
 };
 
 /// Element of a prime field, internally in Montgomery form.
@@ -110,8 +106,11 @@ class Fp {
   void dbl_inplace();
   void negate_inplace();
 
-  /// Multiplicative inverse by Fermat (a^(p-2), staying in the
-  /// Montgomery domain); throws InvalidArgument on zero.
+  /// Multiplicative inverse by Bernstein–Yang safegcd
+  /// (Montgomery::inv_limbs), staying in the Montgomery domain. Constant
+  /// time in the value: the divstep count depends only on the bit length
+  /// of p and every step is masked, so secret elements (a SEM token's
+  /// Miller value) may be inverted. Throws InvalidArgument on zero.
   Fp inverse() const;
 
   /// this^e for e >= 0.

@@ -100,9 +100,10 @@ Fp2 pow_fixed_window(const Fp2& base, const BigInt& k, std::size_t bits);
 Fp2 multi_pow(std::span<const Fp2> bases, std::span<const BigInt> exps);
 
 /// In-place simultaneous inversion (Montgomery's trick): one inversion
-/// plus 3(n-1) multiplications replace n inversions — and each Fp2
-/// inversion is a ~90 µs Fermat power at the paper's parameters, which
-/// is what the batched pairing final exponentiation amortizes. Throws
+/// plus 3(n-1) multiplications replace n inversions — each Fp2
+/// inversion costs one ~8–11 µs safegcd Fp inversion plus a norm at the
+/// paper's parameters, which is what the batched pairing final
+/// exponentiation amortizes. Throws
 /// InvalidArgument if any element is zero (none are inverted then).
 void batch_inverse(std::span<Fp2> xs);
 

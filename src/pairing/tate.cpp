@@ -175,7 +175,7 @@ void TatePairing::final_exponentiation_batch(std::span<Fp2> fs) const {
   if (fs.empty()) return;
   obs::Span span(obs::Stage::kPairingFinalExpBatch);
   // The f^(p-1) = conj(f)/f step is the batch-shareable part: one
-  // Montgomery-trick inversion replaces |fs| Fermat powers. The tail
+  // Montgomery-trick inversion replaces |fs| Fp2 inversions. The tail
   // powers cannot be shared — each element is a distinct output.
   std::vector<Fp2> invs(fs.begin(), fs.end());
   field::batch_inverse(invs);

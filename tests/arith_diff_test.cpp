@@ -26,15 +26,20 @@ using field::Fp2;
 using field::PrimeField;
 using hash::HmacDrbg;
 
-// The three limb widths the suite exercises: 1-limb, a mid-size prime,
-// and the 4-limb secp256k1 prime (all ≡ 3 mod 4 so sqrt() is the cheap
-// exponentiation path the pairing parameters use).
+// The limb widths the suite exercises: 1-limb, a mid-size prime, the
+// 4-limb secp256k1 prime, the 6-limb P-384 prime and the 8-limb sec80
+// pairing prime the paper's parameters run on (all ≡ 3 mod 4 so sqrt()
+// is the cheap exponentiation path the pairing parameters use).
 std::vector<std::shared_ptr<const PrimeField>> test_fields() {
   return {
       PrimeField::make(BigInt(103)),
       PrimeField::make(BigInt::from_hex("ffffffffffffffc5")),  // 2^64 - 59
       PrimeField::make(BigInt::from_hex(
           "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")),
+      PrimeField::make(BigInt::from_hex(
+          "fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe"
+          "ffffffff0000000000000000ffffffff")),
+      pairing::paper_params().curve->field(),
   };
 }
 
@@ -128,6 +133,31 @@ TEST(ArithDiff, FpInverseAndPowMatchBigInt) {
         EXPECT_EQ(a.inverse().to_bigint(), av.mod_inverse(p));
       }
     }
+
+    // Edge inputs: the smallest and largest residues, the inverse of 2,
+    // and powers of two around the bit length (long runs of zero bits
+    // that drive the divstep count to its bound).
+    std::vector<BigInt> edges = {BigInt(1), BigInt(2), p - BigInt(1),
+                                 (p + BigInt(1)) >> 1};
+    const std::size_t bits = p.bit_length();
+    for (std::size_t j = bits - 2; j <= bits + 2; ++j) {
+      edges.push_back((BigInt(1) << j).mod(p));
+    }
+    for (const BigInt& v : edges) {
+      const Fp a = f->from_bigint(v);
+      const Fp inv = a.inverse();
+      EXPECT_EQ(inv.to_bigint(), v.mod_inverse(p)) << "p=" << p.to_hex();
+      EXPECT_TRUE((a * inv).is_one());
+    }
+  }
+
+  // Random values at the paper's width against the Fermat power a^(p-2).
+  const auto f = pairing::paper_params().curve->field();
+  const BigInt fermat = f->modulus() - BigInt(2);
+  for (int iter = 0; iter < 1000; ++iter) {
+    const Fp a = f->random(rng);
+    if (a.is_zero()) continue;
+    EXPECT_EQ(a.inverse(), a.pow(fermat));
   }
 }
 
