@@ -46,6 +46,28 @@ void BM_TatePairing_sec80(benchmark::State& state) {
 }
 BENCHMARK(BM_TatePairing_sec80);
 
+void BM_PreparedPairing_sec80(benchmark::State& state) {
+  // A pairing against a fixed first argument whose Miller-loop program
+  // was recorded once (the SEM's d_sem).
+  auto& f = fixture();
+  const pairing::PreparedPairing prep = f.engine.prepare(f.p);
+  for (auto _ : state) benchmark::DoNotOptimize(f.engine.pair_with(prep, f.q));
+}
+BENCHMARK(BM_PreparedPairing_sec80);
+
+void BM_PairManyTwoPrepared_sec80(benchmark::State& state) {
+  // The GDH verification shape ê(P, σ)·ê(−pk, h): two prepared factors
+  // over one shared Miller loop and one final exponentiation.
+  auto& f = fixture();
+  const ec::Point neg_q = -f.q;
+  const pairing::PreparedPairing prep_p = f.engine.prepare(f.p);
+  const pairing::PreparedPairing prep_neg_q = f.engine.prepare(neg_q);
+  const pairing::TatePairing::PairTerm terms[] = {
+      {nullptr, &prep_p, &f.q}, {nullptr, &prep_neg_q, &f.p}};
+  for (auto _ : state) benchmark::DoNotOptimize(f.engine.pair_many(terms));
+}
+BENCHMARK(BM_PairManyTwoPrepared_sec80);
+
 void BM_ScalarMul_Jacobian_sec80(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) benchmark::DoNotOptimize(f.p.mul(f.a));

@@ -51,7 +51,7 @@ namespace medcrypt::obs {
 enum class Stage : std::uint8_t {
   kHashToPoint = 0,     // ec::hash_to_subgroup — full try-and-increment loop
   kHashToPointBatch,    // ec::hash_to_subgroup_batch — whole batch, one span
-  kPairingMiller,       // Tate pairing, Miller loop (direct or prepared replay)
+  kPairingMiller,       // TatePairing::miller_loop, the one Miller loop site
   kPairingFinalExp,     // Tate pairing, final exponentiation
   kPairingFinalExpBatch,  // batched final exponentiation (shared inversion)
   kPairingPrepare,      // TatePairing::prepare — per-enrollment, not per-token

@@ -57,7 +57,63 @@ void mul_replay_line(Fp2& f, const Fp& c0, const Fp& c1, const Fp& c2,
   f.mul_line_inplace(re, im);
 }
 
+// The Jacobian chain of one Miller loop: T starts at P and, per order
+// bit below the top, doubles and, on a set bit, adds P. Inversion-free:
+// each line is reported through the doubling/addition intermediates,
+// scaled by F_p factors that the final exponentiation erases (see
+// ec/jacobian.h for the derivations). The Miller loop evaluates the
+// lines at Q'; prepare() records them.
+struct Chain {
+  const Point* p;
+  ec::JacPoint t;
+
+  explicit Chain(const Point& base) : p(&base), t(ec::jac_from_affine(base)) {}
+
+  // T <- 2T, then T <- T + P when `bit` is set, calling on_dbl/on_add
+  // with the trace of each line that is not skipped.
+  template <class OnDbl, class OnAdd>
+  void step(const Curve& curve, bool bit, OnDbl&& on_dbl, OnAdd&& on_add) {
+    // No tangent through O or a 2-torsion point.
+    const bool have_line = !t.inf && !t.y.is_zero();
+    ec::DblTrace dbl_trace;
+    t = ec::jac_dbl(curve, t, have_line ? &dbl_trace : nullptr);
+    if (have_line) on_dbl(dbl_trace);
+    if (!bit) return;
+    if (t.inf) {
+      t = ec::jac_from_affine(*p);
+      return;
+    }
+    ec::AddTrace add_trace;
+    t = ec::jac_add_mixed(curve, t, *p, &add_trace);
+    // Vertical line (T = -P): lives in F_p, erased by the final
+    // exponentiation — skip.
+    if (!add_trace.vertical) on_add(add_trace);
+  }
+};
+
 }  // namespace
+
+// A raw factor ê(P, Q) of a Miller loop: its live chain and the
+// distorted coordinates of Q, x' = -x(Q) in F_p and y' = i·y(Q).
+struct TatePairing::RawTerm {
+  RawTerm(const Point& p, const Point& q) : chain(p), xq(-q.x()), yq(&q.y()) {}
+
+  Chain chain;
+  Fp xq;
+  const Fp* yq;
+};
+
+// A prepared factor: its program's cursor and the distorted Q'.
+struct TatePairing::PrepTerm {
+  PrepTerm(const PreparedPairing& prepared, const Point& q)
+      : lines_per_bit(prepared.lines_per_bit_.data()),
+        line(prepared.lines_.data()), xq(-q.x()), yq(&q.y()) {}
+
+  const std::uint8_t* lines_per_bit;
+  const PreparedPairing::Line* line;
+  Fp xq;
+  const Fp* yq;
+};
 
 TatePairing::TatePairing(std::shared_ptr<const Curve> curve)
     : curve_(std::move(curve)) {
@@ -86,51 +142,6 @@ TatePairing::TatePairing(std::shared_ptr<const Curve> curve)
     }
     tail_digits_.push_back(static_cast<std::uint8_t>(d));
   }
-}
-
-Fp2 TatePairing::miller(const Point& p, const Point& q) const {
-  obs::Span span(obs::Stage::kPairingMiller);
-  const auto& field = curve_->field();
-
-  // Distorted coordinates of Q: x' = -x(Q) in F_p, y' = i * y(Q).
-  const Fp xq = -q.x();
-  const Fp& yq = q.y();
-
-  // Inversion-free Miller loop: T is tracked in Jacobian coordinates and
-  // the line functions are evaluated from the doubling/addition
-  // intermediates, scaled by F_p factors that the final exponentiation
-  // erases (see ec/jacobian.h for the derivations). Compound in-place
-  // ops keep every temporary in fixed-limb stack storage.
-  Fp2 f = Fp2::one(field);
-  ec::JacPoint t = ec::jac_from_affine(p);
-  const BigInt& order = curve_->order();
-
-  for (std::size_t i = order.bit_length() - 1; i-- > 0;) {
-    // Doubling step: f <- f^2 * l_{T,T}(Q'); T <- 2T.
-    f.square_inplace();
-    const bool have_line = !t.inf && !t.y.is_zero();
-    ec::DblTrace dbl_trace;
-    t = ec::jac_dbl(*curve_, t, have_line ? &dbl_trace : nullptr);
-    if (have_line) {
-      mul_dbl_line(f, dbl_trace, xq, yq);
-    }
-
-    if (order.bit(i)) {
-      // Addition step: f <- f * l_{T,P}(Q'); T <- T + P.
-      if (t.inf) {
-        t = ec::jac_from_affine(p);
-      } else {
-        ec::AddTrace add_trace;
-        t = ec::jac_add_mixed(*curve_, t, p, &add_trace);
-        if (!add_trace.vertical) {
-          mul_add_line(f, add_trace, p, xq, yq);
-        }
-        // Vertical line (T = -P): lives in F_p, erased by the final
-        // exponentiation — skip.
-      }
-    }
-  }
-  return f;
 }
 
 Fp2 TatePairing::tail_power(const Fp2& powered) const {
@@ -212,12 +223,11 @@ PreparedPairing TatePairing::prepare(const Point& p) const {
   }
   obs::Span span(obs::Stage::kPairingPrepare);
 
-  // Walk the exact control flow of miller(), but instead of evaluating
-  // the line functions at a concrete Q', record their coefficients:
+  // Walk the Miller loop's chain, but instead of evaluating the line
+  // functions at a concrete Q', record their coefficients:
   //   doubling  L = (M·X - 2Y^2) - (M·Z^2)·x' + i·(2YZ^3)·y'
   //   addition  L = (r·x_P - ZH·y_P) - r·x'   + i·(ZH)·y'
   // so each recorded line is L = (c0 - c1·x') + i·(c2·y').
-  ec::JacPoint t = ec::jac_from_affine(p);
   const BigInt& order = curve_->order();
   // Exact capacities, so the program never reallocates: at most one
   // doubling line per bit below the top, plus one addition line per set
@@ -230,196 +240,67 @@ PreparedPairing TatePairing::prepare(const Point& p) const {
   out.lines_.reserve(max_lines);
   out.lines_per_bit_.reserve(bits);
 
+  Chain chain(p);
   for (std::size_t i = bits; i-- > 0;) {
-    std::uint8_t lines = 0;
-    const bool have_line = !t.inf && !t.y.is_zero();
-    ec::DblTrace dbl_trace;
-    t = ec::jac_dbl(*curve_, t, have_line ? &dbl_trace : nullptr);
-    if (have_line) {
-      out.lines_.push_back({dbl_trace.m * dbl_trace.x - dbl_trace.y_sq.dbl(),
-                            dbl_trace.m * dbl_trace.z_sq, dbl_trace.zp_zsq});
-      ++lines;
-    }
-
-    if (order.bit(i)) {
-      if (t.inf) {
-        t = ec::jac_from_affine(p);
-      } else {
-        ec::AddTrace add_trace;
-        t = ec::jac_add_mixed(*curve_, t, p, &add_trace);
-        if (!add_trace.vertical) {
-          out.lines_.push_back({add_trace.r * p.x() - add_trace.zh * p.y(),
-                                add_trace.r, add_trace.zh});
-          ++lines;
-        }
-      }
-    }
-    out.lines_per_bit_.push_back(lines);
+    const std::size_t before = out.lines_.size();
+    chain.step(
+        *curve_, order.bit(i),
+        [&](const ec::DblTrace& tr) {
+          out.lines_.push_back({tr.m * tr.x - tr.y_sq.dbl(), tr.m * tr.z_sq,
+                                tr.zp_zsq});
+        },
+        [&](const ec::AddTrace& tr) {
+          out.lines_.push_back({tr.r * p.x() - tr.zh * p.y(), tr.r, tr.zh});
+        });
+    out.lines_per_bit_.push_back(
+        static_cast<std::uint8_t>(out.lines_.size() - before));
   }
   return out;
 }
 
-Fp2 TatePairing::miller_with(const PreparedPairing& prepared,
+bool TatePairing::check_term(const Point* p, const PreparedPairing* prepared,
                              const Point& q) const {
-  if (prepared.empty()) {
-    throw InvalidArgument("TatePairing::pair_with: empty prepared argument");
+  if (prepared != nullptr && prepared->empty()) {
+    throw InvalidArgument("TatePairing: empty prepared argument");
   }
-  if (prepared.curve_ != curve_ || q.curve() != curve_) {
-    throw InvalidArgument("TatePairing::pair_with: points from another curve");
+  const auto& p_curve = p != nullptr ? p->curve() : prepared->curve_;
+  if (p_curve != curve_ || q.curve() != curve_) {
+    throw InvalidArgument("TatePairing: points from another curve");
   }
-  const auto& field = curve_->field();
-  if (prepared.infinity_ || q.is_infinity()) return Fp2::one(field);
+  const bool p_inf = p != nullptr ? p->is_infinity() : prepared->infinity_;
+  return !p_inf && !q.is_infinity();
+}
 
-  // The step replay is this path's Miller loop; it lands in the same
-  // stage histogram as the direct evaluation in miller().
+Fp2 TatePairing::miller_loop(std::span<RawTerm> raws,
+                             std::span<PrepTerm> preps) const {
   obs::Span span(obs::Stage::kPairingMiller);
-  const Fp xq = -q.x();
-  const Fp& yq = q.y();
-  Fp2 f = Fp2::one(field);
-  const PreparedPairing::Line* line = prepared.lines_.data();
-  for (const std::uint8_t lines : prepared.lines_per_bit_) {
-    f.square_inplace();
-    for (std::uint8_t k = 0; k < lines; ++k, ++line) {
-      mul_replay_line(f, line->c0, line->c1, line->c2, xq, yq);
-    }
-  }
-  if (f.is_zero()) {
-    throw Error("TatePairing: degenerate Miller value");
-  }
-  return f;
-}
-
-Fp2 TatePairing::pair_with(const PreparedPairing& prepared,
-                           const Point& q) const {
-  return final_exponentiation(miller_with(prepared, q));
-}
-
-std::vector<Fp2> TatePairing::pair_with_many(
-    std::span<const PreparedPairing* const> prepared,
-    std::span<const Point* const> qs) const {
-  if (prepared.size() != qs.size()) {
-    throw InvalidArgument("TatePairing::pair_with_many: size mismatch");
-  }
-  std::vector<Fp2> out;
-  out.reserve(prepared.size());
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    if (prepared[i] == nullptr || qs[i] == nullptr) {
-      throw InvalidArgument("TatePairing::pair_with_many: null entry");
-    }
-    out.push_back(miller_with(*prepared[i], *qs[i]));
-  }
-  final_exponentiation_batch(out);
-  return out;
-}
-
-Fp2 TatePairing::pair_many(std::span<const PairTerm> terms) const {
-  const auto& field = curve_->field();
-
-  // A raw term drives a live Jacobian chain, exactly as miller() does;
-  // a prepared term replays its recorded program. Both kinds contribute
-  // their line evaluations to ONE shared accumulator, so the per-bit
-  // f² squaring is paid once for the whole product: with F = ∏ f_i,
-  // each bit's f_i ← f_i²·L_i collapses to F ← F²·∏L_i.
-  struct RawState {
-    const Point* p;
-    ec::JacPoint t;
-    Fp xq;
-    Fp yq;
-  };
-  struct PrepState {
-    const std::uint8_t* lines_per_bit;
-    const PreparedPairing::Line* line;
-    Fp xq;
-    Fp yq;
-  };
-  std::vector<RawState> raws;
-  std::vector<PrepState> preps;
-  for (const PairTerm& term : terms) {
-    if (term.q == nullptr || (term.p == nullptr) == (term.prepared == nullptr)) {
-      throw InvalidArgument(
-          "TatePairing::pair_many: each term needs q and exactly one of "
-          "p/prepared");
-    }
-    if (term.q->curve() != curve_) {
-      throw InvalidArgument("TatePairing::pair_many: point from another curve");
-    }
-    if (term.prepared != nullptr) {
-      if (term.prepared->empty()) {
-        throw InvalidArgument("TatePairing::pair_many: empty prepared term");
-      }
-      if (term.prepared->curve_ != curve_) {
-        throw InvalidArgument(
-            "TatePairing::pair_many: prepared term from another curve");
-      }
-      if (term.prepared->infinity_ || term.q->is_infinity()) continue;
-      preps.push_back(PrepState{term.prepared->lines_per_bit_.data(),
-                                term.prepared->lines_.data(), -term.q->x(),
-                                term.q->y()});
-    } else {
-      if (term.p->curve() != curve_) {
-        throw InvalidArgument(
-            "TatePairing::pair_many: point from another curve");
-      }
-      if (term.p->is_infinity() || term.q->is_infinity()) continue;
-      raws.push_back(
-          RawState{term.p, ec::jac_from_affine(*term.p), -term.q->x(),
-                   term.q->y()});
-    }
-  }
-  if (raws.empty() && preps.empty()) return Fp2::one(field);
-
-  obs::Span span(obs::Stage::kPairingMiller);
-  Fp2 f = Fp2::one(field);
+  // All factors share ONE accumulator, so the per-bit f² squaring is
+  // paid once for the whole product: with F = ∏ f_i, each bit's
+  // f_i ← f_i²·L_i collapses to F ← F²·∏L_i. Compound in-place ops keep
+  // every temporary in fixed-limb stack storage.
+  Fp2 f = Fp2::one(curve_->field());
   const BigInt& order = curve_->order();
   for (std::size_t i = order.bit_length() - 1; i-- > 0;) {
     f.square_inplace();
-
-    for (RawState& rs : raws) {
-      // Doubling step of this factor (see miller() for the derivation).
-      const bool have_line = !rs.t.inf && !rs.t.y.is_zero();
-      ec::DblTrace dbl_trace;
-      rs.t = ec::jac_dbl(*curve_, rs.t, have_line ? &dbl_trace : nullptr);
-      if (have_line) {
-        mul_dbl_line(f, dbl_trace, rs.xq, rs.yq);
-      }
-      if (order.bit(i)) {
-        if (rs.t.inf) {
-          rs.t = ec::jac_from_affine(*rs.p);
-        } else {
-          ec::AddTrace add_trace;
-          rs.t = ec::jac_add_mixed(*curve_, rs.t, *rs.p, &add_trace);
-          if (!add_trace.vertical) {
-            mul_add_line(f, add_trace, *rs.p, rs.xq, rs.yq);
-          }
-        }
+    for (RawTerm& raw : raws) {
+      raw.chain.step(
+          *curve_, order.bit(i),
+          [&](const ec::DblTrace& tr) {
+            mul_dbl_line(f, tr, raw.xq, *raw.yq);
+          },
+          [&](const ec::AddTrace& tr) {
+            mul_add_line(f, tr, *raw.chain.p, raw.xq, *raw.yq);
+          });
+    }
+    // A program stores, per order bit, how many of its lines follow
+    // that bit's squaring.
+    for (PrepTerm& prep : preps) {
+      for (std::uint8_t k = *prep.lines_per_bit++; k > 0; --k, ++prep.line) {
+        mul_replay_line(f, prep.line->c0, prep.line->c1, prep.line->c2,
+                        prep.xq, *prep.yq);
       }
     }
-
-    for (PrepState& ps : preps) {
-      // A program stores, per order bit, how many of its lines follow
-      // that bit's squaring (here the shared one above).
-      for (std::uint8_t k = 0; k < *ps.lines_per_bit; ++k, ++ps.line) {
-        mul_replay_line(f, ps.line->c0, ps.line->c1, ps.line->c2, ps.xq,
-                        ps.yq);
-      }
-      ++ps.lines_per_bit;
-    }
   }
-  if (f.is_zero()) {
-    throw Error("TatePairing: degenerate Miller value");
-  }
-  span.finish();  // final_exponentiation times itself
-  return final_exponentiation(f);
-}
-
-Fp2 TatePairing::pair(const Point& p, const Point& q) const {
-  if (p.curve() != curve_ || q.curve() != curve_) {
-    throw InvalidArgument("TatePairing::pair: points from another curve");
-  }
-  const auto& field = curve_->field();
-  if (p.is_infinity() || q.is_infinity()) return Fp2::one(field);
-
-  const Fp2 f = miller(p, q);
   if (f.is_zero()) {
     // Degenerate Miller value can only arise from special positions of
     // P vs Q (e.g. Q' on a tangent of the Miller chain); re-randomizing
@@ -427,7 +308,45 @@ Fp2 TatePairing::pair(const Point& p, const Point& q) const {
     // with both inputs in G1 it cannot occur. Guard anyway.
     throw Error("TatePairing: degenerate Miller value");
   }
-  return final_exponentiation(f);
+  return f;
+}
+
+Fp2 TatePairing::pair(const Point& p, const Point& q) const {
+  if (!check_term(&p, nullptr, q)) return Fp2::one(curve_->field());
+  RawTerm raw(p, q);
+  return final_exponentiation(miller_loop({&raw, 1}, {}));
+}
+
+Fp2 TatePairing::miller_with(const PreparedPairing& prepared,
+                             const Point& q) const {
+  if (!check_term(nullptr, &prepared, q)) return Fp2::one(curve_->field());
+  PrepTerm prep(prepared, q);
+  return miller_loop({}, {&prep, 1});
+}
+
+Fp2 TatePairing::pair_with(const PreparedPairing& prepared,
+                           const Point& q) const {
+  return final_exponentiation(miller_with(prepared, q));
+}
+
+Fp2 TatePairing::pair_many(std::span<const PairTerm> terms) const {
+  std::vector<RawTerm> raws;
+  std::vector<PrepTerm> preps;
+  for (const PairTerm& term : terms) {
+    if (term.q == nullptr || (term.p == nullptr) == (term.prepared == nullptr)) {
+      throw InvalidArgument(
+          "TatePairing::pair_many: each term needs q and exactly one of "
+          "p/prepared");
+    }
+    if (!check_term(term.p, term.prepared, *term.q)) continue;
+    if (term.p != nullptr) {
+      raws.emplace_back(*term.p, *term.q);
+    } else {
+      preps.emplace_back(*term.prepared, *term.q);
+    }
+  }
+  if (raws.empty() && preps.empty()) return Fp2::one(curve_->field());
+  return final_exponentiation(miller_loop(raws, preps));
 }
 
 }  // namespace medcrypt::pairing

@@ -124,16 +124,6 @@ class TatePairing {
   /// identity contribute the factor 1. Returns 1 for an empty span.
   Fp2 pair_many(std::span<const PairTerm> terms) const;
 
-  /// Element-wise batch ê(prepared_i, q_i) (NOT a product): each token
-  /// keeps its own Miller replay and windowed tail power, but the
-  /// f^(p-1) = conj(f)/f step of all final exponentiations shares one
-  /// Montgomery-trick inversion (field::batch_inverse) — the only part
-  /// of distinct pairing outputs that can be legitimately shared.
-  /// Sizes must match; per-element failures throw (see pair_with).
-  std::vector<Fp2> pair_with_many(
-      std::span<const PreparedPairing* const> prepared,
-      std::span<const Point* const> qs) const;
-
   /// The raw Miller value of a prepared replay, WITHOUT the final
   /// exponentiation — NOT a pairing output. Batch issuers run this
   /// inside their per-request key scope and later finish every value at
@@ -147,9 +137,21 @@ class TatePairing {
   void final_exponentiation_batch(std::span<Fp2> fs) const;
 
  private:
-  // Raw reduced Tate pairing e(P, Q') with Q' = φ(Q) given by components
-  // x' = -x(Q) ∈ F_p (embedded) and y' = i·y(Q).
-  Fp2 miller(const Point& p, const Point& q) const;
+  // One factor of a Miller loop: a raw first argument drives a live
+  // Jacobian chain, a prepared one replays its recorded lines.
+  struct RawTerm;
+  struct PrepTerm;
+
+  // Throws InvalidArgument unless the first argument (raw `p` or a
+  // non-empty `prepared`, exactly one non-null) and `q` are bound to
+  // this curve; returns false when either argument is O.
+  bool check_term(const Point* p, const PreparedPairing* prepared,
+                  const Point& q) const;
+
+  // The Miller loop behind every entry point: the Miller value of
+  // ∏ ê(P_i, Q_i) over all terms, WITHOUT the final exponentiation.
+  // Requires at least one term.
+  Fp2 miller_loop(std::span<RawTerm> raws, std::span<PrepTerm> preps) const;
 
   Fp2 final_exponentiation(const Fp2& f) const;
 

@@ -122,13 +122,22 @@ TEST(AllocFree, PreparedPairWithAllocatesNothing) {
   const Point b = g.mul_g(BigInt::random_unit(rng, g.order()));
   const pairing::PreparedPairing prepared = tate.prepare(a);
   const Fp2 expected = tate.pair_with(prepared, b);
+  const Fp2 expected_miller = tate.miller_with(prepared, b);
 
   AllocProbe probe;
   const Fp2 got = tate.pair_with(prepared, b);
   const std::size_t news = probe.stop();
 
+  // The batch issuers' per-request step: the replay without the final
+  // exponentiation.
+  AllocProbe miller_probe;
+  const Fp2 got_miller = tate.miller_with(prepared, b);
+  const std::size_t miller_news = miller_probe.stop();
+
   EXPECT_EQ(news, 0u) << "TatePairing::pair_with heap-allocated";
   EXPECT_EQ(got, expected);
+  EXPECT_EQ(miller_news, 0u) << "TatePairing::miller_with heap-allocated";
+  EXPECT_EQ(got_miller, expected_miller);
 }
 
 TEST(AllocFree, FpOpsAllocateNothing) {

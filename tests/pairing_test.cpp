@@ -3,6 +3,7 @@
 // Boneh–Franklin constructions rely on.
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/error.h"
 #include "ec/hash_to_point.h"
 #include "hash/drbg.h"
@@ -269,47 +270,68 @@ TEST_F(PairingTest, PairManyRejectsMalformedTerms) {
   EXPECT_TRUE(e.pair_many({}).is_one());
 }
 
-TEST_F(PairingTest, PairWithManyMatchesIndividualPairWith) {
-  const auto e = engine();
-  HmacDrbg rng(54);
-  const auto& P = params().generator;
-  std::vector<ec::Point> bases, args;
-  std::vector<PreparedPairing> preps;
-  for (int i = 0; i < 5; ++i) {
-    bases.push_back(P.mul(BigInt::random_unit(rng, params().order())));
-    args.push_back(P.mul(BigInt::random_unit(rng, params().order())));
-    preps.push_back(e.prepare(bases.back()));
-  }
-  std::vector<const PreparedPairing*> pp;
-  std::vector<const ec::Point*> qq;
-  for (int i = 0; i < 5; ++i) {
-    pp.push_back(&preps[static_cast<std::size_t>(i)]);
-    qq.push_back(&args[static_cast<std::size_t>(i)]);
-  }
-
-  // The batch path shares one Fp2 batch inversion across the final
-  // exponentiations; every element must still equal the single path.
-  const std::vector<Fp2> got = e.pair_with_many(pp, qq);
-  ASSERT_EQ(got.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    EXPECT_EQ(got[idx], e.pair_with(preps[idx], args[idx])) << "term " << i;
-    EXPECT_EQ(got[idx], e.pair(bases[idx], args[idx])) << "term " << i;
-  }
-}
-
 TEST_F(PairingTest, FinalExponentiationBatchMatchesSingles) {
+  // The batch shares one Fp2 batch inversion across the final
+  // exponentiations; every element must still equal the single path.
   const auto e = engine();
   HmacDrbg rng(55);
   const auto& P = params().generator;
   std::vector<Fp2> millers, expected;
+  // One program against several second arguments...
   for (int i = 0; i < 4; ++i) {
     const ec::Point q = P.mul(BigInt::random_unit(rng, params().order()));
     millers.push_back(e.miller_with(e.prepare(P), q));
     expected.push_back(e.pair(P, q));
   }
+  // ...and five distinct programs.
+  HmacDrbg programs_rng(54);
+  for (int i = 0; i < 5; ++i) {
+    const ec::Point base =
+        P.mul(BigInt::random_unit(programs_rng, params().order()));
+    const ec::Point q =
+        P.mul(BigInt::random_unit(programs_rng, params().order()));
+    const PreparedPairing prep = e.prepare(base);
+    millers.push_back(e.miller_with(prep, q));
+    expected.push_back(e.pair(base, q));
+    EXPECT_EQ(e.pair_with(prep, q), expected.back()) << "program " << i;
+  }
   e.final_exponentiation_batch(millers);
   EXPECT_EQ(millers, expected);
+}
+
+// Golden vectors: to_bytes() of ê(P, P) and ê(aP, bP) for fixed a, b.
+// Pairing values reach the wire (SEM tokens, G_T commitments and proof
+// values), so a change to the Miller loop, the final exponentiation or
+// the field arithmetic must reproduce them bit for bit.
+TEST(TatePairing, GoldenVectors) {
+  struct Vector {
+    const char* set;
+    const char* pp;  // ê(P, P)
+    const char* ab;  // ê(aP, bP)
+  };
+  constexpr Vector kVectors[] = {
+      {"toy64",
+       "848b35e21995d8cf1f6153f7df211a702812c06069990b0b24eab743199c30be",
+       "379696026be27631d02ad70474aa60a7c79b5ba56052fc3b70484cbaace0b83e"},
+      {"sec80",
+       "50c6027e96df79f78b6005154587860179f64f47a14796cee2544a7466d8fec6"
+       "34619ac8449cd0498a6fc823c9dbe8115f4c75d8703f22fc4e7ef090e3cdfef5"
+       "609c035c7dc1da26586e144f83d288add65c108b54b334f6c8ec274d3f96fbf0"
+       "e609ae9bd03218abe5964b7f011e51976093719ba4e25938ab533f49ee78aa88",
+       "2cb4f97f718822fab3cc093b705de9617037fcf67d5b037372b5a76a182e2974"
+       "213a3aa8e92e767aab767a4ba9343fd8c2e76a55780ac7797b341b103e64eecd"
+       "39c6b1bcb83d40a9fd734d2df6e4c6dfabb11fd2b9f98cb5ad55f5383339ba0f"
+       "1c342e6d485ce24f66fa1f7ed5d7e6b9dbee6e7b90b91c671969cb05c9b04e65"},
+  };
+  const BigInt a = BigInt::from_hex("1234567");
+  const BigInt b = BigInt::from_hex("89abcdef");
+  for (const Vector& v : kVectors) {
+    const auto& params = named_params(v.set);
+    const TatePairing e(params.curve);
+    const auto& P = params.generator;
+    EXPECT_EQ(to_hex(e.pair(P, P).to_bytes()), v.pp) << v.set;
+    EXPECT_EQ(to_hex(e.pair(P.mul(a), P.mul(b)).to_bytes()), v.ab) << v.set;
+  }
 }
 
 // Pairing laws across parameter sets.
@@ -326,8 +348,40 @@ TEST_P(PairingParamSweep, BilinearityHolds) {
             e.pair(P, P).pow(a.mul_mod(b, params.order())));
 }
 
+// Every entry point runs the same Miller loop, raw or prepared, alone or
+// in a product; they must agree for random A and B, for B = A and
+// B = −A, and with identity terms.
+TEST_P(PairingParamSweep, EntryPointsAgree) {
+  const auto& params = named_params(GetParam());
+  const TatePairing e(params.curve);
+  HmacDrbg rng(56);
+  const auto& P = params.generator;
+  const ec::Point A = P.mul(BigInt::random_unit(rng, params.order()));
+  const ec::Point B = P.mul(BigInt::random_unit(rng, params.order()));
+  const ec::Point inf = params.curve->infinity();
+  const PreparedPairing prep_a = e.prepare(A);
+  const PreparedPairing prep_inf = e.prepare(inf);
+
+  for (const ec::Point& b : {B, A, -A, inf}) {
+    const Fp2 expected = e.pair(A, b);
+    EXPECT_EQ(e.pair_with(prep_a, b), expected);
+    const TatePairing::PairTerm raw[] = {{&A, nullptr, &b}};
+    EXPECT_EQ(e.pair_many(raw), expected);
+    const TatePairing::PairTerm prepared[] = {
+        {nullptr, &prep_a, &b}, {&inf, nullptr, &b}, {nullptr, &prep_inf, &b}};
+    EXPECT_EQ(e.pair_many(prepared), expected);
+    Fp2 millers[] = {e.miller_with(prep_a, b)};
+    e.final_exponentiation_batch(millers);
+    EXPECT_EQ(millers[0], expected);
+  }
+  EXPECT_FALSE(e.pair(A, A).is_one());
+  EXPECT_TRUE((e.pair(A, -A) * e.pair(A, A)).is_one());
+  EXPECT_TRUE(e.pair(inf, B).is_one());
+  EXPECT_TRUE(e.pair_with(prep_inf, B).is_one());
+}
+
 INSTANTIATE_TEST_SUITE_P(Sets, PairingParamSweep,
-                         ::testing::Values("toy64", "mid128"));
+                         ::testing::Values("toy64", "mid128", "sec80"));
 
 
 // The G_T exponentiation helpers of the field layer, on pairing outputs:
