@@ -1,6 +1,6 @@
-// Obs-overhead guard — the tentpole's "<2% when ON, zero when OFF"
-// acceptance gate, measured on the workload that matters: SEM token
-// issuance (bench_sem_throughput's hot loop).
+// Obs-overhead guard — the "<2% recording cost" acceptance gate,
+// measured on the workload that matters: SEM token issuance
+// (bench_sem_throughput's hot loop).
 //
 // Methodology: one binary, two phases. Phase A runs IBE + GDH token
 // issuance with recording live; phase B flips obs::set_enabled(false)
@@ -9,10 +9,6 @@
 // delta isolates the cost of recording itself: per issuance, a handful
 // of relaxed fetch_adds and two steady_clock reads per span. Medians
 // over several rounds absorb scheduler noise.
-//
-// In a MEDCRYPT_OBS=OFF build the instrumentation is compiled out
-// entirely (stub classes, empty inline bodies), so both phases run the
-// same machine code and the report shows the structural zero.
 //
 // MEDCRYPT_OBS_GUARD=strict turns the 2% budget into the exit code; the
 // default is report-only because sub-2% deltas on a loaded CI box are
@@ -59,8 +55,7 @@ int main() {
   hash::HmacDrbg rng(7001);
 
   std::printf("== obs overhead guard: token issuance, recording ON vs OFF "
-              "==\n(compile-time MEDCRYPT_OBS_ENABLED=%d)\n\n",
-              MEDCRYPT_OBS_ENABLED);
+              "==\n\n");
 
   ibe::Pkg pkg(pairing::paper_params(), 32, rng);
   auto revocations = std::make_shared<mediated::RevocationList>();

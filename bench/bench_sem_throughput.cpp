@@ -271,7 +271,6 @@ int main() {
   // pull from the service, and the snapshot CI's metrics-smoke job
   // validates and archives.
   const obs::MetricsSnapshot snap = obs::registry().scrape();
-#if MEDCRYPT_OBS_ENABLED
   std::printf("\n== obs scrape (per-stage latency, us) ==\n");
   std::printf("%-32s %10s %10s %10s %10s\n", "stage", "count", "p50", "p99",
               "max");
@@ -281,9 +280,6 @@ int main() {
                 h.hist.percentile(0.50) / 1e3, h.hist.percentile(0.99) / 1e3,
                 static_cast<double>(h.hist.max) / 1e3);
   }
-#else
-  std::printf("\n== obs scrape skipped (MEDCRYPT_OBS=OFF) ==\n");
-#endif
   {
     std::ofstream prom("OBS_sem_throughput.prom");
     prom << obs::to_prometheus(snap);

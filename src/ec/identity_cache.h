@@ -18,10 +18,12 @@
 //     revoke never flushes anything. The SEM enforces revocation on the
 //     key-half lookup instead (docs/SEM_SERVICE.md, "Why cache entries
 //     carry no revocation state").
-//   - Observable: hit/miss/eviction/invalidation counters both in
-//     always-on local atomics (stats(), for tests and audit) and in the
-//     obs registry under `<metric_prefix>.{hits,misses,evictions,
-//     invalidations}` (no-ops when obs is compiled out).
+//   - Observable: hit/miss/eviction/invalidation counts live in the
+//     shards' own atomics, counted once. stats() sums them, and one
+//     registry scrape source exports that sum as `<metric_prefix>.{hits,
+//     misses,evictions,invalidations}`. Like MediatorBase's `sem.*`
+//     series, they keep counting while obs::set_enabled(false) and
+//     survive registry().reset().
 //
 // Only *public* values belong here: identity hash points, prepared
 // programs of public keys, pairings of public generators. Secret
@@ -66,7 +68,8 @@ class ShardedLruCache {
     std::string metric_prefix;
   };
 
-  /// Always-on audit view (obs-independent, weakly consistent).
+  /// Audit view, counted regardless of the obs kill switch (weakly
+  /// consistent).
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -79,14 +82,19 @@ class ShardedLruCache {
       : per_shard_capacity_(
             config.capacity / kShardCount > 0 ? config.capacity / kShardCount
                                               : 1),
-        obs_hits_(&obs::registry().counter(config.metric_prefix + ".hits")),
-        obs_misses_(
-            &obs::registry().counter(config.metric_prefix + ".misses")),
-        obs_evictions_(
-            &obs::registry().counter(config.metric_prefix + ".evictions")),
-        obs_invalidations_(
-            &obs::registry().counter(config.metric_prefix + ".invalidations")) {
-  }
+        src_stats_(obs::registry().register_scrape_source(
+            [this, prefix = std::move(config.metric_prefix)] {
+              const Stats s = stats();
+              return obs::MetricsRegistry::ScrapeSeries{
+                  {prefix + ".hits", s.hits},
+                  {prefix + ".misses", s.misses},
+                  {prefix + ".evictions", s.evictions},
+                  {prefix + ".invalidations", s.invalidations}};
+            })) {}
+
+  /// Unregisters the scrape source before the shards die, so a
+  /// concurrent scrape never reads a destroyed cache.
+  ~ShardedLruCache() { obs::registry().unregister_scrape_source(src_stats_); }
 
   ShardedLruCache(const ShardedLruCache&) = delete;
   ShardedLruCache& operator=(const ShardedLruCache&) = delete;
@@ -110,7 +118,6 @@ class ShardedLruCache {
       shard.lru.erase(it->second);
       shard.index.erase(it);
       shard.invalidations.fetch_add(1, std::memory_order_relaxed);
-      obs_invalidations_->add();
       record_miss(shard);
       return std::nullopt;
     }
@@ -118,7 +125,6 @@ class ShardedLruCache {
     // index entries pointing at them) stay valid.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     shard.hits.fetch_add(1, std::memory_order_relaxed);
-    obs_hits_->add();
     obs::trace_annotate("cache.hit");
     return it->second->value;
   }
@@ -147,7 +153,6 @@ class ShardedLruCache {
       shard.index.erase(std::string_view(shard.lru.back().tag));
       shard.lru.pop_back();
       shard.evictions.fetch_add(1, std::memory_order_relaxed);
-      obs_evictions_->add();
     }
   }
 
@@ -217,8 +222,9 @@ class ShardedLruCache {
     // keys alias the entries' own tag storage (list nodes never move).
     std::list<Entry> lru;
     std::map<std::string_view, typename std::list<Entry>::iterator> index;
-    // Audit counters (always on, unlike the obs mirrors). Monotonic;
-    // stats() sums with the same weak-consistency contract as SemStats.
+    // The cache's only counters: stats() and the scrape source read them.
+    // Monotonic; summed with the same weak-consistency contract as
+    // SemStats.
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> evictions{0};
@@ -250,17 +256,14 @@ class ShardedLruCache {
 
   void record_miss(Shard& shard) const {
     shard.misses.fetch_add(1, std::memory_order_relaxed);
-    obs_misses_->add();
     obs::trace_annotate("cache.miss");
   }
 
   std::size_t per_shard_capacity_;
   mutable std::array<Shard, kShardCount> shards_;
-  // Registry-owned counters (stable addresses for the process lifetime).
-  obs::Counter* obs_hits_;
-  obs::Counter* obs_misses_;
-  obs::Counter* obs_evictions_;
-  obs::Counter* obs_invalidations_;
+  // Declared after shards_, so the shards exist before the scrape source
+  // that reads them is registered.
+  std::uint64_t src_stats_;
 };
 
 }  // namespace medcrypt::ec

@@ -115,10 +115,11 @@ class RevocationList {
 /// is counted in none of the buckets.
 ///
 /// These are *audit* counters, not optional telemetry: they keep
-/// counting even when the obs layer is compiled out or killed at
-/// runtime. The obs registry additionally scrapes them (summed across
-/// all mediator instances) as `sem.tokens_issued` / `sem.denials` /
-/// `sem.unknown_identities` via registered counter sources.
+/// counting while the obs layer is killed at runtime
+/// (obs::set_enabled(false)). The obs registry additionally scrapes them
+/// (summed across all mediator instances) as `sem.tokens_issued` /
+/// `sem.denials` / `sem.unknown_identities` through one registered
+/// scrape source per mediator.
 struct SemStats {
   std::uint64_t tokens_issued = 0;
   std::uint64_t denials = 0;
@@ -145,7 +146,7 @@ class MediatorBase {
     // one `sem.*` series. One multi-value source, so a scrape makes a
     // single stats() pass and the three series come from one snapshot —
     // a token landing mid-scrape can never show `issued` without the
-    // matching totals. No-op when obs is compiled out.
+    // matching totals.
     src_stats_ = obs::registry().register_scrape_source([this] {
       const SemStats s = stats();
       return obs::MetricsRegistry::ScrapeSeries{
@@ -278,9 +279,9 @@ class MediatorBase {
     std::map<std::string, KeyHalf, std::less<>> keys;  // guarded by mu
   };
 
-  // Audit counters, sharded per thread cell (obs::kThreadCells, 1 when
-  // obs is compiled out) so concurrent issuance on different threads
-  // does not bounce one cache line. stats() sums the cells in one pass.
+  // Audit counters, sharded per thread cell (obs::kThreadCells) so
+  // concurrent issuance on different threads does not bounce one cache
+  // line. stats() sums the cells in one pass.
   // Monotonic counters; stats() documents the weak-consistency contract,
   // so relaxed increments and reads are safe.
   struct alignas(64) AuditCell {

@@ -2,7 +2,7 @@
 //
 // Both operate on a plain MetricsSnapshot (plus, for JSON, the recent
 // traces), so they are pure functions — testable without a live
-// registry and real in both build modes.
+// registry.
 #pragma once
 
 #include <string>

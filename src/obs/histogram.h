@@ -12,9 +12,9 @@
 // snapshots are mergeable (elementwise, associative) so sharded or
 // per-instance histograms aggregate exactly.
 //
-// This class is real even when MEDCRYPT_OBS=OFF — it is pure data-
-// structure math with no instrumentation role of its own; the compile-
-// time gate lives in the Span/Counter call sites that feed it.
+// This class is pure data-structure math with no instrumentation role
+// of its own, so it does not consult the kill switch; Span, the call
+// site that feeds the stage histograms, does.
 #pragma once
 
 #include <array>
@@ -99,8 +99,8 @@ class Histogram {
                            prev, v, std::memory_order_relaxed)) {
     }
     // Exemplar capture only when a sampled trace is in flight on this
-    // thread (rare by construction); current_trace_id() is a constant 0
-    // in MEDCRYPT_OBS=OFF builds, so the whole probe folds away.
+    // thread (rare by construction), so the common case is one
+    // thread-local load and a branch.
     if (const std::uint64_t tid = current_trace_id()) note_exemplar(v, tid);
   }
 

@@ -7,17 +7,12 @@
 // log-linear latency histograms, and per-stage pipeline tracing, all
 // scraped through one MetricsRegistry.
 //
-// Two switches, two costs:
-//   - Compile time: the CMake option MEDCRYPT_OBS (default ON) defines
-//     MEDCRYPT_OBS_ENABLED for the whole tree. With OFF, every
-//     instrumentation class (Counter, Gauge, Span, TraceScope, the
-//     registry) collapses to an empty inline stub, so instrumentation
-//     points compile to nothing. Histogram and the exporters stay real
-//     in both modes — they are plain data structures with no hot-path
-//     role.
-//   - Run time: obs::set_enabled(false) is a relaxed-atomic kill switch
-//     for ON builds; bench_obs_overhead uses it to measure the ON-vs-OFF
-//     delta inside one binary.
+// One switch: obs::set_enabled(false) is a relaxed-atomic kill switch
+// that Counter, Gauge, Span and TraceScope check before recording.
+// While it is off, owned counters, stage histograms and traces stand
+// still, scrapes still work, and the crypto does the same work with the
+// same bytes; bench_obs_overhead uses it to measure the tracing cost
+// inside one binary.
 //
 // Hot-path discipline: recording is a couple of relaxed atomic adds on
 // per-thread-sharded cells (Counter) or on a histogram bucket — no
@@ -34,9 +29,8 @@
 #include <cstddef>
 #include <cstdint>
 
-#ifndef MEDCRYPT_OBS_ENABLED
+// Always 1; perfbench's meta line is its only reader.
 #define MEDCRYPT_OBS_ENABLED 1
-#endif
 
 namespace medcrypt::obs {
 
@@ -49,8 +43,6 @@ inline std::uint64_t now_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-#if MEDCRYPT_OBS_ENABLED
 
 /// Number of per-thread cells a sharded counter spreads its increments
 /// over. Threads are assigned cells round-robin at first use; 16 cells
@@ -71,8 +63,8 @@ inline std::atomic<unsigned> g_trace_sample_shift{4};
 inline thread_local std::uint64_t t_trace_id = 0;
 }  // namespace detail
 
-/// Runtime kill switch for all recording (ON builds only). Scrapes still
-/// work; they just see frozen values.
+/// Runtime kill switch for all recording. Scrapes still work; they just
+/// see frozen values.
 inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
@@ -106,24 +98,11 @@ inline std::uint64_t next_trace_id() {
   return (z ^ (z >> 31)) | 1;  // never 0 (0 means "not traced")
 }
 
-#else  // !MEDCRYPT_OBS_ENABLED
-
-inline constexpr std::size_t kThreadCells = 1;
-inline std::size_t thread_cell() { return 0; }
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline std::uint64_t current_trace_id() { return 0; }
-inline unsigned trace_sample_shift() { return 0; }
-inline void set_trace_sample_shift(unsigned) {}
-inline std::uint64_t next_trace_id() { return 0; }
-
-#endif  // MEDCRYPT_OBS_ENABLED
-
 /// Propagatable trace identity: the handle a caller captures at a
 /// pipeline boundary and hands to the next hop (a batch entry point, a
 /// sim::Transport frame, eventually the networked SEM wire protocol).
-/// Plain data in both build modes; in OFF builds current() is always
-/// the unsampled context and adoption sites compile to nothing.
+/// Plain data: copying it costs one word, and an unsampled context
+/// makes the adopting TraceScope trace nothing.
 struct TraceContext {
   std::uint64_t trace_id = 0;
 

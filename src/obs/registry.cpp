@@ -38,8 +38,6 @@ const char* stage_name(Stage stage) {
   return "unknown";
 }
 
-#if MEDCRYPT_OBS_ENABLED
-
 std::size_t thread_cell() {
   // Round-robin assignment at first use; a thread keeps its cell for
   // life, so two threads only contend when more than kThreadCells
@@ -101,31 +99,18 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return *it->second;
 }
 
-std::uint64_t MetricsRegistry::register_counter_source(
-    std::string name, std::function<std::uint64_t()> fn) {
-  std::unique_lock lock(mu_);
-  const std::uint64_t id = next_source_id_++;
-  sources_.push_back(Source{id, std::move(name), std::move(fn)});
-  return id;
-}
-
-void MetricsRegistry::unregister_counter_source(std::uint64_t id) {
-  std::unique_lock lock(mu_);
-  std::erase_if(sources_, [id](const Source& s) { return s.id == id; });
-}
-
 std::uint64_t MetricsRegistry::register_scrape_source(
     std::function<ScrapeSeries()> fn) {
   std::unique_lock lock(mu_);
   const std::uint64_t id = next_source_id_++;
-  multi_sources_.push_back(MultiSource{id, std::move(fn)});
+  sources_.push_back(Source{id, std::move(fn)});
   return id;
 }
 
 void MetricsRegistry::unregister_scrape_source(std::uint64_t id) {
   std::unique_lock lock(mu_);
-  std::erase_if(multi_sources_,
-                [id](const MultiSource& s) { return s.id == id; });
+  std::erase_if(sources_,
+                [id](const Source& s) { return s.id == id; });
 }
 
 void MetricsRegistry::push_trace(const TraceData& trace) {
@@ -155,14 +140,11 @@ MetricsSnapshot MetricsRegistry::scrape() const {
   std::shared_lock lock(mu_);
 
   // External sources first, summed by name, then merged with any owned
-  // counter of the same name so callers see a single series.
+  // counter of the same name so callers see a single series. One callback
+  // invocation yields every series of a source, so series that must be
+  // mutually coherent come from a single snapshot.
   std::map<std::string, std::uint64_t, std::less<>> totals;
   for (const Source& s : sources_) {
-    totals[s.name] += s.fn();
-  }
-  // Multi-value sources: one callback invocation yields every series, so
-  // series that must be mutually coherent come from a single snapshot.
-  for (const MultiSource& s : multi_sources_) {
     for (auto& [name, value] : s.fn()) {
       totals[name] += value;
     }
@@ -205,7 +187,5 @@ void MetricsRegistry::reset() {
   trace_next_ = 0;
   trace_count_ = 0;
 }
-
-#endif  // MEDCRYPT_OBS_ENABLED
 
 }  // namespace medcrypt::obs

@@ -12,10 +12,11 @@
 // Ownership: registry-created instruments live for the whole process
 // (the registry singleton is intentionally leaked, so instrumentation
 // from static destructors stays safe). Objects that keep their own
-// counters — MediatorBase's audit cells, sim::LinkStats — register a
-// *source* callback instead and unregister it on destruction; scrape()
-// sums sources with owned counters of the same name, which is how many
-// mediator instances aggregate into one `sem.tokens_issued` series.
+// counters — MediatorBase's audit cells, ShardedLruCache's shard
+// counters — register a *scrape source* callback instead and unregister
+// it on destruction; scrape() sums sources with owned counters of the
+// same name, which is how many mediator instances aggregate into one
+// `sem.tokens_issued` series.
 //
 // Consistency contract for scrape(): one pass, weakly consistent. The
 // scrape reads every cell exactly once under the registry's shared lock,
@@ -105,8 +106,7 @@ struct TraceData {
 };
 
 // ---------------------------------------------------------------------------
-// Scrape result — plain values, shared by both build modes so the
-// exporters and tests compile unconditionally.
+// Scrape result — plain values the exporters and tests consume.
 // ---------------------------------------------------------------------------
 
 struct MetricsSnapshot {
@@ -128,10 +128,8 @@ struct MetricsSnapshot {
   std::vector<HistogramEntry> histograms;  // sorted by name
 };
 
-#if MEDCRYPT_OBS_ENABLED
-
 // ---------------------------------------------------------------------------
-// Real instruments.
+// Instruments.
 // ---------------------------------------------------------------------------
 
 /// Monotone counter over per-thread sharded cells. add() never takes a
@@ -198,25 +196,18 @@ class MetricsRegistry {
     return *stage_[static_cast<std::size_t>(stage)];
   }
 
-  /// Registers an external counter source scraped as `name`; instances
-  /// holding their own cells (MediatorBase audit counters) use this so
-  /// the registry stays the single scrape surface. Sources sharing a
-  /// name are summed. Returns a handle for unregister_counter_source —
-  /// the owner MUST unregister before the callback's captures die.
-  std::uint64_t register_counter_source(std::string name,
-                                        std::function<std::uint64_t()> fn);
-  void unregister_counter_source(std::uint64_t id);
-
-  /// Several named series produced by ONE callback invocation.
+  /// Named series produced by ONE callback invocation.
   using ScrapeSeries = std::vector<std::pair<std::string, std::uint64_t>>;
 
-  /// Registers a source whose callback is invoked exactly once per
-  /// scrape and contributes every series it returns. Instruments whose
-  /// series must come from one snapshot — MediatorBase's `sem.*` audit
-  /// counters, where `tokens_issued` and `denials` from different passes
-  /// could tear — use this instead of one counter source per series.
-  /// Series names are summed with owned counters and other sources, like
-  /// register_counter_source. Same unregister-before-teardown contract.
+  /// Registers an external source: instances holding their own cells
+  /// (MediatorBase's audit counters, ShardedLruCache's shard counters)
+  /// use this so the registry stays the single scrape surface. The
+  /// callback is invoked exactly once per scrape and contributes every
+  /// series it returns, so series that must agree — `sem.tokens_issued`
+  /// and `sem.denials` — come from one snapshot. Series names are summed
+  /// with owned counters and other sources. Returns a handle for
+  /// unregister_scrape_source — the owner MUST unregister before the
+  /// callback's captures die.
   std::uint64_t register_scrape_source(std::function<ScrapeSeries()> fn);
   void unregister_scrape_source(std::uint64_t id);
 
@@ -239,21 +230,15 @@ class MetricsRegistry {
 
   struct Source {
     std::uint64_t id = 0;
-    std::string name;
-    std::function<std::uint64_t()> fn;
-  };
-  struct MultiSource {
-    std::uint64_t id = 0;
     std::function<ScrapeSeries()> fn;
   };
 
-  // Guards the instrument maps and both source lists below.
+  // Guards the instrument maps and the source list below.
   mutable std::shared_mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::vector<Source> sources_;
-  std::vector<MultiSource> multi_sources_;
   std::uint64_t next_source_id_ = 1;
 
   std::array<std::unique_ptr<Histogram>, kStageCount> stage_;
@@ -264,62 +249,6 @@ class MetricsRegistry {
   std::size_t trace_next_ = 0;
   std::size_t trace_count_ = 0;
 };
-
-#else  // !MEDCRYPT_OBS_ENABLED
-
-// ---------------------------------------------------------------------------
-// No-op stubs: same API surface, empty inline bodies, so every
-// instrumentation point compiles away.
-// ---------------------------------------------------------------------------
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) {}
-  void add(std::int64_t) {}
-  std::int64_t value() const { return 0; }
-  void reset() {}
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& instance() {
-    static MetricsRegistry stub;
-    return stub;
-  }
-  Counter& counter(std::string_view) { return counter_; }
-  Gauge& gauge(std::string_view) { return gauge_; }
-  Histogram& histogram(std::string_view) { return histogram_; }
-  Histogram& stage_histogram(Stage) { return histogram_; }
-  std::uint64_t register_counter_source(std::string,
-                                        std::function<std::uint64_t()>) {
-    return 0;
-  }
-  void unregister_counter_source(std::uint64_t) {}
-  using ScrapeSeries = std::vector<std::pair<std::string, std::uint64_t>>;
-  std::uint64_t register_scrape_source(std::function<ScrapeSeries()>) {
-    return 0;
-  }
-  void unregister_scrape_source(std::uint64_t) {}
-  static constexpr std::size_t kTraceRingSize = 0;
-  void push_trace(const TraceData&) {}
-  std::vector<TraceData> recent_traces() const { return {}; }
-  MetricsSnapshot scrape() const { return {}; }
-  void reset() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;  // never recorded into: no Span/Counter feeds it
-};
-
-#endif  // MEDCRYPT_OBS_ENABLED
 
 /// Shorthand for the singleton.
 inline MetricsRegistry& registry() { return MetricsRegistry::instance(); }

@@ -22,8 +22,7 @@
 // windows).
 //
 // Like Histogram and the exporters, this is pure scrape-side data math
-// with no hot-path role, so it stays real in MEDCRYPT_OBS=OFF builds;
-// only publish() degrades there (registry gauges are no-op stubs).
+// with no hot-path role; only publish() touches the registry.
 #pragma once
 
 #include <cstdint>
@@ -95,7 +94,7 @@ class SloEngine {
   ///   sem.slo.<name>.availability_ppm
   ///   sem.slo.<name>.budget_remaining_ppm   (may go negative)
   ///   sem.slo.<name>.burn_<window>_ppm      (1e6 = burn rate 1.0)
-  /// No-op in MEDCRYPT_OBS=OFF builds (stub gauges).
+  /// Like every gauge write, a no-op while obs::set_enabled(false).
   void publish(MetricsRegistry& reg) const;
 
   // -- pure math helpers, unit-tested against hand vectors --------------

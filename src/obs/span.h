@@ -24,8 +24,6 @@
 
 namespace medcrypt::obs {
 
-#if MEDCRYPT_OBS_ENABLED
-
 class TraceScope;
 
 namespace detail {
@@ -151,28 +149,5 @@ inline void trace_annotate(const char* label, std::uint64_t value = 1) {
         TraceData::BaggageRec{label, value};
   }
 }
-
-#else  // !MEDCRYPT_OBS_ENABLED
-
-class Span {
- public:
-  explicit Span(Stage) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  void finish() {}
-};
-
-class TraceScope {
- public:
-  static constexpr unsigned kUseGlobalShift = ~0u;
-  explicit TraceScope(const char*, unsigned = kUseGlobalShift) {}
-  TraceScope(const char*, const TraceContext&) {}
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-};
-
-inline void trace_annotate(const char*, std::uint64_t = 1) {}
-
-#endif  // MEDCRYPT_OBS_ENABLED
 
 }  // namespace medcrypt::obs

@@ -498,8 +498,6 @@ std::string capacity_report_json(const std::vector<ScenarioResult>& results,
                                  const ScenarioConfig& cfg) {
   std::string out = "{\n";
   out += "  \"schema\": \"medcrypt.capacity_report/v1\",\n";
-  appendf(out, "  \"obs_enabled\": %s,\n",
-          MEDCRYPT_OBS_ENABLED ? "true" : "false");
   appendf(out,
           "  \"config\": {\"users\": %d, \"ops\": %d, \"threads\": %d, "
           "\"batch\": %d},\n",

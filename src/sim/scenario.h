@@ -30,10 +30,9 @@
 // trace ring into full span breakdowns, which is what makes the
 // capacity report's p99 entries *causal* rather than just numeric.
 //
-// The harness depends only on Histogram/SloEngine data math (real in
-// both build modes); with MEDCRYPT_OBS=OFF the report still carries
-// throughput/latency/SLO numbers, just no exemplars or span breakdowns
-// (capacity_report_json records obs_enabled so checkers can tell).
+// Exemplars resolve only while obs::enabled(): with the runtime switch
+// off the report still carries throughput/latency/SLO numbers, but no
+// span breakdowns, and `capacity_report.py --check` rejects it.
 #pragma once
 
 #include <atomic>

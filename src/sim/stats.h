@@ -33,7 +33,7 @@ struct DirectionStats {
   }
 
   // Registry mirrors, wired by LinkStats (null for a bare
-  // DirectionStats, and stubs compile the calls away with obs OFF).
+  // DirectionStats).
   obs::Counter* mirror_messages = nullptr;
   obs::Counter* mirror_bytes = nullptr;
 };

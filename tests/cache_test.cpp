@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -133,6 +134,51 @@ TEST(IdentityCache, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.get("d", str_bytes("x")).has_value());
   EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(IdentityCache, RegistrySeriesEqualStatsAndLeaveWithTheCache) {
+  // The `<prefix>.*` series are the shard counters themselves, exported
+  // by one scrape source: they match stats() whether or not obs records,
+  // and they leave the scrape when the cache is destroyed.
+  const auto series = [] {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& c : obs::registry().scrape().counters) {
+      if (c.name.starts_with("test.cache.s.")) out[c.name] = c.value;
+    }
+    return out;
+  };
+  for (const bool enabled : {true, false}) {
+    SCOPED_TRACE(enabled ? "obs enabled" : "obs disabled");
+    obs::set_enabled(enabled);
+    {
+      // capacity 8 over 8 shards = one entry per shard.
+      ShardedLruCache<int> cache(
+          {.capacity = 8, .metric_prefix = "test.cache.s"});
+      EXPECT_FALSE(cache.get("d", str_bytes("x")).has_value());
+      cache.put("d", str_bytes("x"), 1);
+      EXPECT_TRUE(cache.get("d", str_bytes("x")).has_value());
+      EXPECT_FALSE(
+          cache.get("d", str_bytes("x"), [](const int&) { return false; })
+              .has_value());
+      constexpr int kInserts = 9;  // more than the 8 slots: some evict
+      for (int i = 0; i < kInserts; ++i) cache.put("d", id_bytes(i), i);
+
+      const auto s = cache.stats();
+      EXPECT_EQ(s.hits, 1u);
+      EXPECT_EQ(s.misses, 2u);
+      EXPECT_EQ(s.invalidations, 1u);
+      EXPECT_EQ(s.evictions, kInserts - cache.size());
+      EXPECT_GE(s.evictions, 1u);
+      const std::map<std::string, std::uint64_t> expected{
+          {"test.cache.s.hits", s.hits},
+          {"test.cache.s.misses", s.misses},
+          {"test.cache.s.evictions", s.evictions},
+          {"test.cache.s.invalidations", s.invalidations}};
+      EXPECT_EQ(series(), expected);
+    }
+    EXPECT_TRUE(series().empty());
+  }
+  obs::set_enabled(true);
 }
 
 // ---------------------------------------------------------------------------

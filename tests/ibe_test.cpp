@@ -302,7 +302,6 @@ TEST_P(IbeEncryptOracleTest, CiphertextsMatchOracleColdWarmAndEvicted) {
   pairing::pair_value_cache().clear();  // drop the filler entries
 }
 
-#if MEDCRYPT_OBS_ENABLED
 TEST_P(IbeEncryptOracleTest, WarmEncryptionRunsNoPairing) {
   auto& reg = obs::registry();
   const auto count = [&] {
@@ -326,7 +325,6 @@ TEST_P(IbeEncryptOracleTest, WarmEncryptionRunsNoPairing) {
   basic_encrypt(params(), id, m, rng_);
   EXPECT_EQ(count(), before);
 }
-#endif  // MEDCRYPT_OBS_ENABLED
 
 INSTANTIATE_TEST_SUITE_P(NamedSets, IbeEncryptOracleTest,
                          ::testing::Values("toy64", "sec80"));

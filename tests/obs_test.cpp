@@ -5,6 +5,7 @@
 // CI also runs under ThreadSanitizer via its `-R SemStress` filter).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -14,7 +15,11 @@
 
 #include "common/bytes.h"
 #include "hash/drbg.h"
+#include "gdh/bls.h"
+#include "ibe/boneh_franklin.h"
+#include "ibe/pkg.h"
 #include "mediated/mediated_gdh.h"
+#include "mediated/mediated_ibe.h"
 #include "obs/export.h"
 #include "obs/span.h"
 #include "pairing/params.h"
@@ -25,7 +30,7 @@ using namespace medcrypt;
 using obs::Histogram;
 
 // ---------------------------------------------------------------------------
-// Histogram math (real in both build modes)
+// Histogram math
 // ---------------------------------------------------------------------------
 
 TEST(ObsHistogram, BucketIndexIsExactBelowTwoOctaves) {
@@ -139,8 +144,6 @@ TEST(ObsHistogram, SaturatesAtLastBucketAndCapsAtMax) {
                 Histogram::bucket_lower_bound(Histogram::kBucketCount - 1)));
 }
 
-#if MEDCRYPT_OBS_ENABLED
-
 // ---------------------------------------------------------------------------
 // Counter / Gauge / registry
 // ---------------------------------------------------------------------------
@@ -169,37 +172,23 @@ TEST(ObsRegistry, NamedInstrumentsAreStableSingletons) {
   EXPECT_EQ(&h1, &h2);
 }
 
-TEST(ObsRegistry, ScrapeSumsSourcesWithOwnedCounters) {
-  auto& reg = obs::registry();
-  reg.counter("test.summed").add(5);
-  const std::uint64_t id1 =
-      reg.register_counter_source("test.summed", [] { return 10u; });
-  const std::uint64_t id2 =
-      reg.register_counter_source("test.summed", [] { return 20u; });
-  auto find = [](const obs::MetricsSnapshot& s, const std::string& name) {
-    for (const auto& c : s.counters)
-      if (c.name == name) return c.value;
-    return ~std::uint64_t{0};
-  };
-  EXPECT_EQ(find(reg.scrape(), "test.summed"), 35u);
-  reg.unregister_counter_source(id1);
-  EXPECT_EQ(find(reg.scrape(), "test.summed"), 25u);
-  reg.unregister_counter_source(id2);
-  EXPECT_EQ(find(reg.scrape(), "test.summed"), 5u);
-}
-
 TEST(ObsRegistry, MultiValueSourceIsInvokedOncePerScrape) {
   // A multi-value scrape source exists so producers with several related
   // series (e.g. a mediator's SemStats) can export ONE snapshot per
   // scrape instead of being sampled once per series — three independent
-  // samples of a moving target are mutually incoherent.
+  // samples of a moving target are mutually incoherent. Series sharing a
+  // name are summed across sources and with the owned counter, which is
+  // how several mediators aggregate into one `sem.*` series.
   auto& reg = obs::registry();
   reg.counter("test.multi.a").add(2);
   std::atomic<int> calls{0};
-  const std::uint64_t id = reg.register_scrape_source([&] {
+  const std::uint64_t id1 = reg.register_scrape_source([&] {
     calls.fetch_add(1);
     return obs::MetricsRegistry::ScrapeSeries{{"test.multi.a", 5},
                                               {"test.multi.b", 7}};
+  });
+  const std::uint64_t id2 = reg.register_scrape_source([] {
+    return obs::MetricsRegistry::ScrapeSeries{{"test.multi.a", 20}};
   });
   auto find = [](const obs::MetricsSnapshot& s, const std::string& name) {
     for (const auto& c : s.counters)
@@ -208,12 +197,14 @@ TEST(ObsRegistry, MultiValueSourceIsInvokedOncePerScrape) {
   };
   const auto snap = reg.scrape();
   EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(find(snap, "test.multi.a"), 7u);  // owned 2 + series 5
+  EXPECT_EQ(find(snap, "test.multi.a"), 27u);  // owned 2 + 5 + 20
   EXPECT_EQ(find(snap, "test.multi.b"), 7u);
-  reg.unregister_scrape_source(id);
-  const auto after = reg.scrape();
-  EXPECT_EQ(find(after, "test.multi.a"), 2u);
-  EXPECT_EQ(find(after, "test.multi.b"), ~std::uint64_t{0});
+  reg.unregister_scrape_source(id1);
+  const auto after1 = reg.scrape();
+  EXPECT_EQ(find(after1, "test.multi.a"), 22u);
+  EXPECT_EQ(find(after1, "test.multi.b"), ~std::uint64_t{0});
+  reg.unregister_scrape_source(id2);
+  EXPECT_EQ(find(reg.scrape(), "test.multi.a"), 2u);
 }
 
 TEST(ObsRegistry, MediatorSeriesComeFromOneStatsSnapshot) {
@@ -261,22 +252,75 @@ TEST(ObsRegistry, ScrapeIsSortedAndResetClears) {
   }
   EXPECT_TRUE(saw_gauge);
   reg.reset();
-  for (const auto& c : reg.scrape().counters) EXPECT_EQ(c.value, 0u) << c.name;
+  // reset() zeroes owned instruments only. Scrape sources keep their
+  // owners' counts: here the process-wide caches' `sem.cache.*` series.
+  for (const auto& c : reg.scrape().counters) {
+    if (c.name.starts_with("sem.")) continue;
+    EXPECT_EQ(c.value, 0u) << c.name;
+  }
 }
 
 TEST(ObsRegistry, RuntimeKillSwitchStopsRecording) {
   auto& reg = obs::registry();
+  reg.reset();
   obs::Counter& c = reg.counter("test.killswitch");
-  c.reset();
+  const std::uint64_t spans =
+      reg.stage_histogram(obs::Stage::kShareCombine).count();
   obs::set_enabled(false);
   c.add(1);
   {
+    obs::TraceScope trace("test.killswitch", /*sample_shift=*/0);
+    EXPECT_FALSE(obs::TraceContext::current().sampled());
     obs::Span span(obs::Stage::kShareCombine);
   }
   obs::set_enabled(true);
   EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(reg.stage_histogram(obs::Stage::kShareCombine).count(), spans);
+  EXPECT_TRUE(reg.recent_traces().empty());
   c.add(1);
   EXPECT_EQ(c.value(), 1u);
+}
+
+// Every byte a mediated IBE decryption and a mediated GDH sign + verify
+// produce from one DRBG seed: ciphertext, plaintext, signature.
+Bytes mediated_transcript() {
+  hash::HmacDrbg rng(2024);
+  const pairing::ParamSet& group = pairing::toy_params();
+  ibe::Pkg pkg(group, 32, rng);
+  auto revocations = std::make_shared<mediated::RevocationList>();
+  mediated::IbeMediator ibe_sem(pkg.params(), revocations);
+  mediated::GdhMediator gdh_sem(group, revocations);
+  const auto alice = enroll_ibe_user(pkg, ibe_sem, "alice", rng);
+  const auto bob = enroll_gdh_user(group, gdh_sem, "bob", rng);
+  Bytes m(pkg.params().message_len);
+  rng.fill(m);
+  const ibe::FullCiphertext ct =
+      ibe::full_encrypt(pkg.params(), "alice", m, rng);
+  const Bytes pt = alice.decrypt(ct, ibe_sem);
+  EXPECT_EQ(pt, m);
+  const ec::Point sig = bob.sign(m, gdh_sem);
+  EXPECT_TRUE(gdh::verify(group, bob.public_key(), m, sig));
+  return concat(ct.to_bytes(), pt, sig.to_bytes());
+}
+
+TEST(ObsRegistry, KillSwitchLeavesProtocolBytesUnchanged) {
+  // The runtime switch is the only "off": the library must do the same
+  // work with the same bytes, and record nothing while it is off.
+  auto& reg = obs::registry();
+  const Bytes traced = mediated_transcript();
+  std::array<std::uint64_t, obs::kStageCount> before{};
+  for (std::size_t i = 0; i < obs::kStageCount; ++i) {
+    before[i] = reg.stage_histogram(static_cast<obs::Stage>(i)).count();
+  }
+  obs::set_enabled(false);
+  const Bytes untraced = mediated_transcript();
+  obs::set_enabled(true);
+  EXPECT_EQ(traced, untraced);
+  for (std::size_t i = 0; i < obs::kStageCount; ++i) {
+    EXPECT_EQ(reg.stage_histogram(static_cast<obs::Stage>(i)).count(),
+              before[i])
+        << obs::stage_name(static_cast<obs::Stage>(i));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -444,7 +488,7 @@ TEST(SemStressObs, MediatorSourcesSurviveConcurrentScrapeAndTeardown) {
       while (!stop.load()) {
         (void)reg.scrape();
         // Paced like a real scraper. Spinning here starves the writer
-        // lock that register_counter_source needs (glibc rwlocks favor
+        // lock that register_scrape_source needs (glibc rwlocks favor
         // readers) and the test degenerates into a lock-fairness bench.
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
@@ -461,7 +505,5 @@ TEST(SemStressObs, MediatorSourcesSurviveConcurrentScrapeAndTeardown) {
   stop.store(true);
   for (auto& th : pool) th.join();
 }
-
-#endif  // MEDCRYPT_OBS_ENABLED
 
 }  // namespace

@@ -129,10 +129,7 @@ TEST(Scenario, CapacityReportJsonCarriesSchemaAndRows) {
   EXPECT_NE(report.find("\"latency\""), std::string::npos);
   EXPECT_NE(report.find("\"availability\""), std::string::npos);
   EXPECT_NE(report.find("\"burn\""), std::string::npos);
-  EXPECT_NE(report.find("\"obs_enabled\""), std::string::npos);
 }
-
-#if MEDCRYPT_OBS_ENABLED
 
 TEST(Scenario, ExemplarsResolveToCompleteSpanBreakdowns) {
   sim::ScenarioRunner runner(tiny_config());
@@ -181,7 +178,5 @@ TEST(Scenario, ExemplarTracesReportTheirDroppedSpanCount) {
                 static_cast<unsigned>(r.exemplar_traces[0].dropped));
   EXPECT_NE(report.find(expected), std::string::npos) << report;
 }
-
-#endif  // MEDCRYPT_OBS_ENABLED
 
 }  // namespace

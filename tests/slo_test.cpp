@@ -184,8 +184,6 @@ TEST(SloEngine, MissingSourcesReadAsZeroAndStayQuiet) {
   EXPECT_DOUBLE_EQ(reports[0].budget_consumed, 0.0);
 }
 
-#if MEDCRYPT_OBS_ENABLED
-
 TEST(SloEngine, PublishExportsPpmGauges) {
   auto& reg = obs::registry();
   reg.reset();
@@ -216,7 +214,5 @@ TEST(SloEngine, PublishExportsPpmGauges) {
   EXPECT_NEAR(gauge("sem.slo.pub.budget_remaining_ppm"), -1'000'000, 1);
   EXPECT_NEAR(gauge("sem.slo.pub.burn_5m_ppm"), 2'000'000, 1);
 }
-
-#endif  // MEDCRYPT_OBS_ENABLED
 
 }  // namespace

@@ -27,7 +27,7 @@ using namespace medcrypt;
 using obs::Histogram;
 
 // ---------------------------------------------------------------------------
-// TraceContext is plain data in both build modes.
+// TraceContext is plain data.
 // ---------------------------------------------------------------------------
 
 TEST(Trace, ContextIsSampledIffIdNonZero) {
@@ -38,8 +38,7 @@ TEST(Trace, ContextIsSampledIffIdNonZero) {
 }
 
 // ---------------------------------------------------------------------------
-// Exemplar merge algebra over hand-built snapshots (plain data math,
-// real in both build modes).
+// Exemplar merge algebra over hand-built snapshots (plain data math).
 // ---------------------------------------------------------------------------
 
 TEST(TraceExemplar, MergeDedupesByTraceIdKeepingLargerValue) {
@@ -73,8 +72,6 @@ TEST(TraceExemplar, MergeKeepsTopSlotsOfUnion) {
     EXPECT_GE(a.exemplars[i].trace_id, 100u);
   }
 }
-
-#if MEDCRYPT_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
 // Scope arming, adoption, and linkage.
@@ -332,7 +329,5 @@ TEST(SemStressTrace, ConcurrentTracingAndScrape) {
   // Half the loops ran traced (shift 1), so exemplars must have landed.
   EXPECT_NE(stress->exemplars[0].trace_id, 0u);
 }
-
-#endif  // MEDCRYPT_OBS_ENABLED
 
 }  // namespace

@@ -4,9 +4,8 @@
 `medcrypt_cli load` emits a machine-readable capacity report (schema
 medcrypt.capacity_report/v1) covering the scenario harness's four
 workloads: per-scenario throughput (tokens/s and tokens/s per core),
-latency percentiles, availability, SLO budget burn, and — when the
-build has observability enabled — p99 exemplar trace ids resolved to
-full span breakdowns.
+latency percentiles, availability, SLO budget burn, and p99 exemplar
+trace ids resolved to full span breakdowns.
 
 Usage:
   tools/capacity_report.py REPORT.json            render a summary table
@@ -15,8 +14,8 @@ Usage:
 --check verifies the schema version, that every requested scenario row
 is complete and internally consistent (percentiles ordered, throughput
 positive, ok+denied accounting), that SLO blocks carry burn rates for
-every window, and — for obs-enabled runs — that at least one exemplar
-trace id resolves to a span breakdown with stages.
+every window, and that at least one exemplar trace id resolves to a
+span breakdown with stages.
 
 Exit codes: 0 ok, 1 validation failure, 2 usage/IO error.
 """
@@ -60,7 +59,6 @@ def check(report):
     scenarios = report.get("scenarios", [])
     if not scenarios:
         return fail("no scenario rows")
-    obs_enabled = report.get("obs_enabled", False)
 
     resolved_traces = 0
     for s in scenarios:
@@ -95,18 +93,16 @@ def check(report):
                 return fail(f"{name}: trace {trace['trace_id']} has no "
                             f"matching exemplar")
 
-    if obs_enabled and resolved_traces == 0:
-        return fail("obs enabled but no exemplar resolved to a span "
-                    "breakdown (tracing or exemplar capture broken)")
-    mode = "obs on" if obs_enabled else "obs off"
+    if resolved_traces == 0:
+        return fail("no exemplar resolved to a span breakdown (tracing "
+                    "or exemplar capture broken)")
     print(f"capacity_report: {len(scenarios)} scenarios, "
-          f"{resolved_traces} resolved exemplar traces ({mode}) — ok")
+          f"{resolved_traces} resolved exemplar traces — ok")
     return 0
 
 
 def render(report):
-    print(f"capacity report ({report.get('schema')}, "
-          f"obs {'on' if report.get('obs_enabled') else 'off'})")
+    print(f"capacity report ({report.get('schema')})")
     cfg = report.get("config", {})
     print(f"config: users={cfg.get('users')} ops={cfg.get('ops')} "
           f"threads={cfg.get('threads')} batch={cfg.get('batch')}")

@@ -226,11 +226,6 @@ int cmd_stats(const fs::path& dir, std::size_t ops, const std::string& format) {
     return 0;
   }
 
-#if !MEDCRYPT_OBS_ENABLED
-  std::cout << "(observability compiled out: MEDCRYPT_OBS=OFF — counters "
-               "and histograms below are the library's always-on audit "
-               "stats only)\n";
-#endif
   const auto stats = sem.stats();
   std::cout << "stress run: " << ops << " mediated decryptions over "
             << users.size() << " users\n\ncounters:\n";
