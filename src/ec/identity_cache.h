@@ -19,9 +19,9 @@
 //     key-half lookup instead (docs/SEM_SERVICE.md, "Why cache entries
 //     carry no revocation state").
 //   - Observable: hit/miss/eviction/invalidation counts live in the
-//     shards' own atomics, counted once. stats() sums them, and one
-//     registry scrape source exports that sum as `<metric_prefix>.{hits,
-//     misses,evictions,invalidations}`. Like MediatorBase's `sem.*`
+//     shards' own atomics. stats() sums them, and one registry scrape
+//     source exports that sum as `<metric_prefix>.{hits,misses,
+//     evictions,invalidations}`. Like MediatorBase's `sem.*`
 //     series, they keep counting while obs::set_enabled(false) and
 //     survive registry().reset().
 //
@@ -222,9 +222,8 @@ class ShardedLruCache {
     // keys alias the entries' own tag storage (list nodes never move).
     std::list<Entry> lru;
     std::map<std::string_view, typename std::list<Entry>::iterator> index;
-    // The cache's only counters: stats() and the scrape source read them.
-    // Monotonic; summed with the same weak-consistency contract as
-    // SemStats.
+    // Read by stats() and, through it, the scrape source. Monotonic;
+    // summed with the same weak-consistency contract as SemStats.
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> evictions{0};

@@ -16,7 +16,9 @@
 // counters — register a *scrape source* callback instead and unregister
 // it on destruction; scrape() sums sources with owned counters of the
 // same name, which is how many mediator instances aggregate into one
-// `sem.tokens_issued` series.
+// `sem.tokens_issued` series. sim::LinkStats instead mirrors each
+// increment into owned `sim.link.*` counters, because its per-link
+// tallies reset while the registry's series stay cumulative.
 //
 // Consistency contract for scrape(): one pass, weakly consistent. The
 // scrape reads every cell exactly once under the registry's shared lock,
