@@ -188,9 +188,11 @@ void BM_RsaPrivateOp_1024(benchmark::State& state) {
 BENCHMARK(BM_RsaPrivateOp_1024);
 
 void BM_RsaHalfExponent_1024(benchmark::State& state) {
-  // The per-side cost of a mediated RSA operation (d_user and d_sem are
-  // full-size random exponents, so this matches private_op; shown
-  // separately for the T2 decomposition).
+  // Meant as the per-side cost of a mediated RSA operation, shown
+  // separately for the T2 decomposition. It times a 512-bit exponent
+  // (RsaFixture::half_exponent), while rsa::split_exponent draws d_user
+  // uniformly below phi(n), so each mediated side really pays a ~1024-bit
+  // exponent, like private_op; this row understates that cost.
   auto& f = rsa_fixture();
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.message.pow_mod(f.half_exponent, f.key.pub.n));

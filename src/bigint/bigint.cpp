@@ -458,18 +458,14 @@ BigInt BigInt::pow_mod(const BigInt& e, const BigInt& m) const {
   if (e.is_negative()) throw InvalidArgument("BigInt::pow_mod: negative exponent");
   if (m <= BigInt{}) throw InvalidArgument("BigInt::pow_mod: modulus must be positive");
   if (m == BigInt(std::uint64_t{1})) return BigInt{};
-  if (m.is_odd()) {
-    const Montgomery mont(m);
-    return mont.pow(this->mod(m), e);
-  }
-  // Even modulus: plain square-and-multiply (rare path; used by tests only).
-  BigInt base = this->mod(m);
-  BigInt result(std::uint64_t{1});
-  for (std::size_t i = e.bit_length(); i-- > 0;) {
-    result = result.mul_mod(result, m);
-    if (e.bit(i)) result = result.mul_mod(base, m);
-  }
-  return result;
+  if (!m.is_odd()) throw InvalidArgument("BigInt::pow_mod: modulus must be odd");
+  const Montgomery mont(m);
+  u64 x[Montgomery::kMaxLimbs] = {};
+  mont.to_mont_limbs(this->mod(m), x);
+  mont.pow_limbs(x, e, x);
+  BigInt r = mont.from_mont_limbs(x);
+  kernels::scrub_scratch(x, mont.limbs());
+  return r;
 }
 
 BigInt BigInt::gcd(const BigInt& a, const BigInt& b) {

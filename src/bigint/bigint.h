@@ -116,8 +116,9 @@ class BigInt {
   /// (this * b) mod m.
   BigInt mul_mod(const BigInt& b, const BigInt& m) const;
 
-  /// this^e mod m. Uses Montgomery exponentiation when m is odd.
-  /// Requires e >= 0, m > 0.
+  /// this^e mod m through Montgomery::pow_limbs. Requires e >= 0 and an
+  /// odd modulus m of at most 4096 bits; m = 1 gives zero. Throws
+  /// InvalidArgument otherwise (an even modulus included).
   BigInt pow_mod(const BigInt& e, const BigInt& m) const;
 
   /// Greatest common divisor of magnitudes.

@@ -1,7 +1,6 @@
 #include "bigint/montgomery.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "bigint/kernels/cios_portable.h"
 #include "common/error.h"
@@ -30,7 +29,7 @@ u64 neg_inv64(u64 n) {
 
 constexpr int kBatch = 62;  // divsteps per batch = bits per limb
 constexpr u64 kMask62 = (u64{1} << 62) - 1;
-constexpr std::size_t kMaxS62 = 4096 / 62 + 1;  // 4096-bit moduli
+constexpr std::size_t kMaxS62 = 64 * Montgomery::kMaxLimbs / 62 + 1;
 
 // Repacks k 64-bit limbs (nonnegative) into len signed 62-bit limbs.
 void to_s62(const u64* a, std::size_t k, i64* out, std::size_t len) {
@@ -171,14 +170,18 @@ Montgomery::Montgomery(BigInt n) : n_(std::move(n)) {
     throw InvalidArgument("Montgomery: modulus must be odd and > 1");
   }
   k_ = n_.limbs().size();
+  if (k_ > kMaxLimbs) {
+    throw InvalidArgument("Montgomery: modulus wider than 4096 bits");
+  }
   n0inv_ = neg_inv64(n_.limbs()[0]);
   kt_ = &kernels::active();
   // R = 2^(64k); R mod n and R^2 mod n via generic reduction (setup only).
-  const BigInt r = BigInt(std::uint64_t{1}) << (64 * k_);
-  one_ = r % n_;
-  r2_ = (one_ * one_) % n_;
-  one_padded_ = padded(one_);
-  r2_padded_ = padded(r2_);
+  const BigInt one = (BigInt(std::uint64_t{1}) << (64 * k_)) % n_;
+  const BigInt r2 = (one * one) % n_;
+  one_padded_.resize(k_);
+  r2_padded_.resize(k_);
+  pad_limbs(one, one_padded_.data());
+  pad_limbs(r2, r2_padded_.data());
 
   // inv_limbs constants. Bernstein–Yang, Theorem 11.2: for odd f and
   // f^2 + 4g^2 <= 5·2^(2d), floor((49d + 57)/17) divsteps (d >= 46) or
@@ -193,12 +196,6 @@ Montgomery::Montgomery(BigInt n) : n_(std::move(n)) {
   to_s62(n_.limbs_.data(), k_, n_s62_.data(), s62_len_);
   to_s62(r2_padded_.data(), k_, r2_s62_.data(), s62_len_);
   n_inv62_ = (~n0inv_ + 1) & kMask62;  // n^{-1} mod 2^62
-}
-
-std::vector<u64> Montgomery::padded(const BigInt& a) const {
-  std::vector<u64> out = a.limbs_;
-  out.resize(k_, 0);
-  return out;
 }
 
 void Montgomery::pad_limbs(const BigInt& a, u64* out) const {
@@ -222,6 +219,15 @@ void Montgomery::to_mont_limbs(const BigInt& a, u64* out) const {
   mul_limbs(out, r2_padded_.data(), out);
 }
 
+BigInt Montgomery::from_mont_limbs(const u64* a) const {
+  u64 unit[kMaxLimbs] = {1};
+  u64 r[kMaxLimbs] = {};
+  mul_limbs(a, unit, r);
+  BigInt out = bigint_from_limbs(r);
+  kernels::scrub_scratch(r, k_);
+  return out;
+}
+
 void Montgomery::mul_limbs(const u64* a, const u64* b, u64* out) const {
   // The widths the named parameter sets lean on hardest (mid128 = 4,
   // sec80 = 8) go through the dispatched kernel table; the remaining
@@ -238,18 +244,9 @@ void Montgomery::mul_limbs(const u64* a, const u64* b, u64* out) const {
       default: break;
     }
   }
-  // CIOS: t has k+2 limbs. The scratch lives on the stack so the field
-  // hot path never allocates; only absurdly wide moduli (> 4096 bits,
-  // none in the tree) take the heap fallback.
-  constexpr std::size_t kStackLimbs = 66;
-  u64 stack_t[kStackLimbs];
-  std::vector<u64> heap_t;
-  u64* t = stack_t;
-  if (k_ + 2 > kStackLimbs) {
-    heap_t.resize(k_ + 2);
-    t = heap_t.data();
-  }
-  std::fill_n(t, k_ + 2, u64{0});
+  // CIOS: t has k+2 limbs on the stack, so the field hot path never
+  // allocates.
+  u64 t[kMaxLimbs + 2] = {};
 
   const u64* n = n_.limbs_.data();
   for (std::size_t i = 0; i < k_; ++i) {
@@ -304,9 +301,6 @@ void Montgomery::mul_limbs(const u64* a, const u64* b, u64* out) const {
 
 void Montgomery::inv_limbs(const u64* a, u64* out) const {
   const std::size_t len = s62_len_;
-  if (len > kMaxS62) {
-    throw InvalidArgument("Montgomery::inv_limbs: modulus too wide");
-  }
   // Invariants d·a = f·R^2 and e·a = g·R^2 (mod n), from f = n, d = 0,
   // g = a, e = R^2. At the end g = 0 and f = ±1, so ±d = R^2/a: with
   // a = xR that is x^{-1}R, the Montgomery form of the inverse.
@@ -352,63 +346,34 @@ void Montgomery::neg_limbs(const u64* a, u64* out) const {
   kt_->neg(a, n_.limbs_.data(), k_, out);
 }
 
-BigInt Montgomery::mul(const BigInt& a, const BigInt& b) const {
-  const std::vector<u64> pa = padded(a);
-  const std::vector<u64> pb = padded(b);
-  std::vector<u64> out(k_, 0);
-  mul_limbs(pa.data(), pb.data(), out.data());
-  BigInt r;
-  r.limbs_ = std::move(out);
-  r.trim();
-  return r;
-}
-
-BigInt Montgomery::to_mont(const BigInt& a) const { return mul(a, r2_); }
-
-BigInt Montgomery::from_mont(const BigInt& a) const {
-  return mul(a, BigInt(std::uint64_t{1}));
-}
-
-BigInt Montgomery::pow_mont(const BigInt& base_mont, const BigInt& e) const {
-  if (e.is_negative()) throw InvalidArgument("Montgomery::pow: negative exponent");
-  if (e.is_zero()) return one_;
-
-  // Fixed 4-bit window.
+void Montgomery::pow_limbs(const u64* base_mont, const BigInt& e,
+                           u64* out) const {
+  if (e.is_negative()) {
+    throw InvalidArgument("Montgomery::pow_limbs: negative exponent");
+  }
   constexpr int kWindow = 4;
-  std::vector<BigInt> table(1 << kWindow);
-  table[0] = one_;
-  for (std::size_t i = 1; i < table.size(); ++i) {
-    table[i] = mul(table[i - 1], base_mont);
+  // table[d] = base^d, k limbs each; table[1] is copied before `out`
+  // (which may alias the base) is written.
+  u64 table[(1u << kWindow) * kMaxLimbs] = {};
+  std::copy_n(one_padded_.data(), k_, table);
+  std::copy_n(base_mont, k_, table + k_);
+  for (std::size_t d = 2; d < (1u << kWindow); ++d) {
+    mul_limbs(table + (d - 1) * k_, table + k_, table + d * k_);
   }
-
-  const std::size_t nbits = e.bit_length();
-  const std::size_t nwindows = (nbits + kWindow - 1) / kWindow;
-  BigInt acc = one_;
-  bool started = false;
-  for (std::size_t w = nwindows; w-- > 0;) {
-    if (started) {
-      for (int i = 0; i < kWindow; ++i) acc = mul(acc, acc);
-    }
-    unsigned idx = 0;
-    for (int i = kWindow - 1; i >= 0; --i) {
-      idx = (idx << 1) | (e.bit(w * kWindow + i) ? 1u : 0u);
-    }
-    if (idx != 0) {
-      acc = mul(acc, table[idx]);
-      started = true;
-    } else if (!started) {
-      continue;
-    }
+  // Window w of e is bits [4w, 4w + 4), which never straddle a limb.
+  const auto entry = [&](std::size_t w) {
+    const std::size_t bit = w * kWindow;
+    return table + ((e.limbs_[bit / 64] >> (bit % 64)) & 0xf) * k_;
+  };
+  std::size_t w = (e.bit_length() + kWindow - 1) / kWindow;
+  std::copy_n(w == 0 ? table : entry(--w), k_, out);
+  while (w-- > 0) {
+    for (int i = 0; i < kWindow; ++i) mul_limbs(out, out, out);
+    mul_limbs(out, entry(w), out);
   }
-  // The table holds powers of the base, which is secret-bearing for
-  // RSA-CRT and blinded-exponent callers; scrub before the frames die.
-  for (BigInt& entry : table) entry.wipe();
-  if (!started) return one_;
-  return acc;
-}
-
-BigInt Montgomery::pow(const BigInt& base, const BigInt& e) const {
-  return from_mont(pow_mont(to_mont(base), e));
+  // The table holds powers of the base, which is secret-bearing for RSA
+  // and for a SEM token's field elements.
+  kernels::scrub_scratch(table, (1u << kWindow) * k_);
 }
 
 }  // namespace medcrypt::bigint

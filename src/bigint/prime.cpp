@@ -1,5 +1,6 @@
 #include "bigint/prime.h"
 
+#include <algorithm>
 #include <array>
 
 #include "bigint/montgomery.h"
@@ -51,17 +52,27 @@ bool is_probable_prime(const BigInt& n, RandomSource& rng, int rounds) {
     d = d >> 1;
     ++s;
   }
+  // The rounds run in the Montgomery domain, where 1 and n - 1 are
+  // R mod n and its negation.
   const Montgomery mont(n);
-  const BigInt one(std::uint64_t{1});
+  const std::size_t k = mont.limbs();
+  const std::uint64_t* one = mont.one_limbs();
+  std::uint64_t minus_one[Montgomery::kMaxLimbs] = {};
+  mont.neg_limbs(one, minus_one);
+  const auto equals = [k](const std::uint64_t* a, const std::uint64_t* b) {
+    return std::equal(a, a + k, b);
+  };
+  std::uint64_t x[Montgomery::kMaxLimbs] = {};
   for (int round = 0; round < rounds; ++round) {
     const BigInt a =
         BigInt::random_below(rng, n - BigInt(std::uint64_t{3})) + two;  // [2, n-2]
-    BigInt x = mont.pow(a, d);
-    if (x == one || x == n_minus_1) continue;
+    mont.to_mont_limbs(a, x);
+    mont.pow_limbs(x, d, x);
+    if (equals(x, one) || equals(x, minus_one)) continue;
     bool composite = true;
     for (std::size_t i = 1; i < s; ++i) {
-      x = x.mul_mod(x, n);
-      if (x == n_minus_1) {
+      mont.mul_limbs(x, x, x);
+      if (equals(x, minus_one)) {
         composite = false;
         break;
       }

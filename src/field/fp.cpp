@@ -1,6 +1,6 @@
 #include "field/fp.h"
 
-#include <array>
+#include <algorithm>
 
 #include "common/error.h"
 
@@ -168,37 +168,9 @@ Fp Fp::inverse() const {
 
 Fp Fp::pow(const BigInt& e) const {
   check_bound("pow");
-  if (e.is_negative()) throw InvalidArgument("Fp::pow: negative exponent");
-  Fp result = field_->one();
-  if (e.is_zero()) return result;
-
-  // Fixed 4-bit window; the table lives on the stack and is wiped below
-  // because the base (hence its powers) may be secret-bearing.
-  constexpr int kWindow = 4;
-  std::array<Fp, std::size_t{1} << kWindow> table;
-  table[0] = result;
-  for (std::size_t i = 1; i < table.size(); ++i) {
-    table[i] = table[i - 1];
-    table[i] *= *this;
-  }
-
-  const std::size_t nwindows = (e.bit_length() + kWindow - 1) / kWindow;
-  bool started = false;
-  for (std::size_t w = nwindows; w-- > 0;) {
-    if (started) {
-      for (int i = 0; i < kWindow; ++i) result.square_inplace();
-    }
-    unsigned idx = 0;
-    for (int i = kWindow - 1; i >= 0; --i) {
-      idx = (idx << 1) | (e.bit(w * kWindow + i) ? 1u : 0u);
-    }
-    if (idx != 0) {
-      result *= table[idx];
-      started = true;
-    }
-  }
-  for (Fp& entry : table) entry.wipe();
-  return result;
+  Fp r = *this;
+  field_->mont().pow_limbs(store_.data(), e, r.store_.data());
+  return r;
 }
 
 bool Fp::is_square() const {
@@ -258,8 +230,7 @@ std::optional<Fp> Fp::try_sqrt() const {
 
 BigInt Fp::to_bigint() const {
   check_bound("to_bigint");
-  return field_->mont().from_mont(
-      field_->mont().bigint_from_limbs(store_.data()));
+  return field_->mont().from_mont_limbs(store_.data());
 }
 
 Bytes Fp::to_bytes() const {

@@ -113,7 +113,9 @@ class Fp {
   /// Miller value) may be inverted. Throws InvalidArgument on zero.
   Fp inverse() const;
 
-  /// this^e for e >= 0.
+  /// this^e for e >= 0 by Montgomery::pow_limbs: fixed 4-bit windows
+  /// whose operation sequence depends only on the bit length of e.
+  /// Throws InvalidArgument on a negative exponent.
   Fp pow(const BigInt& e) const;
 
   /// Euler criterion; zero counts as a square.

@@ -85,16 +85,21 @@ Fp2 Fp2::pow(const BigInt& e) const {
 Fp2 pow_fixed_window(const Fp2& base, const BigInt& k, std::size_t bits) {
   std::array<Fp2, 16> table;
   table[0] = Fp2::one(base.re().field());
-  for (std::size_t i = 1; i < table.size(); ++i) {
+  table[1] = base;
+  for (std::size_t i = 2; i < table.size(); ++i) {
     table[i] = table[i - 1];
     table[i].mul_inplace(base);
   }
-  Fp2 acc = table[0];
-  for (std::size_t w = (bits + 3) / 4; w-- > 0;) {
-    for (int i = 0; i < 4; ++i) acc.square_inplace();
+  const auto digit = [&k](std::size_t w) {
     unsigned d = 0;
     for (int i = 3; i >= 0; --i) d = (d << 1) | unsigned{k.bit(w * 4 + i)};
-    acc.mul_inplace(table[d]);
+    return d;
+  };
+  std::size_t w = (bits + 3) / 4;
+  Fp2 acc = table[w == 0 ? 0 : digit(--w)];
+  while (w-- > 0) {
+    for (int i = 0; i < 4; ++i) acc.square_inplace();
+    acc.mul_inplace(table[digit(w)]);
   }
   return acc;
 }

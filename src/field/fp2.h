@@ -88,8 +88,9 @@ class Fp2 {
   Fp a_, b_;
 };
 
-/// base^k for a secret k < 2^bits: fixed 4-bit windows with one
-/// multiplication in every window (digit 0 multiplies by 1), so the
+/// base^k for a secret k < 2^bits: fixed 4-bit windows. The accumulator
+/// starts at the top window's table entry, then every window squares
+/// four times and multiplies once (digit 0 multiplies by 1), so the
 /// sequence of field operations depends only on `bits`, never on k.
 /// The window digit still indexes a 16-entry table in memory.
 Fp2 pow_fixed_window(const Fp2& base, const BigInt& k, std::size_t bits);

@@ -1,6 +1,5 @@
 #include "pairing/tate.h"
 
-#include <array>
 #include <utility>
 
 #include "common/error.h"
@@ -126,51 +125,11 @@ TatePairing::TatePairing(std::shared_ptr<const Curve> curve)
     throw InvalidArgument("TatePairing: field prime must be 3 mod 4");
   }
   // #E(F_p) = p + 1 = h q; the final exponentiation tail is (p+1)/q.
-  BigInt q, r;
+  BigInt r;
   BigInt::divmod(p + BigInt(1), curve_->order(), exp_tail_, r);
   if (!r.is_zero()) {
     throw InvalidArgument("TatePairing: order must divide p + 1");
   }
-  // Window schedule of the tail exponent, computed once here instead of
-  // per pairing call (h >= 4, so there is at least one nonzero window).
-  const std::size_t nwindows = (exp_tail_.bit_length() + 3) / 4;
-  tail_digits_.reserve(nwindows);
-  for (std::size_t w = nwindows; w-- > 0;) {
-    unsigned d = 0;
-    for (int i = 3; i >= 0; --i) {
-      d = (d << 1) | (exp_tail_.bit(w * 4 + i) ? 1u : 0u);
-    }
-    tail_digits_.push_back(static_cast<std::uint8_t>(d));
-  }
-}
-
-Fp2 TatePairing::tail_power(const Fp2& powered) const {
-  // Windowed tail exponentiation powered^((p+1)/q) over the schedule
-  // precomputed at construction; the 15-entry power table lives on the
-  // stack.
-  std::array<Fp2, 16> table;
-  table[1] = powered;
-  for (std::size_t i = 2; i < table.size(); ++i) {
-    table[i] = table[i - 1];
-    table[i].mul_inplace(powered);
-  }
-  Fp2 acc;
-  bool started = false;
-  for (const std::uint8_t d : tail_digits_) {
-    if (started) {
-      for (int i = 0; i < 4; ++i) acc.square_inplace();
-    }
-    if (d != 0) {
-      if (started) {
-        acc.mul_inplace(table[d]);
-      } else {
-        acc = table[d];
-        started = true;
-      }
-    }
-  }
-  if (!started) return Fp2::one(curve_->field());
-  return acc;
 }
 
 Fp2 TatePairing::final_exponentiation(const Fp2& f) const {
@@ -179,7 +138,7 @@ Fp2 TatePairing::final_exponentiation(const Fp2& f) const {
   // f^(p-1) = conj(f) / f.
   Fp2 powered = f.conjugate();
   powered.mul_inplace(f.inverse());
-  return tail_power(powered);
+  return field::pow_fixed_window(powered, exp_tail_, exp_tail_.bit_length());
 }
 
 void TatePairing::final_exponentiation_batch(std::span<Fp2> fs) const {
@@ -193,7 +152,8 @@ void TatePairing::final_exponentiation_batch(std::span<Fp2> fs) const {
   for (std::size_t i = 0; i < fs.size(); ++i) {
     Fp2 powered = fs[i].conjugate();
     powered.mul_inplace(invs[i]);
-    fs[i] = tail_power(powered);
+    fs[i] = field::pow_fixed_window(powered, exp_tail_,
+                                    exp_tail_.bit_length());
   }
 }
 

@@ -155,16 +155,8 @@ class TatePairing {
 
   Fp2 final_exponentiation(const Fp2& f) const;
 
-  // The windowed powered^((p+1)/q) tail shared by the single and batched
-  // final exponentiations.
-  Fp2 tail_power(const Fp2& powered) const;
-
   std::shared_ptr<const Curve> curve_;
   BigInt exp_tail_;  // (p + 1) / q, the second factor of the final expo
-  // 4-bit windows of exp_tail_, most-significant first, precomputed at
-  // construction so the per-call final exponentiation only walks the
-  // schedule (the base-power table itself lives on the stack per call).
-  std::vector<std::uint8_t> tail_digits_;
 };
 
 }  // namespace medcrypt::pairing

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 
 #include "bigint/bigint.h"
 #include "ec/point.h"
@@ -155,10 +156,14 @@ TEST(AllocFree, FpOpsAllocateNothing) {
   t.square_inplace();
   t.dbl_inplace();
   t.negate_inplace();
+  // The power behind hash-to-point's square root.
+  t = t.pow(field->sqrt_exponent());
+  const std::optional<Fp> root = t.try_sqrt();
   const bool zero = t.is_zero();
   const std::size_t news = probe.stop();
 
   EXPECT_EQ(news, 0u) << "Fp compound ops heap-allocated";
+  EXPECT_EQ(root.has_value(), t.is_square());
   EXPECT_FALSE(zero);  // vanishing probability; keeps t observable
 }
 

