@@ -14,8 +14,10 @@
 // 2 with a 512-bit base field, so one compressed G1 point is 520 bits.
 // The literal 160-bit figures in the paper assume the characteristic-3
 // curves of [6] where group elements fit in ~|q| bits. The *ordering*
-// (GDH token < mRSA token; IBE token ~ mRSA token; pairing keys < RSA
-// keys) is what this table demonstrates. See EXPERIMENTS.md.
+// (GDH token < mRSA token; pairing keys < RSA keys) is what this table
+// demonstrates. One deviation: the IBE token crosses the wire compressed
+// to one F_p element (field::gt_to_bytes), half the mRSA token, where the
+// paper's uncompressed ~1000 bits matched it. See EXPERIMENTS.md.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -61,9 +63,11 @@ int main() {
   // --- per-operation wire traffic ---------------------------------------------
   Table wire({"mediated operation", "user->SEM", "SEM->user (token)",
               "token bits"});
+  std::uint64_t ibe_token_bytes = 0;
   {
     sim::Transport tr;
     (void)ibe_user.decrypt(ibe_ct, ibe_sem, &tr);
+    ibe_token_bytes = tr.stats().to_client.bytes;
     jr.add("token_bytes/bf_ibe_decrypt",
            static_cast<double>(tr.stats().to_client.bytes), 1, "bytes");
     wire.add_row({"BF-IBE decrypt",
@@ -137,10 +141,11 @@ int main() {
   jr.add("size/mrsa_block", static_cast<double>(mrsa_ct.size()), 1, "bytes");
 
   std::printf("\npaper shape check: GDH token (%zu B) < mRSA token (%zu B); "
-              "IBE token (%zu B) ~ mRSA token; with [6]'s char-3 curves the "
-              "GDH token shrinks to ~20 B (160 bits).\n",
+              "deviation: the compressed IBE token (%llu B) is half the mRSA "
+              "token, not ~equal to it; with [6]'s char-3 curves the GDH "
+              "token shrinks to ~20 B (160 bits).\n",
               pkg.params().curve()->compressed_size(),
               mrsa.params().byte_size(),
-              2 * pkg.params().curve()->field()->byte_size());
+              static_cast<unsigned long long>(ibe_token_bytes));
   return 0;
 }

@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "bigint/bigint.h"
 #include "bigint/montgomery.h"
@@ -106,6 +107,11 @@ class Fp {
   void dbl_inplace();
   void negate_inplace();
 
+  /// Exchanges *this and o when `swap` is 1 and leaves both when it is
+  /// 0, by masking every limb, so a secret ladder bit shows in neither
+  /// the timing nor the memory accesses. Both must share one field.
+  void cswap(Fp& o, std::uint64_t swap);
+
   /// Multiplicative inverse by Bernstein–Yang safegcd
   /// (Montgomery::inv_limbs), staying in the Montgomery domain. Constant
   /// time in the value: the divstep count depends only on the bit length
@@ -160,5 +166,11 @@ class Fp {
   std::shared_ptr<const PrimeField> field_;
   LimbStore store_;
 };
+
+/// In-place simultaneous inversion (Montgomery's trick): one inversion
+/// plus 3(n-1) multiplications replace n inversions, which is what the
+/// batched pairing final exponentiation amortizes. Zero elements stay
+/// zero, as in Montgomery::inv_limbs, and do not disturb the others.
+void batch_inverse(std::span<Fp> xs);
 
 }  // namespace medcrypt::field

@@ -1,9 +1,7 @@
 #include "field/fp2.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
-#include <vector>
 
 #include "common/error.h"
 
@@ -82,26 +80,100 @@ Fp2 Fp2::pow(const BigInt& e) const {
   return result;
 }
 
-Fp2 pow_fixed_window(const Fp2& base, const BigInt& k, std::size_t bits) {
-  std::array<Fp2, 16> table;
-  table[0] = Fp2::one(base.re().field());
-  table[1] = base;
-  for (std::size_t i = 2; i < table.size(); ++i) {
-    table[i] = table[i - 1];
-    table[i].mul_inplace(base);
+namespace {
+
+// The ladder behind pow_unitary and pow_unitary_re: on return
+// r0 = Re(base^k) and r1 = Re(base^(k+1)). A set bit maps (R_j, R_j+1)
+// to (R_2j+1, R_2j+2), the mirror image of a clear bit's
+// (R_2j, R_2j+1); so the pair is swapped in, stepped by the clear-bit
+// formulas and swapped back out, and consecutive swaps merge into one
+// by the XOR of adjacent bits.
+void lucas_ladder(const Fp2& base, const BigInt& k, std::size_t bits,
+                  Fp& r0, Fp& r1) {
+  if (!base.norm().is_one()) {
+    throw InvalidArgument("pow_unitary: base norm is not 1");
   }
-  const auto digit = [&k](std::size_t w) {
-    unsigned d = 0;
-    for (int i = 3; i >= 0; --i) d = (d << 1) | unsigned{k.bit(w * 4 + i)};
-    return d;
-  };
-  std::size_t w = (bits + 3) / 4;
-  Fp2 acc = table[w == 0 ? 0 : digit(--w)];
-  while (w-- > 0) {
-    for (int i = 0; i < 4; ++i) acc.square_inplace();
-    acc.mul_inplace(table[digit(w)]);
+  if (k.is_negative()) throw InvalidArgument("pow_unitary: negative exponent");
+  const Fp& a = base.re();
+  const Fp one = a.field()->one();
+  r0 = one;
+  r1 = a;
+  std::uint64_t swapped = 0;
+  for (std::size_t i = bits; i-- > 0;) {
+    const std::uint64_t bit = k.bit(i);
+    r0.cswap(r1, swapped ^ bit);
+    swapped = bit;
+    r1 *= r0;  // R_2j+1 = 2R_j·R_j+1 − a
+    r1.dbl_inplace();
+    r1 -= a;
+    r0.square_inplace();  // R_2j = 2R_j² − 1
+    r0.dbl_inplace();
+    r0 -= one;
   }
-  return acc;
+  r0.cswap(r1, swapped);
+}
+
+}  // namespace
+
+Fp2 pow_unitary(const Fp2& base, const BigInt& k, std::size_t bits,
+                const Fp* im_inv) {
+  Fp r0, r1;
+  lucas_ladder(base, k, bits, r0, r1);
+  // base^(k+1) = base^k·base gives R_k+1 = a·R_k − b·Im(base^k).
+  Fp im;
+  if (base.im().is_zero()) {
+    im = base.re().field()->zero();  // base = ±1: every power is real
+  } else {
+    im = base.re();
+    im *= r0;
+    im -= r1;
+    im *= im_inv != nullptr ? *im_inv : base.im().inverse();
+  }
+  Fp2 out(r0, std::move(im));
+  r0.wipe();
+  r1.wipe();
+  return out;
+}
+
+Fp pow_unitary_re(const Fp2& base, const BigInt& k, std::size_t bits) {
+  Fp r0, r1;
+  lucas_ladder(base, k, bits, r0, r1);
+  r1.wipe();
+  return r0;
+}
+
+Bytes gt_to_bytes(const Fp2& x) {
+  if (!x.norm().is_one()) {
+    throw InvalidArgument("gt_to_bytes: not a norm-1 element");
+  }
+  const auto& field = x.re().field();
+  if (x.im().is_zero()) {  // x = ±1
+    if (!x.is_one()) throw InvalidArgument("gt_to_bytes: -1 has no encoding");
+    return field->zero().to_bytes();
+  }
+  Fp m = x.re();
+  m += field->one();
+  m *= x.im().inverse();
+  return m.to_bytes();
+}
+
+Fp2 gt_from_bytes(const std::shared_ptr<const PrimeField>& field,
+                  BytesView bytes) {
+  if (bytes.size() != field->byte_size()) {
+    throw InvalidArgument("gt_from_bytes: wrong length");
+  }
+  const Fp m = field->from_bytes(bytes);
+  if (m.is_zero()) return Fp2::one(field);
+  // (m + i)/(m − i) = (m² − 1 + 2m·i)/(m² + 1).
+  Fp re = m.square();
+  Fp den = re;
+  den += field->one();
+  const Fp den_inv = den.inverse();
+  re -= field->one();
+  re *= den_inv;
+  Fp im = m.dbl();
+  im *= den_inv;
+  return Fp2(std::move(re), std::move(im));
 }
 
 Fp2 multi_pow(std::span<const Fp2> bases, std::span<const BigInt> exps) {
@@ -138,35 +210,6 @@ Fp2 Fp2::random(const std::shared_ptr<const PrimeField>& field,
 
 Fp2 Fp2::one(const std::shared_ptr<const PrimeField>& field) {
   return Fp2(field->one(), field->zero());
-}
-
-void batch_inverse(std::span<Fp2> xs) {
-  if (xs.empty()) return;
-  for (const Fp2& x : xs) {
-    if (x.is_zero()) {
-      throw InvalidArgument("batch_inverse: zero element");
-    }
-  }
-  if (xs.size() == 1) {
-    xs[0] = xs[0].inverse();
-    return;
-  }
-  // prefix[i] = x_0 · … · x_i; invert the full product once, then peel
-  // one factor per step walking backwards.
-  std::vector<Fp2> prefix(xs.size());
-  prefix[0] = xs[0];
-  for (std::size_t i = 1; i < xs.size(); ++i) {
-    prefix[i] = prefix[i - 1];
-    prefix[i].mul_inplace(xs[i]);
-  }
-  Fp2 inv_tail = prefix.back().inverse();
-  for (std::size_t i = xs.size(); i-- > 1;) {
-    Fp2 inv_i = inv_tail;
-    inv_i.mul_inplace(prefix[i - 1]);  // 1/x_i
-    inv_tail.mul_inplace(xs[i]);       // drop x_i from the tail
-    xs[i] = std::move(inv_i);
-  }
-  xs[0] = std::move(inv_tail);
 }
 
 }  // namespace medcrypt::field

@@ -3,6 +3,11 @@
 // This is the pairing target-group field: the modified Tate pairing on the
 // supersingular curve y^2 = x^3 + x lands in the order-q subgroup of
 // F*_{p^2}. The distortion map also needs i: φ(x, y) = (-x, i·y).
+//
+// q divides p + 1, so every G_T value x = a + b·i is unitary: norm
+// a² + b² = 1 and x^-1 = conj(x). The free functions below use that: one
+// F_p element carries x on the wire (gt_to_bytes), and powers of x need
+// only its real part (pow_unitary).
 #pragma once
 
 #include <span>
@@ -62,7 +67,8 @@ class Fp2 {
   Fp2 inverse() const;
 
   /// this^e for e >= 0 (square-and-multiply). Variable time: e must be
-  /// public; secret exponents go through pow_fixed_window.
+  /// public. The library raises G_T values with pow_unitary; this stays
+  /// as the tests' oracle.
   Fp2 pow(const BigInt& e) const;
 
   /// Serialization: re || im, fixed width.
@@ -88,24 +94,45 @@ class Fp2 {
   Fp a_, b_;
 };
 
-/// base^k for a secret k < 2^bits: fixed 4-bit windows. The accumulator
-/// starts at the top window's table entry, then every window squares
-/// four times and multiplies once (digit 0 multiplies by 1), so the
-/// sequence of field operations depends only on `bits`, never on k.
-/// The window digit still indexes a 16-entry table in memory.
-Fp2 pow_fixed_window(const Fp2& base, const BigInt& k, std::size_t bits);
+/// base^k for a unitary base (norm a² + b² = 1, as every G_T element
+/// has) and a secret 0 <= k < 2^bits, by a Lucas ladder on the real part
+/// (Scott–Barreto, "Compressed Pairings", CRYPTO 2004). With
+/// R_j = Re(base^j) and base^-1 = conj(base), R_2j = 2R_j² − 1 and
+/// R_2j+1 = 2R_j·R_j+1 − a, so each bit costs one F_p multiply and one
+/// F_p squaring, the pair (R_j, R_j+1) ordered by a masked swap: no
+/// table, no secret index, and a sequence of field operations set by
+/// `bits` alone. The imaginary part is recovered at the end as
+/// Im(base^k) = (a·R_k − R_k+1)/b, with one inversion of b unless
+/// `im_inv` supplies 1/b (the final exponentiation folds it into its own
+/// inversion). The only branch on the base is b = 0 (base = ±1, whose
+/// powers are real). The ladder state is scrubbed before returning.
+/// Throws InvalidArgument on a norm other than 1 or a negative k.
+Fp2 pow_unitary(const Fp2& base, const BigInt& k, std::size_t bits,
+                const Fp* im_inv = nullptr);
+
+/// Re(base^k) for a unitary base and 0 <= k < 2^bits: pow_unitary's
+/// ladder without the recovery, so no inversion. Same contract.
+Fp pow_unitary_re(const Fp2& base, const BigInt& k, std::size_t bits);
+
+/// Wire form of a G_T value: the single F_p element m = (1 + a)/b of a
+/// unitary x = a + b·i (T2 torus compression; Rubin–Silverberg, CRYPTO
+/// 2003), byte_size() bytes, half of to_bytes(). x = 1 (b = 0) encodes
+/// as m = 0, the value the formula gives x = −1; so x = −1, which no
+/// pairing output equals, has no encoding. Costs one inversion. Throws
+/// InvalidArgument on x = −1 and unless x has norm 1.
+Bytes gt_to_bytes(const Fp2& x);
+
+/// Inverse of gt_to_bytes: x = (m² − 1 + 2m·i)/(m² + 1), and 1 for m = 0.
+/// m² + 1 never vanishes because −1 is not a square mod p ≡ 3 (mod 4).
+/// Every m < p decodes to a norm-1 element; order q is not checked.
+/// Costs one inversion. Throws InvalidArgument on a wrong length or on
+/// m ≥ p.
+Fp2 gt_from_bytes(const std::shared_ptr<const PrimeField>& field,
+                  BytesView bytes);
 
 /// Π bases[j]^exps[j] over one shared squaring chain (Straus).
 /// Variable time like Fp2::pow: public exponents only. `bases` must be
 /// non-empty and as long as `exps`.
 Fp2 multi_pow(std::span<const Fp2> bases, std::span<const BigInt> exps);
-
-/// In-place simultaneous inversion (Montgomery's trick): one inversion
-/// plus 3(n-1) multiplications replace n inversions — each Fp2
-/// inversion costs one ~8–11 µs safegcd Fp inversion plus a norm at the
-/// paper's parameters, which is what the batched pairing final
-/// exponentiation amortizes. Throws
-/// InvalidArgument if any element is zero (none are inverted then).
-void batch_inverse(std::span<Fp2> xs);
 
 }  // namespace medcrypt::field

@@ -82,6 +82,19 @@ class LimbStore {
     return acc == 0;
   }
 
+  /// Exchanges the limbs with o's when `mask` is all ones and leaves
+  /// both when it is zero, by a masked XOR over every limb: the same
+  /// loads and stores either way. Sizes must match.
+  void cswap(LimbStore& o, std::uint64_t mask) {
+    std::uint64_t* a = data();
+    std::uint64_t* b = o.data();
+    for (std::size_t i = 0; i < size_; ++i) {
+      const std::uint64_t t = (a[i] ^ b[i]) & mask;
+      a[i] ^= t;
+      b[i] ^= t;
+    }
+  }
+
   /// Scrubs the limbs through volatile stores and returns to the empty
   /// state. NOTE: moved-from and plain-destroyed stores are NOT
   /// scrubbed, matching BigInt (see docs/SECRET_HYGIENE.md) — secret

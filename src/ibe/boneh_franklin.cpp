@@ -13,7 +13,7 @@ namespace {
 // g_ID = ê(P_pub, Q_ID) depends only on the recipient, so it comes from
 // the process-wide pair-value cache and a repeat encryption to the same
 // identity pays no pairing [BF01]. r is the secret encryption
-// randomness, hence the fixed-window power. The mask equals ê(rP_pub,
+// randomness, hence the ladder power. The mask equals ê(rP_pub,
 // Q_ID) by bilinearity, so ciphertexts do not depend on the cache state.
 struct EncryptCore {
   Point u;   // rP
@@ -25,8 +25,7 @@ EncryptCore encrypt_core(const SystemParams& params, const Point& q_id,
   const pairing::TatePairing pairing(params.curve());
   const Fp2 g_id = pairing::cached_pair(pairing, params.p_pub, q_id, "BF.gID");
   return EncryptCore{params.group.mul_g(r),
-                     field::pow_fixed_window(g_id, r,
-                                             params.order().bit_length())};
+                     field::pow_unitary(g_id, r, params.order().bit_length())};
 }
 
 }  // namespace

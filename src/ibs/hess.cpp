@@ -50,8 +50,8 @@ HessSignature hess_sign(const ibe::SystemParams& params, const Point& d_id,
   const BigInt k = BigInt::random_unit(rng, params.order());
   // r = ê(P, P)^k; the base is a per-curve public constant, served from
   // the pairing-value cache after the first signature. k is the secret
-  // nonce, hence the fixed-window power.
-  const Fp2 r = field::pow_fixed_window(
+  // nonce, hence the ladder power.
+  const Fp2 r = field::pow_unitary(
       pairing::cached_pair(pairing, params.generator(), params.generator(),
                            "ibs.gpp"),
       k, params.order().bit_length());

@@ -83,14 +83,14 @@ Bytes MediatedIbeUser::decrypt(const ibe::FullCiphertext& ct,
   if (transport != nullptr) {
     transport->send_to_server(identity_.size() + ct.u.to_bytes().size());
   }
-  const Fp2 g_sem = sem.issue_token(identity_, ct.u);
-  if (transport != nullptr) {
-    transport->send_to_client(g_sem.to_bytes().size());
-  }
+  // Response: the token compressed to one F_p element.
+  const Bytes wire = field::gt_to_bytes(sem.issue_token(identity_, ct.u));
+  if (transport != nullptr) transport->send_to_client(wire.size());
 
   // The user's half runs in parallel with the SEM in the paper; the
   // sequential order here does not change what either side learns.
-  const Fp2 g = g_sem * partial(ct.u);
+  const Fp2 g = field::gt_from_bytes(params_.curve()->field(), wire) *
+                partial(ct.u);
   return ibe::full_decrypt_with_mask(params_, g, ct);
 }
 

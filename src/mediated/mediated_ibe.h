@@ -112,8 +112,9 @@ class MediatedIbeUser {
 
   /// Runs the §4 decryption protocol. `transport`, when given, accounts
   /// the two protocol messages (request: identity + U; response: the
-  /// G2 token). Throws RevokedError (SEM refused) or DecryptionError
-  /// (validity check failed).
+  /// G2 token as one F_p element, field::gt_to_bytes). Throws
+  /// RevokedError (SEM refused) or DecryptionError (validity check
+  /// failed).
   Bytes decrypt(const ibe::FullCiphertext& ct, const IbeMediator& sem,
                 sim::Transport* transport = nullptr) const;
 

@@ -18,10 +18,12 @@ void IbsMediator::install_key(std::string identity, ec::Point d_sem) {
 
 ec::Point IbsMediator::issue_token(std::string_view identity,
                                    BytesView message,
-                                   const Fp2& commitment) const {
+                                   BytesView commitment) const {
   // The SEM derives the challenge itself — it never multiplies its key
   // half by a caller-chosen scalar.
-  const bigint::BigInt v = ibs::hess_challenge(params_, message, commitment);
+  const bigint::BigInt v = ibs::hess_challenge(
+      params_, message,
+      field::gt_from_bytes(params_.curve()->field(), commitment));
   return with_key(identity, [&](const IbsSemKey& key) {
     obs::Span span(obs::Stage::kScalarMul);
     return key.table.mul(v);
@@ -39,17 +41,19 @@ ibs::HessSignature MediatedIbsUser::sign(BytesView message,
                                          sim::Transport* transport) const {
   const pairing::TatePairing pairing(params_.curve());
   const bigint::BigInt k = bigint::BigInt::random_unit(rng, params_.order());
-  const Fp2 r = field::pow_fixed_window(
+  const Fp2 r = field::pow_unitary(
       pairing::cached_pair(pairing, params_.generator(), params_.generator(),
                            "ibs.gpp"),
       k, params_.order().bit_length());
 
-  // Request: identity + message + commitment (one G2 element).
+  // Request: identity + message + commitment (one compressed G2
+  // element).
+  const Bytes r_wire = field::gt_to_bytes(r);
   if (transport != nullptr) {
     transport->send_to_server(identity_.size() + message.size() +
-                              r.to_bytes().size());
+                              r_wire.size());
   }
-  const ec::Point token = sem.issue_token(identity_, message, r);
+  const ec::Point token = sem.issue_token(identity_, message, r_wire);
   if (transport != nullptr) {
     transport->send_to_client(token.to_bytes().size());
   }

@@ -10,7 +10,8 @@
 //     user: k ∈R Z_q, r = ê(P,P)^k           (commitment; user-only
 //           randomness — no joint coin flipping, avoiding §5's complaint
 //           about probabilistic threshold signatures)
-//     user → SEM: (ID, M, r)
+//     user → SEM: (ID, M, r)                 (r compressed to one F_p
+//                                             element, field::gt_to_bytes)
 //     SEM:  check revocation; v = H(M, r);   (the SEM RECOMPUTES the
 //           token = v·d_ID,sem                challenge itself, so it
 //                                             cannot be abused as a
@@ -65,10 +66,12 @@ class IbsMediator : public MediatorBase<IbsSemKey> {
   /// point argument is wiped before returning.
   void install_key(std::string identity, ec::Point d_sem);
 
-  /// Issues the half-response v·d_ID,sem for commitment r and message M,
-  /// recomputing v = H(M, r) itself. Throws RevokedError when revoked.
+  /// Issues the half-response v·d_ID,sem for message M and the
+  /// commitment r in its G_T wire form (field::gt_to_bytes), decoding r
+  /// and recomputing v = H(M, r) itself. Throws InvalidArgument on a
+  /// malformed commitment and RevokedError when revoked.
   ec::Point issue_token(std::string_view identity, BytesView message,
-                        const Fp2& commitment) const;
+                        BytesView commitment) const;
 
  private:
   ibe::SystemParams params_;

@@ -6,7 +6,10 @@
 // followed by the final exponentiation (p^2 - 1)/q. Because the
 // distortion map keeps x-coordinates in F_p, all vertical-line factors
 // live in the subfield and are erased by the final exponentiation
-// (standard denominator elimination for embedding degree 2).
+// (standard denominator elimination for embedding degree 2). The final
+// exponentiation is conj(f)/f, a unitary value, then its (p+1)/q power
+// by the trace ladder field::pow_unitary, the two sharing one F_p
+// inversion.
 //
 // The pairing satisfies, for all P, Q in the order-q subgroup:
 //   bilinearity      ê(aP, bQ) = ê(P, Q)^(ab)
@@ -128,11 +131,16 @@ class TatePairing {
   /// exponentiation — NOT a pairing output. Batch issuers run this
   /// inside their per-request key scope and later finish every value at
   /// once with final_exponentiation_batch; pair_with(p, q) ==
-  /// final_exp(miller_with(p, q)) by construction.
+  /// final_exponentiation(miller_with(p, q)) by construction.
   Fp2 miller_with(const PreparedPairing& prepared, const Point& q) const;
 
+  /// f^((p²−1)/q) for a nonzero Miller value f: the (p−1) step
+  /// conj(f)/f, then the (p+1)/q tail by field::pow_unitary, the two
+  /// sharing one F_p inversion.
+  Fp2 final_exponentiation(const Fp2& f) const;
+
   /// Applies the final exponentiation to each element in place, sharing
-  /// one batched inversion across the batch (saves one ~8–11 µs Fp2
+  /// one batched inversion across the batch (saves one ~8–11 µs F_p
   /// inversion per element from the second element on).
   void final_exponentiation_batch(std::span<Fp2> fs) const;
 
@@ -152,8 +160,6 @@ class TatePairing {
   // ∏ ê(P_i, Q_i) over all terms, WITHOUT the final exponentiation.
   // Requires at least one term.
   Fp2 miller_loop(std::span<RawTerm> raws, std::span<PrepTerm> preps) const;
-
-  Fp2 final_exponentiation(const Fp2& f) const;
 
   std::shared_ptr<const Curve> curve_;
   BigInt exp_tail_;  // (p + 1) / q, the second factor of the final expo

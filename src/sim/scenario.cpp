@@ -157,6 +157,8 @@ std::uint64_t ScenarioRunner::one_request(WorkerState& ws) {
   const mediated::IbeMediator& ibe = use_primary ? ibe_sem_ : ibe_standby_;
   const mediated::GdhMediator& gdh = use_primary ? gdh_sem_ : gdh_standby_;
 
+  // An IBE token crosses the wire as one F_p element (field::gt_to_bytes).
+  const std::uint64_t token_bytes = group_.curve->field()->byte_size();
   const std::uint64_t t0 = obs::now_ns();
   std::uint64_t issued = 0;
   bool was_denied = false;
@@ -180,14 +182,14 @@ std::uint64_t ScenarioRunner::one_request(WorkerState& ws) {
       for (const auto& r : results) {
         if (r.has_value()) ++issued;
       }
-      ws.transport.send_to_client(issued * 128, frame);
+      ws.transport.send_to_client(issued * token_bytes, frame);
       was_denied = issued < results.size();
     } else if (kind == 2) {
       // IBE single: one prepared-pairing token for a Zipf-picked user.
       const std::size_t idx = static_cast<std::size_t>(zipf) % users;
       ws.transport.send_to_server(ids_[idx].size() + 64, frame);
       (void)ibe.issue_token(ids_[idx], cts_[idx].u);
-      ws.transport.send_to_client(128, frame);
+      ws.transport.send_to_client(token_bytes, frame);
       issued = 1;
     } else {
       // GDH single: Zipf-skewed message stream through the identity-

@@ -12,7 +12,6 @@ using bigint::BigInt;
 using ec::Point;
 using field::Fp2;
 using field::multi_pow;
-using field::pow_fixed_window;
 
 namespace {
 
@@ -38,9 +37,13 @@ BigInt challenge(const Fp2& share_value, const Fp2& vk_pairing, const Fp2& w1,
 // Membership in the order-q subgroup G_T of F*_{p^2}. Pairing outputs
 // always pass; a published value with a small-order component (−S has
 // order 2·q) would let a forger cancel that component against a weight's
-// parity, so the batch is only sound after this check.
+// parity, so the batch is only sound after this check. For a norm-1 x,
+// x^-1 = conj(x), so x^q = 1 iff Re(x^q) = 1: x^q + x^-q = 2 iff
+// (x^q − 1)² = x^q·(x^q + x^-q − 2) = 0. That needs only the trace
+// ladder, with no recovery.
 bool in_gt(const Fp2& x, const BigInt& order) {
-  return !x.is_zero() && x.pow(order).is_one();
+  return x.norm().is_one() &&
+         field::pow_unitary_re(x, order, order.bit_length()).is_one();
 }
 
 // Nonzero 80-bit weights ρ_1..ρ_n, then c, from SHA-256 over U and every
@@ -104,10 +107,10 @@ ProvedShare prove_share(const pairing::ParamSet& group,
   ShareProof& proof = out.proof;
   proof.w2 = f[1];
   // w1 = ê(P, k·P) = ê(P, P)^k.
-  proof.w1 = pow_fixed_window(pairing::cached_pair(pairing, group.generator,
-                                                  group.generator,
-                                                  "threshold.gpp"),
-                              k, order.bit_length());
+  proof.w1 = field::pow_unitary(
+      pairing::cached_pair(pairing, group.generator, group.generator,
+                           "threshold.gpp"),
+      k, order.bit_length());
   proof.e = challenge(out.value, f[2], proof.w1, proof.w2, u, order);
   proof.v = r + d_idi.mul(proof.e);
   k.wipe();

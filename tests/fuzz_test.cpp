@@ -63,6 +63,30 @@ TEST(Fuzz, FieldElementParsingNeverCrashes) {
   });
 }
 
+TEST(Fuzz, GtTokenDecoderNeverCrashes) {
+  // The SEM token / IBS commitment decoder: assorted lengths, then
+  // exactly one field element's worth, where values >= p must throw and
+  // everything accepted must be a norm-1 element.
+  const auto& field = pairing::toy_params().curve->field();
+  fuzz_bytes(712, [&](const Bytes& b) {
+    (void)field::gt_from_bytes(field, b);
+  });
+  HmacDrbg rng(713);
+  int accepted = 0;
+  for (int i = 0; i < 300; ++i) {
+    Bytes b(field->byte_size());
+    rng.fill(b);
+    if (i % 3 == 0) b[0] = 0xff;  // above toy64's p (top byte 0xce)
+    try {
+      EXPECT_TRUE(field::gt_from_bytes(field, b).norm().is_one());
+      ++accepted;
+    } catch (const Error&) {
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 300);
+}
+
 TEST(Fuzz, CiphertextParsersNeverCrash) {
   HmacDrbg rng(703);
   ibe::Pkg pkg(pairing::toy_params(), 32, rng);

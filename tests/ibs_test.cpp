@@ -101,6 +101,27 @@ TEST_F(MediatedIbsTest, MediatedSignVerifies) {
   EXPECT_TRUE(hess_verify(pkg_.params(), "alice", msg, sig));
 }
 
+TEST_F(MediatedIbsTest, CommitmentCrossesTheWireCompressed) {
+  // r reaches the SEM as one field element (field::gt_to_bytes), and the
+  // SEM's decoded r gives the same challenge: this signature's bytes
+  // were recorded when r still crossed as an uncompressed Fp2.
+  HmacDrbg rng(2202);
+  ibe::Pkg pkg(pairing::toy_params(), 32, rng);
+  mediated::IbsMediator sem(pkg.params(), revocations_);
+  auto alice = enroll_ibs_user(pkg, sem, "alice", rng);
+  sim::Transport transport;
+  const Bytes msg = str_bytes("golden");
+  const HessSignature sig = alice.sign(msg, sem, rng, &transport);
+  EXPECT_EQ(to_hex(sig.to_bytes()),
+            "029e79c2e18f36426bcc327d76fd1785cc24dec79ad5f0178f");
+  const std::size_t field_bytes = pkg.params().curve()->field()->byte_size();
+  EXPECT_EQ(transport.stats().to_server.bytes,
+            alice.identity().size() + msg.size() + field_bytes);
+  // A malformed commitment is a typed error at the SEM.
+  EXPECT_THROW(sem.issue_token("alice", msg, Bytes(field_bytes + 1, 0)),
+               InvalidArgument);
+}
+
 TEST_F(MediatedIbsTest, RevocationBlocksSigning) {
   auto alice = enroll_ibs_user(pkg_, sem_, "alice", rng_);
   revocations_->revoke("alice");
@@ -115,7 +136,7 @@ TEST_F(MediatedIbsTest, TokenBoundToChallengeNotChosenScalar) {
   const bigint::BigInt k = bigint::BigInt::random_unit(rng_, pkg_.params().order());
   const auto r = e.pair(pkg_.params().generator(), pkg_.params().generator()).pow(k);
   const Bytes msg = str_bytes("m");
-  const auto token = sem_.issue_token("alice", msg, r);
+  const auto token = sem_.issue_token("alice", msg, field::gt_to_bytes(r));
   const auto v = hess_challenge(pkg_.params(), msg, r);
   // token = v·d_sem — consistent with its definition:
   const auto split_check =

@@ -141,8 +141,9 @@ TEST(Integration, PaperParametersSmokeTest) {
   EXPECT_EQ(alice.decrypt(ct, sem, &transport), m);
 
   // The paper's size claims at sec80:
-  //  - SEM -> user token "about 1000 bits": 2 x 512-bit field elements.
-  EXPECT_EQ(transport.stats().to_client.bytes, 2u * 64u);
+  //  - SEM -> user token "about 1000 bits" uncompressed; compressed
+  //    (field::gt_to_bytes) it is one 512-bit field element.
+  EXPECT_EQ(transport.stats().to_client.bytes, 64u);
   //  - private key halves are single compressed points (512 bits + tag
   //    with compression, vs 1024-bit RSA halves).
   EXPECT_EQ(pkg.extract("alice@example.com").to_bytes().size(), 65u);

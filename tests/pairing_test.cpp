@@ -299,6 +299,30 @@ TEST_F(PairingTest, FinalExponentiationBatchMatchesSingles) {
   EXPECT_EQ(millers, expected);
 }
 
+TEST_F(PairingTest, FinalExponentiationOfSubfieldValuesIsOne) {
+  // f in F_p or i·F_p has f^(p-1) = ±1, and 4 divides (p+1)/q, so the
+  // final exponentiation maps it to 1 — alone, and between ordinary
+  // Miller values in a batch, whose shared inversion must skip it.
+  const auto e = engine();
+  const auto& field = params().curve->field();
+  const auto& P = params().generator;
+  HmacDrbg rng(56);
+  const ec::Point q1 = P.mul(BigInt::random_unit(rng, params().order()));
+  const ec::Point q2 = P.mul(BigInt::random_unit(rng, params().order()));
+  const Fp2 real(field->from_u64(7));
+  const Fp2 imaginary(field->zero(), field->from_u64(5));
+  for (const Fp2& f : {real, imaginary}) {
+    EXPECT_TRUE(e.final_exponentiation(f).is_one());
+  }
+  std::vector<Fp2> batch = {e.miller_with(e.prepare(P), q1), real,
+                            e.miller_with(e.prepare(P), q2), imaginary};
+  e.final_exponentiation_batch(batch);
+  EXPECT_EQ(batch[0], e.pair(P, q1));
+  EXPECT_TRUE(batch[1].is_one());
+  EXPECT_EQ(batch[2], e.pair(P, q2));
+  EXPECT_TRUE(batch[3].is_one());
+}
+
 // Golden vectors: to_bytes() of ê(P, P) and ê(aP, bP) for fixed a, b.
 // Pairing values reach the wire (SEM tokens, G_T commitments and proof
 // values), so a change to the Miller loop, the final exponentiation or
@@ -384,10 +408,10 @@ INSTANTIATE_TEST_SUITE_P(Sets, PairingParamSweep,
                          ::testing::Values("toy64", "mid128", "sec80"));
 
 
-// The G_T exponentiation helpers of the field layer, on pairing outputs:
-// pow_fixed_window must agree with the square-and-multiply Fp2::pow on
-// every exponent shape (edge values, all-zero windows, random), and
-// multi_pow with the product of single powers.
+// The G_T exponentiation helpers of the field layer: pow_unitary (and
+// its trace half pow_unitary_re) must agree with the square-and-multiply
+// Fp2::pow on pairing outputs, on random norm-1 values and on ±1, for
+// every exponent shape; multi_pow with the product of single powers.
 class GtPowTest : public ::testing::TestWithParam<const char*> {
  protected:
   const ParamSet& params() const { return named_params(GetParam()); }
@@ -395,27 +419,63 @@ class GtPowTest : public ::testing::TestWithParam<const char*> {
     const TatePairing e(params().curve);
     return e.pair(params().generator, params().generator).pow(k);
   }
+  // z^(p-1) = conj(z)/z for a random z: uniform over the norm-1 group,
+  // whose order p + 1 is a multiple of q.
+  Fp2 random_unitary(HmacDrbg& rng) const {
+    const Fp2 z = Fp2::random(params().curve->field(), rng);
+    return z.conjugate() * z.inverse();
+  }
 };
 
-TEST_P(GtPowTest, FixedWindowMatchesPow) {
+TEST_P(GtPowTest, UnitaryLadderMatchesPow) {
+  const auto& field = params().curve->field();
   const BigInt& q = params().order();
-  const std::size_t bits = q.bit_length();
-  HmacDrbg rng(60);
-  const Fp2 base = gt_element(BigInt::random_unit(rng, q));
+  const BigInt& p = field->modulus();
   const BigInt one(std::uint64_t{1});
-  std::vector<BigInt> ks = {
-      BigInt(), one, q - one, (one << bits) - one,
-      one << (bits - 1),                           // every low window zero
-      (one << (bits - 1)) + one,                   // zero windows in between
-      BigInt::from_hex("f0000000f") << (bits - 40)};
-  for (int i = 0; i < 100; ++i) ks.push_back(BigInt::random_bits(rng, bits));
-  for (const BigInt& k : ks) {
-    EXPECT_EQ(field::pow_fixed_window(base, k, bits), base.pow(k)) << k;
+  HmacDrbg rng(60);
+  std::vector<Fp2> bases = {gt_element(BigInt::random_unit(rng, q)),
+                            gt_element(BigInt::random_unit(rng, q)),
+                            random_unitary(rng), random_unitary(rng),
+                            Fp2::one(field), -Fp2::one(field)};
+  std::vector<BigInt> ks = {BigInt(), one, BigInt(std::uint64_t{2}),
+                            q - one, q, q + one, (p + one) / q};
+  for (int i = 0; i < 10; ++i) {
+    ks.push_back(BigInt::random_bits(rng, 160));
+    ks.push_back(BigInt::random_bits(rng, 352));
   }
-  // A width that is not a multiple of the window: 7-bit exponents.
+  for (const Fp2& base : bases) {
+    for (const BigInt& k : ks) {
+      const Fp2 expected = base.pow(k);
+      const std::size_t bits = k.bit_length();
+      EXPECT_EQ(field::pow_unitary(base, k, bits), expected) << k;
+      // Leading zero bits leave the ladder where it was.
+      EXPECT_EQ(field::pow_unitary(base, k, bits + 65), expected) << k;
+      EXPECT_EQ(field::pow_unitary_re(base, k, bits + 1), expected.re()) << k;
+      if (!base.im().is_zero()) {
+        const Fp im_inv = base.im().inverse();
+        EXPECT_EQ(field::pow_unitary(base, k, bits, &im_inv), expected) << k;
+      }
+    }
+  }
+  // A width that is not a multiple of anything: 7-bit exponents.
   for (std::uint64_t k : {0u, 1u, 64u, 127u}) {
-    EXPECT_EQ(field::pow_fixed_window(base, BigInt(k), 7), base.pow(BigInt(k)));
+    EXPECT_EQ(field::pow_unitary(bases[0], BigInt(k), 7),
+              bases[0].pow(BigInt(k)));
   }
+}
+
+TEST_P(GtPowTest, UnitaryLadderRejectsOtherNorms) {
+  const auto& field = params().curve->field();
+  HmacDrbg rng(62);
+  const BigInt k(std::uint64_t{5});
+  Fp2 z = Fp2::random(field, rng);
+  while (z.norm().is_one()) z = Fp2::random(field, rng);
+  for (const Fp2& base : {z, Fp2(field->zero()), Fp2(field->from_u64(2))}) {
+    EXPECT_THROW(field::pow_unitary(base, k, 3), InvalidArgument);
+    EXPECT_THROW(field::pow_unitary_re(base, k, 3), InvalidArgument);
+  }
+  EXPECT_THROW(field::pow_unitary(Fp2::one(field), BigInt(-1), 1),
+               InvalidArgument);
 }
 
 TEST_P(GtPowTest, MultiPowMatchesProductOfPowers) {
@@ -440,6 +500,69 @@ TEST_P(GtPowTest, MultiPowMatchesProductOfPowers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(NamedSets, GtPowTest,
+                         ::testing::Values("toy64", "sec80"));
+
+// The G_T wire codec (field::gt_to_bytes / gt_from_bytes): one F_p
+// element per value, the identity as zero bytes, and a typed error for
+// everything else.
+class GtCodecTest : public GtPowTest {};
+
+TEST_P(GtCodecTest, RoundTripsGtValues) {
+  const auto& field = params().curve->field();
+  const BigInt& q = params().order();
+  HmacDrbg rng(63);
+  std::vector<Fp2> xs;
+  for (int i = 0; i < 10; ++i) xs.push_back(gt_element(BigInt::random_unit(rng, q)));
+  for (int i = 0; i < 10; ++i) xs.push_back(random_unitary(rng));
+  for (const Fp2& x : xs) {
+    const Bytes wire = field::gt_to_bytes(x);
+    EXPECT_EQ(wire.size(), field->byte_size());
+    EXPECT_EQ(field::gt_from_bytes(field, wire), x);
+  }
+  // Every m < p decodes to a norm-1 value that encodes back to m.
+  for (int i = 0; i < 10; ++i) {
+    const Bytes m = field->random(rng).to_bytes();
+    const Fp2 x = field::gt_from_bytes(field, m);
+    EXPECT_TRUE(x.norm().is_one());
+    EXPECT_EQ(field::gt_to_bytes(x), m);
+  }
+}
+
+TEST_P(GtCodecTest, IdentityIsZeroBytesAndMinusOneIsRejected) {
+  const auto& field = params().curve->field();
+  const Bytes zeros(field->byte_size(), 0);
+  EXPECT_EQ(field::gt_to_bytes(Fp2::one(field)), zeros);
+  EXPECT_TRUE(field::gt_from_bytes(field, zeros).is_one());
+  EXPECT_THROW(field::gt_to_bytes(-Fp2::one(field)), InvalidArgument);
+  HmacDrbg rng(64);
+  Fp2 z = Fp2::random(field, rng);
+  while (z.norm().is_one()) z = Fp2::random(field, rng);
+  EXPECT_THROW(field::gt_to_bytes(z), InvalidArgument);
+  EXPECT_THROW(field::gt_to_bytes(Fp2(field->zero())), InvalidArgument);
+}
+
+TEST_P(GtCodecTest, DecoderRejectsMalformedEncodings) {
+  const auto& field = params().curve->field();
+  const std::size_t len = field->byte_size();
+  const BigInt& p = field->modulus();
+  EXPECT_THROW(field::gt_from_bytes(field, p.to_bytes_be_padded(len)),
+               InvalidArgument);
+  EXPECT_THROW(field::gt_from_bytes(field, Bytes(len, 0xff)), InvalidArgument);
+  // Lengths ±1 around a valid encoding, empty, and the 2-element
+  // Fp2::to_bytes form of the same value.
+  HmacDrbg rng(65);
+  const Fp2 x = gt_element(BigInt::random_unit(rng, params().order()));
+  const Bytes wire = field::gt_to_bytes(x);
+  Bytes longer = wire;
+  longer.push_back(0);
+  for (const Bytes& bad : {Bytes(wire.begin(), wire.end() - 1), longer,
+                           Bytes(), x.to_bytes()}) {
+    EXPECT_THROW(field::gt_from_bytes(field, bad), InvalidArgument)
+        << bad.size();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(NamedSets, GtCodecTest,
                          ::testing::Values("toy64", "sec80"));
 
 }  // namespace

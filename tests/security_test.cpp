@@ -306,6 +306,40 @@ TEST(RobustProofSoundness, OrderTwoShareForgeryRejected) {
   EXPECT_EQ(threshold::threshold_full_decrypt(setup, valid, ct), m);
 }
 
+// A published value off the norm-1 torus (here 2·S) with a challenge
+// that matches it reaches the G_T membership check, which must reject
+// it as a verdict, not as an exception from the trace ladder.
+TEST(RobustProofSoundness, NonUnitaryShareRejected) {
+  HmacDrbg rng(169);
+  threshold::ThresholdDealer dealer(pairing::toy_params(), 32, 3, 5, rng);
+  const threshold::ThresholdSetup& setup = dealer.setup();
+  const auto keys = dealer.extract_shares("alice");
+  Bytes m(32);
+  rng.fill(m);
+  const auto ct = ibe::full_encrypt(setup.params, "alice", m, rng);
+
+  const pairing::TatePairing pairing(setup.params.curve());
+  const auto& P = setup.params.generator();
+  const auto& q = setup.params.order();
+  const ec::Point& d = keys[0].value;
+  const auto& field = setup.params.curve()->field();
+  const field::Fp2 s_forged =
+      pairing.pair(ct.u, d) * field::Fp2(field->from_u64(2));
+  ASSERT_FALSE(s_forged.norm().is_one());
+  const auto y1 = pairing.pair(P, d);
+  const auto k = bigint::BigInt::random_unit(rng, q);
+  const ec::Point r = P.mul(k);
+  const auto w1 = pairing.pair(P, r);
+  const auto w2 = pairing.pair(ct.u, r);
+  const Bytes data = concat(concat(s_forged.to_bytes(), y1.to_bytes()),
+                            concat(w1.to_bytes(), w2.to_bytes()),
+                            ct.u.to_bytes());
+  const auto e = hash::hash_to_range("TIBE.proof", data, q);
+  const threshold::ShareProof proof{w1, w2, e, r + d.mul(e)};
+  EXPECT_FALSE(threshold::verify_share_proof(pairing, P, ct.u, s_forged, y1,
+                                             q, proof));
+}
+
 // σ + T with T = (0, 0) of order 2: ê(P, σ + T) = ê(P, σ), so the DDH
 // equation accepts it, but σ + T is outside G1 and every relying party
 // that checks membership rejects it. A SEM that adds T to its half
