@@ -1,7 +1,6 @@
 #include "ec/curve.h"
 
 #include "common/error.h"
-#include "ec/jacobian.h"
 #include "ec/point.h"
 
 namespace medcrypt::ec {
@@ -9,17 +8,16 @@ namespace medcrypt::ec {
 Curve::Curve(std::shared_ptr<const PrimeField> field, Fp a, Fp b, BigInt order,
              BigInt cofactor)
     : field_(std::move(field)), a_(std::move(a)), b_(std::move(b)),
-      order_(std::move(order)), cofactor_(std::move(cofactor)),
-      order_naf_(naf_digits(order_)), cofactor_naf_(naf_digits(cofactor_)) {}
+      order_(std::move(order)), cofactor_(std::move(cofactor)) {}
 
 std::shared_ptr<const Curve> Curve::make(
     std::shared_ptr<const PrimeField> field, Fp a, Fp b, BigInt order,
     BigInt cofactor) {
-  // Non-singularity: 4a^3 + 27b^2 != 0.
-  const Fp disc = a.square() * a * field->from_u64(4) +
-                  b.square() * field->from_u64(27);
-  if (disc.is_zero()) {
-    throw InvalidArgument("Curve::make: singular curve");
+  if (!a.is_one() || !b.is_zero()) {
+    throw InvalidArgument("Curve::make: curve must be y^2 = x^3 + x");
+  }
+  if (field->sqrt_exponent().is_zero()) {
+    throw InvalidArgument("Curve::make: field prime must be 3 mod 4");
   }
   if (order <= BigInt(1) || cofactor < BigInt(1)) {
     throw InvalidArgument("Curve::make: bad order/cofactor");

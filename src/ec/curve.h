@@ -1,14 +1,15 @@
-// Short-Weierstrass elliptic curves y^2 = x^3 + ax + b over F_p.
+// The supersingular elliptic curve y^2 = x^3 + x over F_p, p ≡ 3 (mod 4).
 //
 // A Curve is an immutable shared context carrying the base field, the
-// coefficients, the prime subgroup order q and the cofactor h (so
-// #E(F_p) = h·q). The pairing parameter sets instantiate the supersingular
-// curve y^2 = x^3 + x with p ≡ 3 (mod 4), where #E(F_p) = p + 1.
+// coefficients a = 1 and b = 0, the prime subgroup order q and the
+// cofactor h (so #E(F_p) = h·q = p + 1). It is the one family the
+// pairing parameter sets use. The x-only scalar ladder (ec/jacobian.h)
+// relies on it: the curve is the Montgomery curve y^2 = x^3 + A·x^2 + x
+// with A = 0, and with -1 a non-residue (0, 0) is its only point of
+// order 2, the ladder's one special input.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "field/fp.h"
 
@@ -23,8 +24,9 @@ class Point;
 /// Immutable curve context. Create via Curve::make and share.
 class Curve : public std::enable_shared_from_this<Curve> {
  public:
-  /// Builds a curve y^2 = x^3 + ax + b with subgroup order q and cofactor h.
-  /// Requires a non-singular curve (4a^3 + 27b^2 != 0).
+  /// Builds the curve y^2 = x^3 + ax + b with subgroup order q and
+  /// cofactor h. Throws InvalidArgument unless a = 1, b = 0 and
+  /// p ≡ 3 (mod 4).
   static std::shared_ptr<const Curve> make(
       std::shared_ptr<const PrimeField> field, Fp a, Fp b, BigInt order,
       BigInt cofactor);
@@ -38,13 +40,6 @@ class Curve : public std::enable_shared_from_this<Curve> {
 
   /// Cofactor h with #E(F_p) = h·q.
   const BigInt& cofactor() const { return cofactor_; }
-
-  /// naf_digits(q) and naf_digits(h) (ec/jacobian.h), computed once:
-  /// the fixed public scalars of subgroup checks and cofactor clearing.
-  const std::vector<std::int8_t>& order_naf() const { return order_naf_; }
-  const std::vector<std::int8_t>& cofactor_naf() const {
-    return cofactor_naf_;
-  }
 
   /// The point at infinity.
   Point infinity() const;
@@ -73,8 +68,6 @@ class Curve : public std::enable_shared_from_this<Curve> {
   Fp a_, b_;
   BigInt order_;
   BigInt cofactor_;
-  std::vector<std::int8_t> order_naf_;
-  std::vector<std::int8_t> cofactor_naf_;
 };
 
 }  // namespace medcrypt::ec

@@ -33,10 +33,10 @@ FixedBaseTable::FixedBaseTable(const Point& base, bigint::BigInt order)
     std::array<JacPoint, kDigits + 1> jac;
     JacPoint acc{};
     for (unsigned d = 0; d < kDigits; ++d) {
-      acc = jac_add_mixed(*curve_, acc, g);
+      acc = jac_add_mixed(acc, g);
       jac[d] = acc;
     }
-    jac[kDigits] = jac_dbl(*curve_, jac[7]);  // 16g = 2·(8g)
+    jac[kDigits] = jac_dbl(jac[7]);  // 16g = 2·(8g)
     const std::vector<Point> affine = jac_to_affine_batch(curve_, jac);
     for (unsigned d = 0; d < kDigits; ++d) table_.push_back(affine[d]);
     g = affine[kDigits];
@@ -58,7 +58,7 @@ JacPoint FixedBaseTable::mul_jac(const bigint::BigInt& k) const {
     if (d == 0) continue;
     const Point& entry = table_[w * kDigits + d - 1];
     if (entry.is_infinity()) continue;  // only for tiny non-prime orders
-    acc = jac_add_mixed(*curve_, acc, entry);
+    acc = jac_add_mixed(acc, entry);
   }
   return acc;
 }

@@ -1,12 +1,14 @@
 // Precomputed windowed tables for fixed-base scalar multiplication.
 //
-// jac_mul rebuilds a 14-entry window table on every call, even when the
-// base is the system-wide generator P or public key P_pub that every
-// protocol operation multiplies by. A FixedBaseTable pays that setup
-// once: it stores d·16^w·B for every 4-bit window position w and digit
-// d in [1, 15], batch-inverted to affine (one inversion per window at
-// build time), so one scalar multiplication is just ceil(bits(q)/4)
-// mixed additions — no doublings and no per-call table.
+// Point::mul runs one ladder step per bit of q (ec/jacobian.h) on every
+// call, even when the base is the system-wide generator P or public key
+// P_pub that every protocol operation multiplies by. A FixedBaseTable
+// pays for that base once: it stores d·16^w·B for every 4-bit window
+// position w and digit d in [1, 15], batch-inverted to affine (one
+// inversion per window at build time), so one scalar multiplication is
+// just ceil(bits(q)/4) mixed additions — about a quarter of the
+// ladder's multiplications. Unlike the ladder it indexes its table by
+// the scalar's digits (docs/SECRET_HYGIENE.md).
 //
 // Memory cost: ceil(bits(order)/4) × 15 affine points (≈ 600 points,
 // ~77 KiB at the paper's 512-bit sec80 parameters) per cached base.

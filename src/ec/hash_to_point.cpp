@@ -69,8 +69,7 @@ Point hash_to_subgroup(const std::shared_ptr<const Curve>& curve,
     if (!derive_candidate(curve, domain, ctr_input, counter, xbytes, x, y)) {
       continue;
     }
-    const JacPoint cleared =
-        jac_mul_naf(curve->point(x, y), curve->cofactor_naf());
+    const JacPoint cleared = ladder_mul(curve->point(x, y), curve->cofactor());
     if (cleared.inf) continue;  // killed by cofactor clearing
     return jac_to_affine(curve, cleared);
   }
@@ -111,7 +110,7 @@ std::vector<Point> hash_to_subgroup_batch(
                             y)) {
         continue;
       }
-      cleared[i] = jac_mul_naf(curve->point(x, y), curve->cofactor_naf());
+      cleared[i] = ladder_mul(curve->point(x, y), curve->cofactor());
       if (cleared[i].inf) continue;  // killed by cofactor clearing
       break;
     }

@@ -15,7 +15,7 @@
 //     into the sqrt: one exponentiation s = rhs^((p+1)/4) plus a cheap
 //     s^2 == rhs check replaces the separate Euler-criterion power.
 //   - hash_to_curve_candidate: the same candidate without the cofactor
-//     multiplication (~2/3 of the hash at the paper's parameters), for
+//     multiplication (most of the hash at the paper's parameters), for
 //     pairing-based verifiers that absorb the cofactor elsewhere.
 //   - hash_to_subgroup_cached: consults the process-wide identity-point
 //     LRU (src/ec/identity_cache.h) before computing. The output is a

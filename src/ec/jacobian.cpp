@@ -1,5 +1,8 @@
 #include "ec/jacobian.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/error.h"
 
 namespace medcrypt::ec {
@@ -49,7 +52,7 @@ std::vector<Point> jac_to_affine_batch(
   return out;
 }
 
-JacPoint jac_dbl(const Curve& curve, const JacPoint& t, DblTrace* trace) {
+JacPoint jac_dbl(const JacPoint& t, DblTrace* trace) {
   if (t.inf || t.y.is_zero()) return JacPoint{};
 
   // In-place compound ops throughout: every temporary is a fixed-limb
@@ -61,15 +64,9 @@ JacPoint jac_dbl(const Curve& curve, const JacPoint& t, DblTrace* trace) {
   s.dbl_inplace();
   s.dbl_inplace();
   const Fp x_sq = t.x.square();
-  Fp m = x_sq.dbl();                         // 3X^2 as 2X^2 + X^2 (no
-  m += x_sq;                                 // small-constant embed)
-  if (curve.a().is_one()) {                  // M = 3X^2 + aZ^4
-    m += z_sq.square();
-  } else if (!curve.a().is_zero()) {
-    Fp az4 = z_sq.square();
-    az4 *= curve.a();
-    m += az4;
-  }
+  Fp m = x_sq.dbl();                         // M = 3X^2 + Z^4 (a = 1),
+  m += x_sq;                                 // 3X^2 as 2X^2 + X^2 (no
+  m += z_sq.square();                        // small-constant embed)
   Fp x3 = m.square();                        // X' = M^2 - 2S
   x3 -= s;
   x3 -= s;
@@ -96,8 +93,7 @@ JacPoint jac_dbl(const Curve& curve, const JacPoint& t, DblTrace* trace) {
   return JacPoint{std::move(x3), std::move(y3), std::move(z3), false};
 }
 
-JacPoint jac_add_mixed(const Curve& curve, const JacPoint& t, const Point& p,
-                       AddTrace* trace) {
+JacPoint jac_add_mixed(const JacPoint& t, const Point& p, AddTrace* trace) {
   if (p.is_infinity()) {
     throw InvalidArgument("jac_add_mixed: affine addend must be finite");
   }
@@ -121,12 +117,12 @@ JacPoint jac_add_mixed(const Curve& curve, const JacPoint& t, const Point& p,
 
   if (h.is_zero()) {
     if (r.is_zero()) {
-      // T == P: a doubling. The Miller loop never reaches this; the
-      // scalar ladder may on tiny curves.
+      // T == P: a doubling. The Miller loop never reaches this; a
+      // fixed-base table over a tiny-order base may.
       if (trace != nullptr) {
         throw InvalidArgument("jac_add_mixed: doubling case has no add line");
       }
-      return jac_dbl(curve, t);
+      return jac_dbl(t);
     }
     // T == -P: vertical line, result is infinity.
     if (trace != nullptr) {
@@ -165,84 +161,128 @@ JacPoint jac_add_mixed(const Curve& curve, const JacPoint& t, const Point& p,
 
 namespace {
 
-// jac_mul before its final affine conversion.
-JacPoint jac_mul_raw(const Point& p, const bigint::BigInt& k) {
-  const auto& curve = p.curve();
-  if (!curve) throw InvalidArgument("jac_mul: default-constructed point");
-  if (k.is_zero() || p.is_infinity()) return JacPoint{};
-  if (k.is_negative()) return jac_mul_raw(-p, -k);
+// The x-only ladder over projective (X : Z), most significant bit first.
+// On return (x2 : z2) = k·P and (x3 : z3) = (k+1)·P; t0..t3 are scratch
+// for the step and for y-recovery. Every member derives from k, so the
+// destructor wipes them all, on every exit path. Requires P finite with
+// y != 0 (so x(P) != 0) and k >= 0.
+struct Ladder {
+  Fp x2, z2, x3, z3, t0, t1, t2, t3;
 
-  // 4-bit window over an affine table (mixed additions stay cheap).
-  // The 2P..15P entries are accumulated in Jacobian form and converted
-  // with ONE batched inversion.
-  constexpr int kWindow = 4;
-  std::vector<JacPoint> jac_table;
-  jac_table.reserve((1 << kWindow) - 2);
-  {
-    JacPoint acc = jac_from_affine(p);
-    for (int i = 2; i < (1 << kWindow); ++i) {
-      acc = jac_add_mixed(*curve, acc, p);
-      jac_table.push_back(acc);
+  Ladder(const Point& p, const bigint::BigInt& k) {
+    const Fp& x1 = p.x();
+    const auto& field = x1.field();
+    x2 = field->one();  // O = (1 : 0)
+    z2 = field->zero();
+    x3 = x1;            // P = (x1 : 1)
+    z3 = field->one();
+    t0 = z2;
+    t1 = z2;
+    t2 = z2;
+    t3 = z2;
+    const std::size_t bits =
+        std::max(k.bit_length(), p.curve()->order().bit_length());
+    // A set bit maps (R, R + P) to (2R + P, 2R + 2P), the mirror image
+    // of a clear bit's (2R, 2R + P): the pair is swapped in, stepped by
+    // the clear-bit formulas and swapped back out, and consecutive swaps
+    // merge into one by the XOR of adjacent bits.
+    std::uint64_t swapped = 0;
+    for (std::size_t i = bits; i-- > 0;) {
+      const std::uint64_t bit = k.bit(i);
+      x2.cswap(x3, swapped ^ bit);
+      z2.cswap(z3, swapped ^ bit);
+      swapped = bit;
+      step(x1);
     }
+    x2.cswap(x3, swapped);
+    z2.cswap(z3, swapped);
   }
-  const std::vector<Point> converted = jac_to_affine_batch(curve, jac_table);
-  Point table[1 << kWindow];
-  table[1] = p;
-  for (int i = 2; i < (1 << kWindow); ++i) table[i] = converted[i - 2];
 
-  const std::size_t nbits = k.bit_length();
-  const std::size_t nwindows = (nbits + kWindow - 1) / kWindow;
-  JacPoint acc{};
-  for (std::size_t w = nwindows; w-- > 0;) {
-    for (int i = 0; i < kWindow; ++i) acc = jac_dbl(*curve, acc);
-    unsigned idx = 0;
-    for (int i = kWindow - 1; i >= 0; --i) {
-      idx = (idx << 1) | (k.bit(w * kWindow + i) ? 1u : 0u);
-    }
-    if (idx != 0) {
-      if (table[idx].is_infinity()) continue;  // only if p had tiny order
-      acc = jac_add_mixed(*curve, acc, table[idx]);
-    }
+  ~Ladder() {
+    for (Fp* f : {&x2, &z2, &x3, &z3, &t0, &t1, &t2, &t3}) f->wipe();
   }
-  return acc;
-}
+
+  Ladder(const Ladder&) = delete;
+  Ladder& operator=(const Ladder&) = delete;
+
+  // RFC 7748 §5 with a24 = (A - 2)/4 = -1/2: both of 2R's coordinates
+  // are doubled, so X(2R) = 2·AA·BB and Z(2R) = E·(2AA - E) = E·(AA + BB)
+  // need no constant multiply. 5M + 4S.
+  void step(const Fp& x1) {
+    t0 = x2;
+    t0 += z2;             // A = X2 + Z2
+    x2 -= z2;             // B = X2 - Z2
+    t1 = x3;
+    t1 += z3;             // C = X3 + Z3
+    x3 -= z3;             // D = X3 - Z3
+    x3 *= t0;             // DA
+    t1 *= x2;             // CB
+    t0.square_inplace();  // AA
+    x2.square_inplace();  // BB
+    z3 = x3;
+    z3 -= t1;             // DA - CB
+    x3 += t1;             // DA + CB
+    x3.square_inplace();  // X(R + P) = (DA + CB)^2
+    z3.square_inplace();
+    z3 *= x1;             // Z(R + P) = x1·(DA - CB)^2
+    z2 = t0;
+    z2 -= x2;             // E = AA - BB
+    t1 = t0;
+    t1 += x2;             // AA + BB
+    z2 *= t1;             // Z(2R) = E·(AA + BB)
+    x2 *= t0;
+    x2.dbl_inplace();     // X(2R) = 2·AA·BB
+  }
+};
 
 }  // namespace
 
-std::vector<std::int8_t> naf_digits(const bigint::BigInt& k) {
-  if (k.is_negative()) throw InvalidArgument("naf_digits: negative scalar");
-  std::vector<std::int8_t> digits;
-  digits.reserve(k.bit_length() + 1);
-  bigint::BigInt rest = k;
-  while (!rest.is_zero()) {
-    std::int8_t d = 0;
-    if (rest.bit(0)) {
-      // rest ≡ 1 (mod 4) takes digit 1, rest ≡ 3 takes -1; either way
-      // the next digit is then 0.
-      d = rest.bit(1) ? -1 : 1;
-      rest = d > 0 ? rest - bigint::BigInt(1) : rest + bigint::BigInt(1);
-    }
-    digits.push_back(d);
-    rest = rest >> 1;
+JacPoint ladder_mul(const Point& p, const bigint::BigInt& k) {
+  if (!p.curve()) {
+    throw InvalidArgument("ladder_mul: default-constructed point");
   }
-  return digits;
-}
-
-JacPoint jac_mul_naf(const Point& p, std::span<const std::int8_t> naf) {
-  const auto& curve = p.curve();
-  if (!curve) throw InvalidArgument("jac_mul_naf: default-constructed point");
   if (p.is_infinity()) return JacPoint{};
-  const Point neg = -p;
-  JacPoint acc{};
-  for (std::size_t i = naf.size(); i-- > 0;) {
-    acc = jac_dbl(*curve, acc);
-    if (naf[i] != 0) acc = jac_add_mixed(*curve, acc, naf[i] > 0 ? p : neg);
+  if (k.is_negative()) return ladder_mul(-p, -k);
+  if (p.y().is_zero()) {  // (0, 0) has order 2
+    return k.bit(0) ? jac_from_affine(p) : JacPoint{};
   }
-  return acc;
-}
+  Ladder l(p, k);
+  if (l.z2.is_zero()) return JacPoint{};           // kP = O
+  if (l.z3.is_zero()) return jac_from_affine(-p);  // (k+1)P = O
 
-Point jac_mul(const Point& p, const bigint::BigInt& k) {
-  return jac_to_affine(p.curve(), jac_mul_raw(p, k));
+  // Okeya–Sakurai with A = 0, B = 1: for Q = kP = (X1 : Z1) and
+  // Q + P = (X2 : Z2),
+  //   y(Q) = [(x·x_Q + 1)(x_Q + x) - (x_Q - x)^2·x_{Q+P}] / (2y),
+  // which over the common denominator D·Z1 with D = 2y·Z1·Z2 is the
+  // projective point (D·X1, Y', D·Z1) with
+  //   Y' = (X1 + x·Z1)(x·X1 + Z1)·Z2 - (X1 - x·Z1)^2·X2.
+  // Jacobian (X', Y', Z') with Z' = D·Z1 is (D·X1·Z', Y'·Z'^2, Z').
+  const Fp& x = p.x();
+  l.t0 = x;
+  l.t0 *= l.z2;             // x·Z1
+  l.t1 = l.x2;
+  l.t1 -= l.t0;
+  l.t1.square_inplace();
+  l.t1 *= l.x3;             // (X1 - x·Z1)^2·X2
+  l.t0 += l.x2;             // X1 + x·Z1
+  l.t2 = x;
+  l.t2 *= l.x2;
+  l.t2 += l.z2;             // x·X1 + Z1
+  l.t0 *= l.t2;
+  l.t0 *= l.z3;
+  l.t0 -= l.t1;             // Y'
+  l.t3 = p.y();
+  l.t3.dbl_inplace();
+  l.t3 *= l.z2;
+  l.t3 *= l.z3;             // D
+  Fp z = l.t3;
+  z *= l.z2;                // Z' = D·Z1
+  Fp xj = l.t3;
+  xj *= l.x2;
+  xj *= z;                  // D·X1·Z'
+  Fp yj = z.square();
+  yj *= l.t0;               // Y'·Z'^2
+  return JacPoint{std::move(xj), std::move(yj), std::move(z), false};
 }
 
 }  // namespace medcrypt::ec

@@ -12,11 +12,15 @@
 // (the scale lies in the subfield the exponentiation kills), so the
 // pairing multiplies by the numerator-scaled line directly.
 //
+// Variable-base multiples (Point::mul, the subgroup check, cofactor
+// clearing) run one x-only Montgomery ladder instead (ladder_mul below):
+// y^2 = x^3 + x is the Montgomery curve B·y^2 = x^3 + A·x^2 + x with
+// A = 0 and B = 1, so the ladder needs no change of model.
+//
 // The affine path in ec/point.cpp remains the reference implementation;
 // tests cross-check the two and an ablation bench measures the gap.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -45,11 +49,11 @@ std::vector<Point> jac_to_affine_batch(
     const std::shared_ptr<const Curve>& curve, std::span<const JacPoint> pts);
 
 /// Intermediates of a doubling step the pairing's line function needs:
-///   lambda = M / (2YZ) with M = 3X^2 + aZ^4; new Z' = 2YZ.
+///   lambda = M / (2YZ) with M = 3X^2 + Z^4 (a = 1); new Z' = 2YZ.
 /// Scaled line through T (inputs X, Y, Z of T):
 ///   L = (M·X - 2Y^2 + M·Z^2·xq) + i · (Z'·Z^2·yq)
 struct DblTrace {
-  Fp m;       // M = 3X^2 + aZ^4
+  Fp m;       // M = 3X^2 + Z^4
   Fp x;       // X of the input point
   Fp y_sq;    // Y^2 of the input point
   Fp z_sq;    // Z^2 of the input point
@@ -58,8 +62,7 @@ struct DblTrace {
 
 /// Doubles `t`. When `trace` is non-null and the input is finite with
 /// Y != 0, fills the line intermediates.
-JacPoint jac_dbl(const Curve& curve, const JacPoint& t,
-                 DblTrace* trace = nullptr);
+JacPoint jac_dbl(const JacPoint& t, DblTrace* trace = nullptr);
 
 /// Intermediates of a mixed addition T + P (P affine) for the pairing:
 ///   lambda = r / (Z·H); scaled line through P:
@@ -73,24 +76,23 @@ struct AddTrace {
 };
 
 /// Mixed addition t + p with affine p. Requires p finite; t may be
-/// infinity. Does NOT support the t == p doubling case (callers in the
-/// Miller loop and the ladder never produce it; it throws if hit).
-JacPoint jac_add_mixed(const Curve& curve, const JacPoint& t, const Point& p,
+/// infinity. The t == p case falls back to jac_dbl, and throws if a
+/// trace is asked for (the Miller loop never produces it).
+JacPoint jac_add_mixed(const JacPoint& t, const Point& p,
                        AddTrace* trace = nullptr);
 
-/// Windowed scalar multiplication k·p via Jacobian coordinates.
-/// Semantics identical to the affine reference (negative k negates).
-Point jac_mul(const Point& p, const bigint::BigInt& k);
-
-/// Non-adjacent form of k >= 0, least significant digit first: digits in
-/// {-1, 0, 1}, no two adjacent ones nonzero (about a third are).
-std::vector<std::int8_t> naf_digits(const bigint::BigInt& k);
-
-/// k·p for a PUBLIC k given as naf_digits(k): double-and-add with mixed
-/// additions of ±p. No table, so no field inversion — for fixed public
-/// scalars (the curve's q and h, see Curve::order_naf) it beats the
-/// windowed ladder of jac_mul, whose table costs one inversion. Its
-/// operation sequence follows the digits, so never pass a secret scalar.
-JacPoint jac_mul_naf(const Point& p, std::span<const std::int8_t> naf);
+/// k·p by the x-only Montgomery ladder (Montgomery 1987; RFC 7748 §5):
+/// one differential addition and one doubling per bit on projective
+/// (X : Z), 5M + 4S, for max(bits(k), bits(q)) steps with q the curve's
+/// order, so any scalar below q takes the same operation sequence. The
+/// step order is set by masked swaps (Fp::cswap), never by a branch or
+/// table index on a bit of k, and the ladder state is wiped before
+/// return. y is recovered by Okeya–Sakurai from x(P), y(P), x(kP) and
+/// x((k+1)P). Negative k multiplies -p by |k|. Branches only on p and on
+/// the result: (0, 0), the one 2-torsion point, maps to itself for odd
+/// k and to O for even k; Z(kP) = 0 gives O before any recovery (so a
+/// subgroup check of a member pays the steps alone), and
+/// Z((k+1)P) = 0 gives -p.
+JacPoint ladder_mul(const Point& p, const bigint::BigInt& k);
 
 }  // namespace medcrypt::ec

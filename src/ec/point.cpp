@@ -64,9 +64,9 @@ bool Point::operator==(const Point& o) const {
 
 Point Point::mul(const BigInt& k) const {
   if (!curve_) throw InvalidArgument("Point: mul of default-constructed point");
-  // Fast path: Jacobian ladder (one inversion total instead of one per
+  // Fast path: x-only ladder (one inversion total instead of one per
   // group operation). mul_affine is kept as the reference implementation.
-  return jac_mul(*this, k);
+  return jac_to_affine(curve_, ladder_mul(*this, k));
 }
 
 Point Point::mul_affine(const BigInt& k) const {
@@ -97,10 +97,9 @@ Point Point::mul_affine(const BigInt& k) const {
 
 bool Point::in_subgroup() const {
   if (!curve_) throw InvalidArgument("Point: in_subgroup of default point");
-  // q·P stays Jacobian (only its identity flag is needed), and the NAF
-  // walk of the fixed q needs no table, so the check runs without a
-  // single field inversion.
-  return jac_mul_naf(*this, curve_->order_naf()).inf;
+  // q·P stays Jacobian: a member returns at Z(q·P) = 0, with no
+  // y-recovery and no field inversion.
+  return ladder_mul(*this, curve_->order()).inf;
 }
 
 Bytes Point::to_bytes() const {

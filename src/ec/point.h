@@ -31,8 +31,8 @@ class Point {
   /// Doubling.
   Point dbl() const;
 
-  /// Scalar multiplication k·P (windowed Jacobian ladder — one field
-  /// inversion total). Negative k multiplies by |k| and negates.
+  /// Scalar multiplication k·P (x-only Montgomery ladder, ec/jacobian.h —
+  /// one field inversion total). Negative k multiplies by |k| and negates.
   Point mul(const BigInt& k) const;
 
   /// Reference scalar multiplication in affine coordinates (one

@@ -161,7 +161,9 @@ Fp Fp::dbl() const {
 
 bool Fp::operator==(const Fp& o) const {
   if (!field_ || !o.field_) return !field_ && !o.field_;
-  return field_->modulus() == o.field_->modulus() && store_.equals(o.store_);
+  // Elements of one context skip the BigInt modulus compare.
+  return (field_ == o.field_ || field_->modulus() == o.field_->modulus()) &&
+         store_.equals(o.store_);
 }
 
 Fp Fp::inverse() const {

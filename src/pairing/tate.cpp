@@ -71,11 +71,11 @@ struct Chain {
   // T <- 2T, then T <- T + P when `bit` is set, calling on_dbl/on_add
   // with the trace of each line that is not skipped.
   template <class OnDbl, class OnAdd>
-  void step(const Curve& curve, bool bit, OnDbl&& on_dbl, OnAdd&& on_add) {
+  void step(bool bit, OnDbl&& on_dbl, OnAdd&& on_add) {
     // No tangent through O or a 2-torsion point.
     const bool have_line = !t.inf && !t.y.is_zero();
     ec::DblTrace dbl_trace;
-    t = ec::jac_dbl(curve, t, have_line ? &dbl_trace : nullptr);
+    t = ec::jac_dbl(t, have_line ? &dbl_trace : nullptr);
     if (have_line) on_dbl(dbl_trace);
     if (!bit) return;
     if (t.inf) {
@@ -83,7 +83,7 @@ struct Chain {
       return;
     }
     ec::AddTrace add_trace;
-    t = ec::jac_add_mixed(curve, t, *p, &add_trace);
+    t = ec::jac_add_mixed(t, *p, &add_trace);
     // Vertical line (T = -P): lives in F_p, erased by the final
     // exponentiation — skip.
     if (!add_trace.vertical) on_add(add_trace);
@@ -158,15 +158,9 @@ struct TatePairing::PrepTerm {
 
 TatePairing::TatePairing(std::shared_ptr<const Curve> curve)
     : curve_(std::move(curve)) {
-  const auto& field = curve_->field();
-  if (!curve_->a().is_one() || !curve_->b().is_zero()) {
-    throw InvalidArgument("TatePairing: curve must be y^2 = x^3 + x");
-  }
-  const BigInt& p = field->modulus();
-  if (!(p.bit(0) && p.bit(1))) {
-    throw InvalidArgument("TatePairing: field prime must be 3 mod 4");
-  }
+  // Curve::make admits only y^2 = x^3 + x with p ≡ 3 (mod 4), so
   // #E(F_p) = p + 1 = h q; the final exponentiation tail is (p+1)/q.
+  const BigInt& p = curve_->field()->modulus();
   BigInt r;
   BigInt::divmod(p + BigInt(1), curve_->order(), exp_tail_, r);
   if (!r.is_zero()) {
@@ -247,7 +241,7 @@ PreparedPairing TatePairing::prepare(const Point& p) const {
   for (std::size_t i = bits; i-- > 0;) {
     const std::size_t before = out.lines_.size();
     chain.step(
-        *curve_, order.bit(i),
+        order.bit(i),
         [&](const ec::DblTrace& tr) {
           out.lines_.push_back({tr.m * tr.x - tr.y_sq.dbl(), tr.m * tr.z_sq,
                                 tr.zp_zsq});
@@ -287,7 +281,7 @@ Fp2 TatePairing::miller_loop(std::span<RawTerm> raws,
     f.square_inplace();
     for (RawTerm& raw : raws) {
       raw.chain.step(
-          *curve_, order.bit(i),
+          order.bit(i),
           [&](const ec::DblTrace& tr) {
             mul_dbl_line(f, tr, raw.xq, *raw.yq);
           },

@@ -145,12 +145,15 @@ std::uint64_t ScenarioRunner::one_request(WorkerState& ws) {
   // A request routed at a dark primary burns one failed attempt (and
   // the availability budget), then retries against the standby.
   const bool route_primary = (seq & 1) == 0;
+  // An IBE request carries the identity and U as a compressed point.
+  const std::uint64_t u_bytes = group_.curve->compressed_size();
   bool retried = false;
   if (route_primary && !primary_up_.load()) {
     failed_.fetch_add(1);
     retries_.fetch_add(1);
     obs::trace_annotate("retry");
-    ws.transport.send_to_server(ids_[0].size() + 64, frame);  // timed out
+    // The timed-out attempt.
+    ws.transport.send_to_server(ids_[0].size() + u_bytes, frame);
     retried = true;
   }
   const bool use_primary = route_primary && !retried;
@@ -175,7 +178,7 @@ std::uint64_t ScenarioRunner::one_request(WorkerState& ws) {
       for (std::size_t j = 0; j < batch; ++j) {
         const std::size_t idx = (start + j) % users;
         reqs.push_back({ids_[idx], &cts_[idx].u});
-        payload += ids_[idx].size() + 64;
+        payload += ids_[idx].size() + u_bytes;
       }
       ws.transport.send_to_server(payload, frame);
       const auto results = ibe.issue_tokens(reqs);
@@ -187,7 +190,7 @@ std::uint64_t ScenarioRunner::one_request(WorkerState& ws) {
     } else if (kind == 2) {
       // IBE single: one prepared-pairing token for a Zipf-picked user.
       const std::size_t idx = static_cast<std::size_t>(zipf) % users;
-      ws.transport.send_to_server(ids_[idx].size() + 64, frame);
+      ws.transport.send_to_server(ids_[idx].size() + u_bytes, frame);
       (void)ibe.issue_token(ids_[idx], cts_[idx].u);
       ws.transport.send_to_client(token_bytes, frame);
       issued = 1;

@@ -9,7 +9,6 @@
 #include "bigint/bigint.h"
 #include "common/error.h"
 #include "ec/fixed_base.h"
-#include "ec/jacobian.h"
 #include "field/fp.h"
 #include "field/fp2.h"
 #include "hash/drbg.h"
@@ -229,7 +228,7 @@ TEST(ArithDiff, Fp2InverseAndPow) {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-base tables and jac_mul vs plain double-and-add
+// Fixed-base tables and Point::mul vs plain double-and-add
 // ---------------------------------------------------------------------------
 
 // Textbook MSB-first double-and-add with affine additions only — the
@@ -254,7 +253,7 @@ TEST(ArithDiff, FixedBaseTableMatchesNaiveMul) {
     const BigInt k = BigInt::random_below(rng, q);
     const Point expected = naive_mul(g.generator, k);
     EXPECT_EQ(table.mul(k), expected);
-    EXPECT_EQ(ec::jac_mul(g.generator, k), expected);
+    EXPECT_EQ(g.generator.mul(k), expected);
   }
 }
 
@@ -266,12 +265,12 @@ TEST(ArithDiff, FixedBaseTableScalarEdgeCases) {
   // k = 0 and k = order both hit the identity.
   EXPECT_TRUE(table.mul(BigInt(0)).is_infinity());
   EXPECT_TRUE(table.mul(q).is_infinity());
-  EXPECT_TRUE(ec::jac_mul(g.generator, BigInt(0)).is_infinity());
+  EXPECT_TRUE(g.generator.mul(BigInt(0)).is_infinity());
 
   // k > order reduces: (q + 7)·P = 7·P; (2q + 1)·P = P.
   EXPECT_EQ(table.mul(q + BigInt(7)), naive_mul(g.generator, BigInt(7)));
   EXPECT_EQ(table.mul(q + q + BigInt(1)), g.generator);
-  EXPECT_EQ(ec::jac_mul(g.generator, q + BigInt(7)),
+  EXPECT_EQ(g.generator.mul(q + BigInt(7)),
             naive_mul(g.generator, BigInt(7)));
 
   // k = 1 and k = order - 1 (the -P edge of the last window).

@@ -39,6 +39,20 @@ TEST(Curve, RejectsSingular) {
                InvalidArgument);
 }
 
+TEST(Curve, RejectsOtherFamilies) {
+  // Only y^2 = x^3 + x over p ≡ 3 (mod 4), where (0, 0) is the one
+  // point of order 2 (the ladder's special input).
+  auto f = PrimeField::make(BigInt(103));
+  EXPECT_THROW(Curve::make(f, f->one(), f->one(), BigInt(7), BigInt(16)),
+               InvalidArgument);
+  EXPECT_THROW(Curve::make(f, f->from_u64(2), f->zero(), BigInt(13),
+                           BigInt(8)),
+               InvalidArgument);
+  auto g = PrimeField::make(BigInt(97));  // 97 ≡ 1 (mod 4)
+  EXPECT_THROW(Curve::make(g, g->one(), g->zero(), BigInt(7), BigInt(14)),
+               InvalidArgument);
+}
+
 TEST(Curve, RejectsOffCurvePoint) {
   auto c = tiny_curve();
   auto f = c->field();
@@ -288,49 +302,76 @@ TEST(Jacobian, MulMatchesAffineReferenceBigCurve) {
   }
 }
 
-TEST(Jacobian, NafDigitsAreNonAdjacentAndSumToK) {
-  HmacDrbg rng(33);
-  std::vector<BigInt> scalars = {BigInt(0), BigInt(1), BigInt(3), BigInt(7),
-                                 pairing::paper_params().order(),
-                                 pairing::paper_params().curve->cofactor()};
-  for (int i = 0; i < 8; ++i) scalars.push_back(BigInt::random_bits(rng, 200));
-  for (const BigInt& k : scalars) {
-    const std::vector<std::int8_t> naf = naf_digits(k);
-    BigInt sum(0);
-    for (std::size_t i = naf.size(); i-- > 0;) {
-      sum = sum + sum + BigInt(naf[i]);
-      if (i + 1 < naf.size()) {
-        EXPECT_FALSE(naf[i] != 0 && naf[i + 1] != 0);
-      }
+// Every point of the tiny curve: O, (0, 0) and the 102 others.
+std::vector<Point> all_points(const std::shared_ptr<const Curve>& c) {
+  std::vector<Point> pts = {c->infinity()};
+  for (std::uint64_t xv = 0; xv < 103; ++xv) {
+    const auto x = c->field()->from_u64(xv);
+    const auto y = c->rhs(x).try_sqrt();
+    if (!y) continue;
+    pts.push_back(c->point(x, *y));
+    if (!y->is_zero()) pts.push_back(c->point(x, -*y));
+  }
+  return pts;
+}
+
+TEST(Ladder, MatchesAffineOnEveryPointOfTinyCurve) {
+  // Every point (orders 1, 2, 4, 8, 13, 26, 52, 104) and every k in
+  // [-2·#E, 2·#E]: hits kP = O, (k+1)P = O, kP = (0, 0) and the
+  // 2-torsion special case.
+  auto c = tiny_curve();
+  const std::vector<Point> pts = all_points(c);
+  ASSERT_EQ(pts.size(), 104u);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const Point& p = pts[i];
+    for (int k = -208; k <= 208; ++k) {
+      const Point want = p.mul_affine(BigInt(k));
+      ASSERT_EQ(jac_to_affine(c, ladder_mul(p, BigInt(k))), want)
+          << "point " << i << ", k = " << k;
     }
-    EXPECT_EQ(sum, k);
-    EXPECT_LE(naf.size(), k.bit_length() + 1);
+    EXPECT_EQ(p.in_subgroup(), p.mul_affine(c->order()).is_infinity()) << i;
   }
 }
 
-TEST(Jacobian, NafMulMatchesWindowedMul) {
-  // Every multiple on the tiny curve (small orders, T == ±P additions),
-  // then random scalars and the curve's own q and h on toy64.
-  auto c = tiny_curve();
-  const Point p = some_point(c);
-  for (int k = 0; k < 120; ++k) {
-    EXPECT_EQ(jac_to_affine(c, jac_mul_naf(p, naf_digits(BigInt(k)))),
-              p.mul(BigInt(k)))
-        << "k = " << k;
-  }
-  const auto& params = pairing::toy_params();
-  HmacDrbg rng(34);
-  const Point g = hash_to_curve_candidate(params.curve, "naf", str_bytes("g"));
-  std::vector<BigInt> scalars = {params.order(), params.curve->cofactor()};
-  for (int i = 0; i < 8; ++i) scalars.push_back(BigInt::random_bits(rng, 130));
-  for (const BigInt& k : scalars) {
-    EXPECT_EQ(jac_to_affine(params.curve, jac_mul_naf(g, naf_digits(k))),
-              g.mul(k));
-  }
-  EXPECT_EQ(params.curve->order_naf(), naf_digits(params.order()));
-  EXPECT_EQ(params.curve->cofactor_naf(),
-            naf_digits(params.curve->cofactor()));
+TEST(Ladder, RejectsDefaultPoint) {
+  EXPECT_THROW(ladder_mul(Point{}, BigInt(3)), InvalidArgument);
+  EXPECT_THROW(Point{}.in_subgroup(), InvalidArgument);
 }
+
+class LadderDiffTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LadderDiffTest, MatchesAffineReference) {
+  const auto& params = pairing::named_params(GetParam());
+  const auto& c = params.curve;
+  const BigInt& q = params.order();
+  const BigInt& h = c->cofactor();
+  HmacDrbg rng(37);
+  const BigInt r = BigInt::random_below(rng, q);
+  const std::vector<BigInt> scalars = {
+      BigInt(0), BigInt(1), BigInt(2), q - BigInt(1), q, q + BigInt(1), h,
+      r, q + r, h * q, BigInt::random_bits(rng, c->field()->modulus()
+                                                    .bit_length() + 70),
+      -BigInt(1), -r, -(q + BigInt(1))};
+  const Point t = order_two_point(c);
+  // G1 points, a raw candidate of full order in E(F_p) (cofactor part
+  // and all), its sum with (0, 0), and (0, 0) itself.
+  const Point cand = hash_to_curve_candidate(c, "Ladder", str_bytes("c"));
+  const std::vector<Point> bases = {params.generator,
+                                    params.mul_g(r), cand, cand + t, t};
+  for (std::size_t b = 0; b < bases.size(); ++b) {
+    const Point& p = bases[b];
+    for (std::size_t i = 0; i < scalars.size(); ++i) {
+      EXPECT_EQ(p.mul(scalars[i]), p.mul_affine(scalars[i]))
+          << "base " << b << ", k " << i;
+    }
+    EXPECT_EQ(p.in_subgroup(), p.mul_affine(q).is_infinity()) << b;
+  }
+  // Cofactor clearing of the raw candidate is the hash's output.
+  EXPECT_EQ(cand.mul(h), hash_to_subgroup(c, "Ladder", str_bytes("c")));
+}
+
+INSTANTIATE_TEST_SUITE_P(Params, LadderDiffTest,
+                         ::testing::Values("toy64", "sec80"));
 
 TEST(Jacobian, RoundTripThroughCoordinates) {
   const auto& params = pairing::toy_params();
@@ -344,8 +385,8 @@ TEST(Jacobian, DblAddConsistency) {
   const auto& params = pairing::toy_params();
   const Point p = params.generator;
   JacPoint acc = jac_from_affine(p);
-  acc = jac_dbl(*params.curve, acc);          // 2P
-  acc = jac_add_mixed(*params.curve, acc, p); // 3P
+  acc = jac_dbl(acc);             // 2P
+  acc = jac_add_mixed(acc, p);    // 3P
   EXPECT_EQ(jac_to_affine(params.curve, acc), p.mul_affine(BigInt(3)));
 }
 
@@ -354,7 +395,7 @@ TEST(Jacobian, AddInverseYieldsInfinity) {
   const Point p = params.generator;
   JacPoint t = jac_from_affine(p);
   AddTrace trace;
-  const JacPoint sum = jac_add_mixed(*params.curve, t, -p, &trace);
+  const JacPoint sum = jac_add_mixed(t, -p, &trace);
   EXPECT_TRUE(sum.inf);
   EXPECT_TRUE(trace.vertical);
 }
