@@ -5,17 +5,13 @@
 
 namespace medcrypt::ec {
 
-Curve::Curve(std::shared_ptr<const PrimeField> field, Fp a, Fp b, BigInt order,
+Curve::Curve(std::shared_ptr<const PrimeField> field, BigInt order,
              BigInt cofactor)
-    : field_(std::move(field)), a_(std::move(a)), b_(std::move(b)),
-      order_(std::move(order)), cofactor_(std::move(cofactor)) {}
+    : field_(std::move(field)), order_(std::move(order)),
+      cofactor_(std::move(cofactor)) {}
 
 std::shared_ptr<const Curve> Curve::make(
-    std::shared_ptr<const PrimeField> field, Fp a, Fp b, BigInt order,
-    BigInt cofactor) {
-  if (!a.is_one() || !b.is_zero()) {
-    throw InvalidArgument("Curve::make: curve must be y^2 = x^3 + x");
-  }
+    std::shared_ptr<const PrimeField> field, BigInt order, BigInt cofactor) {
   if (field->sqrt_exponent().is_zero()) {
     throw InvalidArgument("Curve::make: field prime must be 3 mod 4");
   }
@@ -23,8 +19,7 @@ std::shared_ptr<const Curve> Curve::make(
     throw InvalidArgument("Curve::make: bad order/cofactor");
   }
   return std::shared_ptr<const Curve>(
-      new Curve(std::move(field), std::move(a), std::move(b), std::move(order),
-                std::move(cofactor)));
+      new Curve(std::move(field), std::move(order), std::move(cofactor)));
 }
 
 Point Curve::infinity() const {
@@ -32,7 +27,7 @@ Point Curve::infinity() const {
 }
 
 Fp Curve::rhs(const Fp& x) const {
-  return x.square() * x + a_ * x + b_;
+  return x.square() * x + x;
 }
 
 bool Curve::contains(const Fp& x, const Fp& y) const {

@@ -1,8 +1,7 @@
 // The supersingular elliptic curve y^2 = x^3 + x over F_p, p ≡ 3 (mod 4).
 //
 // A Curve is an immutable shared context carrying the base field, the
-// coefficients a = 1 and b = 0, the prime subgroup order q and the
-// cofactor h (so #E(F_p) = h·q = p + 1). It is the one family the
+// prime subgroup order q and the cofactor h (so #E(F_p) = h·q = p + 1). It is the one family the
 // pairing parameter sets use. The x-only scalar ladder (ec/jacobian.h)
 // relies on it: the curve is the Montgomery curve y^2 = x^3 + A·x^2 + x
 // with A = 0, and with -1 a non-residue (0, 0) is its only point of
@@ -24,16 +23,13 @@ class Point;
 /// Immutable curve context. Create via Curve::make and share.
 class Curve : public std::enable_shared_from_this<Curve> {
  public:
-  /// Builds the curve y^2 = x^3 + ax + b with subgroup order q and
-  /// cofactor h. Throws InvalidArgument unless a = 1, b = 0 and
-  /// p ≡ 3 (mod 4).
+  /// Builds the curve y^2 = x^3 + x over `field` with subgroup order q
+  /// and cofactor h. Throws InvalidArgument unless p ≡ 3 (mod 4), q > 1
+  /// and h >= 1.
   static std::shared_ptr<const Curve> make(
-      std::shared_ptr<const PrimeField> field, Fp a, Fp b, BigInt order,
-      BigInt cofactor);
+      std::shared_ptr<const PrimeField> field, BigInt order, BigInt cofactor);
 
   const std::shared_ptr<const PrimeField>& field() const { return field_; }
-  const Fp& a() const { return a_; }
-  const Fp& b() const { return b_; }
 
   /// Order q of the prime-order subgroup G1.
   const BigInt& order() const { return order_; }
@@ -48,7 +44,7 @@ class Curve : public std::enable_shared_from_this<Curve> {
   /// Throws InvalidArgument for off-curve coordinates.
   Point point(Fp x, Fp y) const;
 
-  /// Right-hand side x^3 + ax + b.
+  /// Right-hand side x^3 + x.
   Fp rhs(const Fp& x) const;
 
   /// True iff (x, y) satisfies the curve equation.
@@ -61,11 +57,10 @@ class Curve : public std::enable_shared_from_this<Curve> {
   Point decompress(BytesView bytes) const;
 
  private:
-  Curve(std::shared_ptr<const PrimeField> field, Fp a, Fp b, BigInt order,
+  Curve(std::shared_ptr<const PrimeField> field, BigInt order,
         BigInt cofactor);
 
   std::shared_ptr<const PrimeField> field_;
-  Fp a_, b_;
   BigInt order_;
   BigInt cofactor_;
 };

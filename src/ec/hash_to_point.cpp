@@ -11,8 +11,9 @@ namespace medcrypt::ec {
 
 namespace {
 
-// One rejection-sampling attempt, shared by the single and batch paths so
-// their outputs are bit-identical (the golden-vector test pins this).
+// One rejection-sampling attempt, shared by hash_to_subgroup and
+// hash_to_curve_candidate so they pick the same candidate (the
+// golden-vector test pins this).
 // `ctr_input` is the caller's reusable counter ‖ input buffer; only the 4
 // counter bytes are rewritten per attempt. Returns true with the affine
 // candidate (x, y) — cofactor clearing is the caller's job.
@@ -91,31 +92,6 @@ Point hash_to_curve_candidate(const std::shared_ptr<const Curve>& curve,
     if (y.is_zero()) continue;
     return curve->point(x, y);
   }
-}
-
-std::vector<Point> hash_to_subgroup_batch(
-    const std::shared_ptr<const Curve>& curve, std::string_view domain,
-    std::span<const BytesView> inputs) {
-  obs::Span span(obs::Stage::kHashToPointBatch);
-  const std::size_t xbytes = curve->field()->byte_size() + 16;
-
-  // Cofactor-clear each accepted candidate in Jacobian form; the single
-  // batched conversion below replaces per-point inversions.
-  std::vector<JacPoint> cleared(inputs.size());
-  Fp x, y;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    Bytes ctr_input = make_ctr_input(inputs[i]);
-    for (std::uint32_t counter = 0;; ++counter) {
-      if (!derive_candidate(curve, domain, ctr_input, counter, xbytes, x,
-                            y)) {
-        continue;
-      }
-      cleared[i] = ladder_mul(curve->point(x, y), curve->cofactor());
-      if (cleared[i].inf) continue;  // killed by cofactor clearing
-      break;
-    }
-  }
-  return jac_to_affine_batch(curve, cleared);
 }
 
 const ShardedLruCache<Point>& identity_point_cache() {

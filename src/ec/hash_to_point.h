@@ -6,14 +6,10 @@
 // root, then clear the cofactor. The output is never the identity.
 //
 // The entry points share one candidate derivation (identical outputs,
-// pinned by the golden-vector test):
-//   - hash_to_subgroup: the single-input reference path.
-//   - hash_to_subgroup_batch: clears every accepted candidate's cofactor
-//     in Jacobian form and converts the whole batch to affine with ONE
-//     shared field inversion (Montgomery's trick) instead of one per
-//     point. With p ≡ 3 (mod 4) both paths also fuse the Legendre test
-//     into the sqrt: one exponentiation s = rhs^((p+1)/4) plus a cheap
-//     s^2 == rhs check replaces the separate Euler-criterion power.
+// pinned by the golden-vector test). With p ≡ 3 (mod 4) it fuses the
+// Legendre test into the sqrt: one exponentiation s = rhs^((p+1)/4) plus
+// a cheap s^2 == rhs check replaces the separate Euler-criterion power.
+//   - hash_to_subgroup: the candidate, cofactor-cleared by the ladder.
 //   - hash_to_curve_candidate: the same candidate without the cofactor
 //     multiplication (most of the hash at the paper's parameters), for
 //     pairing-based verifiers that absorb the cofactor elsewhere.
@@ -22,9 +18,7 @@
 //     public function of (domain, input), so entries never go stale.
 #pragma once
 
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "ec/identity_cache.h"
 #include "ec/point.h"
@@ -45,15 +39,6 @@ Point hash_to_subgroup(const std::shared_ptr<const Curve>& curve,
 /// cofactor multiplication. Never returns O or the order-2 point (0, 0).
 Point hash_to_curve_candidate(const std::shared_ptr<const Curve>& curve,
                               std::string_view domain, BytesView input);
-
-/// Batch variant: hashes every input with the exact same derivation as
-/// hash_to_subgroup (element-wise identical outputs) while sharing one
-/// field inversion across the batch's cofactor-cleared affine
-/// conversions. Worth it from two inputs up (each saved inversion is an
-/// ~8–11 µs safegcd at the paper's parameters).
-std::vector<Point> hash_to_subgroup_batch(
-    const std::shared_ptr<const Curve>& curve, std::string_view domain,
-    std::span<const BytesView> inputs);
 
 /// The process-wide identity-point cache shared by every H1 consumer
 /// (metric family `sem.cache.h1`). Entries from different hash domains

@@ -33,9 +33,10 @@ Point Point::operator-() const {
 Point Point::dbl() const {
   if (!curve_) throw InvalidArgument("Point: dbl of default-constructed point");
   if (infinity_ || y_.is_zero()) return curve_->infinity();
-  // λ = (3x^2 + a) / 2y
+  // λ = (3x^2 + 1) / 2y
   const Fp three = curve_->field()->from_u64(3);
-  const Fp lambda = (x_.square() * three + curve_->a()) * y_.dbl().inverse();
+  const Fp lambda =
+      (x_.square() * three + curve_->field()->one()) * y_.dbl().inverse();
   const Fp x3 = lambda.square() - x_.dbl();
   const Fp y3 = lambda * (x_ - x3) - y_;
   return Point(curve_, false, x3, y3);

@@ -1,7 +1,6 @@
 #include "field/fp.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/error.h"
 
@@ -243,26 +242,6 @@ BigInt Fp::to_bigint() const {
 
 Bytes Fp::to_bytes() const {
   return to_bigint().to_bytes_be_padded(field_->byte_size());
-}
-
-void batch_inverse(std::span<Fp> xs) {
-  if (xs.empty()) return;
-  // prefix[i] = the product of the nonzero x_0 … x_i; invert the full
-  // product once, then peel one factor per step walking backwards.
-  std::vector<Fp> prefix(xs.size());
-  Fp acc = xs[0].field()->one();
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (!xs[i].is_zero()) acc *= xs[i];
-    prefix[i] = acc;
-  }
-  Fp inv_tail = acc.inverse();
-  for (std::size_t i = xs.size(); i-- > 0;) {
-    if (xs[i].is_zero()) continue;
-    Fp inv_i = inv_tail;
-    if (i > 0) inv_i *= prefix[i - 1];  // 1/x_i
-    inv_tail *= xs[i];                  // drop x_i from the tail
-    xs[i] = std::move(inv_i);
-  }
 }
 
 }  // namespace medcrypt::field

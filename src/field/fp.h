@@ -14,7 +14,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 
 #include "bigint/bigint.h"
 #include "bigint/montgomery.h"
@@ -166,11 +165,5 @@ class Fp {
   std::shared_ptr<const PrimeField> field_;
   LimbStore store_;
 };
-
-/// In-place simultaneous inversion (Montgomery's trick): one inversion
-/// plus 3(n-1) multiplications replace n inversions, which is what the
-/// batched pairing final exponentiation amortizes. Zero elements stay
-/// zero, as in Montgomery::inv_limbs, and do not disturb the others.
-void batch_inverse(std::span<Fp> xs);
 
 }  // namespace medcrypt::field

@@ -13,70 +13,40 @@ Point GdhMediator::issue_token(std::string_view identity,
                                BytesView message) const {
   // Mediator entry point: allocate (or inherit) the request's trace.
   obs::TraceScope trace("gdh.issue_token");
-  // Hash outside the lock scope — only the scalar multiplication needs
-  // the lent key half. h(M) is public and names no identity, so it is
-  // cached under the hash's own domain; with_key enforces revocation.
-  const Point h =
-      ec::hash_to_subgroup_cached(group_.curve, gdh::kHashDomain, message);
-  return with_key(identity, [&](const BigInt& x_sem) {
-    obs::Span span(obs::Stage::kScalarMul);
-    return h.mul(x_sem);
-  });
+  return token_at(*revocations()->snapshot(), identity, message);
 }
 
 std::vector<std::optional<Point>> GdhMediator::issue_tokens(
     std::span<const SignRequest> requests) const {
-  // Batch entry point: one trace brackets the whole fan-in, so every
-  // per-request kScalarMul/kTokenIssue span lands in the same trace.
+  // One trace brackets the whole fan-in, so every request's
+  // hash_to_point, token_issue and scalar_mul spans land in the same
+  // trace.
   obs::TraceScope trace("gdh.issue_tokens");
   obs::trace_annotate("batch.requests", requests.size());
   const auto snapshot = revocations()->snapshot();
-  const auto& cache = ec::identity_point_cache();
-  const auto same_curve = [&](const Point& p) {
-    return p.curve() == group_.curve;
-  };
-
-  // Phase 1: probe the cache for every request's h(M); collect misses.
-  std::vector<Point> hashes(requests.size());
-  std::vector<std::size_t> miss_slots;
-  std::vector<BytesView> miss_messages;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (auto hit = cache.get(gdh::kHashDomain, requests[i].message,
-                             same_curve)) {
-      hashes[i] = std::move(*hit);
-    } else {
-      miss_slots.push_back(i);
-      miss_messages.push_back(requests[i].message);
-    }
-  }
-
-  // Phase 2: hash every miss in one batch (one shared inversion for the
-  // batch's cofactor-cleared conversions) and refill the cache.
-  if (!miss_slots.empty()) {
-    std::vector<Point> hashed = ec::hash_to_subgroup_batch(
-        group_.curve, gdh::kHashDomain, miss_messages);
-    for (std::size_t j = 0; j < miss_slots.size(); ++j) {
-      cache.put(gdh::kHashDomain, miss_messages[j], hashed[j]);
-      hashes[miss_slots[j]] = std::move(hashed[j]);
-    }
-  }
-
-  // Phase 3: per-request scalar multiplication under the lent key half,
-  // every request checked against the one snapshot captured above.
-  std::vector<std::optional<Point>> out;
-  out.reserve(requests.size());
+  std::vector<std::optional<Point>> out(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     try {
-      out.emplace_back(
-          with_key_at(*snapshot, requests[i].identity, [&](const BigInt& x_sem) {
-            obs::Span span(obs::Stage::kScalarMul);
-            return hashes[i].mul(x_sem);
-          }));
+      out[i] = token_at(*snapshot, requests[i].identity, requests[i].message);
     } catch (const Error&) {
-      out.emplace_back(std::nullopt);
+      // Slot stays nullopt; audit counters were updated by with_key_at.
     }
   }
   return out;
+}
+
+Point GdhMediator::token_at(const RevocationList::Snapshot& snapshot,
+                            std::string_view identity,
+                            BytesView message) const {
+  // Hash outside the lock scope — only the scalar multiplication needs
+  // the lent key half. h(M) is public and names no identity, so it is
+  // cached under the hash's own domain; with_key_at enforces revocation.
+  const Point h =
+      ec::hash_to_subgroup_cached(group_.curve, gdh::kHashDomain, message);
+  return with_key_at(snapshot, identity, [&](const BigInt& x_sem) {
+    obs::Span span(obs::Stage::kScalarMul);
+    return h.mul(x_sem);
+  });
 }
 
 Point GdhMediator::issue_blind_token(std::string_view identity,

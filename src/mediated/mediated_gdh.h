@@ -13,8 +13,9 @@
 // Efficiency claims reproduced by the benches: each side performs one
 // scalar multiplication; the SEM → user token is ONE compressed G1 point
 // (~160 bits at the paper's parameters) vs 1024 bits for mediated RSA —
-// the paper's headline communication win. Verification costs two
-// pairings ("the only disadvantage of mediated GDH").
+// the paper's headline communication win. Verification is the paper's
+// two-pairing check ("the only disadvantage of mediated GDH"), run as
+// one pair_many: two Miller loops and one final exponentiation.
 #pragma once
 
 #include <optional>
@@ -56,13 +57,11 @@ class GdhMediator : public MediatorBase<BigInt> {
     BytesView message;
   };
 
-  /// Issues a batch of half-signatures against ONE revocation snapshot.
-  /// Message hashes missing from the cache are computed through
-  /// ec::hash_to_subgroup_batch, which shares a single field inversion
-  /// across the batch's cofactor-cleared conversions. Per-request
-  /// failures (revoked, unknown) yield std::nullopt in the matching slot
-  /// instead of aborting the batch; audit counters are updated per
-  /// request exactly as for issue_token.
+  /// Issues a batch of half-signatures against ONE revocation snapshot;
+  /// each request is an issue_token body (cached h(M), then x_sem·h(M)).
+  /// Per-request failures (revoked, unknown) yield std::nullopt in the
+  /// matching slot instead of aborting the batch; audit counters are
+  /// updated per request exactly as for issue_token.
   std::vector<std::optional<Point>> issue_tokens(
       std::span<const SignRequest> requests) const;
 
@@ -74,6 +73,11 @@ class GdhMediator : public MediatorBase<BigInt> {
   Point issue_blind_token(std::string_view identity, const Point& blinded) const;
 
  private:
+  // One half-signature against a given revocation snapshot: the body of
+  // both issue_token and every issue_tokens slot.
+  Point token_at(const RevocationList::Snapshot& snapshot,
+                 std::string_view identity, BytesView message) const;
+
   pairing::ParamSet group_;
 };
 

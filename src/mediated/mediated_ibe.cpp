@@ -19,50 +19,36 @@ Fp2 IbeMediator::issue_token(std::string_view identity, const Point& u) const {
   // Sampled end-to-end trace of one issuance; the nested stage spans
   // (token_issue, pairing.miller, pairing.final_exp) attach to it.
   obs::TraceScope trace("ibe.issue_token");
-  return with_key(identity, [&](const IbeSemKey& key) {
-    return pairing_.pair_with(key.prepared, u);
-  });
+  return token_at(*revocations()->snapshot(), identity, u);
 }
 
 std::vector<std::optional<Fp2>> IbeMediator::issue_tokens(
     std::span<const TokenRequest> requests) const {
-  // Batch entry point: one trace brackets the fan-in, so the N Miller
-  // replays plus the single batched final exponentiation all appear as
-  // stages of the same trace — the span breakdown shows the sharing.
+  // One trace brackets the fan-in, so every request's token_issue,
+  // pairing.miller and pairing.final_exp spans land in the same trace.
   obs::TraceScope trace("ibe.issue_tokens");
   obs::trace_annotate("batch.requests", requests.size());
   std::vector<std::optional<Fp2>> out(requests.size());
   const auto snapshot = revocations()->snapshot();
-
-  // Phase 1: per-request Miller replay under the lent key half (the
-  // part that needs the registry lock and carries the audit counting).
-  // The final exponentiation is deferred so phase 2 can run every
-  // request's conj(f)/f through ONE batched inversion — the only part
-  // of distinct token outputs that can be legitimately shared.
-  std::vector<Fp2> millers;
-  std::vector<std::size_t> slots;
-  millers.reserve(requests.size());
-  slots.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const TokenRequest& request = requests[i];
     if (request.u == nullptr) continue;
     try {
-      millers.push_back(
-          with_key_at(*snapshot, request.identity, [&](const IbeSemKey& key) {
-            return pairing_.miller_with(key.prepared, *request.u);
-          }));
-      slots.push_back(i);
+      out[i] = token_at(*snapshot, request.identity, *request.u);
     } catch (const Error&) {
       // Slot stays nullopt; audit counters were updated by with_key_at.
     }
   }
-
-  // Phase 2: batched final exponentiation outside every lock.
-  pairing_.final_exponentiation_batch(millers);
-  for (std::size_t j = 0; j < slots.size(); ++j) {
-    out[slots[j]] = std::move(millers[j]);
-  }
   return out;
+}
+
+Fp2 IbeMediator::token_at(const RevocationList::Snapshot& snapshot,
+                          std::string_view identity, const Point& u) const {
+  // The whole pairing runs under the shard's shared lock, which only an
+  // install_key on the same shard waits for.
+  return with_key_at(snapshot, identity, [&](const IbeSemKey& key) {
+    return pairing_.pair_with(key.prepared, u);
+  });
 }
 
 MediatedIbeUser::MediatedIbeUser(ibe::SystemParams params,

@@ -77,7 +77,8 @@ class IbeMediator : public MediatorBase<IbeSemKey> {
   };
 
   /// Issues a batch of tokens against ONE revocation snapshot, so every
-  /// request in the batch sees the same epoch. Per-request failures
+  /// request in the batch sees the same epoch; each token is computed
+  /// alone, exactly as issue_token computes it. Per-request failures
   /// (revoked, unknown, malformed U) yield std::nullopt in the matching
   /// slot instead of aborting the batch; audit counters are updated per
   /// request exactly as for issue_token.
@@ -85,6 +86,11 @@ class IbeMediator : public MediatorBase<IbeSemKey> {
       std::span<const TokenRequest> requests) const;
 
  private:
+  // One token against a given revocation snapshot: the body of both
+  // issue_token and every issue_tokens slot.
+  Fp2 token_at(const RevocationList::Snapshot& snapshot,
+               std::string_view identity, const Point& u) const;
+
   ibe::SystemParams params_;
   pairing::TatePairing pairing_;
 };

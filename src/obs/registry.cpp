@@ -8,14 +8,10 @@ const char* stage_name(Stage stage) {
   switch (stage) {
     case Stage::kHashToPoint:
       return "hash_to_point";
-    case Stage::kHashToPointBatch:
-      return "hash_to_point_batch";
     case Stage::kPairingMiller:
       return "pairing.miller";
     case Stage::kPairingFinalExp:
       return "pairing.final_exp";
-    case Stage::kPairingFinalExpBatch:
-      return "pairing.final_exp_batch";
     case Stage::kPairingPrepare:
       return "pairing.prepare";
     case Stage::kScalarMul:

@@ -53,10 +53,8 @@ namespace medcrypt::obs {
 
 enum class Stage : std::uint8_t {
   kHashToPoint = 0,     // ec::hash_to_subgroup — full try-and-increment loop
-  kHashToPointBatch,    // ec::hash_to_subgroup_batch — whole batch, one span
   kPairingMiller,       // TatePairing::miller_loop, the one Miller loop site
-  kPairingFinalExp,     // Tate pairing, final exponentiation
-  kPairingFinalExpBatch,  // batched final exponentiation (shared inversion)
+  kPairingFinalExp,     // TatePairing::final_exponentiation, one per pairing
   kPairingPrepare,      // TatePairing::prepare — per-enrollment, not per-token
   kScalarMul,           // SEM-side scalar multiplication (GDH/IBS tokens)
   kTokenIssue,          // MediatorBase::with_key_at token computation
@@ -67,7 +65,7 @@ enum class Stage : std::uint8_t {
   kShareVerify,         // threshold: select_valid_shares proof checks
   kHashToCurve,         // ec::hash_to_curve_candidate — no cofactor clearing
 };
-inline constexpr std::size_t kStageCount = 14;
+inline constexpr std::size_t kStageCount = 12;
 
 /// Dotted stage name as it appears in the metric catalog (the exported
 /// histogram is "stage.<name>_ns").

@@ -28,7 +28,7 @@ ParamSet generate_params(std::size_t p_bits, std::size_t q_bits,
   }
 
   auto field = field::PrimeField::make(p);
-  auto curve = Curve::make(field, field->one(), field->zero(), q, h);
+  auto curve = Curve::make(field, q, h);
 
   // Generator: random point cleared by the cofactor. The generator is a
   // public parameter.  medlint: allow(ct-variable-time)

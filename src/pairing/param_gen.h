@@ -38,11 +38,8 @@ struct ParamSet {
   /// Shorthand for curve->order().
   const BigInt& order() const { return curve->order(); }
 
-  /// k·P through the precomputed table; falls back to the generic
-  /// ladder for hand-assembled ParamSets without one.
-  Point mul_g(const BigInt& k) const {
-    return generator_table ? generator_table->mul(k) : generator.mul(k);
-  }
+  /// k·P through the precomputed table.
+  Point mul_g(const BigInt& k) const { return generator_table->mul(k); }
 };
 
 /// Generates a fresh parameter set with a `p_bits`-bit field prime and a

@@ -90,48 +90,6 @@ struct Chain {
   }
 };
 
-// f^((p²−1)/q) = (f^(p−1))^((p+1)/q). For f = c + d·i, f^p is the
-// conjugate, so f^(p−1) = conj(f)/f = conj(f)²/N with N = c² + d²: the
-// unitary a + b·i with a = (c² − d²)/N and b = −2cd/N. The tail's
-// ladder recovery divides by b, and one inversion pays for both
-// divisions: with t = 1/(2cd·N), 1/N = 2cd·t and 1/b = −N²·t.
-struct TailInput {
-  explicit TailInput(const Fp2& f)
-      : c_sq(f.re().square()), d_sq(f.im().square()),
-        cd2(f.re() * f.im()), n(c_sq + d_sq) {
-    cd2.dbl_inplace();
-    denom = n * cd2;
-  }
-
-  Fp c_sq, d_sq, cd2, n;
-  Fp denom;  // 2cd·N: zero iff f lies in F_p or i·F_p
-};
-
-// f^((p²−1)/q) from t = 1/in.denom, for `tail` = (p+1)/q; t is ignored
-// when in.denom is zero.
-Fp2 final_tail(const Fp2& f, const TailInput& in, const Fp& t,
-               const BigInt& tail) {
-  const std::size_t bits = tail.bit_length();
-  if (in.denom.is_zero()) {
-    // f^(p−1) = ±1, real: the ladder's b = 0 case.
-    return field::pow_unitary(f.conjugate() * f.inverse(), tail, bits);
-  }
-  Fp n_inv = in.cd2;
-  n_inv *= t;
-  Fp a = in.c_sq;
-  a -= in.d_sq;
-  a *= n_inv;
-  Fp b = in.cd2;
-  b *= n_inv;
-  b.negate_inplace();
-  Fp b_inv = in.n;
-  b_inv.square_inplace();
-  b_inv *= t;
-  b_inv.negate_inplace();
-  return field::pow_unitary(Fp2(std::move(a), std::move(b)), tail, bits,
-                            &b_inv);
-}
-
 }  // namespace
 
 // A raw factor ê(P, Q) of a Miller loop: its live chain and the
@@ -168,30 +126,39 @@ TatePairing::TatePairing(std::shared_ptr<const Curve> curve)
   }
 }
 
+// f^((p²−1)/q) = (f^(p−1))^((p+1)/q). For f = c + d·i, f^p is the
+// conjugate, so f^(p−1) = conj(f)/f = conj(f)²/N with N = c² + d²: the
+// unitary a + b·i with a = (c² − d²)/N and b = −2cd/N. The tail's
+// ladder recovery divides by b, and one inversion pays for both
+// divisions: with t = 1/(2cd·N), 1/N = 2cd·t and 1/b = −N²·t.
 Fp2 TatePairing::final_exponentiation(const Fp2& f) const {
   obs::Span span(obs::Stage::kPairingFinalExp);
-  const TailInput in(f);
-  return final_tail(f, in, in.denom.is_zero() ? in.denom : in.denom.inverse(),
-                    exp_tail_);
-}
-
-void TatePairing::final_exponentiation_batch(std::span<Fp2> fs) const {
-  if (fs.empty()) return;
-  obs::Span span(obs::Stage::kPairingFinalExpBatch);
-  // The inversion is the batch-shareable part: one Montgomery-trick
-  // inversion replaces |fs|. The tail powers cannot be shared — each
-  // element is a distinct output.
-  std::vector<TailInput> ins;
-  std::vector<Fp> ts;
-  ins.reserve(fs.size());
-  ts.reserve(fs.size());
-  for (const Fp2& f : fs) {
-    ts.push_back(ins.emplace_back(f).denom);
+  const std::size_t bits = exp_tail_.bit_length();
+  const Fp c_sq = f.re().square();
+  const Fp d_sq = f.im().square();
+  Fp cd2 = f.re() * f.im();
+  cd2.dbl_inplace();
+  const Fp n = c_sq + d_sq;
+  const Fp denom = n * cd2;
+  if (denom.is_zero()) {
+    // f in F_p or i·F_p: f^(p−1) = ±1, real — the ladder's b = 0 case.
+    return field::pow_unitary(f.conjugate() * f.inverse(), exp_tail_, bits);
   }
-  field::batch_inverse(ts);
-  for (std::size_t i = 0; i < fs.size(); ++i) {
-    fs[i] = final_tail(fs[i], ins[i], ts[i], exp_tail_);
-  }
+  const Fp t = denom.inverse();
+  Fp n_inv = cd2;
+  n_inv *= t;
+  Fp a = c_sq;
+  a -= d_sq;
+  a *= n_inv;
+  Fp b = cd2;
+  b *= n_inv;
+  b.negate_inplace();
+  Fp b_inv = n;
+  b_inv.square_inplace();
+  b_inv *= t;
+  b_inv.negate_inplace();
+  return field::pow_unitary(Fp2(std::move(a), std::move(b)), exp_tail_, bits,
+                            &b_inv);
 }
 
 void PreparedPairing::wipe() {

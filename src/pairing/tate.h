@@ -87,8 +87,9 @@ class PreparedPairing {
 /// Modified-Tate-pairing engine bound to one supersingular curve.
 class TatePairing {
  public:
-  /// Binds to a curve. Requires curve a = 1, b = 0 and p ≡ 3 (mod 4),
-  /// i.e. the supersingular family with the φ(x,y) = (-x, iy) distortion.
+  /// Binds to a curve (always y^2 = x^3 + x with p ≡ 3 (mod 4), the
+  /// supersingular family with the φ(x,y) = (-x, iy) distortion).
+  /// Throws InvalidArgument unless the curve's order q divides p + 1.
   explicit TatePairing(std::shared_ptr<const Curve> curve);
 
   const std::shared_ptr<const Curve>& curve() const { return curve_; }
@@ -128,21 +129,15 @@ class TatePairing {
   Fp2 pair_many(std::span<const PairTerm> terms) const;
 
   /// The raw Miller value of a prepared replay, WITHOUT the final
-  /// exponentiation — NOT a pairing output. Batch issuers run this
-  /// inside their per-request key scope and later finish every value at
-  /// once with final_exponentiation_batch; pair_with(p, q) ==
-  /// final_exponentiation(miller_with(p, q)) by construction.
+  /// exponentiation — NOT a pairing output. pair_with(p, q) ==
+  /// final_exponentiation(miller_with(p, q)) by construction; tests and
+  /// the operation benchmarks time the two halves apart.
   Fp2 miller_with(const PreparedPairing& prepared, const Point& q) const;
 
   /// f^((p²−1)/q) for a nonzero Miller value f: the (p−1) step
   /// conj(f)/f, then the (p+1)/q tail by field::pow_unitary, the two
   /// sharing one F_p inversion.
   Fp2 final_exponentiation(const Fp2& f) const;
-
-  /// Applies the final exponentiation to each element in place, sharing
-  /// one batched inversion across the batch (saves one ~8–11 µs F_p
-  /// inversion per element from the second element on).
-  void final_exponentiation_batch(std::span<Fp2> fs) const;
 
  private:
   // One factor of a Miller loop: a raw first argument drives a live

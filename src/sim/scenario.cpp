@@ -168,8 +168,8 @@ std::uint64_t ScenarioRunner::one_request(WorkerState& ws) {
   try {
     if (kind == 0 && use_batches_.load()) {
       // Batched fan-in: one client aggregates cfg.batch token requests
-      // into a single issue_tokens call (one revocation snapshot, one
-      // shared final-exponentiation inversion).
+      // into a single issue_tokens call (one revocation snapshot; each
+      // token is computed as issue_token computes it).
       const std::size_t batch = static_cast<std::size_t>(cfg_.batch);
       const std::size_t start = (seq * batch) % users;
       std::vector<mediated::IbeMediator::TokenRequest> reqs;

@@ -1,6 +1,5 @@
 #include "threshold/robust.h"
 
-#include <array>
 #include <vector>
 
 #include "hash/kdf.h"
@@ -93,25 +92,21 @@ ProvedShare prove_share(const pairing::ParamSet& group,
   Point r = group.mul_g(k);
 
   // S = ê(U, d_idi) and w2 = ê(U, R) replay one program of U;
-  // Y1 = ê(P, d_idi) replays the cached program of P. One batched final
-  // exponentiation finishes all three.
+  // Y1 = ê(P, d_idi) replays the cached program of P.
   const pairing::PreparedPairing prep_u = pairing.prepare(u);
   const auto prep_g = prepared_generator(pairing, group.generator);
-  std::array<Fp2, 3> f = {pairing.miller_with(prep_u, d_idi),
-                          pairing.miller_with(prep_u, r),
-                          pairing.miller_with(*prep_g, d_idi)};
-  pairing.final_exponentiation_batch(f);
 
   ProvedShare out;
-  out.value = f[0];
+  out.value = pairing.pair_with(prep_u, d_idi);
   ShareProof& proof = out.proof;
-  proof.w2 = f[1];
+  proof.w2 = pairing.pair_with(prep_u, r);
+  const Fp2 y1 = pairing.pair_with(*prep_g, d_idi);
   // w1 = ê(P, k·P) = ê(P, P)^k.
   proof.w1 = field::pow_unitary(
       pairing::cached_pair(pairing, group.generator, group.generator,
                            "threshold.gpp"),
       k, order.bit_length());
-  proof.e = challenge(out.value, f[2], proof.w1, proof.w2, u, order);
+  proof.e = challenge(out.value, y1, proof.w1, proof.w2, u, order);
   proof.v = r + d_idi.mul(proof.e);
   k.wipe();
   r.wipe();

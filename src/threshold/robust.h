@@ -14,9 +14,9 @@
 //            ê(P, V) = w1 · Y1^e
 //            ê(U, V) = w2 · S^e
 //
-// The prover runs no full pairing: S and w2 replay one prepared program
-// of U, Y1 = ê(P, d_IDi) replays the cached program of P, one batched
-// final exponentiation finishes all three, and w1 = ê(P, P)^k.
+// The prover runs no raw-chain pairing: S and w2 replay one prepared
+// program of U, Y1 = ê(P, d_IDi) replays the cached program of P, each
+// finished by its own final exponentiation, and w1 = ê(P, P)^k.
 //
 // The verifier folds a whole batch of n statements into one pairing
 // (small-exponent randomized batching, Bellare–Garay–Rabin '98): with

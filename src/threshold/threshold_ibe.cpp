@@ -161,17 +161,16 @@ std::vector<DecryptionShare> select_valid_shares(
   }
 
   // Y1_i = ê(P_pub^(i), Q_ID) = ê(Q_ID, P_pub^(i)) (the pairing is
-  // symmetric): replays of one program of Q_ID, finished together.
+  // symmetric): replays of one program of Q_ID.
   const pairing::TatePairing pairing(setup.params.curve());
   const pairing::PreparedPairing prep_q =
       pairing.prepare(ibe::map_identity(setup.params, identity));
   std::vector<Fp2> vk_pairings;
   vk_pairings.reserve(candidates.size());  // statements point into it
   for (std::size_t i = 0; i < t; ++i) {
-    vk_pairings.push_back(pairing.miller_with(
+    vk_pairings.push_back(pairing.pair_with(
         prep_q, setup.verification_key(candidates[i]->index)));
   }
-  pairing.final_exponentiation_batch(vk_pairings);
 
   const auto statement = [&](std::size_t i) {
     const DecryptionShare& s = *candidates[i];

@@ -20,7 +20,7 @@ TEST(Edge, PointOutsideSubgroupDetected) {
   // The tiny curve (order 104 = 8 * 13) has low-order points; they must
   // fail in_subgroup and GDH verification must reject such signatures.
   auto f = field::PrimeField::make(BigInt(103));
-  auto c = ec::Curve::make(f, f->one(), f->zero(), BigInt(13), BigInt(8));
+  auto c = ec::Curve::make(f, BigInt(13), BigInt(8));
   bool found_low_order = false;
   for (std::uint64_t xv = 0; xv < 103 && !found_low_order; ++xv) {
     const auto x = f->from_u64(xv);

@@ -65,24 +65,6 @@ TEST(Fp, InverseProperty) {
   EXPECT_THROW(f->zero().inverse(), InvalidArgument);
 }
 
-TEST(Fp, BatchInverseMatchesSinglesAndSkipsZeros) {
-  const auto f = big_field_3mod4();
-  HmacDrbg rng(12);
-  std::vector<Fp> xs;
-  for (int i = 0; i < 6; ++i) xs.push_back(f->random(rng));
-  xs[0] = f->zero();
-  xs[3] = f->zero();
-  std::vector<Fp> inv = xs;
-  batch_inverse(inv);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(inv[i], xs[i].is_zero() ? xs[i] : xs[i].inverse()) << i;
-  }
-  std::vector<Fp> one = {f->from_u64(3)};
-  batch_inverse(one);
-  EXPECT_EQ(one[0], f->from_u64(3).inverse());
-  batch_inverse(std::span<Fp>());
-}
-
 TEST(Fp, PowMatchesRepeatedMul) {
   auto f = small_field();
   const Fp a = f->from_u64(5);

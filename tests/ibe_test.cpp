@@ -305,10 +305,9 @@ TEST_P(IbeEncryptOracleTest, CiphertextsMatchOracleColdWarmAndEvicted) {
 TEST_P(IbeEncryptOracleTest, WarmEncryptionRunsNoPairing) {
   auto& reg = obs::registry();
   const auto count = [&] {
-    return std::array<std::uint64_t, 3>{
+    return std::array<std::uint64_t, 2>{
         reg.stage_histogram(obs::Stage::kPairingMiller).count(),
-        reg.stage_histogram(obs::Stage::kPairingFinalExp).count(),
-        reg.stage_histogram(obs::Stage::kPairingFinalExpBatch).count()};
+        reg.stage_histogram(obs::Stage::kPairingFinalExp).count()};
   };
   const std::string id = std::string("warm@") + GetParam();
   Bytes m(params().message_len);

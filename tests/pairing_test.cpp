@@ -125,14 +125,6 @@ TEST_F(PairingTest, RejectsForeignCurvePoints) {
   EXPECT_THROW(e.pair(other.generator, other.generator), InvalidArgument);
 }
 
-TEST(TatePairing, RejectsNonSupersingularCurve) {
-  auto f = field::PrimeField::make(BigInt(103));
-  // y^2 = x^3 + x + 1 is not the supersingular family we support; the
-  // curve context itself refuses it, so no pairing can be built on it.
-  EXPECT_THROW(ec::Curve::make(f, f->one(), f->one(), BigInt(7), BigInt(16)),
-               InvalidArgument);
-}
-
 TEST(TatePairing, PaperParamsSmokeTest) {
   // One pairing at the paper's 512-bit setting to keep runtimes sane.
   const auto& params = paper_params();
@@ -271,57 +263,17 @@ TEST_F(PairingTest, PairManyRejectsMalformedTerms) {
   EXPECT_TRUE(e.pair_many({}).is_one());
 }
 
-TEST_F(PairingTest, FinalExponentiationBatchMatchesSingles) {
-  // The batch shares one F_p inversion across the final
-  // exponentiations; every element must still equal the single path.
-  const auto e = engine();
-  HmacDrbg rng(55);
-  const auto& P = params().generator;
-  std::vector<Fp2> millers, expected;
-  // One program against several second arguments...
-  for (int i = 0; i < 4; ++i) {
-    const ec::Point q = P.mul(BigInt::random_unit(rng, params().order()));
-    millers.push_back(e.miller_with(e.prepare(P), q));
-    expected.push_back(e.pair(P, q));
-  }
-  // ...and five distinct programs.
-  HmacDrbg programs_rng(54);
-  for (int i = 0; i < 5; ++i) {
-    const ec::Point base =
-        P.mul(BigInt::random_unit(programs_rng, params().order()));
-    const ec::Point q =
-        P.mul(BigInt::random_unit(programs_rng, params().order()));
-    const PreparedPairing prep = e.prepare(base);
-    millers.push_back(e.miller_with(prep, q));
-    expected.push_back(e.pair(base, q));
-    EXPECT_EQ(e.pair_with(prep, q), expected.back()) << "program " << i;
-  }
-  e.final_exponentiation_batch(millers);
-  EXPECT_EQ(millers, expected);
-}
-
 TEST_F(PairingTest, FinalExponentiationOfSubfieldValuesIsOne) {
   // f in F_p or i·F_p has f^(p-1) = ±1, and 4 divides (p+1)/q, so the
-  // final exponentiation maps it to 1 — alone, and between ordinary
-  // Miller values in a batch, whose shared inversion must skip it.
+  // final exponentiation maps it to 1 (the path that skips the shared
+  // inversion of 2cd·N, which is zero there).
   const auto e = engine();
   const auto& field = params().curve->field();
-  const auto& P = params().generator;
-  HmacDrbg rng(56);
-  const ec::Point q1 = P.mul(BigInt::random_unit(rng, params().order()));
-  const ec::Point q2 = P.mul(BigInt::random_unit(rng, params().order()));
   const Fp2 real(field->from_u64(7));
   const Fp2 imaginary(field->zero(), field->from_u64(5));
   for (const Fp2& f : {real, imaginary}) {
     EXPECT_TRUE(e.final_exponentiation(f).is_one());
   }
-  std::vector<Fp2> batch = {e.miller_with(e.prepare(P), q1), real,
-                            e.miller_with(e.prepare(P), q2), imaginary};
-  e.final_exponentiation_batch(batch);
-  EXPECT_EQ(batch[0], e.pair(P, q1));
-  EXPECT_TRUE(batch[1].is_one());
-  EXPECT_EQ(batch[2], e.pair(P, q2));
-  EXPECT_TRUE(batch[3].is_one());
 }
 
 // Golden vectors: to_bytes() of ê(P, P) and ê(aP, bP) for fixed a, b.
@@ -395,9 +347,7 @@ TEST_P(PairingParamSweep, EntryPointsAgree) {
     const TatePairing::PairTerm prepared[] = {
         {nullptr, &prep_a, &b}, {&inf, nullptr, &b}, {nullptr, &prep_inf, &b}};
     EXPECT_EQ(e.pair_many(prepared), expected);
-    Fp2 millers[] = {e.miller_with(prep_a, b)};
-    e.final_exponentiation_batch(millers);
-    EXPECT_EQ(millers[0], expected);
+    EXPECT_EQ(e.final_exponentiation(e.miller_with(prep_a, b)), expected);
   }
   EXPECT_FALSE(e.pair(A, A).is_one());
   EXPECT_TRUE((e.pair(A, -A) * e.pair(A, A)).is_one());

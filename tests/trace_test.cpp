@@ -230,12 +230,26 @@ TEST(Trace, BatchFanInCapturesPerRequestSpansInOneTrace) {
   const obs::TraceData& t = traces[0];
   EXPECT_STREQ(t.pipeline, "trace.batch");
   // The mediator's own entry scope demoted under ours, so its per-
-  // request token-issue spans all landed here: one per batch entry.
-  std::size_t token_spans = 0;
+  // request token-issue spans all landed here: one per batch entry, and
+  // each token finished by its own final exponentiation inside it.
+  ASSERT_EQ(t.dropped, 0u);
+  std::vector<obs::TraceData::StageRec> tokens, final_exps;
   for (std::uint32_t s = 0; s < t.stage_count; ++s) {
-    if (t.stages[s].stage == obs::Stage::kTokenIssue) ++token_spans;
+    if (t.stages[s].stage == obs::Stage::kTokenIssue) {
+      tokens.push_back(t.stages[s]);
+    }
+    if (t.stages[s].stage == obs::Stage::kPairingFinalExp) {
+      final_exps.push_back(t.stages[s]);
+    }
   }
-  EXPECT_EQ(token_spans, reqs.size());
+  EXPECT_EQ(tokens.size(), reqs.size());
+  ASSERT_EQ(final_exps.size(), reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_LE(tokens[i].offset_ns, final_exps[i].offset_ns) << i;
+    EXPECT_GE(tokens[i].offset_ns + tokens[i].dur_ns,
+              final_exps[i].offset_ns + final_exps[i].dur_ns)
+        << i;
+  }
   bool width = false;
   for (std::uint32_t b = 0; b < t.baggage_count; ++b) {
     if (std::string(t.baggage[b].name) == "batch.requests") {
