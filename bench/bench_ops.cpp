@@ -55,6 +55,27 @@ void BM_PreparedPairing_sec80(benchmark::State& state) {
 }
 BENCHMARK(BM_PreparedPairing_sec80);
 
+// prepare() alone: the Miller chain of one first argument recorded as
+// a two-coefficient line program, including the one batched inversion
+// that scales every line's imaginary coefficient to 1. The SEM pays it
+// per enrolled identity, the threshold prover per proof.
+void BM_PreparePairing_sec80(benchmark::State& state) {
+  auto& f = fixture();
+  for (auto _ : state) benchmark::DoNotOptimize(f.engine.prepare(f.q));
+}
+BENCHMARK(BM_PreparePairing_sec80);
+
+// The Miller replay alone (miller_with, no final exponentiation): per
+// NAF digit one F_p² squaring, then 4 F_p multiplies per recorded line.
+void BM_MillerReplay_sec80(benchmark::State& state) {
+  auto& f = fixture();
+  const pairing::PreparedPairing prep = f.engine.prepare(f.p);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.engine.miller_with(prep, f.q));
+  }
+}
+BENCHMARK(BM_MillerReplay_sec80);
+
 void BM_PairManyTwoPrepared_sec80(benchmark::State& state) {
   // The GDH verification shape ê(P, σ)·ê(−pk, h): two prepared factors
   // over one shared Miller loop and one final exponentiation.

@@ -30,22 +30,30 @@ namespace {
 
 using namespace medcrypt;
 
-/// Runs `fn` from `threads` threads for `ops_per_thread` calls each;
-/// returns aggregate tokens per second (`tokens_per_op` > 1 for batch
-/// entry points that issue several tokens per call). Thread spawn and
-/// the spin-wait rendezvous are excluded from the measured window.
+/// Runs `fn` from `threads` threads until the measured window has
+/// lasted at least `min_seconds` AND issued at least `min_tokens`
+/// tokens; returns aggregate tokens per second (`tokens_per_op` > 1 for
+/// batch entry points that issue several tokens per call). Every call
+/// that starts before the stop flag is raised finishes inside the
+/// window and is counted. Thread spawn and the spin-wait rendezvous are
+/// excluded from the window.
 template <typename Fn>
-double throughput(int threads, int ops_per_thread, int tokens_per_op,
-                  Fn&& fn) {
+double throughput(int threads, int tokens_per_op, double min_seconds,
+                  long min_tokens, Fn&& fn) {
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
+  std::atomic<bool> stop{false};
+  std::atomic<long> ops{0};
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
       ready.fetch_add(1);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (int i = 0; i < ops_per_thread; ++i) fn(t, i);
+      for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        fn(t, i);
+        ops.fetch_add(1, std::memory_order_relaxed);
+      }
     });
   }
   while (ready.load() != threads) std::this_thread::yield();
@@ -56,10 +64,19 @@ double throughput(int threads, int ops_per_thread, int tokens_per_op,
   // a scheduling quantum, not nanoseconds).
   const auto start = std::chrono::steady_clock::now();
   go.store(true, std::memory_order_release);
+  const auto elapsed = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  while (elapsed() < min_seconds ||
+         ops.load(std::memory_order_relaxed) * tokens_per_op < min_tokens) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  stop.store(true, std::memory_order_relaxed);
   for (auto& th : pool) th.join();
-  const auto end = std::chrono::steady_clock::now();
-  const double secs = std::chrono::duration<double>(end - start).count();
-  return static_cast<double>(threads) * ops_per_thread * tokens_per_op / secs;
+  const double secs = elapsed();
+  return static_cast<double>(ops.load() * tokens_per_op) / secs;
 }
 
 /// Zipf(1.0) rank sampler over [0, n): P(rank k) ∝ 1/(k+1). Models the
@@ -167,7 +184,14 @@ int main() {
     }
   }
 
-  Table t({"scheme (token op)", "threads", "tokens/s", "speedup"});
+  // Each row runs kRepeats windows per thread count, each of at least
+  // kMinSeconds and kMinTokens; the table shows their median and range.
+  // MEDCRYPT_BENCH_ITERS=1 (the CI smoke budget) runs one short window.
+  const int kRepeats = benchutil::bench_iters(5);
+  const double kMinSeconds = kRepeats > 1 ? 0.5 : 0.05;
+  const long kMinTokens = kRepeats > 1 ? 200 : 1;
+  Table t({"scheme (token op)", "threads", "tokens/s (median)", "min-max",
+           "speedup"});
   const Bytes msg = str_bytes("throughput probe");
 
   struct Row {
@@ -207,18 +231,24 @@ int main() {
        }) {
     double base = 0;
     for (int threads : {1, 2, 4, 8}) {
-      // Roughly the same token budget per thread for every row.
-      const int tokens_per_thread = threads <= 2 ? 40 : 20;
-      const int ops = std::max(1, tokens_per_thread / row.tokens_per_op);
-      const double tput = throughput(threads, ops, row.tokens_per_op, row.fn);
-      if (threads == 1) base = tput;
+      std::vector<double> runs;
+      for (int r = 0; r < kRepeats; ++r) {
+        runs.push_back(throughput(threads, row.tokens_per_op, kMinSeconds,
+                                  kMinTokens, row.fn));
+      }
+      std::sort(runs.begin(), runs.end());
+      const double median = runs[runs.size() / 2];
+      if (threads == 1) base = median;
       jr.add(std::string("tokens_per_s/") + row.name + "/t" +
                  std::to_string(threads),
-             tput, ops, "tokens_per_s");
-      char tput_s[32], speedup_s[32];
-      std::snprintf(tput_s, sizeof(tput_s), "%.0f", tput);
-      std::snprintf(speedup_s, sizeof(speedup_s), "%.2fx", tput / base);
-      t.add_row({row.name, std::to_string(threads), tput_s, speedup_s});
+             median, kRepeats, "tokens_per_s");
+      char tput_s[32], range_s[48], speedup_s[32];
+      std::snprintf(tput_s, sizeof(tput_s), "%.0f", median);
+      std::snprintf(range_s, sizeof(range_s), "%.0f-%.0f", runs.front(),
+                    runs.back());
+      std::snprintf(speedup_s, sizeof(speedup_s), "%.2fx", median / base);
+      t.add_row({row.name, std::to_string(threads), tput_s, range_s,
+                 speedup_s});
     }
   }
   t.print();

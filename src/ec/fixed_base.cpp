@@ -43,12 +43,12 @@ FixedBaseTable::FixedBaseTable(const Point& base, bigint::BigInt order)
   }
 }
 
-JacPoint FixedBaseTable::mul_jac(const bigint::BigInt& k) const {
+Point FixedBaseTable::mul(const bigint::BigInt& k) const {
   if (empty()) {
-    throw InvalidArgument("FixedBaseTable::mul_jac: empty table");
+    throw InvalidArgument("FixedBaseTable::mul: empty table");
   }
+  if (base_.is_infinity()) return curve_->infinity();
   JacPoint acc{};
-  if (base_.is_infinity()) return acc;
   const bigint::BigInt r = k.mod(order_);
   for (std::size_t w = 0; w < windows_; ++w) {
     unsigned d = 0;
@@ -60,15 +60,7 @@ JacPoint FixedBaseTable::mul_jac(const bigint::BigInt& k) const {
     if (entry.is_infinity()) continue;  // only for tiny non-prime orders
     acc = jac_add_mixed(acc, entry);
   }
-  return acc;
-}
-
-Point FixedBaseTable::mul(const bigint::BigInt& k) const {
-  if (empty()) {
-    throw InvalidArgument("FixedBaseTable::mul: empty table");
-  }
-  if (base_.is_infinity()) return curve_->infinity();
-  return jac_to_affine(curve_, mul_jac(k));
+  return jac_to_affine(curve_, acc);
 }
 
 void FixedBaseTable::wipe() {

@@ -46,10 +46,6 @@ class FixedBaseTable {
   /// k = order and k > order all behave like the generic ladder.
   Point mul(const bigint::BigInt& k) const;
 
-  /// Same, but leaves the result in Jacobian form so callers combining
-  /// several fixed-base results can share one batched inversion.
-  JacPoint mul_jac(const bigint::BigInt& k) const;
-
   /// Scrubs every stored point (the table of a secret base is itself
   /// secret) and returns to the empty state.
   void wipe();

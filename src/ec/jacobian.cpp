@@ -23,31 +23,21 @@ Point jac_to_affine(const std::shared_ptr<const Curve>& curve,
 
 std::vector<Point> jac_to_affine_batch(
     const std::shared_ptr<const Curve>& curve, std::span<const JacPoint> pts) {
-  // Montgomery's trick: prefix products, one inversion, unwind.
-  std::vector<Point> out(pts.size());
+  std::vector<Point> out(pts.size(), curve->infinity());
   std::vector<std::size_t> finite;  // indices with z != 0
+  std::vector<Fp> z_inv;
   finite.reserve(pts.size());
-  std::vector<Fp> prefix;           // running products of z
-  prefix.reserve(pts.size());
-  Fp running = curve->field()->one();
+  z_inv.reserve(pts.size());
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (pts[i].inf) {
-      out[i] = curve->infinity();
-      continue;
-    }
-    prefix.push_back(running);  // product of all previous finite z's
+    if (pts[i].inf) continue;
     finite.push_back(i);
-    running = running * pts[i].z;
+    z_inv.push_back(pts[i].z);
   }
-  if (finite.empty()) return out;
-
-  Fp inv_all = running.inverse();
-  for (std::size_t j = finite.size(); j-- > 0;) {
+  field::batch_inverse(z_inv);
+  for (std::size_t j = 0; j < finite.size(); ++j) {
     const JacPoint& p = pts[finite[j]];
-    const Fp z_inv = inv_all * prefix[j];  // 1/z_j
-    inv_all = inv_all * p.z;               // drop z_j from the tail
-    const Fp z_inv_sq = z_inv.square();
-    out[finite[j]] = curve->point(p.x * z_inv_sq, p.y * z_inv_sq * z_inv);
+    const Fp z_inv_sq = z_inv[j].square();
+    out[finite[j]] = curve->point(p.x * z_inv_sq, p.y * z_inv_sq * z_inv[j]);
   }
   return out;
 }
@@ -57,8 +47,8 @@ JacPoint jac_dbl(const JacPoint& t, DblTrace* trace) {
 
   // In-place compound ops throughout: every temporary is a fixed-limb
   // stack value, so the Miller loop's doubling steps never allocate.
-  const Fp y_sq = t.y.square();
-  const Fp z_sq = t.z.square();
+  Fp y_sq = t.y.square();
+  Fp z_sq = t.z.square();
   Fp s = t.x;                                // S = 4XY^2
   s *= y_sq;
   s.dbl_inplace();
@@ -83,12 +73,12 @@ JacPoint jac_dbl(const JacPoint& t, DblTrace* trace) {
   z3.dbl_inplace();
 
   if (trace != nullptr) {
-    trace->m = m;
-    trace->x = t.x;
-    trace->y_sq = y_sq;
-    trace->z_sq = z_sq;
     trace->zp_zsq = z3;  // 2YZ^3
     trace->zp_zsq *= z_sq;
+    trace->m = std::move(m);
+    trace->x = t.x;
+    trace->y_sq = std::move(y_sq);
+    trace->z_sq = std::move(z_sq);
   }
   return JacPoint{std::move(x3), std::move(y3), std::move(z3), false};
 }
@@ -153,7 +143,7 @@ JacPoint jac_add_mixed(const JacPoint& t, const Point& p, AddTrace* trace) {
 
   if (trace != nullptr) {
     trace->zh = z3;
-    trace->r = r;
+    trace->r = std::move(r);
     trace->vertical = false;
   }
   return JacPoint{std::move(x3), std::move(y3), std::move(z3), false};

@@ -43,10 +43,9 @@ JacPoint jac_from_affine(const Point& p);
 Point jac_to_affine(const std::shared_ptr<const Curve>& curve,
                     const JacPoint& p);
 
-/// Converts a batch with a single field inversion (Montgomery's trick:
-/// one inversion plus 3(n-1) multiplications). The library's one
-/// simultaneous inversion; FixedBaseTable's build converts its whole
-/// table through it.
+/// Converts a batch with a single field inversion (field::batch_inverse,
+/// Montgomery's trick: one inversion plus 3n multiplications).
+/// FixedBaseTable's build converts its whole table through it.
 std::vector<Point> jac_to_affine_batch(
     const std::shared_ptr<const Curve>& curve, std::span<const JacPoint> pts);
 

@@ -1,6 +1,7 @@
 #include "field/fp.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.h"
 
@@ -118,6 +119,11 @@ Fp Fp::operator*(const Fp& o) const {
   Fp r = *this;
   r *= o;
   return r;
+}
+
+void Fp::assign_limbs(const std::uint64_t* limbs) {
+  check_bound("assign_limbs");
+  std::copy_n(limbs, store_.size(), store_.data());
 }
 
 void Fp::negate_inplace() {
@@ -242,6 +248,49 @@ BigInt Fp::to_bigint() const {
 
 Bytes Fp::to_bytes() const {
   return to_bigint().to_bytes_be_padded(field_->byte_size());
+}
+
+void batch_inverse(std::span<Fp> xs) {
+  if (xs.empty()) return;
+  const auto& field = xs[0].field();
+  for (const Fp& e : xs) {
+    if (!e.field() ||
+        (e.field() != field && e.field()->modulus() != field->modulus())) {
+      throw InvalidArgument("batch_inverse: elements of different fields");
+    }
+  }
+  const bigint::Montgomery& mont = field->mont();
+  const std::size_t k = mont.limbs();
+  const std::uint64_t* one = mont.one_limbs();
+  // Limb-level throughout: prefix i (at i·k) is the product
+  // x_0 ⋯ x_{i-1}, then the running product, and a scratch factor. A zero
+  // x_i enters the products as one, picked by a mask, not a branch.
+  std::vector<std::uint64_t> buf((xs.size() + 2) * k);
+  std::uint64_t* acc = buf.data() + xs.size() * k;
+  std::uint64_t* x = acc + k;
+  const auto load = [&](const Fp& e) {
+    const std::uint64_t zero_mask = std::uint64_t{0} - e.is_zero();
+    const std::uint64_t* l = e.limbs();
+    for (std::size_t j = 0; j < k; ++j) {
+      x[j] = l[j] ^ ((l[j] ^ one[j]) & zero_mask);
+    }
+    return zero_mask;
+  };
+  std::copy_n(one, k, acc);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    std::copy_n(acc, k, buf.data() + i * k);
+    load(xs[i]);
+    mont.mul_limbs(acc, x, acc);
+  }
+  mont.inv_limbs(acc, acc);  // 1/(x_0 ⋯ x_{n-1}); never zero
+  for (std::size_t i = xs.size(); i-- > 0;) {
+    const std::uint64_t zero_mask = load(xs[i]);
+    std::uint64_t* inv_i = buf.data() + i * k;
+    mont.mul_limbs(inv_i, acc, inv_i);  // 1/x_i
+    mont.mul_limbs(acc, x, acc);        // drop x_i from the tail
+    for (std::size_t j = 0; j < k; ++j) inv_i[j] &= ~zero_mask;
+    xs[i].assign_limbs(inv_i);
+  }
 }
 
 }  // namespace medcrypt::field

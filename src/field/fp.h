@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "bigint/bigint.h"
 #include "bigint/montgomery.h"
@@ -147,6 +148,16 @@ class Fp {
   /// representative.
   bool parity() const { return to_bigint().is_odd(); }
 
+  /// The element's k Montgomery-form limbs, little-endian (k =
+  /// field()->limb_count()). With assign_limbs, this lets a holder of
+  /// many elements of one field store bare limbs without a context per
+  /// element (the pairing's prepared Miller programs).
+  const std::uint64_t* limbs() const { return store_.data(); }
+
+  /// Overwrites the value with k Montgomery-form limbs of this element's
+  /// field, reduced below p, as limbs() hands them out.
+  void assign_limbs(const std::uint64_t* limbs);
+
   /// Scrubs the element and detaches it from its field (the element
   /// becomes default-constructed). Called by secret holders' destructors.
   void wipe() {
@@ -165,5 +176,14 @@ class Fp {
   std::shared_ptr<const PrimeField> field_;
   LimbStore store_;
 };
+
+/// In-place simultaneous inversion (Montgomery's trick): one inversion
+/// plus 3n multiplications replace n inversions. Zero elements stay zero
+/// and do not disturb the others. Constant time in the values: zeros are
+/// set aside by masked swaps, not branches, and the one inversion is
+/// Fp::inverse, so the elements may be secret (the pairing inverts
+/// d_sem-derived line coefficients with it). All elements must share
+/// one field.
+void batch_inverse(std::span<Fp> xs);
 
 }  // namespace medcrypt::field

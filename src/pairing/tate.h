@@ -6,7 +6,9 @@
 // followed by the final exponentiation (p^2 - 1)/q. Because the
 // distortion map keeps x-coordinates in F_p, all vertical-line factors
 // live in the subfield and are erased by the final exponentiation
-// (standard denominator elimination for embedding degree 2). The final
+// (standard denominator elimination for embedding degree 2). So Miller's
+// loop may walk the non-adjacent form of q, adding −P on a digit −1: the
+// extra vertical-line factors that brings lie in F_p as well. The final
 // exponentiation is conj(f)/f, a unitary value, then its (p+1)/q power
 // by the trace ladder field::pow_unitary, the two sharing one F_p
 // inversion.
@@ -36,10 +38,13 @@ using field::Fp2;
 ///
 /// The Miller loop's Jacobian point chain and line-function coefficients
 /// depend only on P; the second argument Q enters each step as a linear
-/// evaluation L(Q') = (c0 - c1·x(Q)) + i·(c2·y(Q)). Preparing P once
-/// bakes the chain into a flat coefficient program, so every subsequent
-/// pairing against P skips the point arithmetic entirely — the SEM's
-/// per-identity d_sem is exactly such a fixed argument.
+/// evaluation L(Q') = (c0 - c1·x') + i·y' with x' = -x(Q), y' = y(Q).
+/// Preparing P once bakes the chain into a flat coefficient program, so
+/// every subsequent pairing against P skips the point arithmetic
+/// entirely — the SEM's per-identity d_sem is exactly such a fixed
+/// argument. Each line is scaled so that its imaginary coefficient is 1
+/// and stored as the bare Montgomery limbs of c0 and c1, 2k limbs in
+/// one flat buffer with no per-coefficient field context.
 ///
 /// The coefficients are derived from P, so when P is secret (a SEM key
 /// half) the prepared form is secret too: wipe() scrubs every
@@ -58,29 +63,31 @@ class PreparedPairing {
 
   /// Number of Miller-loop steps in the program, squarings and lines
   /// (0 for O).
-  std::size_t step_count() const {
-    return lines_per_bit_.size() + lines_.size();
+  std::size_t step_count() const;
+
+  /// Heap bytes the program holds: its coefficient limbs and its
+  /// per-digit line counts (0 once wiped).
+  std::size_t heap_bytes() const {
+    return limbs_.capacity() * sizeof(std::uint64_t) +
+           lines_per_digit_.capacity();
   }
 
-  /// Scrubs all line coefficients and unbinds; the object returns to the
-  /// default-constructed (empty) state.
+  /// Scrubs all line coefficients, releases their storage and unbinds;
+  /// the object returns to the default-constructed (empty) state.
   void wipe();
 
  private:
   friend class TatePairing;
 
-  // One recorded line: f <- f · ((c0 - c1·x(Q)) + i·(c2·y(Q))).
-  struct Line {
-    Fp c0, c1, c2;
-  };
-
   std::shared_ptr<const Curve> curve_;
-  // The lines in Miller-loop order, and for each order bit below the
-  // top (most significant first) how many of them (0 to 2) follow that
-  // bit's f <- f^2. Squarings carry no coefficients, so only their
-  // count is stored.
-  std::vector<Line> lines_;
-  std::vector<std::uint8_t> lines_per_bit_;
+  // The lines in Miller-loop order, line j at limbs_[2kj]: c0 in k
+  // limbs, then c1 in k limbs, both in Montgomery form; each stands for
+  // f <- f · ((c0 - c1·x') + i·y'). For each digit of the NAF of q
+  // below the top, lines_per_digit_ holds how many lines (0 to 2) follow
+  // that digit's f <- f^2. Squarings carry no coefficients, so only
+  // their count is stored.
+  std::vector<std::uint64_t> limbs_;
+  std::vector<std::uint8_t> lines_per_digit_;
   bool infinity_ = false;
 };
 
@@ -157,6 +164,9 @@ class TatePairing {
   Fp2 miller_loop(std::span<RawTerm> raws, std::span<PrepTerm> preps) const;
 
   std::shared_ptr<const Curve> curve_;
+  // The non-adjacent form of q, most significant digit (always 1)
+  // first. Both Miller loops walk it: a digit ±1 adds ±P.
+  std::vector<std::int8_t> naf_;
   BigInt exp_tail_;  // (p + 1) / q, the second factor of the final expo
 };
 

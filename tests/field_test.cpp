@@ -1,6 +1,8 @@
 // Tests for the prime field Fp and the quadratic extension Fp2.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
 #include "field/fp.h"
 #include "field/fp2.h"
@@ -167,6 +169,38 @@ TEST(Fp, MixedFieldOperationThrows) {
   auto f2 = big_field();
   EXPECT_THROW(f1->one() + f2->one(), InvalidArgument);
   EXPECT_THROW(Fp{} + f1->one(), InvalidArgument);
+}
+
+// batch_inverse against one inverse per element, over the 64-bit small
+// field and a 4-limb one: zeros anywhere (first, last, runs, all) stay
+// zero and leave the other inverses intact.
+TEST(Fp, BatchInverseMatchesSinglesAndKeepsZeros) {
+  HmacDrbg rng(29);
+  for (const auto& f : {small_field(), big_field_3mod4()}) {
+    for (std::size_t n : {0u, 1u, 2u, 7u, 33u}) {
+      for (int zeros : {0, 1, 2}) {  // none, every 3rd, all
+        std::vector<Fp> xs;
+        for (std::size_t i = 0; i < n; ++i) {
+          const bool zero = zeros == 2 || (zeros == 1 && i % 3 == 0);
+          Fp x = f->random(rng);
+          while (x.is_zero()) x = f->random(rng);
+          xs.push_back(zero ? f->zero() : x);
+        }
+        std::vector<Fp> inv = xs;
+        batch_inverse(inv);
+        ASSERT_EQ(inv.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (xs[i].is_zero()) {
+            EXPECT_TRUE(inv[i].is_zero()) << i;
+          } else {
+            EXPECT_EQ(inv[i], xs[i].inverse()) << i;
+          }
+        }
+      }
+    }
+  }
+  std::vector<Fp> mixed = {small_field()->one(), big_field()->one()};
+  EXPECT_THROW(batch_inverse(mixed), InvalidArgument);
 }
 
 TEST(Fp2, ComplexArithmetic) {

@@ -192,6 +192,53 @@ TEST_F(PairingTest, PreparedRejectsMismatchesAndWipedPrograms) {
   EXPECT_THROW(e.pair_with(prep, params().generator), InvalidArgument);
 }
 
+// wipe() scrubs and frees the program's limbs, not only its binding.
+TEST_F(PairingTest, WipeReleasesTheProgram) {
+  const auto e = engine();
+  PreparedPairing prep = e.prepare(params().generator);
+  EXPECT_GT(prep.heap_bytes(), 0u);
+  prep.wipe();
+  EXPECT_EQ(prep.heap_bytes(), 0u);
+  EXPECT_THROW(e.pair_with(prep, params().generator), InvalidArgument);
+  EXPECT_THROW(e.miller_with(prep, params().generator), InvalidArgument);
+}
+
+// The program walks the NAF of q: per digit below the top one squaring
+// and one doubling line, plus an addition line per nonzero digit, less
+// the final addition, whose line is vertical. Pinned on the paper's
+// sec80 (binary walk: 400 steps, 241 lines) and on toy64; each line is
+// 2k limbs.
+TEST(TatePairing, PreparedProgramFollowsTheNafOfQ) {
+  struct Pin {
+    const char* set;
+    std::size_t steps;
+  };
+  for (const Pin pin : {Pin{"toy64", 150}, Pin{"sec80", 367}}) {
+    const auto& params = named_params(pin.set);
+    const TatePairing e(params.curve);
+    const PreparedPairing prep = e.prepare(params.generator);
+    EXPECT_EQ(prep.step_count(), pin.steps) << pin.set;
+
+    // The same count from the NAF, recoded here digit by digit.
+    BigInt n = params.order();
+    std::size_t digits = 0, nonzero = 0;
+    while (!n.is_zero()) {
+      if (n.is_odd()) {
+        n = n.bit(1) ? n + BigInt(1) : n - BigInt(1);
+        ++nonzero;
+      }
+      n = n >> 1;
+      ++digits;
+    }
+    const std::size_t lines = (digits - 1) + (nonzero - 1) - 1;
+    EXPECT_EQ(prep.step_count(), (digits - 1) + lines) << pin.set;
+    const std::size_t line_bytes =
+        2 * params.curve->field()->limb_count() * sizeof(std::uint64_t);
+    EXPECT_GE(prep.heap_bytes(), lines * line_bytes) << pin.set;
+    EXPECT_LE(prep.heap_bytes(), (lines + 1) * line_bytes + digits) << pin.set;
+  }
+}
+
 TEST_F(PairingTest, PairManyMatchesProductOfPairs) {
   const auto e = engine();
   HmacDrbg rng(51);
@@ -326,8 +373,10 @@ TEST_P(PairingParamSweep, BilinearityHolds) {
 }
 
 // Every entry point runs the same Miller loop, raw or prepared, alone or
-// in a product; they must agree for random A and B, for B = A and
-// B = −A, and with identity terms.
+// in a product; they must agree for first arguments whose chains end on
+// either NAF digit and pass through ±P (P, −P, 2P, (q−1)·P, O and a
+// random A), against a random B, the first argument itself, its
+// negation and O.
 TEST_P(PairingParamSweep, EntryPointsAgree) {
   const auto& params = named_params(GetParam());
   const TatePairing e(params.curve);
@@ -336,19 +385,32 @@ TEST_P(PairingParamSweep, EntryPointsAgree) {
   const ec::Point A = P.mul(BigInt::random_unit(rng, params.order()));
   const ec::Point B = P.mul(BigInt::random_unit(rng, params.order()));
   const ec::Point inf = params.curve->infinity();
-  const PreparedPairing prep_a = e.prepare(A);
   const PreparedPairing prep_inf = e.prepare(inf);
+  const Fp2 pb = e.pair(P, B);
 
-  for (const ec::Point& b : {B, A, -A, inf}) {
-    const Fp2 expected = e.pair(A, b);
-    EXPECT_EQ(e.pair_with(prep_a, b), expected);
-    const TatePairing::PairTerm raw[] = {{&A, nullptr, &b}};
-    EXPECT_EQ(e.pair_many(raw), expected);
-    const TatePairing::PairTerm prepared[] = {
-        {nullptr, &prep_a, &b}, {&inf, nullptr, &b}, {nullptr, &prep_inf, &b}};
-    EXPECT_EQ(e.pair_many(prepared), expected);
-    EXPECT_EQ(e.final_exponentiation(e.miller_with(prep_a, b)), expected);
+  const ec::Point firsts[] = {P, -P, P.mul(BigInt(2)),
+                              P.mul(params.order() - BigInt(1)), inf, A};
+  for (const ec::Point& a : firsts) {
+    const PreparedPairing prep_a = e.prepare(a);
+    for (const ec::Point& b : {B, a, -a, inf}) {
+      const Fp2 expected = e.pair(a, b);
+      EXPECT_EQ(e.pair_with(prep_a, b), expected);
+      EXPECT_EQ(e.final_exponentiation(e.miller_with(prep_a, b)), expected);
+      const TatePairing::PairTerm raw[] = {{&a, nullptr, &b}};
+      EXPECT_EQ(e.pair_many(raw), expected);
+      const TatePairing::PairTerm prepared[] = {
+          {nullptr, &prep_a, &b}, {&inf, nullptr, &b}, {nullptr, &prep_inf, &b}};
+      EXPECT_EQ(e.pair_many(prepared), expected);
+      // A raw and a prepared factor over one shared accumulator.
+      const TatePairing::PairTerm mixed[] = {{&a, nullptr, &B},
+                                             {nullptr, &prep_a, &b}};
+      EXPECT_EQ(e.pair_many(mixed), e.pair(a, B) * expected);
+    }
   }
+  // The outputs themselves, from bilinearity in the first argument.
+  EXPECT_EQ(e.pair(-P, B), pb.conjugate());
+  EXPECT_EQ(e.pair(P.mul(BigInt(2)), B), pb.square());
+  EXPECT_EQ(e.pair(P.mul(params.order() - BigInt(1)), B), pb.conjugate());
   EXPECT_FALSE(e.pair(A, A).is_one());
   EXPECT_TRUE((e.pair(A, -A) * e.pair(A, A)).is_one());
   EXPECT_TRUE(e.pair(inf, B).is_one());
@@ -356,7 +418,8 @@ TEST_P(PairingParamSweep, EntryPointsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sets, PairingParamSweep,
-                         ::testing::Values("toy64", "mid128", "sec80"));
+                         ::testing::Values("toy64", "mid128", "sec80",
+                                           "sweep384"));
 
 
 // The G_T exponentiation helpers of the field layer: pow_unitary (and
