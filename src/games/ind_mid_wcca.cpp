@@ -4,8 +4,7 @@ namespace medcrypt::games {
 
 IndMidWccaGame::IndMidWccaGame(pairing::ParamSet group,
                                std::size_t message_len, std::uint64_t seed)
-    : rng_(seed), pkg_(std::move(group), message_len, rng_),
-      pairing_(pkg_.params().curve()) {}
+    : rng_(seed), pkg_(std::move(group), message_len, rng_) {}
 
 const ibe::SplitKey& IndMidWccaGame::split_for(std::string_view identity) {
   const auto it = splits_.find(identity);
@@ -27,7 +26,8 @@ Bytes IndMidWccaGame::decrypt(std::string_view identity,
         "IND-mID-wCCA: cannot decrypt the challenge ciphertext");
   }
   const ibe::SplitKey& split = split_for(identity);
-  const auto g = pairing_.pair(ct.u, split.user) * pairing_.pair(ct.u, split.sem);
+  const pairing::TatePairing& pairing = *pkg_.params().group.pairing;
+  const auto g = pairing.pair(ct.u, split.user) * pairing.pair(ct.u, split.sem);
   return ibe::full_decrypt_with_mask(pkg_.params(), g, ct);
 }
 
@@ -50,7 +50,7 @@ field::Fp2 IndMidWccaGame::sem_query(std::string_view identity,
   }
   // Allowed on everything, including the challenge pair (Definition 3,
   // step 5: "It is allowed to make a SEM request on C* for ID*").
-  return pairing_.pair(ct.u, split_for(identity).sem);
+  return pkg_.params().group.pairing->pair(ct.u, split_for(identity).sem);
 }
 
 ec::Point IndMidWccaGame::extract_sem_key(std::string_view identity) {

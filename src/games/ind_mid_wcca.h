@@ -17,7 +17,6 @@
 #include "games/game_common.h"
 #include "hash/drbg.h"
 #include "ibe/pkg.h"
-#include "pairing/tate.h"
 
 namespace medcrypt::games {
 
@@ -63,7 +62,6 @@ class IndMidWccaGame {
 
   hash::HmacDrbg rng_;
   ibe::Pkg pkg_;
-  pairing::TatePairing pairing_;
   std::map<std::string, ibe::SplitKey, std::less<>> splits_;
   Phase phase_ = Phase::kQuery1;
   std::set<std::string, std::less<>> user_extracted_;

@@ -4,8 +4,7 @@ namespace medcrypt::games {
 
 WccaToCcaReduction::WccaToCcaReduction(IndIdCcaGame& challenger,
                                        std::uint64_t seed)
-    : challenger_(challenger), rng_(seed),
-      pairing_(challenger.params().curve()) {}
+    : challenger_(challenger), rng_(seed) {}
 
 const ec::Point& WccaToCcaReduction::sem_half(std::string_view identity) {
   const auto it = l_sem_.find(identity);
@@ -36,7 +35,7 @@ field::Fp2 WccaToCcaReduction::sem_query(std::string_view identity,
                                          const ibe::FullCiphertext& ct) {
   // "B ... computes the pairing ê(U, d_IDi,sem) which is sent to A."
   ++pairings_computed_;
-  return pairing_.pair(ct.u, sem_half(identity));
+  return challenger_.params().group.pairing->pair(ct.u, sem_half(identity));
 }
 
 ec::Point WccaToCcaReduction::extract_sem_key(std::string_view identity) {

@@ -26,7 +26,6 @@
 #include <string>
 
 #include "games/ind_id_cca.h"
-#include "pairing/tate.h"
 
 namespace medcrypt::games {
 
@@ -68,7 +67,6 @@ class WccaToCcaReduction {
 
   IndIdCcaGame& challenger_;
   hash::HmacDrbg rng_;
-  pairing::TatePairing pairing_;
   std::map<std::string, ec::Point, std::less<>> l_sem_;
   std::uint64_t pairings_computed_ = 0;
   std::uint64_t additions_computed_ = 0;

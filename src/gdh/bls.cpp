@@ -31,30 +31,30 @@ namespace {
 
 // The one verification equation behind every GDH verifier:
 // σ ∈ G1 \ {O} and ê(base, σ)·Π ê(−R_i, H_i) == 1, as one product
-// multi-pairing (shared squaring chain, single final exponentiation)
-// with every first argument's Miller program served from the prepared
-// cache. `base` is P against cleared hashes, P~ against raw candidates.
-// The G1 check on σ is what the pairing cannot do: ê(·, T) = 1 for every
-// T of order dividing h, so σ + T would pass the equation.
-bool check_dh(const pairing::ParamSet& group, const Point& base,
+// multi-pairing (shared squaring chain, single final exponentiation).
+// `base` is the ParamSet's program of P against cleared hashes, of P~
+// against raw candidates; each −R_i program comes from the prepared
+// cache. The G1 check on σ is what the pairing cannot do: ê(·, T) = 1
+// for every T of order dividing h, so σ + T would pass the equation.
+bool check_dh(const pairing::ParamSet& group,
+              const pairing::PreparedPairing& base,
               std::span<const Point> pubs, std::span<const Point> hashes,
               const Point& signature) {
   if (pubs.size() != hashes.size()) {
     throw InvalidArgument("gdh: key and hash counts differ");
   }
   if (signature.is_infinity() || !signature.in_subgroup()) return false;
-  const pairing::TatePairing pairing(group.curve);
+  const pairing::TatePairing& pairing = *group.pairing;
   std::vector<std::shared_ptr<const pairing::PreparedPairing>> programs;
-  programs.reserve(pubs.size() + 1);
-  programs.push_back(pairing::shared_prepared(pairing, base, "gdh.verify"));
+  programs.reserve(pubs.size());
   for (const Point& pub : pubs) {
     programs.push_back(pairing::shared_prepared(pairing, -pub, "gdh.verify"));
   }
   std::vector<pairing::TatePairing::PairTerm> terms;
-  terms.reserve(programs.size());
-  terms.push_back({nullptr, programs[0].get(), &signature});
+  terms.reserve(programs.size() + 1);
+  terms.push_back({nullptr, &base, &signature});
   for (std::size_t i = 0; i < hashes.size(); ++i) {
-    terms.push_back({nullptr, programs[i + 1].get(), &hashes[i]});
+    terms.push_back({nullptr, programs[i].get(), &hashes[i]});
   }
   return pairing.pair_many(terms).is_one();
 }
@@ -69,14 +69,15 @@ bool verify(const pairing::ParamSet& group, const Point& pub,
 
 bool verify_prehashed(const pairing::ParamSet& group, const Point& pub,
                       const Point& h, const Point& signature) {
-  return check_dh(group, group.generator, {&pub, 1}, {&h, 1}, signature);
+  return check_dh(group, *group.generator_program, {&pub, 1}, {&h, 1},
+                  signature);
 }
 
 bool verify_candidates(const pairing::ParamSet& group,
                        std::span<const Point> pubs,
                        std::span<const Point> candidates,
                        const Point& signature) {
-  return check_dh(group, group.inv_cofactor_generator, pubs, candidates,
+  return check_dh(group, *group.inv_cofactor_program, pubs, candidates,
                   signature);
 }
 

@@ -22,8 +22,8 @@ struct EncryptCore {
 
 EncryptCore encrypt_core(const SystemParams& params, const Point& q_id,
                          const BigInt& r) {
-  const pairing::TatePairing pairing(params.curve());
-  const Fp2 g_id = pairing::cached_pair(pairing, params.p_pub, q_id, "BF.gID");
+  const Fp2 g_id = pairing::cached_pair(*params.group.pairing, params.p_pub,
+                                        q_id, "BF.gID");
   return EncryptCore{params.group.mul_g(r),
                      field::pow_unitary(g_id, r, params.order().bit_length())};
 }
@@ -99,8 +99,7 @@ Bytes basic_decrypt(const SystemParams& params, const Point& private_key,
   if (ct.v.size() != params.message_len) {
     throw InvalidArgument("basic_decrypt: wrong ciphertext body length");
   }
-  const pairing::TatePairing pairing(params.curve());
-  const Fp2 g = pairing.pair(ct.u, private_key);
+  const Fp2 g = params.group.pairing->pair(ct.u, private_key);
   return xor_bytes(ct.v, mask_from_g(g, params.message_len));
 }
 
@@ -163,8 +162,8 @@ Bytes full_decrypt_with_mask(const SystemParams& params, const Fp2& g_r,
 
 Bytes full_decrypt(const SystemParams& params, const Point& private_key,
                    const FullCiphertext& ct) {
-  const pairing::TatePairing pairing(params.curve());
-  return full_decrypt_with_mask(params, pairing.pair(ct.u, private_key), ct);
+  return full_decrypt_with_mask(
+      params, params.group.pairing->pair(ct.u, private_key), ct);
 }
 
 }  // namespace medcrypt::ibe

@@ -46,15 +46,11 @@ BigInt hess_challenge(const ibe::SystemParams& params, BytesView message,
 
 HessSignature hess_sign(const ibe::SystemParams& params, const Point& d_id,
                         BytesView message, RandomSource& rng) {
-  const pairing::TatePairing pairing(params.curve());
   const BigInt k = BigInt::random_unit(rng, params.order());
-  // r = ê(P, P)^k; the base is a per-curve public constant, served from
-  // the pairing-value cache after the first signature. k is the secret
-  // nonce, hence the ladder power.
-  const Fp2 r = field::pow_unitary(
-      pairing::cached_pair(pairing, params.generator(), params.generator(),
-                           "ibs.gpp"),
-      k, params.order().bit_length());
+  // r = ê(P, P)^k over the ParamSet's ê(P, P). k is the secret nonce,
+  // hence the ladder power.
+  const Fp2 r =
+      field::pow_unitary(params.group.gpp, k, params.order().bit_length());
   HessSignature sig;
   sig.v = hess_challenge(params, message, r);
   sig.u = d_id.mul(sig.v) + params.group.mul_g(k);
@@ -65,21 +61,18 @@ bool hess_verify(const ibe::SystemParams& params, std::string_view identity,
                  BytesView message, const HessSignature& signature) {
   if (signature.u.is_infinity() || !signature.u.in_subgroup()) return false;
   if (signature.v.is_negative() || signature.v >= params.order()) return false;
-  const pairing::TatePairing pairing(params.curve());
+  const pairing::TatePairing& pairing = *params.group.pairing;
   const Point q_id = ibe::map_identity(params, identity);
   // r' = ê(u, P) · ê(Q_ID, P_pub)^{-v}  (negate the point, not the
   // exponent: v is reduced mod q and pairing outputs have order q).
   // By pairing symmetry both factors have fixed, public first arguments
-  // (P and −P_pub), so the product runs as one multi-pairing over their
-  // cached prepared programs.
+  // (P and −P_pub), so the product runs as one multi-pairing over the
+  // ParamSet's program of P and the cached program of −P_pub.
   const Point vq = q_id.mul(signature.v);
-  const Point neg_ppub = -params.p_pub;
-  const auto prep_gen =
-      pairing::shared_prepared(pairing, params.generator(), "ibs.verify");
   const auto prep_neg_ppub =
-      pairing::shared_prepared(pairing, neg_ppub, "ibs.verify");
+      pairing::shared_prepared(pairing, -params.p_pub, "ibs.verify");
   const pairing::TatePairing::PairTerm terms[] = {
-      {nullptr, prep_gen.get(), &signature.u},
+      {nullptr, params.group.generator_program.get(), &signature.u},
       {nullptr, prep_neg_ppub.get(), &vq}};
   const Fp2 r_prime = pairing.pair_many(terms);
   return hess_challenge(params, message, r_prime) == signature.v;

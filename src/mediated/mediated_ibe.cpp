@@ -7,10 +7,10 @@ namespace medcrypt::mediated {
 IbeMediator::IbeMediator(ibe::SystemParams params,
                          std::shared_ptr<RevocationList> revocations)
     : MediatorBase<IbeSemKey>(std::move(revocations)),
-      params_(std::move(params)), pairing_(params_.curve()) {}
+      params_(std::move(params)) {}
 
 void IbeMediator::install_key(std::string identity, Point d_sem) {
-  IbeSemKey record(pairing_.prepare(d_sem));
+  IbeSemKey record(params_.group.pairing->prepare(d_sem));
   d_sem.wipe();
   MediatorBase<IbeSemKey>::install_key(std::move(identity), std::move(record));
 }
@@ -47,18 +47,18 @@ Fp2 IbeMediator::token_at(const RevocationList::Snapshot& snapshot,
   // The whole pairing runs under the shard's shared lock, which only an
   // install_key on the same shard waits for.
   return with_key_at(snapshot, identity, [&](const IbeSemKey& key) {
-    return pairing_.pair_with(key.prepared, u);
+    return params_.group.pairing->pair_with(key.prepared, u);
   });
 }
 
 MediatedIbeUser::MediatedIbeUser(ibe::SystemParams params,
                                  std::string identity, Point user_key)
     : params_(std::move(params)), identity_(std::move(identity)),
-      user_key_(std::move(user_key)), pairing_(params_.curve()),
-      user_prepared_(pairing_.prepare(user_key_)) {}
+      user_key_(std::move(user_key)),
+      user_prepared_(params_.group.pairing->prepare(user_key_)) {}
 
 Fp2 MediatedIbeUser::partial(const Point& u) const {
-  return pairing_.pair_with(user_prepared_, u);
+  return params_.group.pairing->pair_with(user_prepared_, u);
 }
 
 Bytes MediatedIbeUser::decrypt(const ibe::FullCiphertext& ct,

@@ -92,7 +92,6 @@ class IbeMediator : public MediatorBase<IbeSemKey> {
                std::string_view identity, const Point& u) const;
 
   ibe::SystemParams params_;
-  pairing::TatePairing pairing_;
 };
 
 /// User-side endpoint: holds d_ID,user and runs the decryption protocol
@@ -132,7 +131,6 @@ class MediatedIbeUser {
   ibe::SystemParams params_;
   std::string identity_;
   Point user_key_;
-  pairing::TatePairing pairing_;
   // Prepared Miller program of d_ID,user (by pairing symmetry
   // partial(U) = ê(d_user, U)), computed once at enrollment instead of
   // per decryption. Derived from the secret half — wiped with it.

@@ -1,7 +1,6 @@
 #include "mediated/mediated_ibs.h"
 
 #include "obs/span.h"
-#include "pairing/prepared_cache.h"
 
 namespace medcrypt::mediated {
 
@@ -39,12 +38,9 @@ ibs::HessSignature MediatedIbsUser::sign(BytesView message,
                                          const IbsMediator& sem,
                                          RandomSource& rng,
                                          sim::Transport* transport) const {
-  const pairing::TatePairing pairing(params_.curve());
   const bigint::BigInt k = bigint::BigInt::random_unit(rng, params_.order());
-  const Fp2 r = field::pow_unitary(
-      pairing::cached_pair(pairing, params_.generator(), params_.generator(),
-                           "ibs.gpp"),
-      k, params_.order().bit_length());
+  const Fp2 r =
+      field::pow_unitary(params_.group.gpp, k, params_.order().bit_length());
 
   // Request: identity + message + commitment (one compressed G2
   // element).

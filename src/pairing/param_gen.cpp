@@ -39,9 +39,21 @@ ParamSet generate_params(std::size_t p_bits, std::size_t q_bits,
     const Point candidate = curve->point(x, std::move(*y)).mul(h);
     if (candidate.is_infinity()) continue;
     // With q prime, any non-identity multiple of h has exact order q.
-    return ParamSet{curve, candidate,
+    const Point inv_cofactor = candidate.mul(h.mod_inverse(q));
+    auto engine = std::make_shared<const TatePairing>(curve);
+    auto program = std::make_shared<const PreparedPairing>(
+        engine->prepare(candidate));
+    auto inv_cofactor_program = std::make_shared<const PreparedPairing>(
+        engine->prepare(inv_cofactor));
+    Fp2 gpp = engine->pair_with(*program, candidate);
+    return ParamSet{curve,
+                    candidate,
                     std::make_shared<ec::FixedBaseTable>(candidate, q),
-                    candidate.mul(h.mod_inverse(q))};
+                    inv_cofactor,
+                    std::move(engine),
+                    std::move(program),
+                    std::move(inv_cofactor_program),
+                    std::move(gpp)};
   }
 }
 

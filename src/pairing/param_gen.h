@@ -2,7 +2,9 @@
 //
 // Finds a subgroup order q (prime) and a field prime p = h·q - 1 with
 // h ≡ 0 (mod 4) (so p ≡ 3 (mod 4)) of the requested sizes, then derives
-// the curve y^2 = x^3 + x and a generator of the order-q subgroup.
+// the curve y^2 = x^3 + x and a generator of the order-q subgroup, and
+// builds the set's whole pairing context once: the engine, the Miller
+// programs of the two generators and ê(P, P).
 #pragma once
 
 #include <memory>
@@ -11,6 +13,7 @@
 #include "ec/fixed_base.h"
 #include "ec/point.h"
 #include "common/random_source.h"
+#include "pairing/tate.h"
 
 namespace medcrypt::pairing {
 
@@ -18,22 +21,36 @@ using bigint::BigInt;
 using ec::Curve;
 using ec::Point;
 
-/// A complete pairing-friendly parameter set: the supersingular curve and
-/// a generator P of its order-q subgroup.
+/// A complete pairing-friendly parameter set: the supersingular curve, a
+/// generator P of its order-q subgroup, and every public precomputation
+/// that depends on nothing else. generate_params fills every field; the
+/// shared_ptr members keep ParamSet copies cheap and let every copy share
+/// one context. Schemes take the set by reference and never rebuild any
+/// of it per operation.
 struct ParamSet {
   std::shared_ptr<const Curve> curve;
   Point generator;
 
-  /// Windowed fixed-base table for `generator`; generate_params always
-  /// fills it. shared_ptr keeps ParamSet copies cheap (the table is
-  /// ~600 affine points at sec80).
+  /// Windowed fixed-base table for `generator` (~600 affine points at
+  /// sec80).
   std::shared_ptr<const ec::FixedBaseTable> generator_table;
 
   /// P~ = (h^-1 mod q)·P, so h·P~ = P. A verifier that pairs against a
   /// hash candidate H' with h(M) = h·H' checks ê(P~, σ) where the
   /// standard equation has ê(P, σ): ê(P~, σ)^h = ê(P, σ) and
-  /// ê(R, H')^h = ê(R, h(M)). generate_params always fills it.
+  /// ê(R, H')^h = ê(R, h(M)).
   Point inv_cofactor_generator;
+
+  /// The pairing engine of `curve`.
+  std::shared_ptr<const TatePairing> pairing;
+
+  /// Prepared Miller programs of P and of P~, the fixed first arguments
+  /// of the GDH, Hess and threshold verification equations.
+  std::shared_ptr<const PreparedPairing> generator_program;
+  std::shared_ptr<const PreparedPairing> inv_cofactor_program;
+
+  /// ê(P, P), the base of the Hess and threshold-proof commitments.
+  Fp2 gpp;
 
   /// Shorthand for curve->order().
   const BigInt& order() const { return curve->order(); }

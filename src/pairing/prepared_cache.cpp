@@ -2,22 +2,18 @@
 
 namespace medcrypt::pairing {
 
-namespace {
-
 // Leaked like the metrics registry: entries keep their curve contexts
 // alive and lookups may run during static teardown. The prepared cache
-// is sized for verification bases (a handful per deployment, plus the
-// public keys of the verify-side working set); the pair-value cache, like
-// the H1 cache, for ê(P, P) plus one g_ID per recent encryption recipient.
+// is sized for the public keys of the verify-side working set; the
+// pair-value cache, like the H1 cache, for one g_ID per recent
+// encryption recipient.
 const ec::ShardedLruCache<std::shared_ptr<const PreparedPairing>>&
-prepared_cache() {
+prepared_program_cache() {
   static const auto* cache =
       new ec::ShardedLruCache<std::shared_ptr<const PreparedPairing>>(
           {.capacity = 1024, .metric_prefix = "sem.cache.prepared"});
   return *cache;
 }
-
-}  // namespace
 
 const ec::ShardedLruCache<Fp2>& pair_value_cache() {
   static const auto* cache = new ec::ShardedLruCache<Fp2>(
@@ -28,7 +24,7 @@ const ec::ShardedLruCache<Fp2>& pair_value_cache() {
 std::shared_ptr<const PreparedPairing> shared_prepared(
     const TatePairing& pairing, const Point& p, std::string_view domain) {
   const Bytes encoded = p.to_bytes();
-  return prepared_cache().get_or_compute(
+  return prepared_program_cache().get_or_compute(
       domain, encoded,
       [&] {
         return std::make_shared<const PreparedPairing>(pairing.prepare(p));

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "hash/kdf.h"
-#include "pairing/prepared_cache.h"
 
 namespace medcrypt::threshold {
 
@@ -78,34 +77,25 @@ std::vector<BigInt> batch_weights(const Point& u, const BigInt& order,
 
 }  // namespace
 
-std::shared_ptr<const pairing::PreparedPairing> prepared_generator(
-    const pairing::TatePairing& pairing, const Point& generator) {
-  return pairing::shared_prepared(pairing, generator, "threshold.P");
-}
-
-ProvedShare prove_share(const pairing::ParamSet& group,
-                        const pairing::TatePairing& pairing, const Point& u,
+ProvedShare prove_share(const pairing::ParamSet& group, const Point& u,
                         const Point& d_idi, RandomSource& rng) {
+  const pairing::TatePairing& pairing = *group.pairing;
   const BigInt& order = group.order();
   // Commitment R = k·P for random k (a uniform subgroup element).
   BigInt k = BigInt::random_unit(rng, order);
   Point r = group.mul_g(k);
 
   // S = ê(U, d_idi) and w2 = ê(U, R) replay one program of U;
-  // Y1 = ê(P, d_idi) replays the cached program of P.
+  // Y1 = ê(P, d_idi) replays the ParamSet's program of P.
   const pairing::PreparedPairing prep_u = pairing.prepare(u);
-  const auto prep_g = prepared_generator(pairing, group.generator);
 
   ProvedShare out;
   out.value = pairing.pair_with(prep_u, d_idi);
   ShareProof& proof = out.proof;
   proof.w2 = pairing.pair_with(prep_u, r);
-  const Fp2 y1 = pairing.pair_with(*prep_g, d_idi);
+  const Fp2 y1 = pairing.pair_with(*group.generator_program, d_idi);
   // w1 = ê(P, k·P) = ê(P, P)^k.
-  proof.w1 = field::pow_unitary(
-      pairing::cached_pair(pairing, group.generator, group.generator,
-                           "threshold.gpp"),
-      k, order.bit_length());
+  proof.w1 = field::pow_unitary(group.gpp, k, order.bit_length());
   proof.e = challenge(out.value, y1, proof.w1, proof.w2, u, order);
   proof.v = r + d_idi.mul(proof.e);
   k.wipe();
@@ -113,11 +103,10 @@ ProvedShare prove_share(const pairing::ParamSet& group,
   return out;
 }
 
-bool verify_share_batch(const pairing::TatePairing& pairing,
-                        const Point& generator, const Point& u,
-                        const BigInt& order,
+bool verify_share_batch(const pairing::ParamSet& group, const Point& u,
                         std::span<const ShareStatement> batch) {
   if (batch.empty()) return true;
+  const BigInt& order = group.order();
   // Per-statement checks first: each is far cheaper than the pairing.
   // The challenge and the published values are public proof components;
   // branching on them reveals only the (public) verdict.
@@ -137,7 +126,7 @@ bool verify_share_batch(const pairing::TatePairing& pairing,
   // S_i^(c·e_i·ρ_i), exponents reduced mod q (every base is in G_T now).
   const std::vector<BigInt> weights = batch_weights(u, order, batch);
   const BigInt& c = weights.back();
-  Point w = generator.curve()->infinity();
+  Point w = group.curve->infinity();
   std::vector<Fp2> bases;
   std::vector<BigInt> exps;
   bases.reserve(4 * batch.size());
@@ -156,16 +145,15 @@ bool verify_share_batch(const pairing::TatePairing& pairing,
     bases.push_back(*s.value);
     exps.push_back(e_rho.mul_mod(c, order));
   }
-  return pairing.pair(generator + u.mul(c), w) == multi_pow(bases, exps);
+  return group.pairing->pair(group.generator + u.mul(c), w) ==
+         multi_pow(bases, exps);
 }
 
-bool verify_share_proof(const pairing::TatePairing& pairing,
-                        const Point& generator, const Point& u,
+bool verify_share_proof(const pairing::ParamSet& group, const Point& u,
                         const Fp2& share_value, const Fp2& vk_pairing,
-                        const BigInt& order, const ShareProof& proof) {
+                        const ShareProof& proof) {
   const ShareStatement statement{0, &share_value, &vk_pairing, &proof};
-  return verify_share_batch(pairing, generator, u, order,
-                            std::span(&statement, 1));
+  return verify_share_batch(group, u, std::span(&statement, 1));
 }
 
 }  // namespace medcrypt::threshold

@@ -15,8 +15,9 @@
 //            ê(U, V) = w2 · S^e
 //
 // The prover runs no raw-chain pairing: S and w2 replay one prepared
-// program of U, Y1 = ê(P, d_IDi) replays the cached program of P, each
-// finished by its own final exponentiation, and w1 = ê(P, P)^k.
+// program of U, Y1 = ê(P, d_IDi) replays the ParamSet's program of P,
+// each finished by its own final exponentiation, and w1 = ê(P, P)^k
+// over the ParamSet's ê(P, P).
 //
 // The verifier folds a whole batch of n statements into one pairing
 // (small-exponent randomized batching, Bellare–Garay–Rabin '98): with
@@ -31,13 +32,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "ec/point.h"
 #include "field/fp2.h"
 #include "pairing/param_gen.h"
-#include "pairing/tate.h"
 
 namespace medcrypt::threshold {
 
@@ -64,30 +63,20 @@ struct ShareStatement {
   const ShareProof* proof = nullptr;
 };
 
-/// The process-wide prepared Miller program of the generator P, shared
-/// by the prover (Y1 = ê(P, d_idi)) and the key-share check.
-std::shared_ptr<const pairing::PreparedPairing> prepared_generator(
-    const pairing::TatePairing& pairing, const ec::Point& generator);
-
 /// Computes the share value ê(U, d_idi) and its proof.
-ProvedShare prove_share(const pairing::ParamSet& group,
-                        const pairing::TatePairing& pairing,
-                        const ec::Point& u, const ec::Point& d_idi,
-                        RandomSource& rng);
+ProvedShare prove_share(const pairing::ParamSet& group, const ec::Point& u,
+                        const ec::Point& d_idi, RandomSource& rng);
 
 /// True iff every statement in `batch` holds: each challenge matches its
 /// Fiat–Shamir hash, each S, w1, w2 lies in G_T, and the weighted
 /// combined check above passes. Empty batches are vacuously true.
-bool verify_share_batch(const pairing::TatePairing& pairing,
-                        const ec::Point& generator, const ec::Point& u,
-                        const bigint::BigInt& order,
+bool verify_share_batch(const pairing::ParamSet& group, const ec::Point& u,
                         std::span<const ShareStatement> batch);
 
 /// verify_share_batch over the single statement (S, Y1, proof).
-bool verify_share_proof(const pairing::TatePairing& pairing,
-                        const ec::Point& generator, const ec::Point& u,
+bool verify_share_proof(const pairing::ParamSet& group, const ec::Point& u,
                         const field::Fp2& share_value,
                         const field::Fp2& vk_pairing,
-                        const bigint::BigInt& order, const ShareProof& proof);
+                        const ShareProof& proof);
 
 }  // namespace medcrypt::threshold

@@ -3,7 +3,7 @@
 #include <set>
 
 #include "common/error.h"
-#include "pairing/tate.h"
+#include "gdh/bls.h"
 
 namespace medcrypt::threshold {
 
@@ -45,9 +45,12 @@ ElGamalDecryptionShare elgamal_decrypt_share(const ElGamalKeyShare& share,
 bool elgamal_verify_share(const ElGamalSetup& setup, const Point& c1,
                           const ElGamalDecryptionShare& share) {
   if (share.index == 0 || share.index > setup.players) return false;
-  const pairing::TatePairing pairing(setup.params.group.curve);
-  return pairing.pair(setup.params.group.generator, share.value) ==
-         pairing.pair(setup.verification_key(share.index), c1);
+  // S_i is checked as a GDH signature on C1 under Y_i: S_i ∈ G1 \ {O}
+  // and ê(P, S_i) = ê(Y_i, C1). Without the G1 check S_i + T would pass
+  // for any T of order dividing h, and the combiner would add λ_i·T.
+  return gdh::verify_prehashed(setup.params.group,
+                               setup.verification_key(share.index), c1,
+                               share.value);
 }
 
 Point elgamal_combine_shares(const ElGamalSetup& setup,

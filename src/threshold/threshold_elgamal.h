@@ -65,7 +65,7 @@ struct ElGamalDecryptionShare {
 ElGamalDecryptionShare elgamal_decrypt_share(const ElGamalKeyShare& share,
                                              const Point& c1);
 
-/// Pairing-based share check: ê(P, S_i) = ê(Y_i, C1).
+/// Pairing-based share check: S_i ∈ G1 \ {O} and ê(P, S_i) = ê(Y_i, C1).
 bool elgamal_verify_share(const ElGamalSetup& setup, const Point& c1,
                           const ElGamalDecryptionShare& share);
 

@@ -66,16 +66,15 @@ Point ThresholdDealer::extract_full_key(std::string_view identity) const {
 bool verify_key_share(const ThresholdSetup& setup, std::string_view identity,
                       const KeyShare& share) {
   // ê(P_pub^(i), Q_ID) · ê(P, −d_IDi) = 1 as one product pairing, with P
-  // from the generator program the prover replays.
+  // from the ParamSet's program, the one the prover replays.
+  const pairing::ParamSet& group = setup.params.group;
   const Point q_id = ibe::map_identity(setup.params, identity);
-  const pairing::TatePairing pairing(setup.params.curve());
-  const auto prep_g = prepared_generator(pairing, setup.params.generator());
   const Point neg_d = -share.value;
   const std::array<pairing::TatePairing::PairTerm, 2> terms = {{
       {.p = &setup.verification_key(share.index), .q = &q_id},
-      {.prepared = prep_g.get(), .q = &neg_d},
+      {.prepared = group.generator_program.get(), .q = &neg_d},
   }};
-  return pairing.pair_many(terms).is_one();
+  return group.pairing->pair_many(terms).is_one();
 }
 
 bool verify_setup_consistency(const ThresholdSetup& setup,
@@ -94,18 +93,16 @@ DecryptionShare compute_decryption_share(const ThresholdSetup& setup,
                                          const KeyShare& share, const Point& u,
                                          bool prove, RandomSource& rng) {
   obs::Span span(obs::Stage::kShareCompute);
-  const pairing::TatePairing pairing(setup.params.curve());
   DecryptionShare out;
   out.index = share.index;
   if (!prove) {
-    out.value = pairing.pair(u, share.value);
+    out.value = setup.params.group.pairing->pair(u, share.value);
     return out;
   }
   // The proof statement's public side Y1 = ê(P_pub^(i), Q_ID) is
   // recomputed by the verifier; the prover reaches the same value
   // through its own key share, ê(P, d_IDi) = Y1 by key-share correctness.
-  ProvedShare proved = prove_share(setup.params.group, pairing, u,
-                                   share.value, rng);
+  ProvedShare proved = prove_share(setup.params.group, u, share.value, rng);
   out.value = proved.value;
   out.proof = std::move(proved.proof);
   return out;
@@ -162,7 +159,7 @@ std::vector<DecryptionShare> select_valid_shares(
 
   // Y1_i = ê(P_pub^(i), Q_ID) = ê(Q_ID, P_pub^(i)) (the pairing is
   // symmetric): replays of one program of Q_ID.
-  const pairing::TatePairing pairing(setup.params.curve());
+  const pairing::TatePairing& pairing = *setup.params.group.pairing;
   const pairing::PreparedPairing prep_q =
       pairing.prepare(ibe::map_identity(setup.params, identity));
   std::vector<Fp2> vk_pairings;
@@ -177,8 +174,7 @@ std::vector<DecryptionShare> select_valid_shares(
     return ShareStatement{s.index, &s.value, &vk_pairings[i], &*s.proof};
   };
   const auto verify = [&](std::span<const ShareStatement> batch) {
-    return verify_share_batch(pairing, setup.params.generator(), u,
-                              setup.params.order(), batch);
+    return verify_share_batch(setup.params.group, u, batch);
   };
 
   std::vector<ShareStatement> batch;

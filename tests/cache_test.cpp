@@ -15,9 +15,13 @@
 
 #include "ec/hash_to_point.h"
 #include "ec/identity_cache.h"
+#include "gdh/bls.h"
 #include "hash/drbg.h"
+#include "ibs/hess.h"
 #include "mediated/mediated_gdh.h"
 #include "pairing/params.h"
+#include "pairing/prepared_cache.h"
+#include "threshold/robust.h"
 
 namespace medcrypt::ec {
 namespace {
@@ -134,6 +138,32 @@ TEST(IdentityCache, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.get("d", str_bytes("x")).has_value());
   EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+// The generator's programs and ê(P, P) belong to the ParamSet, not to
+// the process-wide LRUs: on a fresh set, signing, proving and the
+// prehashed GDH check add no entry to `sem.cache.gpp` or
+// `sem.cache.prepared`. The one per-key program, −R, is warmed first.
+TEST(PairingCaches, GeneratorWorkAddsNoCacheEntries) {
+  HmacDrbg rng(61);
+  const pairing::ParamSet group = pairing::generate_params(128, 64, rng);
+  const bigint::BigInt s = bigint::BigInt::random_unit(rng, group.order());
+  const ibe::SystemParams params{group, group.mul_g(s), 32};
+  const Point d_id = ibe::map_identity(params, "alice").mul(s);
+  const Point u = group.mul_g(bigint::BigInt::random_unit(rng, group.order()));
+  const Bytes msg = str_bytes("statement");
+  const gdh::KeyPair kp = gdh::keygen(group, rng);
+  const Point h = gdh::hash_message(group, msg);
+  const Point sig = h.mul(kp.secret);
+  ASSERT_TRUE(gdh::verify(group, kp.pub, msg, sig));
+
+  const std::size_t values = pairing::pair_value_cache().size();
+  const std::size_t programs = pairing::prepared_program_cache().size();
+  (void)ibs::hess_sign(params, d_id, msg, rng);
+  (void)threshold::prove_share(group, u, d_id, rng);
+  EXPECT_TRUE(gdh::verify_prehashed(group, kp.pub, h, sig));
+  EXPECT_EQ(pairing::pair_value_cache().size(), values);
+  EXPECT_EQ(pairing::prepared_program_cache().size(), programs);
 }
 
 TEST(IdentityCache, RegistrySeriesEqualStatsAndLeaveWithTheCache) {

@@ -417,6 +417,38 @@ TEST_P(PairingParamSweep, EntryPointsAgree) {
   EXPECT_TRUE(e.pair_with(prep_inf, B).is_one());
 }
 
+// The context generate_params builds once per set agrees with a fresh
+// engine: the programs of P and P~ against a random G1 point, a raw hash
+// candidate (a point of E(F_p) outside G1, as the GDH verifier pairs it)
+// and O, and ê(P, P).
+void expect_context_matches_fresh(const ParamSet& params, std::uint64_t seed) {
+  ASSERT_EQ(params.pairing->curve(), params.curve);
+  const TatePairing fresh(params.curve);
+  HmacDrbg rng(seed);
+  const auto& P = params.generator;
+  const auto& P_inv = params.inv_cofactor_generator;
+  const ec::Point qs[] = {
+      P.mul(BigInt::random_unit(rng, params.order())),
+      ec::hash_to_curve_candidate(params.curve, "ctx", str_bytes("Q")),
+      params.curve->infinity()};
+  for (const ec::Point& q : qs) {
+    EXPECT_EQ(params.pairing->pair_with(*params.generator_program, q),
+              fresh.pair(P, q));
+    EXPECT_EQ(params.pairing->pair_with(*params.inv_cofactor_program, q),
+              fresh.pair(P_inv, q));
+  }
+  EXPECT_EQ(params.gpp, fresh.pair(P, P));
+}
+
+TEST_P(PairingParamSweep, ContextMatchesFreshComputation) {
+  expect_context_matches_fresh(named_params(GetParam()), 57);
+}
+
+TEST(TatePairing, GeneratedSetContextMatchesFreshComputation) {
+  HmacDrbg rng(58);
+  expect_context_matches_fresh(generate_params(96, 48, rng), 59);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sets, PairingParamSweep,
                          ::testing::Values("toy64", "mid128", "sec80",
                                            "sweep384"));

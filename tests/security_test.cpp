@@ -210,42 +210,42 @@ TEST(RobustProofSoundness, EveryFieldOfTheProofIsBinding) {
   const auto q_id = ibe::map_identity(dealer.setup().params, "alice");
   const pairing::TatePairing pairing(dealer.setup().params.curve());
   const auto vk = pairing.pair(dealer.setup().verification_key(1), q_id);
-  const auto& P = dealer.setup().params.generator();
-  const auto& q = dealer.setup().params.order();
+  const auto& group = dealer.setup().params.group;
+  const auto& P = group.generator;
+  const auto& q = group.order();
 
   // Genuine proof verifies.
-  ASSERT_TRUE(threshold::verify_share_proof(pairing, P, ct.u, share.value, vk,
-                                            q, *share.proof));
+  ASSERT_TRUE(threshold::verify_share_proof(group, ct.u, share.value, vk,
+                                            *share.proof));
 
   // Tamper with each field in turn.
   {
     auto bad = *share.proof;
     bad.w1 = bad.w1.square();
-    EXPECT_FALSE(threshold::verify_share_proof(pairing, P, ct.u, share.value,
-                                               vk, q, bad));
+    EXPECT_FALSE(
+        threshold::verify_share_proof(group, ct.u, share.value, vk, bad));
   }
   {
     auto bad = *share.proof;
     bad.w2 = bad.w2 * bad.w1;
-    EXPECT_FALSE(threshold::verify_share_proof(pairing, P, ct.u, share.value,
-                                               vk, q, bad));
+    EXPECT_FALSE(
+        threshold::verify_share_proof(group, ct.u, share.value, vk, bad));
   }
   {
     auto bad = *share.proof;
     bad.e = bad.e.add_mod(bigint::BigInt(1), q);
-    EXPECT_FALSE(threshold::verify_share_proof(pairing, P, ct.u, share.value,
-                                               vk, q, bad));
+    EXPECT_FALSE(
+        threshold::verify_share_proof(group, ct.u, share.value, vk, bad));
   }
   {
     auto bad = *share.proof;
     bad.v = bad.v + P;
-    EXPECT_FALSE(threshold::verify_share_proof(pairing, P, ct.u, share.value,
-                                               vk, q, bad));
+    EXPECT_FALSE(
+        threshold::verify_share_proof(group, ct.u, share.value, vk, bad));
   }
   // A wrong statement (different share value) with the honest proof:
-  EXPECT_FALSE(threshold::verify_share_proof(pairing, P, ct.u,
-                                             share.value.square(), vk, q,
-                                             *share.proof));
+  EXPECT_FALSE(threshold::verify_share_proof(group, ct.u, share.value.square(),
+                                             vk, *share.proof));
 }
 
 // A cheating player who publishes S' = −S (order 2·q, outside G_T) can
@@ -262,8 +262,9 @@ TEST(RobustProofSoundness, OrderTwoShareForgeryRejected) {
   const auto ct = ibe::full_encrypt(setup.params, "alice", m, rng);
 
   const pairing::TatePairing pairing(setup.params.curve());
-  const auto& P = setup.params.generator();
-  const auto& q = setup.params.order();
+  const auto& group = setup.params.group;
+  const auto& P = group.generator;
+  const auto& q = group.order();
   const ec::Point& d = keys[0].value;
   const auto s_forged = -pairing.pair(ct.u, d);
   ASSERT_FALSE(s_forged.pow(q).is_one());
@@ -291,8 +292,8 @@ TEST(RobustProofSoundness, OrderTwoShareForgeryRejected) {
     }
   }
   ASSERT_TRUE(forged.proof.has_value());
-  EXPECT_FALSE(threshold::verify_share_proof(pairing, P, ct.u, forged.value,
-                                             y1, q, *forged.proof));
+  EXPECT_FALSE(threshold::verify_share_proof(group, ct.u, forged.value, y1,
+                                             *forged.proof));
 
   std::vector<threshold::DecryptionShare> shares = {forged};
   for (int i : {1, 2, 3}) {
@@ -319,8 +320,9 @@ TEST(RobustProofSoundness, NonUnitaryShareRejected) {
   const auto ct = ibe::full_encrypt(setup.params, "alice", m, rng);
 
   const pairing::TatePairing pairing(setup.params.curve());
-  const auto& P = setup.params.generator();
-  const auto& q = setup.params.order();
+  const auto& group = setup.params.group;
+  const auto& P = group.generator;
+  const auto& q = group.order();
   const ec::Point& d = keys[0].value;
   const auto& field = setup.params.curve()->field();
   const field::Fp2 s_forged =
@@ -336,8 +338,8 @@ TEST(RobustProofSoundness, NonUnitaryShareRejected) {
                             ct.u.to_bytes());
   const auto e = hash::hash_to_range("TIBE.proof", data, q);
   const threshold::ShareProof proof{w1, w2, e, r + d.mul(e)};
-  EXPECT_FALSE(threshold::verify_share_proof(pairing, P, ct.u, s_forged, y1,
-                                             q, proof));
+  EXPECT_FALSE(
+      threshold::verify_share_proof(group, ct.u, s_forged, y1, proof));
 }
 
 // σ + T with T = (0, 0) of order 2: ê(P, σ + T) = ê(P, σ), so the DDH

@@ -9,6 +9,11 @@
 //   - the audit counters exactly account for every attempt;
 //   - after a final revocation epoch flip, every identity is denied.
 //
+// SemStressSharedParams drives the other shared state every SEM thread
+// reads: one ParamSet's pairing context (engine, programs of P and P~,
+// ê(P, P)), used at once by GDH verifiers, Hess signers and verifiers,
+// and threshold provers and share selectors.
+//
 // Run it under TSan with -DMEDCRYPT_SANITIZE=thread (CI's tsan job does;
 // the test itself has no sanitizer dependency).
 #include <gtest/gtest.h>
@@ -19,9 +24,12 @@
 #include <vector>
 
 #include "common/error.h"
+#include "gdh/bls.h"
 #include "hash/drbg.h"
+#include "ibs/hess.h"
 #include "mediated/mediated_gdh.h"
 #include "pairing/params.h"
+#include "threshold/threshold_ibe.h"
 
 namespace medcrypt::mediated {
 namespace {
@@ -162,6 +170,64 @@ TEST(SemStress, ParallelReadersShareOneShardSafely) {
   for (auto& th : pool) th.join();
   EXPECT_FALSE(mismatch.load());
   EXPECT_EQ(sem.stats().tokens_issued, 800u);
+}
+
+// 8 threads share named_params("toy64") and each runs every scheme that
+// reads its pairing context; every verdict is fixed in advance.
+TEST(SemStressSharedParams, SchemesShareOneParamSetContext) {
+  const pairing::ParamSet& group = pairing::named_params("toy64");
+  HmacDrbg rng(71);
+  const Bytes msg = str_bytes("shared context");
+  const Bytes other = str_bytes("other message");
+  const gdh::KeyPair kp = gdh::keygen(group, rng);
+  const Point sig = gdh::sign(group, kp.secret, msg);
+  const ibe::Pkg pkg(group, 32, rng);
+  const Point d_alice = pkg.extract("alice");
+  const threshold::ThresholdDealer dealer(group, 32, 3, 5, rng);
+  const threshold::ThresholdSetup& setup = dealer.setup();
+  const auto keys = dealer.extract_shares("vault");
+  Bytes m(32);
+  rng.fill(m);
+  const auto ct = ibe::full_encrypt(setup.params, "vault", m, rng);
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 3;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      HmacDrbg local(100 + t);
+      const auto expect = [&](bool got, bool want) {
+        if (got != want) wrong.fetch_add(1);
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        expect(gdh::verify(group, kp.pub, msg, sig), true);
+        expect(gdh::verify(group, kp.pub, other, sig), false);
+
+        const ibs::HessSignature hs =
+            ibs::hess_sign(pkg.params(), d_alice, msg, local);
+        expect(ibs::hess_verify(pkg.params(), "alice", msg, hs), true);
+        expect(ibs::hess_verify(pkg.params(), "alice", other, hs), false);
+
+        // Players 1..4 prove their shares; player 2 cheats.
+        std::vector<threshold::DecryptionShare> shares;
+        for (int i = 0; i < 4; ++i) {
+          shares.push_back(threshold::compute_decryption_share(
+              setup, keys[i], ct.u, true, local));
+        }
+        shares[1].value = shares[1].value.square();
+        const auto valid =
+            threshold::select_valid_shares(setup, "vault", ct.u, shares);
+        expect(valid.size() == 3 && valid[0].index == 1 &&
+                   valid[1].index == 3 && valid[2].index == 4,
+               true);
+        expect(threshold::threshold_full_decrypt(setup, valid, ct) == m,
+               true);
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

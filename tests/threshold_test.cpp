@@ -329,8 +329,7 @@ TEST_F(ThresholdIbeTest, CompensatingForgeriesRejectedByWeights) {
     batch.push_back({shares[i].index, &shares[i].value, &y1s[i],
                      &*shares[i].proof});
   }
-  EXPECT_FALSE(verify_share_batch(pairing, setup.params.generator(), ct.u,
-                                  setup.params.order(), batch));
+  EXPECT_FALSE(verify_share_batch(setup.params.group, ct.u, batch));
   const auto valid = select_valid_shares(setup, "alice", ct.u, shares);
   EXPECT_EQ(indices_of(valid), (std::vector<std::uint32_t>{3, 4, 5}));
   EXPECT_EQ(threshold_full_decrypt(setup, valid, ct), m);
@@ -450,6 +449,32 @@ TEST_F(ThresholdElGamalTest, BadShareDetected) {
       elgamal::fo_encrypt(dealing.setup.params, dealing.setup.public_key, m, rng_);
   ElGamalDecryptionShare bad = elgamal_decrypt_share(dealing.shares[0], ct.c1);
   bad.value = bad.value + dealing.setup.params.group.generator;
+  EXPECT_FALSE(elgamal_verify_share(dealing.setup, ct.c1, bad));
+}
+
+// S_i + T with T = (0, 0) of order 2: ê(P, S_i + T) = ê(P, S_i), so the
+// pairing equation alone accepts it, and combining it would add λ_i·T
+// into x·C1 (T itself when λ_i is odd). The share check must reject it
+// on G1 membership.
+TEST_F(ThresholdElGamalTest, SmallOrderShareRejected) {
+  auto dealing = elgamal_threshold_setup(params_, 2, 3, rng_);
+  Bytes m(32);
+  rng_.fill(m);
+  const auto ct =
+      elgamal::fo_encrypt(dealing.setup.params, dealing.setup.public_key, m, rng_);
+  const pairing::ParamSet& group = dealing.setup.params.group;
+  const auto& field = group.curve->field();
+  const ec::Point t = group.curve->point(field->zero(), field->zero());
+
+  const ElGamalDecryptionShare honest =
+      elgamal_decrypt_share(dealing.shares[0], ct.c1);
+  ElGamalDecryptionShare bad = honest;
+  bad.value += t;
+  const pairing::TatePairing pairing(group.curve);
+  ASSERT_EQ(pairing.pair(group.generator, bad.value),
+            pairing.pair(group.generator, honest.value));
+
+  EXPECT_TRUE(elgamal_verify_share(dealing.setup, ct.c1, honest));
   EXPECT_FALSE(elgamal_verify_share(dealing.setup, ct.c1, bad));
 }
 

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
               << "  (compressed)\n";
 
     // Self-check: bilinearity on the fresh set.
-    const pairing::TatePairing e(params.curve);
+    const pairing::TatePairing& e = *params.pairing;
     const bigint::BigInt a = bigint::BigInt::random_unit(*rng, params.order());
     const bigint::BigInt b = bigint::BigInt::random_unit(*rng, params.order());
     const bool ok =

@@ -71,21 +71,8 @@ struct Deployment {
     params.p_pub = params.curve()->decompress(from_hex(read_file(dir / "ppub.pt")));
   }
 
-  ibe::SystemParams system_params() const {
-    ibe::SystemParams p;
-    p.group = pairing::paper_params();
-    p.p_pub = params.p_pub;
-    p.message_len = kBlock;
-    return p;
-  }
-
   fs::path dir;
-  struct {
-    pairing::ParamSet group;
-    ec::Point p_pub;
-    std::size_t message_len;
-    const std::shared_ptr<const ec::Curve>& curve() const { return group.curve; }
-  } params;
+  ibe::SystemParams params;
 };
 
 int cmd_setup(const fs::path& dir) {
@@ -129,7 +116,7 @@ int cmd_encrypt(const fs::path& dir, const std::string& identity,
   Deployment d(dir);
   hash::SystemRandom rng;
   const auto ct =
-      ibe::full_encrypt(d.system_params(), identity, pad_block(text), rng);
+      ibe::full_encrypt(d.params, identity, pad_block(text), rng);
   std::cout << to_hex(ct.to_bytes()) << "\n";
   return 0;
 }
@@ -137,7 +124,7 @@ int cmd_encrypt(const fs::path& dir, const std::string& identity,
 int cmd_decrypt(const fs::path& dir, const std::string& identity,
                 const std::string& hex) {
   Deployment d(dir);
-  const auto params = d.system_params();
+  const ibe::SystemParams& params = d.params;
 
   // SEM side (reads only the SEM half + revocation marker).
   auto revocations = std::make_shared<mediated::RevocationList>();
@@ -190,7 +177,7 @@ int cmd_status(const fs::path& dir) {
 // exposition with --prom/--json.
 int cmd_stats(const fs::path& dir, std::size_t ops, const std::string& format) {
   Deployment d(dir);
-  const auto params = d.system_params();
+  const ibe::SystemParams& params = d.params;
 
   auto revocations = std::make_shared<mediated::RevocationList>();
   mediated::IbeMediator sem(params, revocations);
