@@ -7,11 +7,14 @@
 // 1..k threads and reports tokens/second per scheme — the capacity-
 // planning number a deployment needs (docs/SEM_SERVICE.md), and a
 // fairness check that the sharded registry's locking does not serialize
-// the group arithmetic: tokens/s should scale with the core count.
+// the group arithmetic: tokens/s should scale with the core count. Each
+// row also reports process CPU time per token, which stays flat across
+// thread counts unless threads contend (locks, shared cache lines).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -30,15 +33,31 @@ namespace {
 
 using namespace medcrypt;
 
+/// Process CPU time (all threads) in seconds.
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
+/// One measured window: aggregate tokens per second of wall time, and
+/// process CPU time per token. With no contention the CPU cost of a
+/// token stays flat as threads are added, whatever the wall-clock
+/// speedup; cache-line or lock contention shows up as CPU per token
+/// growing with the thread count.
+struct Window {
+  double tokens_per_s;
+  double cpu_us_per_token;
+};
+
 /// Runs `fn` from `threads` threads until the measured window has
 /// lasted at least `min_seconds` AND issued at least `min_tokens`
-/// tokens; returns aggregate tokens per second (`tokens_per_op` > 1 for
-/// batch entry points that issue several tokens per call). Every call
-/// that starts before the stop flag is raised finishes inside the
-/// window and is counted. Thread spawn and the spin-wait rendezvous are
-/// excluded from the window.
+/// tokens (`tokens_per_op` > 1 for batch entry points that issue
+/// several tokens per call). Every call that starts before the stop
+/// flag is raised finishes inside the window and is counted. Thread
+/// spawn and the spin-wait rendezvous are excluded from the window.
 template <typename Fn>
-double throughput(int threads, int tokens_per_op, double min_seconds,
+Window throughput(int threads, int tokens_per_op, double min_seconds,
                   long min_tokens, Fn&& fn) {
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
@@ -62,6 +81,7 @@ double throughput(int threads, int tokens_per_op, double min_seconds,
   // clock-after-store sample would land outside the measured window and
   // overstate throughput (worst at high thread counts, where the gap is
   // a scheduling quantum, not nanoseconds).
+  const double cpu_start = process_cpu_seconds();
   const auto start = std::chrono::steady_clock::now();
   go.store(true, std::memory_order_release);
   const auto elapsed = [&] {
@@ -76,7 +96,9 @@ double throughput(int threads, int tokens_per_op, double min_seconds,
   stop.store(true, std::memory_order_relaxed);
   for (auto& th : pool) th.join();
   const double secs = elapsed();
-  return static_cast<double>(ops.load() * tokens_per_op) / secs;
+  const double cpu_secs = process_cpu_seconds() - cpu_start;
+  const double tokens = static_cast<double>(ops.load() * tokens_per_op);
+  return {tokens / secs, cpu_secs * 1e6 / tokens};
 }
 
 /// Zipf(1.0) rank sampler over [0, n): P(rank k) ∝ 1/(k+1). Models the
@@ -191,7 +213,7 @@ int main() {
   const double kMinSeconds = kRepeats > 1 ? 0.5 : 0.05;
   const long kMinTokens = kRepeats > 1 ? 200 : 1;
   Table t({"scheme (token op)", "threads", "tokens/s (median)", "min-max",
-           "speedup"});
+           "speedup", "CPU us/token (median)", "min-max"});
   const Bytes msg = str_bytes("throughput probe");
 
   struct Row {
@@ -231,24 +253,32 @@ int main() {
        }) {
     double base = 0;
     for (int threads : {1, 2, 4, 8}) {
-      std::vector<double> runs;
+      std::vector<double> runs, cpu;
       for (int r = 0; r < kRepeats; ++r) {
-        runs.push_back(throughput(threads, row.tokens_per_op, kMinSeconds,
-                                  kMinTokens, row.fn));
+        const Window w = throughput(threads, row.tokens_per_op, kMinSeconds,
+                                    kMinTokens, row.fn);
+        runs.push_back(w.tokens_per_s);
+        cpu.push_back(w.cpu_us_per_token);
       }
       std::sort(runs.begin(), runs.end());
+      std::sort(cpu.begin(), cpu.end());
       const double median = runs[runs.size() / 2];
+      const double cpu_median = cpu[cpu.size() / 2];
       if (threads == 1) base = median;
-      jr.add(std::string("tokens_per_s/") + row.name + "/t" +
-                 std::to_string(threads),
-             median, kRepeats, "tokens_per_s");
-      char tput_s[32], range_s[48], speedup_s[32];
+      const std::string suffix =
+          std::string(row.name) + "/t" + std::to_string(threads);
+      jr.add("tokens_per_s/" + suffix, median, kRepeats, "tokens_per_s");
+      jr.add("cpu_us_per_token/" + suffix, cpu_median, kRepeats, "us");
+      char tput_s[32], range_s[48], speedup_s[32], cpu_s[32], cpu_range_s[48];
       std::snprintf(tput_s, sizeof(tput_s), "%.0f", median);
       std::snprintf(range_s, sizeof(range_s), "%.0f-%.0f", runs.front(),
                     runs.back());
       std::snprintf(speedup_s, sizeof(speedup_s), "%.2fx", median / base);
+      std::snprintf(cpu_s, sizeof(cpu_s), "%.0f", cpu_median);
+      std::snprintf(cpu_range_s, sizeof(cpu_range_s), "%.0f-%.0f",
+                    cpu.front(), cpu.back());
       t.add_row({row.name, std::to_string(threads), tput_s, range_s,
-                 speedup_s});
+                 speedup_s, cpu_s, cpu_range_s});
     }
   }
   t.print();

@@ -1,14 +1,14 @@
 // The supersingular elliptic curve y^2 = x^3 + x over F_p, p ≡ 3 (mod 4).
 //
-// A Curve is an immutable shared context carrying the base field, the
-// prime subgroup order q and the cofactor h (so #E(F_p) = h·q = p + 1). It is the one family the
+// A Curve is an immutable interned context carrying the base field, the
+// prime subgroup order q and the cofactor h (so #E(F_p) = h·q = p + 1):
+// Curve::make keeps one per (field, q, h) for the life of the process,
+// and points hold a plain pointer to it. It is the one family the
 // pairing parameter sets use. The x-only scalar ladder (ec/jacobian.h)
 // relies on it: the curve is the Montgomery curve y^2 = x^3 + A·x^2 + x
 // with A = 0, and with -1 a non-residue (0, 0) is its only point of
 // order 2, the ladder's one special input.
 #pragma once
-
-#include <memory>
 
 #include "field/fp.h"
 
@@ -20,16 +20,21 @@ using field::PrimeField;
 
 class Point;
 
-/// Immutable curve context. Create via Curve::make and share.
-class Curve : public std::enable_shared_from_this<Curve> {
+/// Immutable curve context, interned: obtain via Curve::make.
+class Curve {
  public:
-  /// Builds the curve y^2 = x^3 + x over `field` with subgroup order q
-  /// and cofactor h. Throws InvalidArgument unless p ≡ 3 (mod 4), q > 1
+  /// The curve y^2 = x^3 + x over `field` with subgroup order q and
+  /// cofactor h: built on the first call for (field, q, h), then the same
+  /// pointer for every later call with them (from any thread). Contexts
+  /// are never freed. Throws InvalidArgument unless p ≡ 3 (mod 4), q > 1
   /// and h >= 1.
-  static std::shared_ptr<const Curve> make(
-      std::shared_ptr<const PrimeField> field, BigInt order, BigInt cofactor);
+  static const Curve* make(const PrimeField* field, BigInt order,
+                           BigInt cofactor);
 
-  const std::shared_ptr<const PrimeField>& field() const { return field_; }
+  Curve(const Curve&) = delete;
+  Curve& operator=(const Curve&) = delete;
+
+  const PrimeField* field() const { return field_; }
 
   /// Order q of the prime-order subgroup G1.
   const BigInt& order() const { return order_; }
@@ -57,10 +62,9 @@ class Curve : public std::enable_shared_from_this<Curve> {
   Point decompress(BytesView bytes) const;
 
  private:
-  Curve(std::shared_ptr<const PrimeField> field, BigInt order,
-        BigInt cofactor);
+  Curve(const PrimeField* field, BigInt order, BigInt cofactor);
 
-  std::shared_ptr<const PrimeField> field_;
+  const PrimeField* field_;
   BigInt order_;
   BigInt cofactor_;
 };

@@ -70,7 +70,7 @@ void FixedBaseTable::wipe() {
   base_.wipe();
   order_.wipe();
   windows_ = 0;
-  curve_.reset();
+  curve_ = nullptr;
 }
 
 }  // namespace medcrypt::ec

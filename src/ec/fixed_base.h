@@ -17,7 +17,6 @@
 // key half — the latter are secret-derived, hence wipe().
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "bigint/bigint.h"
@@ -54,7 +53,7 @@ class FixedBaseTable {
   static constexpr int kWindow = 4;
   static constexpr unsigned kDigits = (1u << kWindow) - 1;  // 15
 
-  std::shared_ptr<const Curve> curve_;
+  const Curve* curve_ = nullptr;
   Point base_;
   bigint::BigInt order_;
   std::size_t windows_ = 0;

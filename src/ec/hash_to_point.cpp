@@ -17,10 +17,9 @@ namespace {
 // `ctr_input` is the caller's reusable counter ‖ input buffer; only the 4
 // counter bytes are rewritten per attempt. Returns true with the affine
 // candidate (x, y) — cofactor clearing is the caller's job.
-bool derive_candidate(const std::shared_ptr<const Curve>& curve,
-                      std::string_view domain, Bytes& ctr_input,
-                      std::uint32_t counter, std::size_t xbytes, Fp& x_out,
-                      Fp& y_out) {
+bool derive_candidate(const Curve* curve, std::string_view domain,
+                      Bytes& ctr_input, std::uint32_t counter,
+                      std::size_t xbytes, Fp& x_out, Fp& y_out) {
   for (int i = 0; i < 4; ++i) {
     ctr_input[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(counter >> (24 - 8 * i));
@@ -56,8 +55,8 @@ Bytes make_ctr_input(BytesView input) {
 
 }  // namespace
 
-Point hash_to_subgroup(const std::shared_ptr<const Curve>& curve,
-                       std::string_view domain, BytesView input) {
+Point hash_to_subgroup(const Curve* curve, std::string_view domain,
+                       BytesView input) {
   // Spans the whole try-and-increment loop, so the histogram exposes the
   // geometric spread of attempts (~2 expected) as latency spread.
   obs::Span span(obs::Stage::kHashToPoint);
@@ -76,8 +75,8 @@ Point hash_to_subgroup(const std::shared_ptr<const Curve>& curve,
   }
 }
 
-Point hash_to_curve_candidate(const std::shared_ptr<const Curve>& curve,
-                              std::string_view domain, BytesView input) {
+Point hash_to_curve_candidate(const Curve* curve, std::string_view domain,
+                              BytesView input) {
   obs::Span span(obs::Stage::kHashToCurve);
   const std::size_t xbytes = curve->field()->byte_size() + 16;
   Bytes ctr_input = make_ctr_input(input);
@@ -95,15 +94,15 @@ Point hash_to_curve_candidate(const std::shared_ptr<const Curve>& curve,
 }
 
 const ShardedLruCache<Point>& identity_point_cache() {
-  // Leaked like the metrics registry: cached points keep their curve
-  // contexts alive, and lookups may run during static teardown.
+  // Leaked like the metrics registry: lookups may run during static
+  // teardown.
   static const auto* cache = new ShardedLruCache<Point>(
       {.capacity = 4096, .metric_prefix = "sem.cache.h1"});
   return *cache;
 }
 
-Point hash_to_subgroup_cached(const std::shared_ptr<const Curve>& curve,
-                              std::string_view domain, BytesView input) {
+Point hash_to_subgroup_cached(const Curve* curve, std::string_view domain,
+                              BytesView input) {
   return identity_point_cache().get_or_compute(
       domain, input,
       [&] { return hash_to_subgroup(curve, domain, input); },

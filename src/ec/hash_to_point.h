@@ -27,8 +27,8 @@ namespace medcrypt::ec {
 
 /// Maps `input` to a point of order q on `curve`, domain-separated by
 /// `domain`. Deterministic; output is never the point at infinity.
-Point hash_to_subgroup(const std::shared_ptr<const Curve>& curve,
-                       std::string_view domain, BytesView input);
+Point hash_to_subgroup(const Curve* curve, std::string_view domain,
+                       BytesView input);
 
 /// The try-and-increment candidate H' of hash_to_subgroup, before
 /// cofactor clearing: hash_to_subgroup(...) == h·H' (up to a ~1/q chance
@@ -37,8 +37,8 @@ Point hash_to_subgroup(const std::shared_ptr<const Curve>& curve,
 /// second argument of a pairing can take H' instead and move the
 /// cofactor to the fixed first argument (see gdh::verify), skipping the
 /// cofactor multiplication. Never returns O or the order-2 point (0, 0).
-Point hash_to_curve_candidate(const std::shared_ptr<const Curve>& curve,
-                              std::string_view domain, BytesView input);
+Point hash_to_curve_candidate(const Curve* curve, std::string_view domain,
+                              BytesView input);
 
 /// The process-wide identity-point cache shared by every H1 consumer
 /// (metric family `sem.cache.h1`). Entries from different hash domains
@@ -47,7 +47,7 @@ Point hash_to_curve_candidate(const std::shared_ptr<const Curve>& curve,
 const ShardedLruCache<Point>& identity_point_cache();
 
 /// hash_to_subgroup through identity_point_cache().
-Point hash_to_subgroup_cached(const std::shared_ptr<const Curve>& curve,
-                              std::string_view domain, BytesView input);
+Point hash_to_subgroup_cached(const Curve* curve, std::string_view domain,
+                              BytesView input);
 
 }  // namespace medcrypt::ec

@@ -13,16 +13,15 @@ JacPoint jac_from_affine(const Point& p) {
   return JacPoint{p.x(), p.y(), field->one(), false};
 }
 
-Point jac_to_affine(const std::shared_ptr<const Curve>& curve,
-                    const JacPoint& p) {
+Point jac_to_affine(const Curve* curve, const JacPoint& p) {
   if (p.inf) return curve->infinity();
   const Fp z_inv = p.z.inverse();
   const Fp z_inv_sq = z_inv.square();
   return curve->point(p.x * z_inv_sq, p.y * z_inv_sq * z_inv);
 }
 
-std::vector<Point> jac_to_affine_batch(
-    const std::shared_ptr<const Curve>& curve, std::span<const JacPoint> pts) {
+std::vector<Point> jac_to_affine_batch(const Curve* curve,
+                                       std::span<const JacPoint> pts) {
   std::vector<Point> out(pts.size(), curve->infinity());
   std::vector<std::size_t> finite;  // indices with z != 0
   std::vector<Fp> z_inv;

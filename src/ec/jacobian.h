@@ -40,14 +40,13 @@ struct JacPoint {
 JacPoint jac_from_affine(const Point& p);
 
 /// Converts back to affine (one inversion). Requires p on `curve`.
-Point jac_to_affine(const std::shared_ptr<const Curve>& curve,
-                    const JacPoint& p);
+Point jac_to_affine(const Curve* curve, const JacPoint& p);
 
 /// Converts a batch with a single field inversion (field::batch_inverse,
 /// Montgomery's trick: one inversion plus 3n multiplications).
 /// FixedBaseTable's build converts its whole table through it.
-std::vector<Point> jac_to_affine_batch(
-    const std::shared_ptr<const Curve>& curve, std::span<const JacPoint> pts);
+std::vector<Point> jac_to_affine_batch(const Curve* curve,
+                                       std::span<const JacPoint> pts);
 
 /// Intermediates of a doubling step the pairing's line function needs:
 ///   lambda = M / (2YZ) with M = 3X^2 + Z^4 (a = 1); new Z' = 2YZ.

@@ -1,6 +1,9 @@
 #include "field/fp.h"
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/error.h"
@@ -15,25 +18,38 @@ PrimeField::PrimeField(BigInt p)
   if (m.bit(0) && m.bit(1)) sqrt_exp_ = (m + BigInt(1)) >> 2;  // p ≡ 3 (mod 4)
 }
 
-std::shared_ptr<const PrimeField> PrimeField::make(BigInt p) {
-  // enable_shared_from_this requires shared ownership from the start.
-  return std::shared_ptr<const PrimeField>(new PrimeField(std::move(p)));
+const PrimeField* PrimeField::make(BigInt p) {
+  // Leaked like the metrics registry: values hold raw pointers into it
+  // and may be used during static teardown. Never erased, so one modulus
+  // always maps to one context.
+  static auto* mu = new std::mutex;
+  static auto* table =
+      new std::map<BigInt, std::unique_ptr<const PrimeField>>;
+  const std::lock_guard lock(*mu);
+  auto it = table->find(p);
+  if (it == table->end()) {
+    // The constructor validates (Montgomery rejects an even modulus)
+    // before anything is inserted.
+    std::unique_ptr<const PrimeField> field(new PrimeField(p));
+    it = table->emplace(std::move(p), std::move(field)).first;
+  }
+  return it->second.get();
 }
 
 Fp PrimeField::zero() const {
-  return Fp(shared_from_this(), LimbStore(mont_.limbs()));
+  return Fp(this, LimbStore(mont_.limbs()));
 }
 
 Fp PrimeField::one() const {
   LimbStore s(mont_.limbs());
   std::copy_n(mont_.one_limbs(), mont_.limbs(), s.data());
-  return Fp(shared_from_this(), std::move(s));
+  return Fp(this, std::move(s));
 }
 
 Fp PrimeField::from_bigint(const BigInt& v) const {
   LimbStore s(mont_.limbs());
   mont_.to_mont_limbs(v.mod(modulus()), s.data());
-  return Fp(shared_from_this(), std::move(s));
+  return Fp(this, std::move(s));
 }
 
 Fp PrimeField::from_u64(std::uint64_t v) const {
@@ -50,13 +66,13 @@ Fp PrimeField::from_bytes(BytesView bytes) const {
   }
   LimbStore s(mont_.limbs());
   mont_.to_mont_limbs(v, s.data());
-  return Fp(shared_from_this(), std::move(s));
+  return Fp(this, std::move(s));
 }
 
 Fp PrimeField::random(RandomSource& rng) const {
   LimbStore s(mont_.limbs());
   mont_.to_mont_limbs(BigInt::random_below(rng, modulus()), s.data());
-  return Fp(shared_from_this(), std::move(s));
+  return Fp(this, std::move(s));
 }
 
 bool Fp::is_one() const {
@@ -80,7 +96,7 @@ void Fp::check_same_field(const Fp& o) const {
   if (!field_ || !o.field_) {
     throw InvalidArgument("Fp: operation on default-constructed element");
   }
-  if (field_ != o.field_ && field_->modulus() != o.field_->modulus()) {
+  if (field_ != o.field_) {
     throw InvalidArgument("Fp: mixed-field operation");
   }
 }
@@ -166,9 +182,7 @@ Fp Fp::dbl() const {
 
 bool Fp::operator==(const Fp& o) const {
   if (!field_ || !o.field_) return !field_ && !o.field_;
-  // Elements of one context skip the BigInt modulus compare.
-  return (field_ == o.field_ || field_->modulus() == o.field_->modulus()) &&
-         store_.equals(o.store_);
+  return field_ == o.field_ && store_.equals(o.store_);
 }
 
 Fp Fp::inverse() const {
@@ -252,10 +266,9 @@ Bytes Fp::to_bytes() const {
 
 void batch_inverse(std::span<Fp> xs) {
   if (xs.empty()) return;
-  const auto& field = xs[0].field();
+  const PrimeField* field = xs[0].field();
   for (const Fp& e : xs) {
-    if (!e.field() ||
-        (e.field() != field && e.field()->modulus() != field->modulus())) {
+    if (!e.field() || e.field() != field) {
       throw InvalidArgument("batch_inverse: elements of different fields");
     }
   }

@@ -1,18 +1,19 @@
 // Prime field F_p.
 //
-// PrimeField is an immutable shared context (modulus + Montgomery state
-// + cached exponents); Fp is a value-semantic element kept permanently
-// in Montgomery form, stored as exactly k padded limbs (LimbStore) so
-// every field operation runs at the Montgomery limb level without heap
-// allocation. Elements remember their field via shared_ptr so
-// mixed-field operations are detected, and contexts never dangle.
+// PrimeField is an immutable interned context (modulus + Montgomery
+// state + cached exponents): PrimeField::make keeps one per modulus for
+// the life of the process. Fp is a value-semantic element kept
+// permanently in Montgomery form, stored as exactly k padded limbs
+// (LimbStore) so every field operation runs at the Montgomery limb level
+// without heap allocation. Elements hold a plain pointer to their field,
+// so copies touch no shared counter, a mixed-field operation is one
+// pointer compare, and, as contexts are never freed, none can dangle.
 //
 // The compound operators (+=, -=, *=) and the *_inplace methods mutate
 // in place and are the hot-path spelling: the curve and pairing layers
 // thread them through so a full Tate pairing allocates nothing.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 
@@ -28,12 +29,17 @@ using bigint::BigInt;
 
 class Fp;
 
-/// Immutable prime-field context. Create via PrimeField::make and share.
-class PrimeField : public std::enable_shared_from_this<PrimeField> {
+/// Immutable prime-field context, interned: obtain via PrimeField::make.
+class PrimeField {
  public:
-  /// Builds a field context for odd prime p. Primality is the caller's
+  /// The field context for odd prime p: built and validated on the first
+  /// call for p, then the same pointer for every later call with p (from
+  /// any thread). Contexts are never freed. Primality is the caller's
   /// responsibility (parameter generation checks it); oddness is enforced.
-  static std::shared_ptr<const PrimeField> make(BigInt p);
+  static const PrimeField* make(BigInt p);
+
+  PrimeField(const PrimeField&) = delete;
+  PrimeField& operator=(const PrimeField&) = delete;
 
   const BigInt& modulus() const { return mont_.modulus(); }
 
@@ -82,7 +88,7 @@ class Fp {
   /// destruction are valid on them.
   Fp() = default;
 
-  const std::shared_ptr<const PrimeField>& field() const { return field_; }
+  const PrimeField* field() const { return field_; }
 
   bool is_zero() const { return store_.is_zero(); }
   bool is_one() const;
@@ -162,18 +168,18 @@ class Fp {
   /// becomes default-constructed). Called by secret holders' destructors.
   void wipe() {
     store_.wipe();
-    field_.reset();
+    field_ = nullptr;
   }
 
  private:
   friend class PrimeField;
-  Fp(std::shared_ptr<const PrimeField> field, LimbStore store)
-      : field_(std::move(field)), store_(std::move(store)) {}
+  Fp(const PrimeField* field, LimbStore store)
+      : field_(field), store_(std::move(store)) {}
 
   void check_same_field(const Fp& o) const;
   void check_bound(const char* op) const;
 
-  std::shared_ptr<const PrimeField> field_;
+  const PrimeField* field_ = nullptr;
   LimbStore store_;
 };
 

@@ -157,8 +157,7 @@ Bytes gt_to_bytes(const Fp2& x) {
   return m.to_bytes();
 }
 
-Fp2 gt_from_bytes(const std::shared_ptr<const PrimeField>& field,
-                  BytesView bytes) {
+Fp2 gt_from_bytes(const PrimeField* field, BytesView bytes) {
   if (bytes.size() != field->byte_size()) {
     throw InvalidArgument("gt_from_bytes: wrong length");
   }
@@ -193,8 +192,7 @@ Bytes Fp2::to_bytes() const {
   return concat(a_.to_bytes(), b_.to_bytes());
 }
 
-Fp2 Fp2::from_bytes(const std::shared_ptr<const PrimeField>& field,
-                    BytesView bytes) {
+Fp2 Fp2::from_bytes(const PrimeField* field, BytesView bytes) {
   const std::size_t half_len = field->byte_size();
   if (bytes.size() != 2 * half_len) {
     throw InvalidArgument("Fp2::from_bytes: wrong length");
@@ -203,12 +201,11 @@ Fp2 Fp2::from_bytes(const std::shared_ptr<const PrimeField>& field,
              field->from_bytes(bytes.subspan(half_len)));
 }
 
-Fp2 Fp2::random(const std::shared_ptr<const PrimeField>& field,
-                RandomSource& rng) {
+Fp2 Fp2::random(const PrimeField* field, RandomSource& rng) {
   return Fp2(field->random(rng), field->random(rng));
 }
 
-Fp2 Fp2::one(const std::shared_ptr<const PrimeField>& field) {
+Fp2 Fp2::one(const PrimeField* field) {
   return Fp2(field->one(), field->zero());
 }
 

@@ -53,8 +53,8 @@ class Fp2 {
   void square_inplace();
 
   /// *this *= (c + d·i) given as bare components — the Miller loop's
-  /// line multiply, skipping the Fp2 temporary (and its two shared_ptr
-  /// copies) a mul_inplace(Fp2(c, d)) would cost.
+  /// line multiply, skipping the Fp2 temporary (two Fp copies) a
+  /// mul_inplace(Fp2(c, d)) would cost.
   void mul_line_inplace(const Fp& c, const Fp& d);
 
   /// Complex conjugate a - b·i; equals the Frobenius x -> x^p here.
@@ -75,15 +75,13 @@ class Fp2 {
   Bytes to_bytes() const;
 
   /// Parses re || im over the given base field.
-  static Fp2 from_bytes(const std::shared_ptr<const PrimeField>& field,
-                        BytesView bytes);
+  static Fp2 from_bytes(const PrimeField* field, BytesView bytes);
 
   /// Uniformly random element.
-  static Fp2 random(const std::shared_ptr<const PrimeField>& field,
-                    RandomSource& rng);
+  static Fp2 random(const PrimeField* field, RandomSource& rng);
 
   /// Multiplicative identity of F_{p^2} over `field`.
-  static Fp2 one(const std::shared_ptr<const PrimeField>& field);
+  static Fp2 one(const PrimeField* field);
 
  private:
   // *this *= (c + d·i) by Karatsuba on reduced Fp values; every read of
@@ -127,8 +125,7 @@ Bytes gt_to_bytes(const Fp2& x);
 /// Every m < p decodes to a norm-1 element; order q is not checked.
 /// Costs one inversion. Throws InvalidArgument on a wrong length or on
 /// m ≥ p.
-Fp2 gt_from_bytes(const std::shared_ptr<const PrimeField>& field,
-                  BytesView bytes);
+Fp2 gt_from_bytes(const PrimeField* field, BytesView bytes);
 
 /// Π bases[j]^exps[j] over one shared squaring chain (Straus).
 /// Variable time like Fp2::pow: public exponents only. `bases` must be

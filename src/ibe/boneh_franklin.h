@@ -38,7 +38,7 @@ struct SystemParams {
   Point p_pub;
   std::size_t message_len = 32;
 
-  const std::shared_ptr<const ec::Curve>& curve() const { return group.curve; }
+  const ec::Curve* curve() const { return group.curve; }
   const Point& generator() const { return group.generator; }
   const BigInt& order() const { return group.order(); }
 };

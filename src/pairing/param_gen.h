@@ -23,12 +23,15 @@ using ec::Point;
 
 /// A complete pairing-friendly parameter set: the supersingular curve, a
 /// generator P of its order-q subgroup, and every public precomputation
-/// that depends on nothing else. generate_params fills every field; the
-/// shared_ptr members keep ParamSet copies cheap and let every copy share
-/// one context. Schemes take the set by reference and never rebuild any
-/// of it per operation.
+/// that depends on nothing else. generate_params fills every field.
+/// `curve` is the interned context (Curve::make), so sets with equal
+/// parameters share it and their points compare equal; it is never
+/// freed, so points taken from a set outlive the set. The shared_ptr
+/// members own the heavy per-set data and keep ParamSet copies cheap.
+/// Schemes take the set by reference and never rebuild any of it per
+/// operation.
 struct ParamSet {
-  std::shared_ptr<const Curve> curve;
+  const Curve* curve = nullptr;
   Point generator;
 
   /// Windowed fixed-base table for `generator` (~600 affine points at

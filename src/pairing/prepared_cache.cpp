@@ -2,11 +2,10 @@
 
 namespace medcrypt::pairing {
 
-// Leaked like the metrics registry: entries keep their curve contexts
-// alive and lookups may run during static teardown. The prepared cache
-// is sized for the public keys of the verify-side working set; the
-// pair-value cache, like the H1 cache, for one g_ID per recent
-// encryption recipient.
+// Leaked like the metrics registry: lookups may run during static
+// teardown. The prepared cache is sized for the public keys of the
+// verify-side working set; the pair-value cache, like the H1 cache, for
+// one g_ID per recent encryption recipient.
 const ec::ShardedLruCache<std::shared_ptr<const PreparedPairing>>&
 prepared_program_cache() {
   static const auto* cache =

@@ -137,8 +137,7 @@ struct TatePairing::PrepTerm {
   Fp re, c0;
 };
 
-TatePairing::TatePairing(std::shared_ptr<const Curve> curve)
-    : curve_(std::move(curve)) {
+TatePairing::TatePairing(const Curve* curve) : curve_(curve) {
   // Curve::make admits only y^2 = x^3 + x with p ≡ 3 (mod 4), so
   // #E(F_p) = p + 1 = h q; the final exponentiation tail is (p+1)/q.
   const BigInt& p = curve_->field()->modulus();
@@ -198,7 +197,7 @@ void PreparedPairing::wipe() {
   limbs_.shrink_to_fit();
   lines_per_digit_.clear();
   lines_per_digit_.shrink_to_fit();
-  curve_.reset();
+  curve_ = nullptr;
   infinity_ = false;
 }
 
@@ -278,7 +277,7 @@ bool TatePairing::check_term(const Point* p, const PreparedPairing* prepared,
   if (prepared != nullptr && prepared->empty()) {
     throw InvalidArgument("TatePairing: empty prepared argument");
   }
-  const auto& p_curve = p != nullptr ? p->curve() : prepared->curve_;
+  const Curve* p_curve = p != nullptr ? p->curve() : prepared->curve_;
   if (p_curve != curve_ || q.curve() != curve_) {
     throw InvalidArgument("TatePairing: points from another curve");
   }

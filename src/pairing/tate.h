@@ -59,7 +59,7 @@ class PreparedPairing {
   /// The curve the program was prepared on (null when empty). Cache
   /// layers use this to reject a program cached under a colliding tag
   /// from another curve.
-  const std::shared_ptr<const Curve>& curve() const { return curve_; }
+  const Curve* curve() const { return curve_; }
 
   /// Number of Miller-loop steps in the program, squarings and lines
   /// (0 for O).
@@ -79,7 +79,7 @@ class PreparedPairing {
  private:
   friend class TatePairing;
 
-  std::shared_ptr<const Curve> curve_;
+  const Curve* curve_ = nullptr;
   // The lines in Miller-loop order, line j at limbs_[2kj]: c0 in k
   // limbs, then c1 in k limbs, both in Montgomery form; each stands for
   // f <- f · ((c0 - c1·x') + i·y'). For each digit of the NAF of q
@@ -97,9 +97,9 @@ class TatePairing {
   /// Binds to a curve (always y^2 = x^3 + x with p ≡ 3 (mod 4), the
   /// supersingular family with the φ(x,y) = (-x, iy) distortion).
   /// Throws InvalidArgument unless the curve's order q divides p + 1.
-  explicit TatePairing(std::shared_ptr<const Curve> curve);
+  explicit TatePairing(const Curve* curve);
 
-  const std::shared_ptr<const Curve>& curve() const { return curve_; }
+  const Curve* curve() const { return curve_; }
 
   /// Computes ê(P, Q). Both points must lie on the bound curve; P must
   /// have order dividing q. Returns an element of the order-q subgroup of
@@ -163,7 +163,7 @@ class TatePairing {
   // Requires at least one term.
   Fp2 miller_loop(std::span<RawTerm> raws, std::span<PrepTerm> preps) const;
 
-  std::shared_ptr<const Curve> curve_;
+  const Curve* curve_ = nullptr;
   // The non-adjacent form of q, most significant digit (always 1)
   // first. Both Miller loops walk it: a digit ±1 adds ±P.
   std::vector<std::int8_t> naf_;

@@ -30,7 +30,7 @@ using hash::HmacDrbg;
 // 4-limb secp256k1 prime, the 6-limb P-384 prime and the 8-limb sec80
 // pairing prime the paper's parameters run on (all ≡ 3 mod 4 so sqrt()
 // is the cheap exponentiation path the pairing parameters use).
-std::vector<std::shared_ptr<const PrimeField>> test_fields() {
+std::vector<const PrimeField*> test_fields() {
   return {
       PrimeField::make(BigInt(103)),
       PrimeField::make(BigInt::from_hex("ffffffffffffffc5")),  // 2^64 - 59

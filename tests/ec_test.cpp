@@ -19,13 +19,13 @@ using hash::HmacDrbg;
 
 // Tiny curve with known group structure: y^2 = x^3 + x over F_103
 // (103 ≡ 3 mod 4, supersingular, #E = 104 = 8 * 13 → q = 13, h = 8).
-std::shared_ptr<const Curve> tiny_curve() {
+const Curve* tiny_curve() {
   auto f = PrimeField::make(BigInt(103));
   return Curve::make(f, BigInt(13), BigInt(8));
 }
 
 // Finds any affine point on the tiny curve.
-Point some_point(const std::shared_ptr<const Curve>& c) {
+Point some_point(const Curve* c) {
   for (std::uint64_t xv = 1;; ++xv) {
     const auto x = c->field()->from_u64(xv);
     const auto rhs = c->rhs(x);
@@ -184,7 +184,7 @@ TEST(Point, DecompressRejectsEveryNonResidue) {
 }
 
 // The order-2 point (0, 0) of y^2 = x^3 + x.
-Point order_two_point(const std::shared_ptr<const Curve>& c) {
+Point order_two_point(const Curve* c) {
   return c->point(c->field()->zero(), c->field()->zero());
 }
 
@@ -235,12 +235,42 @@ TEST_P(InSubgroupDiffTest, MatchesAffineReference) {
 INSTANTIATE_TEST_SUITE_P(Params, InSubgroupDiffTest,
                          ::testing::Values("toy64", "sec80"));
 
+// Equal parameters give one context, so the only mixed-curve case is
+// curves whose parameters differ. These two share the field F_103 (so
+// the coordinates themselves mix freely) and differ in (q, h).
 TEST(Point, MixedCurveThrows) {
-  auto c1 = tiny_curve();
-  auto c2 = tiny_curve();  // distinct context object
+  const Curve* c1 = tiny_curve();
+  const Curve* c2 = Curve::make(c1->field(), BigInt(104), BigInt(1));
+  ASSERT_NE(c1, c2);
   const Point p1 = some_point(c1);
   const Point p2 = some_point(c2);
+  EXPECT_EQ(p1.x(), p2.x());
   EXPECT_THROW(p1 + p2, InvalidArgument);
+  EXPECT_FALSE(p1 == p2);
+}
+
+// Curve::make interns: one (p, q, h), one context pointer; a different
+// q or h gives another.
+TEST(Curve, MakeInternsOneContextPerParameterSet) {
+  const PrimeField* f = PrimeField::make(BigInt(103));
+  const Curve* c = Curve::make(f, BigInt(13), BigInt(8));
+  EXPECT_EQ(tiny_curve(), c);
+  EXPECT_EQ(Curve::make(PrimeField::make(BigInt(103)), BigInt(13), BigInt(8)),
+            c);
+  EXPECT_EQ(c->field(), f);
+  const Curve* other_q = Curve::make(f, BigInt(26), BigInt(8));
+  const Curve* other_h = Curve::make(f, BigInt(13), BigInt(4));
+  EXPECT_NE(other_q, c);
+  EXPECT_NE(other_h, c);
+  EXPECT_NE(other_q, other_h);
+  EXPECT_EQ(Curve::make(f, BigInt(26), BigInt(8)), other_q);
+  EXPECT_EQ(other_q->order(), BigInt(26));
+  EXPECT_EQ(other_h->cofactor(), BigInt(4));
+  const Curve* other_p =
+      Curve::make(PrimeField::make(BigInt(107)), BigInt(13), BigInt(8));
+  EXPECT_NE(other_p, c);
+  // Points of one interned curve compare equal whichever call made them.
+  EXPECT_EQ(some_point(c), some_point(tiny_curve()));
 }
 
 TEST(HashToPoint, LandsInSubgroup) {
@@ -296,7 +326,7 @@ TEST(Jacobian, MulMatchesAffineReferenceBigCurve) {
 }
 
 // Every point of the tiny curve: O, (0, 0) and the 102 others.
-std::vector<Point> all_points(const std::shared_ptr<const Curve>& c) {
+std::vector<Point> all_points(const Curve* c) {
   std::vector<Point> pts = {c->infinity()};
   for (std::uint64_t xv = 0; xv < 103; ++xv) {
     const auto x = c->field()->from_u64(xv);

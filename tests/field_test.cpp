@@ -14,17 +14,17 @@ namespace {
 using bigint::BigInt;
 using hash::HmacDrbg;
 
-std::shared_ptr<const PrimeField> small_field() {
+const PrimeField* small_field() {
   return PrimeField::make(BigInt(103));  // 103 ≡ 3 (mod 4)
 }
 
-std::shared_ptr<const PrimeField> big_field() {
+const PrimeField* big_field() {
   // 2^255 - 19 is prime; ≡ 1 (mod 4), exercising Tonelli–Shanks.
   return PrimeField::make(BigInt::from_hex(
       "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed"));
 }
 
-std::shared_ptr<const PrimeField> big_field_3mod4() {
+const PrimeField* big_field_3mod4() {
   // secp256k1 prime, ≡ 3 (mod 4).
   return PrimeField::make(BigInt::from_hex(
       "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"));
@@ -162,6 +162,21 @@ TEST(Fp, BytesRoundTrip) {
   // Value >= p rejected:
   Bytes too_big(f->byte_size(), 0xff);
   EXPECT_THROW(f->from_bytes(too_big), InvalidArgument);
+}
+
+// PrimeField::make interns: one modulus, one context pointer, so
+// same-field checks are pointer compares.
+TEST(PrimeField, MakeInternsOneContextPerModulus) {
+  const PrimeField* a = PrimeField::make(BigInt(103));
+  EXPECT_EQ(PrimeField::make(BigInt(103)), a);
+  EXPECT_EQ(small_field(), a);
+  const PrimeField* b = PrimeField::make(BigInt(107));
+  EXPECT_NE(b, a);
+  EXPECT_EQ(b->modulus(), BigInt(107));
+  EXPECT_EQ(PrimeField::make(BigInt(107)), b);
+  // An invalid modulus is rejected before anything is interned.
+  EXPECT_THROW(PrimeField::make(BigInt(104)), InvalidArgument);
+  EXPECT_THROW(PrimeField::make(BigInt(104)), InvalidArgument);
 }
 
 TEST(Fp, MixedFieldOperationThrows) {

@@ -449,6 +449,37 @@ TEST(TatePairing, GeneratedSetContextMatchesFreshComputation) {
   expect_context_matches_fresh(generate_params(96, 48, rng), 59);
 }
 
+// Two generate_params runs from one seed find the same (p, q, h), so they
+// share the interned curve and their generators compare equal.
+TEST(ParamGen, SameSeedSharesOneCurveContext) {
+  HmacDrbg rng1(62), rng2(62);
+  const ParamSet a = generate_params(96, 48, rng1);
+  const ParamSet b = generate_params(96, 48, rng2);
+  EXPECT_EQ(a.curve, b.curve);
+  EXPECT_EQ(a.curve->field(), b.curve->field());
+  EXPECT_EQ(a.generator, b.generator);
+  EXPECT_EQ(a.pairing->curve(), b.curve);
+  EXPECT_EQ(a.gpp, b.gpp);
+}
+
+// Contexts are never freed, so a point outlives the set it came from
+// (the ASan job would report a use after free otherwise).
+TEST(ParamGen, PointOutlivesItsParamSet) {
+  Point p;
+  BigInt q;
+  Bytes expected;
+  {
+    HmacDrbg rng(63);
+    const ParamSet params = generate_params(96, 48, rng);
+    p = params.generator;
+    q = params.order();
+    expected = params.generator.mul(BigInt(5)).to_bytes();
+  }
+  EXPECT_EQ(p.mul(BigInt(5)).to_bytes(), expected);
+  EXPECT_TRUE(p.mul(q).is_infinity());
+  EXPECT_EQ(p.curve()->decompress(p.to_bytes()), p);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sets, PairingParamSweep,
                          ::testing::Values("toy64", "mid128", "sec80",
                                            "sweep384"));

@@ -12,13 +12,16 @@
 // SemStressSharedParams drives the other shared state every SEM thread
 // reads: one ParamSet's pairing context (engine, programs of P and P~,
 // ê(P, P)), used at once by GDH verifiers, Hess signers and verifiers,
-// and threshold provers and share selectors.
+// and threshold provers and share selectors. SemStressInterning races
+// the process-wide field and curve intern tables.
 //
 // Run it under TSan with -DMEDCRYPT_SANITIZE=thread (CI's tsan job does;
 // the test itself has no sanitizer dependency).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -228,6 +231,59 @@ TEST(SemStressSharedParams, SchemesShareOneParamSetContext) {
   }
   for (auto& th : pool) th.join();
   EXPECT_EQ(wrong.load(), 0);
+}
+
+// 8 threads race PrimeField::make and Curve::make on a few moduli and
+// curves, most of them new to the process, so the first calls contend
+// on the intern tables' inserts. Each parameter set must yield exactly
+// one context pointer across all threads and rounds.
+TEST(SemStressInterning, ConcurrentMakeYieldsOneContext) {
+  using bigint::BigInt;
+  // Primes ≡ 3 (mod 4); each curve's (q, h) only needs q > 1 and h >= 1.
+  const std::uint64_t moduli[] = {1000003, 1000039, 1000099, 1000151};
+  const std::uint64_t shapes[][2] = {{3, 4}, {7, 4}, {3, 8}};
+  constexpr int kFields = std::size(moduli);
+  constexpr int kCurves = kFields * std::size(shapes);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 50;
+  std::vector<std::vector<const field::PrimeField*>> fields(kThreads);
+  std::vector<std::vector<const ec::Curve*>> curves(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        // Each thread walks the sets from a different start.
+        for (int i = 0; i < kCurves; ++i) {
+          const int c = (i + t) % kCurves;
+          const auto* f =
+              field::PrimeField::make(BigInt(moduli[c % kFields]));
+          const auto& [q, h] = shapes[c / kFields];
+          fields[t].push_back(f);
+          curves[t].push_back(ec::Curve::make(f, BigInt(q), BigInt(h)));
+        }
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+
+  for (int c = 0; c < kCurves; ++c) {
+    const auto* f = field::PrimeField::make(BigInt(moduli[c % kFields]));
+    const auto& [q, h] = shapes[c / kFields];
+    const ec::Curve* curve = ec::Curve::make(f, BigInt(q), BigInt(h));
+    EXPECT_EQ(curve->field(), f);
+    for (int t = 0; t < kThreads; ++t) {
+      for (int round = 0; round < kRounds; ++round) {
+        const std::size_t slot = round * kCurves + (c - t + kCurves) % kCurves;
+        ASSERT_EQ(fields[t][slot], f) << "thread " << t << " set " << c;
+        ASSERT_EQ(curves[t][slot], curve) << "thread " << t << " set " << c;
+      }
+    }
+  }
+  // Distinct parameters, distinct contexts.
+  std::vector<const ec::Curve*> distinct(curves[0].begin(),
+                                         curves[0].begin() + kCurves);
+  std::sort(distinct.begin(), distinct.end());
+  EXPECT_EQ(std::unique(distinct.begin(), distinct.end()), distinct.end());
 }
 
 }  // namespace
