@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "bigint/kernels/cios_portable.h"
 #include "common/error.h"
 
 namespace medcrypt::bigint {
@@ -11,7 +10,6 @@ using u64 = std::uint64_t;
 using u128 = unsigned __int128;
 using i64 = std::int64_t;
 using i128 = __int128;
-using kernels::cios_fixed;
 
 namespace {
 // -n^{-1} mod 2^64 by Newton iteration (n odd).
@@ -229,74 +227,7 @@ BigInt Montgomery::from_mont_limbs(const u64* a) const {
 }
 
 void Montgomery::mul_limbs(const u64* a, const u64* b, u64* out) const {
-  // The widths the named parameter sets lean on hardest (mid128 = 4,
-  // sec80 = 8) go through the dispatched kernel table; the remaining
-  // fixed widths (toy64 = 2, sweep384 = 6, RSA-1024 = 16) use the
-  // portable unrolled template directly.
-  {
-    const u64* n = n_.limbs_.data();
-    switch (k_) {
-      case 2: return cios_fixed<2>(a, b, n, n0inv_, out);
-      case 4: return kt_->mul4(a, b, n, n0inv_, out);
-      case 6: return cios_fixed<6>(a, b, n, n0inv_, out);
-      case 8: return kt_->mul8(a, b, n, n0inv_, out);
-      case 16: return cios_fixed<16>(a, b, n, n0inv_, out);
-      default: break;
-    }
-  }
-  // CIOS: t has k+2 limbs on the stack, so the field hot path never
-  // allocates.
-  u64 t[kMaxLimbs + 2] = {};
-
-  const u64* n = n_.limbs_.data();
-  for (std::size_t i = 0; i < k_; ++i) {
-    // t += a[i] * b
-    u64 carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      const u128 cur = static_cast<u128>(a[i]) * b[j] + t[j] + carry;
-      t[j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    u128 s = static_cast<u128>(t[k_]) + carry;
-    t[k_] = static_cast<u64>(s);
-    t[k_ + 1] = static_cast<u64>(s >> 64);
-
-    // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
-    const u64 m = t[0] * n0inv_;
-    u128 cur = static_cast<u128>(m) * n[0] + t[0];
-    carry = static_cast<u64>(cur >> 64);
-    for (std::size_t j = 1; j < k_; ++j) {
-      cur = static_cast<u128>(m) * n[j] + t[j] + carry;
-      t[j - 1] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    s = static_cast<u128>(t[k_]) + carry;
-    t[k_ - 1] = static_cast<u64>(s);
-    t[k_] = t[k_ + 1] + static_cast<u64>(s >> 64);
-    t[k_ + 1] = 0;
-  }
-  // Conditional subtraction: t may be in [0, 2n).
-  bool ge = t[k_] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = k_; i-- > 0;) {
-      if (t[i] != n[i]) {
-        ge = t[i] > n[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    u64 borrow = 0;
-    for (std::size_t i = 0; i < k_; ++i) {
-      const u128 diff = static_cast<u128>(t[i]) - n[i] - borrow;
-      out[i] = static_cast<u64>(diff);
-      borrow = (diff >> 64) ? 1 : 0;
-    }
-  } else {
-    for (std::size_t i = 0; i < k_; ++i) out[i] = t[i];
-  }
-  kernels::scrub_scratch(t, k_ + 2);
+  kt_->mul(a, b, n_.limbs_.data(), n0inv_, k_, out);
 }
 
 void Montgomery::inv_limbs(const u64* a, u64* out) const {

@@ -28,7 +28,7 @@ namespace medcrypt::bigint {
 class Montgomery {
  public:
   /// Widest modulus a context accepts, in limbs (4096 bits).
-  static constexpr std::size_t kMaxLimbs = 64;
+  static constexpr std::size_t kMaxLimbs = kernels::kMaxLimbs;
 
   /// Builds the context. Throws InvalidArgument unless n is odd, > 1 and
   /// at most kMaxLimbs limbs wide.
@@ -40,7 +40,8 @@ class Montgomery {
   std::size_t limbs() const { return k_; }
 
   /// CIOS Montgomery product a*b*R^{-1} mod n on k-limb little-endian
-  /// arrays. `out` may alias `a` and/or `b`. The scratch lives on the stack.
+  /// arrays: one call to the kernel table's `mul` entry, at every width.
+  /// `out` may alias `a` and/or `b`. The scratch lives on the stack.
   void mul_limbs(const std::uint64_t* a, const std::uint64_t* b,
                  std::uint64_t* out) const;
 
