@@ -3,11 +3,12 @@
 // Detection runs once, on the first active() call (thread-safe via the
 // function-local static): CPUID leaf 7 gates the BMI2+ADX tier, and
 // MEDCRYPT_KERNEL=portable|bmi2 forces a tier for testing. A forced
-// tier is clamped DOWN to what the CPU supports — never up — so a stray
-// env var cannot SIGILL the process; the clamp is reported once on
-// stderr. The winning tier is surfaced as info-style gauges
-// core.kernel.{portable,bmi2} = 0/1 so bench baselines and
-// `medcrypt_cli stats` record which path produced them.
+// tier is clamped DOWN to what the CPU supports and the build compiled
+// in — never up — so a stray env var cannot SIGILL the process; the
+// clamp and its cause are reported once on stderr. The winning tier is
+// surfaced as info-style gauges core.kernel.{portable,bmi2} = 0/1 so
+// bench baselines and `medcrypt_cli stats` record which path produced
+// them.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -51,10 +52,15 @@ Kind select() {
         known = true;
         const Kind clamped = clamp_down(kind);
         if (clamped != kind) {
+          // A tier's table is the portable one when the build left its
+          // code out (e.g. the bmi2 asm under sanitizers).
+          const char* why = table(kind).kind != kind
+                                ? "not compiled into this build"
+                                : "not supported by this CPU";
           std::fprintf(stderr,
-                       "medcrypt: MEDCRYPT_KERNEL=%s not supported by this "
-                       "CPU, falling back to %s\n",
-                       env, kind_name(clamped));
+                       "medcrypt: MEDCRYPT_KERNEL=%s %s, falling back to "
+                       "%s\n",
+                       env, why, kind_name(clamped));
         }
         pick = clamped;
         break;

@@ -61,6 +61,12 @@ Bytes concat(BytesView a, BytesView b, BytesView c) {
   return out;
 }
 
+void append_framed(Bytes& out, BytesView piece) {
+  const auto len = be32(static_cast<std::uint32_t>(piece.size()));
+  out.insert(out.end(), len.begin(), len.end());
+  out.insert(out.end(), piece.begin(), piece.end());
+}
+
 Bytes xor_bytes(BytesView a, BytesView b) {
   if (a.size() != b.size()) {
     throw Error("xor_bytes: size mismatch");

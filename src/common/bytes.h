@@ -5,6 +5,7 @@
 // XOR, and constant-size big-endian integer framing.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -35,6 +36,18 @@ Bytes concat(BytesView a, BytesView b, BytesView c);
 
 /// XORs `b` into a copy of `a`. Requires a.size() == b.size().
 Bytes xor_bytes(BytesView a, BytesView b);
+
+/// `v` as 4 big-endian bytes: the counters and indices hashed by KDFs
+/// and proofs.
+constexpr std::array<std::uint8_t, 4> be32(std::uint32_t v) {
+  return {static_cast<std::uint8_t>(v >> 24),
+          static_cast<std::uint8_t>(v >> 16),
+          static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+}
+
+/// Appends be32(|piece|) then `piece`, so a run of framed pieces parses
+/// unambiguously.
+void append_framed(Bytes& out, BytesView piece);
 
 /// Converts a UTF-8/ASCII string to bytes (no copy of the terminator).
 Bytes str_bytes(std::string_view s);

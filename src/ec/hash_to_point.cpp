@@ -1,5 +1,6 @@
 #include "ec/hash_to_point.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
@@ -20,10 +21,8 @@ namespace {
 bool derive_candidate(const Curve* curve, std::string_view domain,
                       Bytes& ctr_input, std::uint32_t counter,
                       std::size_t xbytes, Fp& x_out, Fp& y_out) {
-  for (int i = 0; i < 4; ++i) {
-    ctr_input[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(counter >> (24 - 8 * i));
-  }
+  const auto ctr = be32(counter);
+  std::copy(ctr.begin(), ctr.end(), ctr_input.begin());
   const Bytes material = hash::expand(domain, ctr_input, xbytes + 1);
   const auto& field = curve->field();
   Fp x = field->from_bigint(

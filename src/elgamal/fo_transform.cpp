@@ -10,11 +10,7 @@ namespace {
 BigInt fo_derive_r(BytesView sigma, BytesView message, const BigInt& q) {
   Bytes data;
   data.reserve(4 + sigma.size() + message.size());
-  const std::uint32_t len = static_cast<std::uint32_t>(sigma.size());
-  for (int i = 0; i < 4; ++i) {
-    data.push_back(static_cast<std::uint8_t>(len >> (24 - 8 * i)));
-  }
-  data.insert(data.end(), sigma.begin(), sigma.end());
+  append_framed(data, sigma);
   data.insert(data.end(), message.begin(), message.end());
   BigInt r = hash::hash_to_range("EG.H3", data, q);
   if (r.is_zero()) r = BigInt(1);

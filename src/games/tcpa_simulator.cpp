@@ -1,6 +1,6 @@
 #include "games/tcpa_simulator.h"
 
-#include <set>
+#include <algorithm>
 
 #include "common/error.h"
 #include "shamir/shamir.h"
@@ -16,58 +16,27 @@ std::vector<Point> simulate_verification_keys(
   if (t < 1 || t > n) {
     throw InvalidArgument("simulate_verification_keys: need 1 <= t <= n");
   }
-  if (corrupted.size() != t - 1) {
-    throw InvalidArgument(
-        "simulate_verification_keys: need exactly t-1 corrupted shares");
-  }
-  std::set<std::uint32_t> corrupt_set;
-  for (const CorruptedShare& c : corrupted) {
-    if (c.index == 0 || c.index > n || !corrupt_set.insert(c.index).second) {
-      throw InvalidArgument("simulate_verification_keys: bad corrupted index");
-    }
-  }
+  // Interpolation nodes {0} ∪ S: x_0 = 0 carries P_pub, x_j the shares.
+  std::vector<std::uint32_t> nodes = {0};
+  for (const CorruptedShare& c : corrupted) nodes.push_back(c.index);
+  shamir::check_indices(std::span(nodes).subspan(1), t - 1, n);
 
   const BigInt& q = group.order();
-
-  // Interpolation node set {0} ∪ S. shamir::lagrange_coefficient requires
-  // nonzero indices, so we inline the Lagrange formula over arbitrary
-  // abscissae here (x_0 = 0 for P_pub, x_j = index for the shares).
-  std::vector<BigInt> nodes;  // abscissae
-  nodes.push_back(BigInt{});
-  for (const CorruptedShare& c : corrupted) {
-    nodes.push_back(BigInt(static_cast<std::uint64_t>(c.index)));
-  }
-
-  const auto lagrange_at = [&](std::size_t which, const BigInt& x) {
-    // λ_which(x) = Π_{m != which} (x - x_m) / (x_which - x_m)  (mod q)
-    BigInt num(std::uint64_t{1}), den(std::uint64_t{1});
-    for (std::size_t m = 0; m < nodes.size(); ++m) {
-      if (m == which) continue;
-      num = num.mul_mod(x.mod(q).sub_mod(nodes[m].mod(q), q), q);
-      den = den.mul_mod(nodes[which].mod(q).sub_mod(nodes[m].mod(q), q), q);
-    }
-    return num.mul_mod(den.mod_inverse(q), q);
-  };
-
   std::vector<Point> keys;
   keys.reserve(n);
   for (std::uint32_t i = 1; i <= n; ++i) {
-    if (corrupt_set.contains(i)) {
+    if (std::find(nodes.begin(), nodes.end(), i) != nodes.end()) {
       // For corrupted players the key is directly c_i·P.
       for (const CorruptedShare& c : corrupted) {
-        if (c.index == i) {
-          keys.push_back(group.mul_g(c.value.mod(q)));
-          break;
-        }
+        if (c.index == i) keys.push_back(group.mul_g(c.value.mod(q)));
       }
       continue;
     }
-    const BigInt x(static_cast<std::uint64_t>(i));
-    Point acc = p_pub.mul(lagrange_at(0, x));
+    const std::vector<BigInt> lambdas = shamir::lagrange_coefficients(
+        nodes, BigInt(static_cast<std::uint64_t>(i)), q);
+    Point acc = p_pub.mul(lambdas[0]);
     for (std::size_t j = 0; j < corrupted.size(); ++j) {
-      const BigInt coeff =
-          lagrange_at(j + 1, x).mul_mod(corrupted[j].value.mod(q), q);
-      acc += group.mul_g(coeff);
+      acc += group.mul_g(lambdas[j + 1].mul_mod(corrupted[j].value.mod(q), q));
     }
     keys.push_back(acc);
   }

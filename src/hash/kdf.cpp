@@ -11,11 +11,7 @@ Bytes expand(std::string_view label, BytesView seed, std::size_t out_len) {
   while (out.size() < out_len) {
     Sha256 h;
     h.update(str_bytes(label));
-    std::uint8_t ctr[4] = {static_cast<std::uint8_t>(counter >> 24),
-                           static_cast<std::uint8_t>(counter >> 16),
-                           static_cast<std::uint8_t>(counter >> 8),
-                           static_cast<std::uint8_t>(counter)};
-    h.update(ctr);
+    h.update(be32(counter));
     h.update(seed);
     const auto block = h.finalize();
     const std::size_t take = std::min(block.size(), out_len - out.size());
@@ -32,11 +28,7 @@ Bytes mgf1(BytesView seed, std::size_t out_len) {
   while (out.size() < out_len) {
     Sha256 h;
     h.update(seed);
-    std::uint8_t ctr[4] = {static_cast<std::uint8_t>(counter >> 24),
-                           static_cast<std::uint8_t>(counter >> 16),
-                           static_cast<std::uint8_t>(counter >> 8),
-                           static_cast<std::uint8_t>(counter)};
-    h.update(ctr);
+    h.update(be32(counter));
     const auto block = h.finalize();
     const std::size_t take = std::min(block.size(), out_len - out.size());
     out.insert(out.end(), block.begin(), block.begin() + take);

@@ -45,11 +45,7 @@ BigInt derive_r(BytesView sigma, BytesView message, const BigInt& q) {
   // Length-prefix sigma to make the (sigma, message) encoding injective.
   Bytes data;
   data.reserve(4 + sigma.size() + message.size());
-  const std::uint32_t len = static_cast<std::uint32_t>(sigma.size());
-  for (int i = 0; i < 4; ++i) {
-    data.push_back(static_cast<std::uint8_t>(len >> (24 - 8 * i)));
-  }
-  data.insert(data.end(), sigma.begin(), sigma.end());
+  append_framed(data, sigma);
   data.insert(data.end(), message.begin(), message.end());
   // H3 must land in [1, q-1]: r = 0 would make U = O and leak sigma.
   BigInt r = hash::hash_to_range("BF.H3", data, q);

@@ -34,11 +34,7 @@ BigInt hess_challenge(const ibe::SystemParams& params, BytesView message,
                       const Fp2& commitment) {
   // Length-framed M ‖ r.
   Bytes data;
-  const std::uint32_t len = static_cast<std::uint32_t>(message.size());
-  for (int i = 0; i < 4; ++i) {
-    data.push_back(static_cast<std::uint8_t>(len >> (24 - 8 * i)));
-  }
-  data.insert(data.end(), message.begin(), message.end());
+  append_framed(data, message);
   const Bytes r_bytes = commitment.to_bytes();
   data.insert(data.end(), r_bytes.begin(), r_bytes.end());
   return hash::hash_to_range("Hess.H", data, params.order());

@@ -1,5 +1,7 @@
 #include "mediated/mediated_elgamal.h"
 
+#include "common/error.h"
+
 namespace medcrypt::mediated {
 
 ElGamalMediator::ElGamalMediator(elgamal::Params params,
@@ -8,6 +10,10 @@ ElGamalMediator::ElGamalMediator(elgamal::Params params,
 
 Point ElGamalMediator::issue_token(std::string_view identity,
                                    const Point& c1) const {
+  // x_sem·T for T of order dividing h would leak x_sem mod that order.
+  if (c1.is_infinity() || !c1.in_subgroup()) {
+    throw InvalidArgument("ElGamalMediator: C1 not in the subgroup");
+  }
   return with_key(identity,
                   [&](const BigInt& x_sem) { return c1.mul(x_sem); });
 }

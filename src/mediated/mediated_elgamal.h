@@ -30,8 +30,9 @@ class ElGamalMediator : public MediatorBase<BigInt> {
 
   const elgamal::Params& params() const { return params_; }
 
-  /// Issues the partial decryption S_sem = x_sem·C1.
-  /// Throws RevokedError if `identity` is revoked.
+  /// Issues the partial decryption S_sem = x_sem·C1. Throws
+  /// InvalidArgument unless C1 ∈ G1 \ {O}, RevokedError if `identity`
+  /// is revoked.
   Point issue_token(std::string_view identity, const Point& c1) const;
 
  private:

@@ -2,19 +2,6 @@
 
 namespace medcrypt::mediated {
 
-namespace {
-
-// Length-framed encoding so (M, A, B) parse unambiguously.
-void append_framed(Bytes& out, BytesView piece) {
-  const std::uint32_t len = static_cast<std::uint32_t>(piece.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(len >> (24 - 8 * i)));
-  }
-  out.insert(out.end(), piece.begin(), piece.end());
-}
-
-}  // namespace
-
 Bytes signcryption_binding(BytesView message, std::string_view sender,
                            std::string_view recipient) {
   Bytes out;

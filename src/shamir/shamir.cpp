@@ -1,6 +1,6 @@
 #include "shamir/shamir.h"
 
-#include <set>
+#include <algorithm>
 
 #include "common/error.h"
 
@@ -40,42 +40,55 @@ BigInt evaluate_polynomial(std::span<const BigInt> coefficients,
   return acc;
 }
 
-BigInt lagrange_coefficient(std::span<const std::uint32_t> indices,
-                            std::uint32_t i, const BigInt& x, const BigInt& q) {
-  bool found = false;
-  std::set<std::uint32_t> seen;
-  for (std::uint32_t j : indices) {
-    if (j == 0) throw InvalidArgument("lagrange_coefficient: zero index");
-    if (!seen.insert(j).second) {
-      throw InvalidArgument("lagrange_coefficient: duplicate index");
-    }
-    if (j == i) found = true;
-  }
-  if (!found) throw InvalidArgument("lagrange_coefficient: i not in set");
-
-  BigInt num(std::uint64_t{1}), den(std::uint64_t{1});
+std::vector<BigInt> lagrange_coefficients(std::span<const std::uint32_t> nodes,
+                                          const BigInt& x, const BigInt& q) {
+  if (nodes.empty()) throw InvalidArgument("lagrange_coefficients: no nodes");
   const BigInt xr = x.mod(q);
-  const BigInt xi(static_cast<std::uint64_t>(i));
-  for (std::uint32_t j : indices) {
-    if (j == i) continue;
-    const BigInt xj(static_cast<std::uint64_t>(j));
-    num = num.mul_mod(xr.sub_mod(xj.mod(q), q), q);
-    den = den.mul_mod(xi.mod(q).sub_mod(xj.mod(q), q), q);
+  std::vector<BigInt> xs;
+  xs.reserve(nodes.size());
+  for (std::uint32_t node : nodes) {
+    xs.push_back(BigInt(static_cast<std::uint64_t>(node)).mod(q));
   }
-  return num.mul_mod(den.mod_inverse(q), q);
+  std::vector<BigInt> lambdas;
+  lambdas.reserve(nodes.size());
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    BigInt num(std::uint64_t{1}), den(std::uint64_t{1});
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+      if (j == k) continue;
+      num = num.mul_mod(xr.sub_mod(xs[j], q), q);
+      den = den.mul_mod(xs[k].sub_mod(xs[j], q), q);
+    }
+    // q is prime, so den = 0 iff another node equals x_k mod q.
+    if (den.is_zero()) {
+      throw InvalidArgument("lagrange_coefficients: repeated node");
+    }
+    lambdas.push_back(num.mul_mod(den.mod_inverse(q), q));
+  }
+  return lambdas;
+}
+
+void check_indices(std::span<const std::uint32_t> indices, std::size_t count,
+                   std::size_t n) {
+  std::vector<std::uint32_t> sorted(indices.begin(), indices.end());
+  std::sort(sorted.begin(), sorted.end());
+  if (sorted.size() != count ||
+      (!sorted.empty() && (sorted.front() == 0 || sorted.back() > n)) ||
+      std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    throw InvalidArgument(
+        "share indices: need exactly t distinct indices in [1, n]");
+  }
 }
 
 BigInt interpolate(std::span<const Share> shares, const BigInt& x,
                    const BigInt& q) {
-  if (shares.empty()) throw InvalidArgument("interpolate: no shares");
-  std::vector<std::uint32_t> indices;
-  indices.reserve(shares.size());
-  for (const Share& s : shares) indices.push_back(s.index);
+  std::vector<std::uint32_t> nodes;
+  nodes.reserve(shares.size());
+  for (const Share& s : shares) nodes.push_back(s.index);
+  const std::vector<BigInt> lambdas = lagrange_coefficients(nodes, x, q);
 
   BigInt acc;
-  for (const Share& s : shares) {
-    const BigInt lambda = lagrange_coefficient(indices, s.index, x.mod(q), q);
-    acc = acc.add_mod(lambda.mul_mod(s.value.mod(q), q), q);
+  for (std::size_t k = 0; k < shares.size(); ++k) {
+    acc = acc.add_mod(lambdas[k].mul_mod(shares[k].value.mod(q), q), q);
   }
   return acc;
 }

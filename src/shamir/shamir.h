@@ -56,15 +56,24 @@ Sharing share_secret(const BigInt& secret, std::size_t t, std::size_t n,
 BigInt evaluate_polynomial(std::span<const BigInt> coefficients,
                            const BigInt& x, const BigInt& q);
 
-/// Lagrange coefficient λ_i(x) for interpolating at abscissa `x` from the
-/// point set `indices`: λ_i(x) = Π_{j≠i} (x - j)/(i - j) mod q.
-/// `i` must appear in `indices`, and indices must be distinct and nonzero.
-BigInt lagrange_coefficient(std::span<const std::uint32_t> indices,
-                            std::uint32_t i, const BigInt& x, const BigInt& q);
+/// Lagrange coefficients for interpolating at abscissa `x` from the
+/// abscissae `nodes`, one per node and in its order:
+/// λ_k(x) = Π_{j≠k} (x - x_j)/(x_k - x_j) mod q, so f(x) = Σ λ_k·f(x_k)
+/// for every f of degree < |nodes|. A node may be 0 (the §3.3 simulator
+/// interpolates from the secret's abscissa); nodes must be distinct mod
+/// q. Throws InvalidArgument on an empty or repeating node set.
+std::vector<BigInt> lagrange_coefficients(std::span<const std::uint32_t> nodes,
+                                          const BigInt& x, const BigInt& q);
 
-/// Interpolates the polynomial at abscissa `x` from >= t shares.
-/// With x = 0 this reconstructs the secret; with x = k it reconstructs
-/// player k's share (cheater recovery).
+/// The share-index rules every combiner applies: exactly `count`
+/// indices, each in [1, n], no two equal. Throws InvalidArgument
+/// otherwise.
+void check_indices(std::span<const std::uint32_t> indices, std::size_t count,
+                   std::size_t n);
+
+/// Interpolates the polynomial at abscissa `x` from >= t shares with
+/// distinct indices. With x = 0 this reconstructs the secret; with x = k
+/// it reconstructs player k's share (cheater recovery).
 BigInt interpolate(std::span<const Share> shares, const BigInt& x,
                    const BigInt& q);
 

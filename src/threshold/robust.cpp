@@ -17,7 +17,7 @@ namespace {
 // 2·2^-80 per attempt (docs/PERF.md §6).
 constexpr std::size_t kWeightBytes = 10;
 
-void append(Bytes& out, const Bytes& part) {
+void append(Bytes& out, BytesView part) {
   out.insert(out.end(), part.begin(), part.end());
 }
 
@@ -52,10 +52,7 @@ std::vector<BigInt> batch_weights(const Point& u, const BigInt& order,
   const std::size_t e_len = (order.bit_length() + 7) / 8;
   Bytes data = u.to_bytes();
   for (const ShareStatement& s : batch) {
-    data.push_back(static_cast<std::uint8_t>(s.index >> 24));
-    data.push_back(static_cast<std::uint8_t>(s.index >> 16));
-    data.push_back(static_cast<std::uint8_t>(s.index >> 8));
-    data.push_back(static_cast<std::uint8_t>(s.index));
+    append(data, be32(s.index));
     append(data, s.value->to_bytes());
     append(data, s.proof->w1.to_bytes());
     append(data, s.proof->w2.to_bytes());

@@ -1,37 +1,18 @@
 #include "threshold/threshold_elgamal.h"
 
-#include <set>
-
 #include "common/error.h"
 #include "gdh/bls.h"
 
 namespace medcrypt::threshold {
 
-const Point& ElGamalSetup::verification_key(std::uint32_t index) const {
-  if (index == 0 || index > verification_keys.size()) {
-    throw InvalidArgument("ElGamalSetup: player index out of range");
-  }
-  return verification_keys[index - 1];
-}
-
 ElGamalDealing elgamal_threshold_setup(elgamal::Params params, std::size_t t,
                                        std::size_t n, RandomSource& rng) {
-  if (t < 1 || t > n) {
-    throw InvalidArgument("elgamal_threshold_setup: need 1 <= t <= n");
-  }
-  const BigInt& q = params.order();
-  const BigInt x = BigInt::random_unit(rng, q);
-  const shamir::Sharing sharing = shamir::share_secret(x, t, n, q, rng);
-
   ElGamalDealing out;
-  out.setup.threshold = t;
-  out.setup.players = n;
-  out.setup.public_key = params.group.mul_g(x);
-  out.setup.verification_keys.reserve(n);
+  const shamir::Sharing sharing =
+      deal(params.group, t, n, rng, out.setup, out.setup.public_key);
   out.shares.reserve(n);
-  for (const shamir::Share& share : sharing.shares) {
-    out.setup.verification_keys.push_back(params.group.mul_g(share.value));
-    out.shares.push_back(ElGamalKeyShare{share.index, share.value});
+  for (const shamir::Share& s : sharing.shares) {
+    out.shares.push_back(ElGamalKeyShare{s.index, s.value});
   }
   out.setup.params = std::move(params);
   return out;
@@ -39,6 +20,9 @@ ElGamalDealing elgamal_threshold_setup(elgamal::Params params, std::size_t t,
 
 ElGamalDecryptionShare elgamal_decrypt_share(const ElGamalKeyShare& share,
                                              const Point& c1) {
+  if (c1.is_infinity() || !c1.in_subgroup()) {
+    throw InvalidArgument("elgamal_decrypt_share: C1 not in the subgroup");
+  }
   return ElGamalDecryptionShare{share.index, c1.mul(share.value)};
 }
 
@@ -55,26 +39,7 @@ bool elgamal_verify_share(const ElGamalSetup& setup, const Point& c1,
 
 Point elgamal_combine_shares(const ElGamalSetup& setup,
                              std::span<const ElGamalDecryptionShare> shares) {
-  if (shares.size() != setup.threshold) {
-    throw InvalidArgument("elgamal_combine_shares: need exactly t shares");
-  }
-  std::vector<std::uint32_t> indices;
-  indices.reserve(shares.size());
-  std::set<std::uint32_t> seen;
-  for (const ElGamalDecryptionShare& s : shares) {
-    if (!seen.insert(s.index).second) {
-      throw InvalidArgument("elgamal_combine_shares: duplicate index");
-    }
-    indices.push_back(s.index);
-  }
-  const BigInt& q = setup.params.order();
-  Point acc = setup.params.group.curve->infinity();
-  for (const ElGamalDecryptionShare& s : shares) {
-    const BigInt lambda =
-        shamir::lagrange_coefficient(indices, s.index, BigInt{}, q);
-    acc += s.value.mul(lambda);
-  }
-  return acc;
+  return setup.interpolate_shares(shares, BigInt{}, setup.params.order());
 }
 
 }  // namespace medcrypt::threshold

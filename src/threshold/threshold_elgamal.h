@@ -1,6 +1,7 @@
 // (t, n) threshold decryption for FO-ElGamal — the paper's generic
-// "any threshold cryptosystem yields a mediated one" substrate (§4 end),
-// with the (2, 2) case powering mediated ElGamal.
+// "any threshold cryptosystem yields a mediated one" substrate (§4 end).
+// Mediated ElGamal (mediated/mediated_elgamal.h) does not build on it:
+// it splits x additively, x = x_user + x_sem, with no Lagrange step.
 //
 //   Setup    dealer shares x; verification keys Y_i = x_i·P; Y = x·P.
 //   Decrypt  player i outputs the partial point S_i = x_i·C1;
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "elgamal/fo_transform.h"
-#include "shamir/shamir.h"
+#include "threshold/threshold_keys.h"
 
 namespace medcrypt::threshold {
 
@@ -34,15 +35,11 @@ struct ElGamalKeyShare {
   BigInt value;
 };
 
-/// Public output of the threshold ElGamal setup.
-struct ElGamalSetup {
+/// Public output of the threshold ElGamal setup; its verification keys
+/// (ThresholdKeys) are Y_i = x_i·P.
+struct ElGamalSetup : ThresholdKeys {
   elgamal::Params params;
-  std::size_t threshold = 0;
-  std::size_t players = 0;
-  Point public_key;                      // Y = x·P
-  std::vector<Point> verification_keys;  // Y_i = x_i·P
-
-  const Point& verification_key(std::uint32_t index) const;
+  Point public_key;  // Y = x·P
 };
 
 /// Dealer output.
@@ -61,7 +58,9 @@ struct ElGamalDecryptionShare {
   Point value;
 };
 
-/// Player-side partial decryption.
+/// Player-side partial decryption. Throws InvalidArgument unless
+/// C1 ∈ G1 \ {O}: x_i·T for T of order dividing h would leak x_i mod
+/// that order.
 ElGamalDecryptionShare elgamal_decrypt_share(const ElGamalKeyShare& share,
                                              const Point& c1);
 
@@ -69,7 +68,8 @@ ElGamalDecryptionShare elgamal_decrypt_share(const ElGamalKeyShare& share,
 bool elgamal_verify_share(const ElGamalSetup& setup, const Point& c1,
                           const ElGamalDecryptionShare& share);
 
-/// Combines exactly t distinct shares into S = x·C1.
+/// Combines exactly t shares with distinct indices in [1, n] into
+/// S = x·C1. Throws InvalidArgument otherwise.
 Point elgamal_combine_shares(const ElGamalSetup& setup,
                              std::span<const ElGamalDecryptionShare> shares);
 

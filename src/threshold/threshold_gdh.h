@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "gdh/bls.h"
-#include "shamir/shamir.h"
+#include "threshold/threshold_keys.h"
 
 namespace medcrypt::threshold {
 
@@ -35,15 +35,11 @@ struct GdhKeyShare {
   BigInt value;  // x_i = f(i)
 };
 
-/// Public output of the threshold GDH setup.
-struct GdhSetup {
+/// Public output of the threshold GDH setup; its verification keys
+/// (ThresholdKeys) are R_i = x_i·P.
+struct GdhSetup : ThresholdKeys {
   pairing::ParamSet group;
-  std::size_t threshold = 0;
-  std::size_t players = 0;
-  Point public_key;                      // R = x·P
-  std::vector<Point> verification_keys;  // R_i = x_i·P
-
-  const Point& verification_key(std::uint32_t index) const;
+  Point public_key;  // R = x·P
 };
 
 /// Dealer output: the public setup plus the private key shares.
@@ -71,8 +67,9 @@ GdhSignatureShare gdh_sign_share(const GdhSetup& setup,
 bool gdh_verify_share(const GdhSetup& setup, BytesView message,
                       const GdhSignatureShare& share);
 
-/// Combines exactly t distinct shares into the group signature.
-/// The result verifies under setup.public_key via gdh::verify.
+/// Combines exactly t shares with distinct indices in [1, n] into the
+/// group signature, which verifies under setup.public_key via
+/// gdh::verify. Throws InvalidArgument otherwise.
 Point gdh_combine_shares(const GdhSetup& setup,
                          std::span<const GdhSignatureShare> shares);
 

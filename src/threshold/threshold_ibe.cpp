@@ -8,32 +8,12 @@
 
 namespace medcrypt::threshold {
 
-const Point& ThresholdSetup::verification_key(std::uint32_t index) const {
-  if (index == 0 || index > verification_keys.size()) {
-    throw InvalidArgument("ThresholdSetup: player index out of range");
-  }
-  return verification_keys[index - 1];
-}
-
 ThresholdDealer::ThresholdDealer(pairing::ParamSet group,
                                  std::size_t message_len, std::size_t t,
                                  std::size_t n, RandomSource& rng) {
-  if (t < 1 || t > n) {
-    throw InvalidArgument("ThresholdDealer: need 1 <= t <= n");
-  }
-  const BigInt& q = group.order();
-  const BigInt s = BigInt::random_unit(rng, q);
-  shamir::Sharing sharing = shamir::share_secret(s, t, n, q, rng);
-  coefficients_ = std::move(sharing.coefficients);
-
-  setup_.params.p_pub = group.mul_g(s);
+  coefficients_ =
+      deal(group, t, n, rng, setup_, setup_.params.p_pub).coefficients;
   setup_.params.message_len = message_len;
-  setup_.threshold = t;
-  setup_.players = n;
-  setup_.verification_keys.reserve(n);
-  for (const shamir::Share& share : sharing.shares) {
-    setup_.verification_keys.push_back(group.mul_g(share.value));
-  }
   setup_.params.group = std::move(group);
 }
 
@@ -80,13 +60,11 @@ bool verify_key_share(const ThresholdSetup& setup, std::string_view identity,
 bool verify_setup_consistency(const ThresholdSetup& setup,
                               std::span<const std::uint32_t> indices) {
   if (indices.size() != setup.threshold) return false;
-  const BigInt& q = setup.params.order();
-  Point acc = setup.params.curve()->infinity();
-  for (std::uint32_t i : indices) {
-    const BigInt lambda = shamir::lagrange_coefficient(indices, i, BigInt{}, q);
-    acc += setup.verification_key(i).mul(lambda);
-  }
-  return acc == setup.params.p_pub;
+  std::vector<const Point*> keys;
+  keys.reserve(indices.size());
+  for (std::uint32_t i : indices) keys.push_back(&setup.verification_key(i));
+  return setup.interpolate(indices, keys, BigInt{}, setup.params.order()) ==
+         setup.params.p_pub;
 }
 
 DecryptionShare compute_decryption_share(const ThresholdSetup& setup,
@@ -111,31 +89,17 @@ DecryptionShare compute_decryption_share(const ThresholdSetup& setup,
 Fp2 combine_decryption_shares(const ThresholdSetup& setup,
                               std::span<const DecryptionShare> shares) {
   obs::Span span(obs::Stage::kShareCombine);
-  if (shares.size() != setup.threshold) {
-    throw InvalidArgument(
-        "combine_decryption_shares: need exactly t shares");
-  }
   std::vector<std::uint32_t> indices;
+  std::vector<Fp2> values;
   indices.reserve(shares.size());
-  std::set<std::uint32_t> seen;
+  values.reserve(shares.size());
   for (const DecryptionShare& s : shares) {
-    if (!seen.insert(s.index).second) {
-      throw InvalidArgument("combine_decryption_shares: duplicate index");
-    }
     indices.push_back(s.index);
+    values.push_back(s.value);
   }
   // g = Π S_i^λ_i over one shared squaring chain.
-  const BigInt& q = setup.params.order();
-  std::vector<Fp2> values;
-  std::vector<BigInt> lambdas;
-  values.reserve(shares.size());
-  lambdas.reserve(shares.size());
-  for (const DecryptionShare& s : shares) {
-    values.push_back(s.value);
-    lambdas.push_back(
-        shamir::lagrange_coefficient(indices, s.index, BigInt{}, q));
-  }
-  return field::multi_pow(values, lambdas);
+  return field::multi_pow(
+      values, setup.lagrange(indices, BigInt{}, setup.params.order()));
 }
 
 std::vector<DecryptionShare> select_valid_shares(
@@ -212,20 +176,9 @@ Point recover_key_share(const ThresholdSetup& setup,
   if (honest.size() < setup.threshold) {
     throw InvalidArgument("recover_key_share: need >= t honest shares");
   }
-  std::vector<std::uint32_t> indices;
-  indices.reserve(setup.threshold);
-  for (std::size_t i = 0; i < setup.threshold; ++i) {
-    indices.push_back(honest[i].index);
-  }
-  const BigInt& q = setup.params.order();
-  const BigInt x(static_cast<std::uint64_t>(target));
-  Point acc = setup.params.curve()->infinity();
-  for (std::size_t i = 0; i < setup.threshold; ++i) {
-    const BigInt lambda =
-        shamir::lagrange_coefficient(indices, honest[i].index, x, q);
-    acc += honest[i].value.mul(lambda);
-  }
-  return acc;
+  return setup.interpolate_shares(honest.first(setup.threshold),
+                                  BigInt(static_cast<std::uint64_t>(target)),
+                                  setup.params.order());
 }
 
 Bytes threshold_full_decrypt(const ThresholdSetup& setup,

@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "ibe/boneh_franklin.h"
-#include "shamir/shamir.h"
 #include "threshold/robust.h"
+#include "threshold/threshold_keys.h"
 
 namespace medcrypt::threshold {
 
@@ -47,14 +47,9 @@ struct KeyShare {
 };
 
 /// Public output of the threshold Setup: the BF system parameters plus
-/// the per-player verification keys.
-struct ThresholdSetup {
+/// t, n and the per-player verification keys P_pub^(i) (ThresholdKeys).
+struct ThresholdSetup : ThresholdKeys {
   ibe::SystemParams params;
-  std::size_t threshold = 0;  // t
-  std::size_t players = 0;    // n
-  std::vector<Point> verification_keys;  // P_pub^(i), index i-1
-
-  const Point& verification_key(std::uint32_t index) const;
 };
 
 /// The trusted dealer (PKG) of the threshold scheme. Holds the secret
@@ -114,8 +109,8 @@ DecryptionShare compute_decryption_share(const ThresholdSetup& setup,
                                          bool prove, RandomSource& rng);
 
 /// Recombiner: combines exactly t acceptable shares into
-/// g = ê(U, s·Q_ID). Throws InvalidArgument on bad share counts or
-/// duplicate indices. Does NOT verify proofs — see
+/// g = ê(U, s·Q_ID). Throws InvalidArgument unless the indices pass
+/// shamir::check_indices. Does NOT verify proofs — see
 /// select_valid_shares for the robust pipeline.
 Fp2 combine_decryption_shares(const ThresholdSetup& setup,
                               std::span<const DecryptionShare> shares);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "ec/hash_to_point.h"
 #include "hash/drbg.h"
 #include "mediated/mediated_elgamal.h"
 #include "mediated/mediated_gdh.h"
@@ -441,6 +442,22 @@ TEST_F(MediatedElGamalTest, TokenIsOnePoint) {
   EXPECT_EQ(alice.decrypt(ct, sem_, &transport), m);
   EXPECT_EQ(transport.stats().to_client.bytes,
             params_.group.curve->compressed_size());
+}
+
+// x_sem·C1 for C1 of order dividing h would tell the requester x_sem
+// modulo that order: C1 = (0, 0) has order 2, and q·R for a point R of
+// E(F_p) lies in the order-h part. The SEM must refuse both before it
+// touches the key.
+TEST_F(MediatedElGamalTest, TokenRejectsC1OutsideG1) {
+  auto alice = enroll_elgamal_user(params_, sem_, "alice", rng_);
+  const ec::Curve* curve = params_.group.curve;
+  const auto& field = curve->field();
+  const Point r = ec::hash_to_curve_candidate(curve, "test", Bytes{7});
+  const Point torsion = r.mul(params_.group.order());
+  ASSERT_FALSE(torsion.is_infinity());
+  for (const Point& c1 : {curve->point(field->zero(), field->zero()), torsion}) {
+    EXPECT_THROW(sem_.issue_token("alice", c1), InvalidArgument);
+  }
 }
 
 TEST_F(MediatedElGamalTest, SharedRevocationListAcrossSchemes) {

@@ -85,11 +85,13 @@ TEST(Shamir, LagrangeCoefficientsSumApplication) {
   // Directly verify Σ λ_i(0) f(i) = f(0) with explicit coefficients.
   HmacDrbg rng(55);
   const Sharing sharing = share_secret(BigInt(1234), 4, 6, kQ, rng);
-  std::vector<std::uint32_t> idx = {2, 3, 5, 6};
+  const std::vector<std::uint32_t> idx = {2, 3, 5, 6};
+  const std::vector<BigInt> lambdas = lagrange_coefficients(idx, BigInt{}, kQ);
+  ASSERT_EQ(lambdas.size(), idx.size());
   BigInt acc;
-  for (std::uint32_t i : idx) {
-    const BigInt lambda = lagrange_coefficient(idx, i, BigInt{}, kQ);
-    acc = acc.add_mod(lambda.mul_mod(sharing.shares[i - 1].value, kQ), kQ);
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    acc = acc.add_mod(
+        lambdas[k].mul_mod(sharing.shares[idx[k] - 1].value, kQ), kQ);
   }
   EXPECT_EQ(acc, BigInt(1234));
 }
@@ -133,12 +135,49 @@ TEST(Shamir, RejectsBadParameters) {
 }
 
 TEST(Shamir, RejectsBadLagrangeInputs) {
-  const std::vector<std::uint32_t> idx = {1, 2, 3};
-  EXPECT_THROW(lagrange_coefficient(idx, 9, BigInt{}, kQ), InvalidArgument);
   const std::vector<std::uint32_t> dup = {1, 1, 2};
-  EXPECT_THROW(lagrange_coefficient(dup, 1, BigInt{}, kQ), InvalidArgument);
+  EXPECT_THROW(lagrange_coefficients(dup, BigInt{}, kQ), InvalidArgument);
+  EXPECT_THROW(lagrange_coefficients({}, BigInt{}, kQ), InvalidArgument);
+  // 1 and 98 are one abscissa mod 97.
+  const std::vector<std::uint32_t> wrap = {1, 98};
+  EXPECT_THROW(lagrange_coefficients(wrap, BigInt{}, BigInt(97)),
+               InvalidArgument);
+  // Node 0 is a valid abscissa; the share-index rules reject it.
   const std::vector<std::uint32_t> zero = {0, 1};
-  EXPECT_THROW(lagrange_coefficient(zero, 1, BigInt{}, kQ), InvalidArgument);
+  EXPECT_EQ(lagrange_coefficients(zero, BigInt{}, kQ).size(), 2u);
+  EXPECT_THROW(check_indices(zero, 2, 3), InvalidArgument);
+}
+
+TEST(Shamir, IndexRules) {
+  const std::vector<std::uint32_t> idx = {3, 1, 2};
+  EXPECT_NO_THROW(check_indices(idx, 3, 3));
+  EXPECT_THROW(check_indices(idx, 2, 3), InvalidArgument);  // not exactly t
+  EXPECT_THROW(check_indices(idx, 3, 2), InvalidArgument);  // 3 > n
+  const std::vector<std::uint32_t> dup = {1, 2, 2};
+  EXPECT_THROW(check_indices(dup, 3, 5), InvalidArgument);
+  EXPECT_NO_THROW(check_indices({}, 0, 5));
+}
+
+TEST(Shamir, InterpolatesOffNodesWithZeroAmongThem) {
+  // The §3.3 simulator's use: nodes {0} ∪ S, evaluated at x outside them.
+  HmacDrbg rng(59);
+  const BigInt secret = BigInt::random_below(rng, kQ);
+  const Sharing sharing = share_secret(secret, 3, 7, kQ, rng);
+  const std::vector<std::uint32_t> nodes = {0, 2, 5};
+  const std::vector<BigInt> values = {secret, sharing.shares[1].value,
+                                      sharing.shares[4].value};
+  for (std::uint32_t x : {1u, 4u, 7u}) {
+    const std::vector<BigInt> lambdas =
+        lagrange_coefficients(nodes, BigInt(std::uint64_t{x}), kQ);
+    BigInt acc;
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      acc = acc.add_mod(lambdas[k].mul_mod(values[k], kQ), kQ);
+    }
+    EXPECT_EQ(acc, sharing.shares[x - 1].value) << "x = " << x;
+  }
+  // At a node the coefficients are that node's unit vector.
+  const std::vector<BigInt> at_node = lagrange_coefficients(nodes, BigInt(2), kQ);
+  EXPECT_EQ(at_node, (std::vector<BigInt>{BigInt{}, BigInt(1), BigInt{}}));
 }
 
 // Threshold sweep: reconstruction works for every (t, n) in a grid.

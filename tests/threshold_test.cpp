@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "ec/hash_to_point.h"
 #include "hash/drbg.h"
 #include "hash/kdf.h"
 #include "obs/registry.h"
@@ -412,6 +413,17 @@ TEST_F(ThresholdGdhTest, TooFewSharesRejected) {
   EXPECT_THROW(gdh_combine_shares(dealing.setup, shares), InvalidArgument);
 }
 
+TEST_F(ThresholdGdhTest, SetupRejectsBadIndicesAndThresholds) {
+  const auto dealing = gdh_threshold_setup(pairing::toy_params(), 2, 3, rng_);
+  EXPECT_EQ(dealing.setup.verification_keys.size(), 3u);
+  EXPECT_THROW(dealing.setup.verification_key(0), InvalidArgument);
+  EXPECT_THROW(dealing.setup.verification_key(4), InvalidArgument);
+  EXPECT_THROW(gdh_threshold_setup(pairing::toy_params(), 0, 3, rng_),
+               InvalidArgument);
+  EXPECT_THROW(gdh_threshold_setup(pairing::toy_params(), 4, 3, rng_),
+               InvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 
 class ThresholdElGamalTest : public ::testing::Test {
@@ -478,6 +490,32 @@ TEST_F(ThresholdElGamalTest, SmallOrderShareRejected) {
   EXPECT_FALSE(elgamal_verify_share(dealing.setup, ct.c1, bad));
 }
 
+TEST_F(ThresholdElGamalTest, SetupRejectsBadIndicesAndThresholds) {
+  const auto dealing = elgamal_threshold_setup(params_, 2, 3, rng_);
+  EXPECT_EQ(dealing.setup.verification_keys.size(), 3u);
+  EXPECT_THROW(dealing.setup.verification_key(0), InvalidArgument);
+  EXPECT_THROW(dealing.setup.verification_key(4), InvalidArgument);
+  EXPECT_THROW(elgamal_threshold_setup(params_, 0, 3, rng_), InvalidArgument);
+  EXPECT_THROW(elgamal_threshold_setup(params_, 4, 3, rng_), InvalidArgument);
+}
+
+// x_i·C1 for C1 of order dividing h would tell its caller x_i modulo
+// that order: C1 = (0, 0) has order 2, and q·R for a point R of
+// E(F_p) lies in the order-h part. The player must refuse both.
+TEST_F(ThresholdElGamalTest, DecryptShareRejectsC1OutsideG1) {
+  const auto dealing = elgamal_threshold_setup(params_, 2, 3, rng_);
+  const ec::Curve* curve = params_.group.curve;
+  const auto& field = curve->field();
+  const ec::Point r = ec::hash_to_curve_candidate(curve, "test", Bytes{7});
+  const ec::Point torsion = r.mul(params_.group.order());
+  ASSERT_FALSE(torsion.is_infinity());
+  for (const ec::Point& c1 :
+       {curve->point(field->zero(), field->zero()), torsion}) {
+    EXPECT_THROW(elgamal_decrypt_share(dealing.shares[0], c1),
+                 InvalidArgument);
+  }
+}
+
 TEST_F(ThresholdElGamalTest, TwoOfTwoSplitIsMediatedShape) {
   // The (2,2) instance behind mediated ElGamal.
   auto dealing = elgamal_threshold_setup(params_, 2, 2, rng_);
@@ -491,6 +529,98 @@ TEST_F(ThresholdElGamalTest, TwoOfTwoSplitIsMediatedShape) {
   const ec::Point shared = elgamal_combine_shares(dealing.setup, shares);
   EXPECT_EQ(elgamal::fo_decrypt_with_shared(dealing.setup.params, shared, ct), m);
 }
+
+// One set of share-index rules for every combiner: exactly t shares with
+// distinct indices in [1, n]. Each case relabels honest shares of a
+// (3, 5) setup; a label that names no player takes player 3's share.
+enum class Combiner { kIbe, kGdh, kElGamal };
+
+struct IndexCase {
+  const char* name;
+  std::vector<std::uint32_t> labels;
+  bool valid;
+};
+
+void PrintTo(const IndexCase& c, std::ostream* os) { *os << c.name; }
+
+void combine_labelled(Combiner combiner,
+                      const std::vector<std::uint32_t>& labels) {
+  HmacDrbg rng(140);
+  const auto player = [](std::uint32_t label) {
+    return label >= 1 && label <= 5 ? label - 1 : 2;
+  };
+  const Bytes m(32, 0x5a);
+  switch (combiner) {
+    case Combiner::kIbe: {
+      const ThresholdDealer dealer(pairing::toy_params(), 32, 3, 5, rng);
+      const auto keys = dealer.extract_shares("alice");
+      const auto ct = ibe::full_encrypt(dealer.setup().params, "alice", m, rng);
+      std::vector<DecryptionShare> shares;
+      for (std::uint32_t label : labels) {
+        shares.push_back(compute_decryption_share(
+            dealer.setup(), keys[player(label)], ct.u, false, rng));
+        shares.back().index = label;
+      }
+      (void)combine_decryption_shares(dealer.setup(), shares);
+      return;
+    }
+    case Combiner::kGdh: {
+      const auto dealing = gdh_threshold_setup(pairing::toy_params(), 3, 5, rng);
+      std::vector<GdhSignatureShare> shares;
+      for (std::uint32_t label : labels) {
+        shares.push_back(
+            gdh_sign_share(dealing.setup, dealing.shares[player(label)], m));
+        shares.back().index = label;
+      }
+      (void)gdh_combine_shares(dealing.setup, shares);
+      return;
+    }
+    case Combiner::kElGamal: {
+      const auto dealing = elgamal_threshold_setup(
+          elgamal::Params{pairing::toy_params(), 32}, 3, 5, rng);
+      const auto ct = elgamal::fo_encrypt(dealing.setup.params,
+                                          dealing.setup.public_key, m, rng);
+      std::vector<ElGamalDecryptionShare> shares;
+      for (std::uint32_t label : labels) {
+        shares.push_back(
+            elgamal_decrypt_share(dealing.shares[player(label)], ct.c1));
+        shares.back().index = label;
+      }
+      (void)elgamal_combine_shares(dealing.setup, shares);
+      return;
+    }
+  }
+}
+
+class CombinerIndexRules
+    : public ::testing::TestWithParam<std::tuple<Combiner, IndexCase>> {};
+
+TEST_P(CombinerIndexRules, EnforcesExactlyTDistinctIndicesInRange) {
+  const auto& [combiner, c] = GetParam();
+  if (c.valid) {
+    EXPECT_NO_THROW(combine_labelled(combiner, c.labels));
+  } else {
+    EXPECT_THROW(combine_labelled(combiner, c.labels), InvalidArgument);
+  }
+}
+
+std::string combiner_case_name(
+    const ::testing::TestParamInfo<std::tuple<Combiner, IndexCase>>& info) {
+  static const char* const kNames[] = {"Ibe", "Gdh", "ElGamal"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + std::get<1>(info.param).name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCombiners, CombinerIndexRules,
+    ::testing::Combine(
+        ::testing::Values(Combiner::kIbe, Combiner::kGdh, Combiner::kElGamal),
+        ::testing::Values(IndexCase{"Valid", {1, 3, 5}, true},
+                          IndexCase{"DuplicateIndex", {1, 2, 2}, false},
+                          IndexCase{"IndexZero", {0, 1, 2}, false},
+                          IndexCase{"IndexAboveN", {1, 2, 6}, false},
+                          IndexCase{"TMinusOneShares", {1, 2}, false})),
+    combiner_case_name);
 
 // Threshold grid sweep for the IBE.
 class ThresholdIbeGrid
