@@ -51,12 +51,12 @@ int main() {
 
   std::printf("generating 1024-bit IB-mRSA modulus...\n");
   auto mrsa = benchutil::bench_mrsa_system(rng, {"alice"});
-  mediated::MRsaMediator mrsa_sem(mrsa.params(), revocations);
+  mediated::MRsaMediator mrsa_sem(revocations);
   auto mrsa_user = enroll_mrsa_user(mrsa, mrsa_sem, "alice", rng);
   const Bytes mrsa_ct = ib_mrsa_encrypt(mrsa.params(), "alice", msg, rng);
 
   elgamal::Params eg_params{pairing::paper_params(), 32};
-  mediated::ElGamalMediator eg_sem(eg_params, revocations);
+  mediated::GdhMediator eg_sem(eg_params.group, revocations);
   auto eg_user = enroll_elgamal_user(eg_params, eg_sem, "alice", rng);
   const auto eg_ct = elgamal::fo_encrypt(eg_params, eg_user.public_key(), msg, rng);
 

@@ -18,7 +18,6 @@
 #include "mediated/mediated_ibe.h"
 #include "pairing/params.h"
 #include "revocation/crl.h"
-#include "revocation/revocation.h"
 #include "revocation/validity_period.h"
 
 int main() {
@@ -118,7 +117,6 @@ int main() {
     ibe::Pkg pkg(pairing::paper_params(), 32, rng);
     auto list = std::make_shared<mediated::RevocationList>();
     mediated::IbeMediator sem(pkg.params(), list);
-    revocation::RevocationAuthority authority(list);
 
     std::uint64_t keys_issued = 0;
     for (int i = 0; i < kUsers; ++i) {
@@ -127,7 +125,7 @@ int main() {
     }
     int next_revoked = 0;
     for (std::uint64_t now = kRevokeEvery; now < kHorizon; now += kRevokeEvery) {
-      authority.revoke("user" + std::to_string(next_revoked++));
+      list->revoke("user" + std::to_string(next_revoked++));
     }
     jr.add("time_to_revoke_mean/sem", 0.0, static_cast<long>(keys_issued));
     t.add_row({"SEM (this paper)", "-", std::to_string(keys_issued), "0.0 h",

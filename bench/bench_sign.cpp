@@ -40,7 +40,7 @@ int main() {
   // --- IB-mRSA ---------------------------------------------------------------
   std::printf("generating 1024-bit IB-mRSA modulus...\n");
   auto mrsa = benchutil::bench_mrsa_system(rng, {"signer"});
-  mediated::MRsaMediator mrsa_sem(mrsa.params(), revocations);
+  mediated::MRsaMediator mrsa_sem(revocations);
   auto mrsa_user = enroll_mrsa_user(mrsa, mrsa_sem, "signer", rng);
   const bigint::BigInt mrsa_sig = mrsa_user.sign(msg, mrsa_sem);
 

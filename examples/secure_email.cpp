@@ -19,7 +19,6 @@
 #include "mediated/mediated_gdh.h"
 #include "mediated/mediated_ibe.h"
 #include "pairing/params.h"
-#include "revocation/revocation.h"
 
 namespace {
 
@@ -53,7 +52,6 @@ int main() {
   auto revocations = std::make_shared<mediated::RevocationList>();
   mediated::IbeMediator mail_sem(pkg.params(), revocations);
   mediated::GdhMediator sig_sem(pairing::paper_params(), revocations);
-  revocation::RevocationAuthority hr(revocations);
 
   // Onboard three employees. After this loop the PKG could be unplugged.
   const std::vector<std::string> staff = {"alice@acme.com", "bob@acme.com",
@@ -106,7 +104,7 @@ int main() {
   // Offboarding: Bob leaves. One call, effective immediately.
   // ---------------------------------------------------------------------
   std::cout << "== HR offboards bob@acme.com ==\n";
-  hr.revoke("bob@acme.com");
+  revocations->revoke("bob@acme.com");
 
   // Mail already in Bob's mailbox cannot be opened anymore...
   const auto ct_for_bob = ibe::full_encrypt(pkg.params(), "bob@acme.com",

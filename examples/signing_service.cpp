@@ -31,7 +31,7 @@ int main() {
   std::cout << "generating 1024-bit IB-mRSA system (safe primes)...\n";
   mediated::IbMRsaSystem mrsa(
       mediated::IbMRsaSystem::Options{1024, 160, /*safe_primes=*/true}, rng);
-  mediated::MRsaMediator mrsa_sem(mrsa.params(), revocations);
+  mediated::MRsaMediator mrsa_sem(revocations);
   auto mrsa_builder = enroll_mrsa_user(mrsa, mrsa_sem, "builder-7", rng);
 
   // --- sign an artifact through both -------------------------------------

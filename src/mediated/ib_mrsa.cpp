@@ -4,6 +4,15 @@
 
 namespace medcrypt::mediated {
 
+namespace {
+
+rsa::PublicKey identity_key(const IbMRsaParams& params,
+                            std::string_view identity) {
+  return rsa::PublicKey{params.modulus, identity_exponent(params, identity)};
+}
+
+}  // namespace
+
 BigInt identity_exponent(const IbMRsaParams& params,
                          std::string_view identity) {
   if (params.hash_bits + 1 >= params.modulus_bits) {
@@ -23,23 +32,13 @@ BigInt identity_exponent(const IbMRsaParams& params,
 
 Bytes ib_mrsa_encrypt(const IbMRsaParams& params, std::string_view identity,
                       BytesView message, RandomSource& rng) {
-  const rsa::PublicKey pub{params.modulus, identity_exponent(params, identity)};
-  const BigInt block = rsa::oaep_encode(message, params.byte_size(), rng);
-  return rsa::public_op(pub, block).to_bytes_be_padded(params.byte_size());
-}
-
-BigInt ib_mrsa_fdh(const IbMRsaParams& params, BytesView message) {
-  // Full-domain hash into Z_n (128 extra bits kill the mod-n bias).
-  const Bytes wide =
-      hash::expand("IBmRSA.FDH", message, params.byte_size() + 16);
-  return BigInt::from_bytes_be(wide).mod(params.modulus);
+  return mrsa_encrypt(identity_key(params, identity), message, rng);
 }
 
 bool ib_mrsa_verify(const IbMRsaParams& params, std::string_view identity,
                     BytesView message, const BigInt& signature) {
-  if (signature.is_negative() || signature >= params.modulus) return false;
-  const rsa::PublicKey pub{params.modulus, identity_exponent(params, identity)};
-  return rsa::public_op(pub, signature) == ib_mrsa_fdh(params, message);
+  return mrsa_verify(identity_key(params, identity), message, signature,
+                     kIbMRsaFdhDomain);
 }
 
 IbMRsaSystem::IbMRsaSystem(const Options& options, RandomSource& rng) {
@@ -64,77 +63,19 @@ BigInt IbMRsaSystem::full_exponent(std::string_view identity) const {
   return e.mod_inverse(phi_);
 }
 
-IbMRsaSystem::UserKeys IbMRsaSystem::issue(std::string_view identity,
-                                           RandomSource& rng) const {
+MRsaKeys IbMRsaSystem::issue(std::string_view identity,
+                             RandomSource& rng) const {
   const BigInt d = full_exponent(identity);
   auto [d_user, d_sem] = rsa::split_exponent(d, phi_, rng);
-  return UserKeys{std::move(d_user), std::move(d_sem)};
+  return MRsaKeys{identity_key(params_, identity), std::move(d_user),
+                  std::move(d_sem)};
 }
 
-MRsaMediator::MRsaMediator(IbMRsaParams params,
-                           std::shared_ptr<RevocationList> revocations)
-    : MediatorBase<BigInt>(std::move(revocations)), params_(std::move(params)) {}
-
-BigInt MRsaMediator::issue_token(std::string_view identity,
-                                 const BigInt& c) const {
-  if (c.is_negative() || c >= params_.modulus) {
-    throw InvalidArgument("MRsaMediator: ciphertext out of range");
-  }
-  return with_key(identity, [&](const BigInt& d_sem) {
-    return c.pow_mod(d_sem, params_.modulus);
-  });
-}
-
-IbMRsaUser::IbMRsaUser(IbMRsaParams params, std::string identity,
-                       BigInt user_key)
-    : params_(std::move(params)), identity_(std::move(identity)),
-      user_key_(std::move(user_key)) {}
-
-Bytes IbMRsaUser::decrypt(const Bytes& ciphertext, const MRsaMediator& sem,
-                          sim::Transport* transport) const {
-  if (ciphertext.size() != params_.byte_size()) {
-    throw InvalidArgument("IbMRsaUser::decrypt: wrong ciphertext length");
-  }
-  const BigInt c = BigInt::from_bytes_be(ciphertext);
-  if (c >= params_.modulus) {
-    throw InvalidArgument("IbMRsaUser::decrypt: ciphertext out of range");
-  }
-  if (transport != nullptr) {
-    transport->send_to_server(identity_.size() + ciphertext.size());
-  }
-  const BigInt m_sem = sem.issue_token(identity_, c);
-  if (transport != nullptr) {
-    transport->send_to_client(params_.byte_size());
-  }
-  const BigInt m_user = c.pow_mod(user_key_, params_.modulus);
-  return rsa::oaep_decode(m_sem.mul_mod(m_user, params_.modulus),
-                          params_.byte_size());
-}
-
-BigInt IbMRsaUser::sign(BytesView message, const MRsaMediator& sem,
-                        sim::Transport* transport) const {
-  const BigInt h = ib_mrsa_fdh(params_, message);
-  if (transport != nullptr) {
-    transport->send_to_server(identity_.size() + params_.byte_size());
-  }
-  const BigInt s_sem = sem.issue_token(identity_, h);
-  if (transport != nullptr) {
-    transport->send_to_client(params_.byte_size());
-  }
-  const BigInt s_user = h.pow_mod(user_key_, params_.modulus);
-  const BigInt signature = s_sem.mul_mod(s_user, params_.modulus);
-  if (!ib_mrsa_verify(params_, identity_, message, signature)) {
-    throw Error("IbMRsaUser::sign: assembled signature invalid");
-  }
-  return signature;
-}
-
-IbMRsaUser enroll_mrsa_user(const IbMRsaSystem& system, MRsaMediator& sem,
-                            std::string identity, RandomSource& rng) {
-  IbMRsaSystem::UserKeys keys = system.issue(identity, rng);
-  sem.install_key(identity, std::move(keys.d_sem));
-  return IbMRsaUser(system.params(), std::move(identity),
-                    std::move(keys.d_user));
+MRsaUser enroll_mrsa_user(const IbMRsaSystem& system, MRsaMediator& sem,
+                          std::string identity, RandomSource& rng) {
+  MRsaKeys keys = system.issue(identity, rng);
+  return enroll_mrsa_keys(std::move(keys), sem, std::move(identity),
+                          kIbMRsaFdhDomain);
 }
 
 }  // namespace medcrypt::mediated

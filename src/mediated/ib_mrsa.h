@@ -1,5 +1,7 @@
 // IB-mRSA — identity-based mediated RSA (paper §2, after [3], [9]).
-// The baseline the pairing-based schemes are compared against.
+// The baseline the pairing-based schemes are compared against. Decryption
+// and signing run the half-exponent protocol of mrsa.h; this header holds
+// only what is identity-based.
 //
 //   Setup: the PKG generates a COMMON k-bit Blum modulus n = pq from safe
 //     primes p = 2p'+1, q = 2q'+1 and publishes (n, H).
@@ -8,9 +10,7 @@
 //                                    odd, so coprime to φ(n) w.h.p.)
 //     d_ID = e_ID^{-1} mod φ(n);  d_user random, d_sem = d_ID - d_user.
 //   Encrypt: RSA-OAEP under (n, e_ID) — senders derive e_ID themselves.
-//   Decrypt: SEM returns m_sem = c^{d_sem}; user computes m_user =
-//     c^{d_user}; m = OAEP-decode(m_sem · m_user mod n).
-//   Sign: the mirror protocol on the FDH padding of the message.
+//   Sign: FDH under the "IBmRSA.FDH" domain.
 //
 // Security notes carried into tests:
 //   - no single user knows a full (e, d) pair, so the common modulus is
@@ -23,14 +23,12 @@
 
 #include <string_view>
 
-#include "mediated/sem_server.h"
-#include "rsa/oaep.h"
-#include "rsa/rsa.h"
-#include "sim/transport.h"
+#include "mediated/mrsa.h"
 
 namespace medcrypt::mediated {
 
-using bigint::BigInt;
+/// FDH domain of IB-mRSA signatures, separated from per-user mRSA's.
+inline constexpr std::string_view kIbMRsaFdhDomain = "IBmRSA.FDH";
 
 /// IB-mRSA public parameters: the common modulus and the hash width l.
 struct IbMRsaParams {
@@ -48,9 +46,6 @@ BigInt identity_exponent(const IbMRsaParams& params, std::string_view identity);
 /// bounded by rsa::oaep_max_message(byte_size()).
 Bytes ib_mrsa_encrypt(const IbMRsaParams& params, std::string_view identity,
                       BytesView message, RandomSource& rng);
-
-/// FDH value of a message in Z_n (for the signature protocol).
-BigInt ib_mrsa_fdh(const IbMRsaParams& params, BytesView message);
 
 /// Verifier-side signature check: σ^{e_ID} = FDH(M).
 bool ib_mrsa_verify(const IbMRsaParams& params, std::string_view identity,
@@ -71,27 +66,9 @@ class IbMRsaSystem {
 
   const IbMRsaParams& params() const { return params_; }
 
-  /// User + SEM exponent halves for one identity. Wiped on destruction
-  /// (d_user + d_sem with the public e_ID factors the common modulus).
-  struct UserKeys {
-    UserKeys() = default;
-    UserKeys(BigInt d_user_, BigInt d_sem_)
-        : d_user(std::move(d_user_)), d_sem(std::move(d_sem_)) {}
-    UserKeys(const UserKeys&) = default;
-    UserKeys(UserKeys&&) = default;
-    UserKeys& operator=(const UserKeys&) = default;
-    UserKeys& operator=(UserKeys&&) = default;
-    ~UserKeys() {
-      d_user.wipe();
-      d_sem.wipe();
-    }
-
-    BigInt d_user;
-    BigInt d_sem;
-  };
-
-  /// Keygen. Throws Error in the negligible event that e_ID divides φ(n).
-  UserKeys issue(std::string_view identity, RandomSource& rng) const;
+  /// Keygen: the public key (n, e_ID) and the two exponent halves. Throws
+  /// Error in the negligible event that e_ID divides φ(n).
+  MRsaKeys issue(std::string_view identity, RandomSource& rng) const;
 
   /// The full private exponent (tests only; a deployment never extracts
   /// this).
@@ -110,58 +87,10 @@ class IbMRsaSystem {
   BigInt phi_;
 };
 
-/// SEM-side endpoint: half-exponentiations with revocation checks.
-class MRsaMediator : public MediatorBase<BigInt> {
- public:
-  MRsaMediator(IbMRsaParams params,
-               std::shared_ptr<RevocationList> revocations);
-
-  const IbMRsaParams& params() const { return params_; }
-
-  /// Issues the half-result c^{d_sem} mod n for a ciphertext or FDH value.
-  /// Throws RevokedError if `identity` is revoked.
-  BigInt issue_token(std::string_view identity, const BigInt& c) const;
-
- private:
-  IbMRsaParams params_;
-};
-
-/// User-side endpoint holding d_user.
-class IbMRsaUser {
- public:
-  IbMRsaUser(IbMRsaParams params, std::string identity, BigInt user_key);
-
-  /// d_ID,user is the half the §4 security argument keeps from the SEM;
-  /// scrub it when the holder dies.
-  ~IbMRsaUser() { user_key_.wipe(); }
-  IbMRsaUser(const IbMRsaUser&) = default;
-  IbMRsaUser(IbMRsaUser&&) = default;
-  IbMRsaUser& operator=(const IbMRsaUser&) = default;
-  IbMRsaUser& operator=(IbMRsaUser&&) = default;
-
-  const std::string& identity() const { return identity_; }
-
-  /// Mediated decryption (OAEP-decoded). Throws RevokedError or
-  /// DecryptionError.
-  Bytes decrypt(const Bytes& ciphertext, const MRsaMediator& sem,
-                sim::Transport* transport = nullptr) const;
-
-  /// Mediated FDH signing; the user verifies before releasing.
-  BigInt sign(BytesView message, const MRsaMediator& sem,
-              sim::Transport* transport = nullptr) const;
-
-  /// The user's exponent half — exposed to model the §2 collusion attack
-  /// in tests.
-  const BigInt& user_key() const { return user_key_; }
-
- private:
-  IbMRsaParams params_;
-  std::string identity_;
-  BigInt user_key_;
-};
-
-/// Enrollment helper mirroring the pairing schemes' shape.
-IbMRsaUser enroll_mrsa_user(const IbMRsaSystem& system, MRsaMediator& sem,
-                            std::string identity, RandomSource& rng);
+/// PKG-side enrollment: issues the identity's key, installs the SEM half
+/// (with its own copy of the common modulus) and returns the user
+/// endpoint.
+MRsaUser enroll_mrsa_user(const IbMRsaSystem& system, MRsaMediator& sem,
+                          std::string identity, RandomSource& rng);
 
 }  // namespace medcrypt::mediated

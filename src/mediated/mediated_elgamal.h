@@ -10,34 +10,16 @@
 //
 // Unlike the identity-based schemes, keys here are ordinary certified
 // public keys — this is the paper's bridge from SEM revocation to
-// conventional PKI cryptosystems.
+// conventional PKI cryptosystems. The SEM half is a Z_q scalar, as in
+// mediated GDH, so the SEM is a GdhMediator: its subgroup-checked
+// x_sem·T token serves C1 here and blinded hashes there.
 #pragma once
 
 #include "elgamal/fo_transform.h"
-#include "mediated/sem_server.h"
+#include "mediated/mediated_gdh.h"
 #include "sim/transport.h"
 
 namespace medcrypt::mediated {
-
-using bigint::BigInt;
-using ec::Point;
-
-/// SEM-side endpoint for mediated ElGamal decryption.
-class ElGamalMediator : public MediatorBase<BigInt> {
- public:
-  ElGamalMediator(elgamal::Params params,
-                  std::shared_ptr<RevocationList> revocations);
-
-  const elgamal::Params& params() const { return params_; }
-
-  /// Issues the partial decryption S_sem = x_sem·C1. Throws
-  /// InvalidArgument unless C1 ∈ G1 \ {O}, RevokedError if `identity`
-  /// is revoked.
-  Point issue_token(std::string_view identity, const Point& c1) const;
-
- private:
-  elgamal::Params params_;
-};
 
 /// User-side endpoint holding x_user and the certified public key Y.
 class MediatedElGamalUser {
@@ -57,7 +39,7 @@ class MediatedElGamalUser {
   const Point& public_key() const { return public_key_; }
 
   /// Mediated decryption. Throws RevokedError or DecryptionError.
-  Bytes decrypt(const elgamal::FoCiphertext& ct, const ElGamalMediator& sem,
+  Bytes decrypt(const elgamal::FoCiphertext& ct, const GdhMediator& sem,
                 sim::Transport* transport = nullptr) const;
 
  private:
@@ -70,7 +52,7 @@ class MediatedElGamalUser {
 /// CA-side enrollment: samples the split key, installs the SEM half,
 /// returns the user endpoint (whose public_key() the CA would certify).
 MediatedElGamalUser enroll_elgamal_user(const elgamal::Params& params,
-                                        ElGamalMediator& sem,
+                                        GdhMediator& sem,
                                         std::string identity,
                                         RandomSource& rng);
 

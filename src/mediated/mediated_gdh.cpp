@@ -21,18 +21,12 @@ std::vector<std::optional<Point>> GdhMediator::issue_tokens(
   // One trace brackets the whole fan-in, so every request's
   // hash_to_point, token_issue and scalar_mul spans land in the same
   // trace.
-  obs::TraceScope trace("gdh.issue_tokens");
-  obs::trace_annotate("batch.requests", requests.size());
-  const auto snapshot = revocations()->snapshot();
-  std::vector<std::optional<Point>> out(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    try {
-      out[i] = token_at(*snapshot, requests[i].identity, requests[i].message);
-    } catch (const Error&) {
-      // Slot stays nullopt; audit counters were updated by with_key_at.
-    }
-  }
-  return out;
+  return issue_batch("gdh.issue_tokens", requests,
+                     [&](const RevocationList::Snapshot& snapshot,
+                         const SignRequest& request) {
+                       return token_at(snapshot, request.identity,
+                                       request.message);
+                     });
 }
 
 Point GdhMediator::token_at(const RevocationList::Snapshot& snapshot,
@@ -43,20 +37,23 @@ Point GdhMediator::token_at(const RevocationList::Snapshot& snapshot,
   // cached under the hash's own domain; with_key_at enforces revocation.
   const Point h =
       ec::hash_to_subgroup_cached(group_.curve, gdh::kHashDomain, message);
-  return with_key_at(snapshot, identity, [&](const BigInt& x_sem) {
-    obs::Span span(obs::Stage::kScalarMul);
-    return h.mul(x_sem);
-  });
+  return scalar_half_at(snapshot, identity, h);
 }
 
-Point GdhMediator::issue_blind_token(std::string_view identity,
-                                     const Point& blinded) const {
-  if (blinded.is_infinity() || !blinded.in_subgroup()) {
-    throw InvalidArgument("GdhMediator: blinded point not in the subgroup");
+Point GdhMediator::issue_token(std::string_view identity,
+                               const Point& t) const {
+  if (t.is_infinity() || !t.in_subgroup()) {
+    throw InvalidArgument("GdhMediator: point not in the subgroup");
   }
-  return with_key(identity, [&](const BigInt& x_sem) {
+  return scalar_half_at(*revocations()->snapshot(), identity, t);
+}
+
+Point GdhMediator::scalar_half_at(const RevocationList::Snapshot& snapshot,
+                                  std::string_view identity,
+                                  const Point& t) const {
+  return with_key_at(snapshot, identity, [&](const BigInt& x_sem) {
     obs::Span span(obs::Stage::kScalarMul);
-    return blinded.mul(x_sem);
+    return t.mul(x_sem);
   });
 }
 
@@ -89,16 +86,24 @@ Point MediatedGdhUser::sign(BytesView message, const GdhMediator& sem,
   return signature;
 }
 
+std::pair<BigInt, Point> enroll_scalar_halves(const pairing::ParamSet& group,
+                                              GdhMediator& sem,
+                                              const std::string& identity,
+                                              RandomSource& rng) {
+  // §5 Keygen: the TA samples both halves directly.
+  BigInt x_user = BigInt::random_unit(rng, group.order());
+  BigInt x_sem = BigInt::random_unit(rng, group.order());
+  Point public_key = group.mul_g(x_user.add_mod(x_sem, group.order()));
+  sem.install_key(identity, std::move(x_sem));
+  return {std::move(x_user), std::move(public_key)};
+}
+
 MediatedGdhUser enroll_gdh_user(const pairing::ParamSet& group,
                                 GdhMediator& sem, std::string identity,
                                 RandomSource& rng) {
-  // §5 Keygen: the TA samples both halves directly.
-  const BigInt x_user = BigInt::random_unit(rng, group.order());
-  BigInt x_sem = BigInt::random_unit(rng, group.order());
-  const Point public_key =
-      group.mul_g(x_user.add_mod(x_sem, group.order()));
-  sem.install_key(identity, std::move(x_sem));
-  return MediatedGdhUser(group, std::move(identity), x_user, public_key);
+  auto [x_user, public_key] = enroll_scalar_halves(group, sem, identity, rng);
+  return MediatedGdhUser(group, std::move(identity), std::move(x_user),
+                         std::move(public_key));
 }
 
 }  // namespace medcrypt::mediated

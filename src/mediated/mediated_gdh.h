@@ -20,6 +20,8 @@
 
 #include <optional>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gdh/bls.h"
@@ -31,7 +33,9 @@ namespace medcrypt::mediated {
 using bigint::BigInt;
 using ec::Point;
 
-/// SEM-side endpoint for mediated GDH signing.
+/// SEM-side endpoint for every scheme whose SEM half is one Z_q scalar
+/// x_sem: mediated GDH signing (§5), revocable blind GDH signing and
+/// mediated FO-ElGamal decryption (§4).
 class GdhMediator : public MediatorBase<BigInt> {
  public:
   GdhMediator(pairing::ParamSet group,
@@ -65,18 +69,23 @@ class GdhMediator : public MediatorBase<BigInt> {
   std::vector<std::optional<Point>> issue_tokens(
       std::span<const SignRequest> requests) const;
 
-  /// Blind-signing token: x_sem·B for a caller-supplied point B (the
-  /// blinded message hash of gdh::blind_message). The SEM learns nothing
-  /// about the underlying message but still enforces revocation —
-  /// revocable blind signing. Rejects points outside the q-order
-  /// subgroup (a malformed B could otherwise leak bits of x_sem).
-  Point issue_blind_token(std::string_view identity, const Point& blinded) const;
+  /// Issues x_sem·T for a caller-supplied point T: the blinded message
+  /// hash of gdh::blind_message (revocable blind signing: the SEM learns
+  /// nothing about the message but still enforces revocation) or a
+  /// mediated ElGamal C1. Throws InvalidArgument unless T ∈ G1 \ {O} —
+  /// x_sem·T for T of order dividing h would leak x_sem modulo that
+  /// order — and RevokedError if `identity` is revoked.
+  Point issue_token(std::string_view identity, const Point& t) const;
 
  private:
   // One half-signature against a given revocation snapshot: the body of
-  // both issue_token and every issue_tokens slot.
+  // both message issue_token and every issue_tokens slot.
   Point token_at(const RevocationList::Snapshot& snapshot,
                  std::string_view identity, BytesView message) const;
+
+  // x_sem·T under the lent key half: the one scalar-half body.
+  Point scalar_half_at(const RevocationList::Snapshot& snapshot,
+                       std::string_view identity, const Point& t) const;
 
   pairing::ParamSet group_;
 };
@@ -111,6 +120,14 @@ class MediatedGdhUser {
   BigInt user_key_;
   Point public_key_;
 };
+
+/// The two-half key split GDH (§5) and mediated ElGamal (§4) share: the
+/// TA draws x_user, then x_sem, from Z_q*, installs x_sem at `sem` under
+/// `identity` and returns {x_user, R = (x_user + x_sem)·P}.
+std::pair<BigInt, Point> enroll_scalar_halves(const pairing::ParamSet& group,
+                                              GdhMediator& sem,
+                                              const std::string& identity,
+                                              RandomSource& rng);
 
 /// TA-side enrollment: generates the split key pair, installs the SEM
 /// half, returns the user endpoint.

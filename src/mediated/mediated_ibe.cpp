@@ -26,20 +26,15 @@ std::vector<std::optional<Fp2>> IbeMediator::issue_tokens(
     std::span<const TokenRequest> requests) const {
   // One trace brackets the fan-in, so every request's token_issue,
   // pairing.miller and pairing.final_exp spans land in the same trace.
-  obs::TraceScope trace("ibe.issue_tokens");
-  obs::trace_annotate("batch.requests", requests.size());
-  std::vector<std::optional<Fp2>> out(requests.size());
-  const auto snapshot = revocations()->snapshot();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const TokenRequest& request = requests[i];
-    if (request.u == nullptr) continue;
-    try {
-      out[i] = token_at(*snapshot, request.identity, *request.u);
-    } catch (const Error&) {
-      // Slot stays nullopt; audit counters were updated by with_key_at.
-    }
-  }
-  return out;
+  return issue_batch("ibe.issue_tokens", requests,
+                     [&](const RevocationList::Snapshot& snapshot,
+                         const TokenRequest& request) {
+                       if (request.u == nullptr) {
+                         throw InvalidArgument("IbeMediator: null U");
+                       }
+                       return token_at(snapshot, request.identity,
+                                       *request.u);
+                     });
 }
 
 Fp2 IbeMediator::token_at(const RevocationList::Snapshot& snapshot,

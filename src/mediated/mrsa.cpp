@@ -4,9 +4,7 @@
 
 namespace medcrypt::mediated {
 
-using bigint::BigInt;
-
-MRsaKeygenResult mrsa_keygen(std::size_t modulus_bits, RandomSource& rng) {
+MRsaKeys mrsa_keygen(std::size_t modulus_bits, RandomSource& rng) {
   rsa::KeyGenOptions opts;
   opts.modulus_bits = modulus_bits;
   const rsa::PrivateKey key = rsa::generate_key(opts, rng);
@@ -15,7 +13,7 @@ MRsaKeygenResult mrsa_keygen(std::size_t modulus_bits, RandomSource& rng) {
   // accepted here (see ROADMAP: constant-time RSA exponentiation).
   // medlint: allow(ct-variable-time)
   auto [d_user, d_sem] = rsa::split_exponent(key.d, key.phi, rng);
-  return MRsaKeygenResult{key.pub, std::move(d_user), std::move(d_sem)};
+  return MRsaKeys{key.pub, std::move(d_user), std::move(d_sem)};
 }
 
 Bytes mrsa_encrypt(const rsa::PublicKey& pub, BytesView message,
@@ -25,36 +23,37 @@ Bytes mrsa_encrypt(const rsa::PublicKey& pub, BytesView message,
   return rsa::public_op(pub, block).to_bytes_be_padded(k);
 }
 
-BigInt mrsa_fdh(const rsa::PublicKey& pub, BytesView message) {
-  const Bytes wide = hash::expand("mRSA.FDH", message, pub.byte_size() + 16);
+BigInt mrsa_fdh(const rsa::PublicKey& pub, BytesView message,
+                std::string_view domain) {
+  const Bytes wide = hash::expand(domain, message, pub.byte_size() + 16);
   return BigInt::from_bytes_be(wide).mod(pub.n);
 }
 
 bool mrsa_verify(const rsa::PublicKey& pub, BytesView message,
-                 const BigInt& signature) {
+                 const BigInt& signature, std::string_view domain) {
   if (signature.is_negative() || signature >= pub.n) return false;
-  return rsa::public_op(pub, signature) == mrsa_fdh(pub, message);
+  return rsa::public_op(pub, signature) == mrsa_fdh(pub, message, domain);
 }
 
-BigInt PerUserRsaMediator::issue_token(std::string_view identity,
-                                       const BigInt& c) const {
+BigInt MRsaMediator::issue_token(std::string_view identity,
+                                 const BigInt& c) const {
   return with_key(identity, [&](const MRsaSemRecord& record) {
-    // The range check needs the per-user modulus, so it runs under the
+    // The range check needs the identity's modulus, so it runs under the
     // lent record; a failure here is counted as neither issued nor
     // denied.
     if (c.is_negative() || c >= record.modulus) {
-      throw InvalidArgument("PerUserRsaMediator: input out of range");
+      throw InvalidArgument("MRsaMediator: input out of range");
     }
     return c.pow_mod(record.d_sem, record.modulus);
   });
 }
 
-MRsaUser::MRsaUser(rsa::PublicKey pub, std::string identity,
-                   BigInt user_key)
+MRsaUser::MRsaUser(rsa::PublicKey pub, std::string identity, BigInt user_key,
+                   std::string_view fdh_domain)
     : pub_(std::move(pub)), identity_(std::move(identity)),
-      user_key_(std::move(user_key)) {}
+      user_key_(std::move(user_key)), fdh_domain_(fdh_domain) {}
 
-Bytes MRsaUser::decrypt(const Bytes& ciphertext, const PerUserRsaMediator& sem,
+Bytes MRsaUser::decrypt(const Bytes& ciphertext, const MRsaMediator& sem,
                         sim::Transport* transport) const {
   const std::size_t k = pub_.byte_size();
   if (ciphertext.size() != k) {
@@ -73,9 +72,9 @@ Bytes MRsaUser::decrypt(const Bytes& ciphertext, const PerUserRsaMediator& sem,
   return rsa::oaep_decode(m_sem.mul_mod(m_user, pub_.n), k);
 }
 
-BigInt MRsaUser::sign(BytesView message, const PerUserRsaMediator& sem,
+BigInt MRsaUser::sign(BytesView message, const MRsaMediator& sem,
                       sim::Transport* transport) const {
-  const BigInt h = mrsa_fdh(pub_, message);
+  const BigInt h = mrsa_fdh(pub_, message, fdh_domain_);
   if (transport != nullptr) {
     transport->send_to_server(identity_.size() + pub_.byte_size());
   }
@@ -83,20 +82,23 @@ BigInt MRsaUser::sign(BytesView message, const PerUserRsaMediator& sem,
   if (transport != nullptr) transport->send_to_client(pub_.byte_size());
   const BigInt signature =
       s_sem.mul_mod(h.pow_mod(user_key_, pub_.n), pub_.n);
-  if (!mrsa_verify(pub_, message, signature)) {
+  if (!mrsa_verify(pub_, message, signature, fdh_domain_)) {
     throw Error("MRsaUser::sign: assembled signature invalid");
   }
   return signature;
 }
 
-MRsaUser enroll_per_user_mrsa(std::size_t modulus_bits,
-                              PerUserRsaMediator& sem, std::string identity,
-                              RandomSource& rng) {
-  MRsaKeygenResult keys = mrsa_keygen(modulus_bits, rng);
-  sem.install_key(identity,
-                  MRsaSemRecord{keys.pub.n, std::move(keys.d_sem)});
+MRsaUser enroll_mrsa_keys(MRsaKeys&& keys, MRsaMediator& sem,
+                          std::string identity, std::string_view fdh_domain) {
+  sem.install_key(identity, MRsaSemRecord{keys.pub.n, std::move(keys.d_sem)});
   return MRsaUser(std::move(keys.pub), std::move(identity),
-                  std::move(keys.d_user));
+                  std::move(keys.d_user), fdh_domain);
+}
+
+MRsaUser enroll_per_user_mrsa(std::size_t modulus_bits, MRsaMediator& sem,
+                              std::string identity, RandomSource& rng) {
+  return enroll_mrsa_keys(mrsa_keygen(modulus_bits, rng), sem,
+                          std::move(identity), kMRsaFdhDomain);
 }
 
 }  // namespace medcrypt::mediated

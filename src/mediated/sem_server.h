@@ -40,12 +40,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "obs/span.h"
@@ -185,23 +188,6 @@ class MediatorBase {
     shard.keys.insert_or_assign(std::move(identity), std::move(half));
   }
 
-  /// True if the identity has an installed key half.
-  bool has_key(std::string_view identity) const {
-    const Shard& shard = shard_for(identity);
-    std::shared_lock lock(shard.mu);
-    return shard.keys.find(identity) != shard.keys.end();
-  }
-
-  /// Number of installed key halves across all shards.
-  std::size_t key_count() const {
-    std::size_t n = 0;
-    for (const Shard& shard : shards_) {
-      std::shared_lock lock(shard.mu);
-      n += shard.keys.size();
-    }
-    return n;
-  }
-
   const std::shared_ptr<RevocationList>& revocations() const {
     return revocations_;
   }
@@ -271,6 +257,32 @@ class MediatorBase {
       cell.issued.fetch_add(1, std::memory_order_relaxed);
       return result;
     }
+  }
+
+  /// The batch issuers' one loop: runs `token(snapshot, request)` for
+  /// every request against ONE revocation snapshot, so the whole batch
+  /// sees one epoch, under one trace named `pipeline` (a string literal)
+  /// that records the batch size. A request whose token throws Error
+  /// (revoked, unknown, malformed) leaves std::nullopt in its slot
+  /// instead of aborting the batch; with_key_at has already updated the
+  /// audit counters.
+  template <typename Request, typename Fn>
+  auto issue_batch(const char* pipeline, std::span<const Request> requests,
+                   Fn&& token) const {
+    using Token = std::invoke_result_t<Fn&, const RevocationList::Snapshot&,
+                                       const Request&>;
+    obs::TraceScope trace(pipeline);
+    obs::trace_annotate("batch.requests", requests.size());
+    const auto snapshot = revocations_->snapshot();
+    std::vector<std::optional<Token>> out(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      try {
+        out[i] = std::invoke(token, *snapshot, requests[i]);
+      } catch (const Error&) {
+        // Slot stays nullopt.
+      }
+    }
+    return out;
   }
 
  private:

@@ -28,13 +28,12 @@ ElGamalDecryptionShare elgamal_decrypt_share(const ElGamalKeyShare& share,
 
 bool elgamal_verify_share(const ElGamalSetup& setup, const Point& c1,
                           const ElGamalDecryptionShare& share) {
-  if (share.index == 0 || share.index > setup.players) return false;
+  const Point* y_i = setup.public_point(share.index);
   // S_i is checked as a GDH signature on C1 under Y_i: S_i ∈ G1 \ {O}
   // and ê(P, S_i) = ê(Y_i, C1). Without the G1 check S_i + T would pass
   // for any T of order dividing h, and the combiner would add λ_i·T.
-  return gdh::verify_prehashed(setup.params.group,
-                               setup.verification_key(share.index), c1,
-                               share.value);
+  return y_i != nullptr &&
+         gdh::verify_prehashed(setup.params.group, *y_i, c1, share.value);
 }
 
 Point elgamal_combine_shares(const ElGamalSetup& setup,

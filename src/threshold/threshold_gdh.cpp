@@ -23,10 +23,9 @@ GdhSignatureShare gdh_sign_share(const GdhSetup& setup,
 
 bool gdh_verify_share(const GdhSetup& setup, BytesView message,
                       const GdhSignatureShare& share) {
-  if (share.index == 0 || share.index > setup.players) return false;
+  const Point* r_i = setup.public_point(share.index);
   // σ_i is an ordinary GDH signature under R_i.
-  return gdh::verify(setup.group, setup.verification_key(share.index),
-                     message, share.value);
+  return r_i != nullptr && gdh::verify(setup.group, *r_i, message, share.value);
 }
 
 Point gdh_combine_shares(const GdhSetup& setup,

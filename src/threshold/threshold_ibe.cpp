@@ -47,11 +47,13 @@ bool verify_key_share(const ThresholdSetup& setup, std::string_view identity,
                       const KeyShare& share) {
   // ê(P_pub^(i), Q_ID) · ê(P, −d_IDi) = 1 as one product pairing, with P
   // from the ParamSet's program, the one the prover replays.
+  const Point* p_pub_i = setup.public_point(share.index);
+  if (p_pub_i == nullptr) return false;
   const pairing::ParamSet& group = setup.params.group;
   const Point q_id = ibe::map_identity(setup.params, identity);
   const Point neg_d = -share.value;
   const std::array<pairing::TatePairing::PairTerm, 2> terms = {{
-      {.p = &setup.verification_key(share.index), .q = &q_id},
+      {.p = p_pub_i, .q = &q_id},
       {.prepared = group.generator_program.get(), .q = &neg_d},
   }};
   return group.pairing->pair_many(terms).is_one();
@@ -112,7 +114,7 @@ std::vector<DecryptionShare> select_valid_shares(
   std::set<std::uint32_t> seen;
   for (const DecryptionShare& s : shares) {
     if (!s.proof.has_value()) continue;
-    if (s.index == 0 || s.index > setup.players) continue;
+    if (setup.public_point(s.index) == nullptr) continue;
     if (!seen.insert(s.index).second) continue;
     candidates.push_back(&s);
   }

@@ -85,7 +85,8 @@ class ThresholdDealer {
 
 /// Player-side check on a received key share (paper §3 Keygen):
 /// ê(P_pub^(i), Q_ID) = ê(P, d_IDi), run as the one product pairing
-/// ê(P_pub^(i), Q_ID)·ê(P, −d_IDi) = 1.
+/// ê(P_pub^(i), Q_ID)·ê(P, −d_IDi) = 1. False for an index outside
+/// [1, n].
 bool verify_key_share(const ThresholdSetup& setup, std::string_view identity,
                       const KeyShare& share);
 

@@ -4,11 +4,18 @@
 
 namespace medcrypt::threshold {
 
+const Point* ThresholdKeys::public_point(
+    std::uint32_t index) const noexcept {
+  if (index == 0 || index > verification_keys.size()) return nullptr;
+  return &verification_keys[index - 1];
+}
+
 const Point& ThresholdKeys::verification_key(std::uint32_t index) const {
-  if (index == 0 || index > verification_keys.size()) {
+  const Point* point = public_point(index);
+  if (point == nullptr) {
     throw InvalidArgument("verification_key: player index out of range");
   }
-  return verification_keys[index - 1];
+  return *point;
 }
 
 std::vector<BigInt> ThresholdKeys::lagrange(

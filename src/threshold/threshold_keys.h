@@ -26,8 +26,11 @@ struct ThresholdKeys {
   std::size_t players = 0;               // n
   std::vector<Point> verification_keys;  // x_i·P, index i-1
 
-  /// x_i·P. Throws InvalidArgument unless 1 <= index <=
-  /// verification_keys.size().
+  /// x_i·P, or nullptr unless 1 <= index <= verification_keys.size():
+  /// the one share-index range rule of the verifiers.
+  const Point* public_point(std::uint32_t index) const noexcept;
+
+  /// x_i·P. Throws InvalidArgument where public_point is null.
   const Point& verification_key(std::uint32_t index) const;
 
   /// Lagrange coefficients at abscissa x for `indices`, which must pass

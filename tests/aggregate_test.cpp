@@ -120,8 +120,8 @@ TEST_F(AggregateTest, BlindingHidesTheMessage) {
 
 TEST_F(AggregateTest, MediatedBlindSigning) {
   // SEM-revocable blind signing: the SEM contributes x_sem * blinded via
-  // issue_blind_token without learning the message; revocation cuts the
-  // signer off mid-protocol.
+  // its point issue_token without learning the message; revocation cuts
+  // the signer off mid-protocol.
   auto revocations = std::make_shared<mediated::RevocationList>();
   mediated::GdhMediator sem(group_, revocations);
   HmacDrbg rng(401);
@@ -134,17 +134,17 @@ TEST_F(AggregateTest, MediatedBlindSigning) {
   const BlindingState state = blind_message(group_, msg, rng);
 
   const Point half_user = sign_blinded(x_user, state.blinded);
-  const Point half_sem = sem.issue_blind_token("issuer", state.blinded);
+  const Point half_sem = sem.issue_token("issuer", state.blinded);
   const Point sig =
       unblind_signature(group_, state, pub, half_user + half_sem);
   EXPECT_TRUE(verify(group_, pub, msg, sig));
 
   // Revocation denies further blind tokens.
   revocations->revoke("issuer");
-  EXPECT_THROW(sem.issue_blind_token("issuer", state.blinded), RevokedError);
+  EXPECT_THROW(sem.issue_token("issuer", state.blinded), RevokedError);
   // Malformed blinded points are rejected.
   revocations->unrevoke("issuer");
-  EXPECT_THROW(sem.issue_blind_token("issuer", group_.curve->infinity()),
+  EXPECT_THROW(sem.issue_token("issuer", group_.curve->infinity()),
                InvalidArgument);
 }
 

@@ -11,7 +11,6 @@
 #include "mediated/mediated_gdh.h"
 #include "mediated/mediated_ibe.h"
 #include "pairing/params.h"
-#include "revocation/revocation.h"
 #include "threshold/threshold_ibe.h"
 
 namespace medcrypt {
@@ -26,7 +25,6 @@ TEST(Integration, FullSemDeploymentLifecycle) {
   auto revocations = std::make_shared<mediated::RevocationList>();
   mediated::IbeMediator ibe_sem(pkg.params(), revocations);
   mediated::GdhMediator gdh_sem(pairing::toy_params(), revocations);
-  revocation::RevocationAuthority authority(revocations);
 
   // --- enrollment ---
   auto alice = enroll_ibe_user(pkg, ibe_sem, "alice@corp", rng);
@@ -46,7 +44,7 @@ TEST(Integration, FullSemDeploymentLifecycle) {
       gdh::verify(pairing::toy_params(), alice_signer.public_key(), contract, sig));
 
   // --- compromise: one call revokes every capability ---
-  authority.revoke("alice@corp");
+  revocations->revoke("alice@corp");
   EXPECT_THROW(alice.decrypt(to_alice, ibe_sem), RevokedError);
   EXPECT_THROW(alice_signer.sign(contract, gdh_sem), RevokedError);
 

@@ -8,27 +8,12 @@
 #include "ibe/boneh_franklin.h"
 #include "mediated/mediated_ibe.h"
 #include "pairing/params.h"
-#include "revocation/revocation.h"
 #include "revocation/validity_period.h"
 
 namespace medcrypt::revocation {
 namespace {
 
 using hash::HmacDrbg;
-
-TEST(RevocationAuthority, InstantEffect) {
-  auto list = std::make_shared<mediated::RevocationList>();
-  RevocationAuthority authority(list);
-  EXPECT_FALSE(authority.is_revoked("alice"));
-  authority.revoke("alice");
-  EXPECT_TRUE(authority.is_revoked("alice"));
-  EXPECT_TRUE(list->is_revoked("alice"));
-  EXPECT_EQ(authority.revocations(), 1u);
-  ASSERT_EQ(authority.effect_latencies_ns().size(), 1u);
-  EXPECT_EQ(authority.effect_latencies_ns()[0], 0u);  // instant
-  authority.unrevoke("alice");
-  EXPECT_FALSE(authority.is_revoked("alice"));
-}
 
 TEST(RevocationList, SizeTracksEntries) {
   mediated::RevocationList list;
@@ -127,20 +112,25 @@ TEST(RevocationComparison, SemBeatsValidityPeriodOnLatencyAndLoad) {
   ibe::Pkg pkg(pairing::toy_params(), 32, rng);
   auto list = std::make_shared<mediated::RevocationList>();
   mediated::IbeMediator sem(pkg.params(), list);
-  RevocationAuthority authority(list);
   std::uint64_t sem_keys_issued = 0;
   for (int i = 0; i < kUsers; ++i) {
     (void)enroll_ibe_user(pkg, sem, "u" + std::to_string(i), rng);
     ++sem_keys_issued;  // once, ever
   }
-  for (int p = 0; p < kPeriods; ++p) authority.revoke("u" + std::to_string(p));
+  // Time-to-revoke: SEM = 0, the very next token request after a revoke
+  // is denied.
+  for (int p = 0; p < kPeriods; ++p) {
+    const std::string id = "u" + std::to_string(p);
+    const auto ct = ibe::full_encrypt(pkg.params(), id, Bytes(32, 0), rng);
+    list->revoke(id);
+    EXPECT_THROW((void)sem.issue_token(id, ct.u), RevokedError);
+  }
 
   // PKG load: SEM = N; validity-period ≈ N * periods (minus revoked).
   EXPECT_EQ(sem_keys_issued, static_cast<std::uint64_t>(kUsers));
   EXPECT_GT(vp.keys_issued(), sem_keys_issued * (kPeriods - 2));
 
-  // Time-to-revoke: SEM = 0; validity-period = half a period here.
-  for (auto lat : authority.effect_latencies_ns()) EXPECT_EQ(lat, 0u);
+  // Time-to-revoke: validity-period = half a period here.
   for (auto lat : vp.effect_latencies_ns()) EXPECT_EQ(lat, kPeriod / 2);
 }
 

@@ -131,6 +131,12 @@ TEST_F(ThresholdIbeTest, CorruptKeyShareDetected) {
   auto keys = dealer_.extract_shares("alice");
   keys[2].value = keys[2].value.dbl();  // tamper
   EXPECT_FALSE(verify_key_share(dealer_.setup(), "alice", keys[2]));
+  // An index outside [1, n] is a bad share, not an error.
+  for (const std::uint32_t index : {0u, 6u}) {
+    KeyShare misplaced = keys[0];
+    misplaced.index = index;
+    EXPECT_FALSE(verify_key_share(dealer_.setup(), "alice", misplaced));
+  }
 }
 
 TEST_F(ThresholdIbeTest, ThresholdDecryptionMatchesDirect) {
@@ -403,6 +409,12 @@ TEST_F(ThresholdGdhTest, BadShareDetected) {
   EXPECT_FALSE(gdh_verify_share(dealing.setup, msg, bad));
   EXPECT_FALSE(gdh_verify_share(dealing.setup, str_bytes("other"),
                                 gdh_sign_share(dealing.setup, dealing.shares[0], msg)));
+  for (const std::uint32_t index : {0u, 4u}) {
+    GdhSignatureShare misplaced =
+        gdh_sign_share(dealing.setup, dealing.shares[0], msg);
+    misplaced.index = index;
+    EXPECT_FALSE(gdh_verify_share(dealing.setup, msg, misplaced));
+  }
 }
 
 TEST_F(ThresholdGdhTest, TooFewSharesRejected) {
@@ -462,6 +474,12 @@ TEST_F(ThresholdElGamalTest, BadShareDetected) {
   ElGamalDecryptionShare bad = elgamal_decrypt_share(dealing.shares[0], ct.c1);
   bad.value = bad.value + dealing.setup.params.group.generator;
   EXPECT_FALSE(elgamal_verify_share(dealing.setup, ct.c1, bad));
+  for (const std::uint32_t index : {0u, 4u}) {
+    ElGamalDecryptionShare misplaced =
+        elgamal_decrypt_share(dealing.shares[0], ct.c1);
+    misplaced.index = index;
+    EXPECT_FALSE(elgamal_verify_share(dealing.setup, ct.c1, misplaced));
+  }
 }
 
 // S_i + T with T = (0, 0) of order 2: ê(P, S_i + T) = ê(P, S_i), so the

@@ -32,8 +32,8 @@ inline const std::set<std::string> kSecretTypes = {
     "PrivateKey",     "SplitKey",       "KeyPair",        "KeyShare",
     "GdhKeyShare",    "ElGamalKeyShare", "Sharing",       "HmacDrbg",
     "Pkg",            "DkgParticipant", "ThresholdDealer", "SemHalfKey",
-    "MRsaKeygenResult", "MRsaSemRecord", "UserKeys",      "IbeSemKey",
-    "IbsSemKey",      "LimbStore",
+    "MRsaKeys",       "MRsaSemRecord",  "IbeSemKey",      "IbsSemKey",
+    "LimbStore",
 };
 
 // Types that hold a SEM-side key half (sem_server.h's lend-don't-copy
