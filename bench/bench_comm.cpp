@@ -21,7 +21,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "elgamal/fo_transform.h"
+#include "elgamal/ec_elgamal.h"
 #include "mediated/mediated_elgamal.h"
 #include "mediated/mediated_gdh.h"
 #include "mediated/mediated_ibe.h"

@@ -16,7 +16,7 @@
 #include <string>
 
 #include "bench_util.h"
-#include "elgamal/fo_transform.h"
+#include "elgamal/ec_elgamal.h"
 #include "mediated/mediated_elgamal.h"
 #include "mediated/mediated_ibe.h"
 #include "pairing/params.h"

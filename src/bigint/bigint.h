@@ -178,4 +178,17 @@ class BigInt {
 /// Streams the decimal representation.
 std::ostream& operator<<(std::ostream& os, const BigInt& v);
 
+/// Wipes a secret held in a named local when its scope ends, by return
+/// or by throw.
+class ScopedWipe {
+ public:
+  explicit ScopedWipe(BigInt& value) : value_(value) {}
+  ScopedWipe(const ScopedWipe&) = delete;
+  ScopedWipe& operator=(const ScopedWipe&) = delete;
+  ~ScopedWipe() { value_.wipe(); }
+
+ private:
+  BigInt& value_;
+};
+
 }  // namespace medcrypt::bigint

@@ -2,31 +2,22 @@
 // cryptosystem the paper's generic claim covers: any scheme with a
 // 2-out-of-2 threshold decryption supports a SEM (§4, last paragraphs).
 //
-// Plain (CPA) variant:
 //   Keygen   x ∈ Z_q, Y = xP
-//   Encrypt  r random, C = < rP, m ⊕ H(r·Y) >
-//   Decrypt  m = C2 ⊕ H(x·C1)
+//   KEM      encrypt: H(r·Y); decrypt: H(S) with S = x·U
 //
-// The shared-secret point S = x·C1 is the threshold-friendly quantity:
-// with x = Σ x_i, partial decryptions x_i·C1 combine by point addition /
-// Lagrange, never revealing x.
+// The CPA and FO variants are the hashed-ElGamal core
+// (elgamal/fo_transform.h) over this KEM, with H3/H4 domains
+// "EG.H3"/"EG.H4". The shared-secret point S = x·U is the
+// threshold-friendly quantity: with x = Σ x_i, partial decryptions x_i·U
+// combine by point addition / Lagrange, never revealing x.
 #pragma once
 
-#include "ec/point.h"
-#include "pairing/param_gen.h"
+#include "elgamal/fo_transform.h"
 
 namespace medcrypt::elgamal {
 
-using bigint::BigInt;
-using ec::Point;
-
-/// Public parameters: a prime-order group and the plaintext size.
-struct Params {
-  pairing::ParamSet group;
-  std::size_t message_len = 32;
-
-  const BigInt& order() const { return group.order(); }
-};
+/// H3/H4 domains of FO-ElGamal.
+inline constexpr FoDomains kEgDomains{"EG.H3", "EG.H4"};
 
 /// ElGamal key pair. The secret scalar is wiped on destruction.
 struct KeyPair {
@@ -46,13 +37,8 @@ struct KeyPair {
 /// Samples a key pair.
 KeyPair keygen(const Params& params, RandomSource& rng);
 
-/// CPA ciphertext <C1, C2>.
-struct CpaCiphertext {
-  Point c1;
-  Bytes c2;
-};
-
-/// Hashed-ElGamal encryption (IND-CPA under DDH... here CDH+RO).
+/// Hashed-ElGamal encryption (IND-CPA under CDH in the random oracle
+/// model).
 CpaCiphertext cpa_encrypt(const Params& params, const Point& pub,
                           BytesView message, RandomSource& rng);
 
@@ -60,8 +46,18 @@ CpaCiphertext cpa_encrypt(const Params& params, const Point& pub,
 Bytes cpa_decrypt(const Params& params, const BigInt& secret,
                   const CpaCiphertext& ct);
 
-/// The mask H(S) used by both variants, exposed for threshold/mediated
-/// recombination from the shared point S = x·C1.
-Bytes mask_from_point(const Point& s, std::size_t n);
+/// IND-CCA encryption (random oracle model, per [11]).
+FoCiphertext fo_encrypt(const Params& params, const Point& pub,
+                        BytesView message, RandomSource& rng);
+
+/// Decrypts with the full secret; throws DecryptionError when the
+/// validity check fails.
+Bytes fo_decrypt(const Params& params, const BigInt& secret,
+                 const FoCiphertext& ct);
+
+/// Decryption given the shared point S = x·U (recombined from threshold
+/// shares or from SEM + user partial decryptions). Same validity check.
+Bytes fo_decrypt_with_shared(const Params& params, const Point& shared,
+                             const FoCiphertext& ct);
 
 }  // namespace medcrypt::elgamal

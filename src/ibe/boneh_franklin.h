@@ -1,29 +1,20 @@
 // The Boneh–Franklin identity-based encryption scheme [BF01], in both
-// variants the paper builds on:
+// variants the paper builds on: BasicIdent (IND-ID-CPA) and FullIdent
+// (IND-ID-CCA) are the hashed-ElGamal core's CPA and FO seals
+// (elgamal/fo_transform.h) over BF's KEM, whose value lives in G_T:
+// H2(g_ID^r) with g_ID = ê(P_pub, Q_ID) on encryption, H2(ê(U, d_ID)) on
+// decryption. The mediated scheme of §4 encrypts like FullIdent and
+// splits ê(U, d_ID) between user and SEM, hence full_decrypt_with_mask.
 //
-//   BasicIdent  (IND-ID-CPA)  C = < rP, m ⊕ H2(ê(P_pub, Q_ID)^r) >
-//   FullIdent   (IND-ID-CCA)  Fujisaki–Okamoto transform of BasicIdent:
-//       σ random, r = H3(σ, M),
-//       C = < rP, σ ⊕ H2(g^r), M ⊕ H4(σ) >  with g = ê(P_pub, Q_ID)
-//
-// The mediated scheme of §4 encrypts exactly like FullIdent; its
-// decryption splits the computation of g_r = ê(U, d_ID) between user and
-// SEM. To support that split, the FullIdent unmasking step is exposed
-// separately (full_decrypt_with_mask).
-//
-// All random oracles are domain-separated SHA-256 constructions:
-//   H1 : identities -> G1        (ec::hash_to_subgroup, domain "BF.H1")
-//   H2 : G2 -> {0,1}^n           (kdf::expand over the Fp2 serialization)
-//   H3 : {0,1}^n x {0,1}^n -> Zq (kdf::hash_to_range)
-//   H4 : {0,1}^n -> {0,1}^n      (kdf::expand)
+// Random oracles (domain-separated SHA-256): H1 identities -> G1
+// ("BF.H1", ec::hash_to_subgroup), H2 G_T -> {0,1}^n ("BF.H2" over the
+// Fp2 serialization), H3 and H4 in the core ("BF.H3", "BF.H4").
 #pragma once
 
 #include <string_view>
 
-#include "ec/point.h"
+#include "elgamal/fo_transform.h"
 #include "field/fp2.h"
-#include "pairing/param_gen.h"
-#include "pairing/tate.h"
 
 namespace medcrypt::ibe {
 
@@ -31,42 +22,34 @@ using bigint::BigInt;
 using ec::Point;
 using field::Fp2;
 
-/// Public system parameters published by the PKG: the pairing group, the
-/// public point P_pub = sP, and the plaintext length n.
-struct SystemParams {
-  pairing::ParamSet group;
+/// Public system parameters published by the PKG: the core's parameters
+/// (the pairing group and the plaintext length n) plus the public point
+/// P_pub = sP.
+struct SystemParams : elgamal::Params {
+  SystemParams() = default;
+  SystemParams(pairing::ParamSet group_, Point p_pub_,
+               std::size_t message_len_ = 32)
+      : elgamal::Params{std::move(group_), message_len_},
+        p_pub(std::move(p_pub_)) {}
+
   Point p_pub;
-  std::size_t message_len = 32;
 
   const ec::Curve* curve() const { return group.curve; }
   const Point& generator() const { return group.generator; }
-  const BigInt& order() const { return group.order(); }
 };
+
+/// H3/H4 domains of FullIdent.
+inline constexpr elgamal::FoDomains kBfDomains{"BF.H3", "BF.H4"};
+
+/// BasicIdent ciphertext <U, V> and FullIdent ciphertext <U, V, W>.
+using BasicCiphertext = elgamal::CpaCiphertext;
+using FullCiphertext = elgamal::FoCiphertext;
 
 /// H1: maps an identity string to Q_ID in G1.
 Point map_identity(const SystemParams& params, std::string_view identity);
 
 /// H2: masks derived from pairing values.
 Bytes mask_from_g(const Fp2& g, std::size_t n);
-
-/// H3: (sigma, message) -> r in Z_q. FullIdent's encryption randomness.
-BigInt derive_r(BytesView sigma, BytesView message, const BigInt& q);
-
-/// H4: sigma-derived message mask.
-Bytes mask_from_sigma(BytesView sigma, std::size_t n);
-
-// ---------------------------------------------------------------------------
-// BasicIdent
-// ---------------------------------------------------------------------------
-
-/// BasicIdent ciphertext <U, V>.
-struct BasicCiphertext {
-  Point u;
-  Bytes v;
-
-  Bytes to_bytes() const;
-  static BasicCiphertext from_bytes(const SystemParams& params, BytesView b);
-};
 
 /// Encrypts `message` (must be exactly params.message_len bytes) for
 /// `identity`. IND-ID-CPA only — malleable by construction.
@@ -78,20 +61,6 @@ BasicCiphertext basic_encrypt(const SystemParams& params,
 /// well-formed ciphertexts (no integrity: wrong keys give garbage).
 Bytes basic_decrypt(const SystemParams& params, const Point& private_key,
                     const BasicCiphertext& ct);
-
-// ---------------------------------------------------------------------------
-// FullIdent
-// ---------------------------------------------------------------------------
-
-/// FullIdent ciphertext <U, V, W>.
-struct FullCiphertext {
-  Point u;
-  Bytes v;
-  Bytes w;
-
-  Bytes to_bytes() const;
-  static FullCiphertext from_bytes(const SystemParams& params, BytesView b);
-};
 
 /// Encrypts `message` (exactly params.message_len bytes) for `identity`.
 FullCiphertext full_encrypt(const SystemParams& params,

@@ -65,7 +65,9 @@ BigInt IbMRsaSystem::full_exponent(std::string_view identity) const {
 
 MRsaKeys IbMRsaSystem::issue(std::string_view identity,
                              RandomSource& rng) const {
-  const BigInt d = full_exponent(identity);
+  // d_ID with the public e_ID factors the common modulus.
+  BigInt d = full_exponent(identity);
+  const bigint::ScopedWipe wipe_d(d);
   auto [d_user, d_sem] = rsa::split_exponent(d, phi_, rng);
   return MRsaKeys{identity_key(params_, identity), std::move(d_user),
                   std::move(d_sem)};

@@ -12,13 +12,13 @@ Bytes MediatedElGamalUser::decrypt(const elgamal::FoCiphertext& ct,
                                    const GdhMediator& sem,
                                    sim::Transport* transport) const {
   if (transport != nullptr) {
-    transport->send_to_server(identity_.size() + ct.c1.to_bytes().size());
+    transport->send_to_server(identity_.size() + ct.u.to_bytes().size());
   }
-  const Point s_sem = sem.issue_token(identity_, ct.c1);
+  const Point s_sem = sem.issue_token(identity_, ct.u);
   if (transport != nullptr) {
     transport->send_to_client(s_sem.to_bytes().size());
   }
-  const Point shared = s_sem + ct.c1.mul(user_key_);
+  const Point shared = s_sem + ct.u.mul(user_key_);
   return elgamal::fo_decrypt_with_shared(params_, shared, ct);
 }
 

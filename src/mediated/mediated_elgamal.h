@@ -4,18 +4,18 @@
 // semantically secure mediated cryptosystem.
 //
 //   Keygen: x = x_user + x_sem (mod q), Y = x·P.
-//   Decrypt C = <C1, C2, C3>:
-//     SEM:  check revocation; S_sem = x_sem·C1                → token
-//     user: S = S_sem + x_user·C1; FO-decrypt with shared S.
+//   Decrypt C = <U, V, W>:
+//     SEM:  check revocation; S_sem = x_sem·U                → token
+//     user: S = S_sem + x_user·U; FO-decrypt with shared S.
 //
 // Unlike the identity-based schemes, keys here are ordinary certified
 // public keys — this is the paper's bridge from SEM revocation to
 // conventional PKI cryptosystems. The SEM half is a Z_q scalar, as in
 // mediated GDH, so the SEM is a GdhMediator: its subgroup-checked
-// x_sem·T token serves C1 here and blinded hashes there.
+// x_sem·T token serves U here and blinded hashes there.
 #pragma once
 
-#include "elgamal/fo_transform.h"
+#include "elgamal/ec_elgamal.h"
 #include "mediated/mediated_gdh.h"
 #include "sim/transport.h"
 

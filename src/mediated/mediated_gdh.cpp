@@ -93,7 +93,9 @@ std::pair<BigInt, Point> enroll_scalar_halves(const pairing::ParamSet& group,
   // §5 Keygen: the TA samples both halves directly.
   BigInt x_user = BigInt::random_unit(rng, group.order());
   BigInt x_sem = BigInt::random_unit(rng, group.order());
-  Point public_key = group.mul_g(x_user.add_mod(x_sem, group.order()));
+  BigInt x = x_user.add_mod(x_sem, group.order());  // the full key
+  const bigint::ScopedWipe wipe_x(x);
+  Point public_key = group.mul_g(x);
   sem.install_key(identity, std::move(x_sem));
   return {std::move(x_user), std::move(public_key)};
 }

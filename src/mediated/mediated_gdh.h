@@ -72,7 +72,7 @@ class GdhMediator : public MediatorBase<BigInt> {
   /// Issues x_sem·T for a caller-supplied point T: the blinded message
   /// hash of gdh::blind_message (revocable blind signing: the SEM learns
   /// nothing about the message but still enforces revocation) or a
-  /// mediated ElGamal C1. Throws InvalidArgument unless T ∈ G1 \ {O} —
+  /// mediated ElGamal U. Throws InvalidArgument unless T ∈ G1 \ {O} —
   /// x_sem·T for T of order dividing h would leak x_sem modulo that
   /// order — and RevokedError if `identity` is revoked.
   Point issue_token(std::string_view identity, const Point& t) const;

@@ -19,21 +19,21 @@ ElGamalDealing elgamal_threshold_setup(elgamal::Params params, std::size_t t,
 }
 
 ElGamalDecryptionShare elgamal_decrypt_share(const ElGamalKeyShare& share,
-                                             const Point& c1) {
-  if (c1.is_infinity() || !c1.in_subgroup()) {
-    throw InvalidArgument("elgamal_decrypt_share: C1 not in the subgroup");
+                                             const Point& u) {
+  if (u.is_infinity() || !u.in_subgroup()) {
+    throw InvalidArgument("elgamal_decrypt_share: U not in the subgroup");
   }
-  return ElGamalDecryptionShare{share.index, c1.mul(share.value)};
+  return ElGamalDecryptionShare{share.index, u.mul(share.value)};
 }
 
-bool elgamal_verify_share(const ElGamalSetup& setup, const Point& c1,
+bool elgamal_verify_share(const ElGamalSetup& setup, const Point& u,
                           const ElGamalDecryptionShare& share) {
   const Point* y_i = setup.public_point(share.index);
-  // S_i is checked as a GDH signature on C1 under Y_i: S_i ∈ G1 \ {O}
-  // and ê(P, S_i) = ê(Y_i, C1). Without the G1 check S_i + T would pass
+  // S_i is checked as a GDH signature on U under Y_i: S_i ∈ G1 \ {O}
+  // and ê(P, S_i) = ê(Y_i, U). Without the G1 check S_i + T would pass
   // for any T of order dividing h, and the combiner would add λ_i·T.
   return y_i != nullptr &&
-         gdh::verify_prehashed(setup.params.group, *y_i, c1, share.value);
+         gdh::verify_prehashed(setup.params.group, *y_i, u, share.value);
 }
 
 Point elgamal_combine_shares(const ElGamalSetup& setup,

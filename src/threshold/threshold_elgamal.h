@@ -4,15 +4,15 @@
 // it splits x additively, x = x_user + x_sem, with no Lagrange step.
 //
 //   Setup    dealer shares x; verification keys Y_i = x_i·P; Y = x·P.
-//   Decrypt  player i outputs the partial point S_i = x_i·C1;
-//            (optionally checked via ê(P, S_i) = ê(Y_i, C1) — our group
+//   Decrypt  player i outputs the partial point S_i = x_i·U;
+//            (optionally checked via ê(P, S_i) = ê(Y_i, U) — our group
 //            is pairing-friendly, so share verification is free);
-//            S = Σ L_i S_i = x·C1 feeds fo_decrypt_with_shared.
+//            S = Σ L_i S_i = x·U feeds fo_decrypt_with_shared.
 #pragma once
 
 #include <vector>
 
-#include "elgamal/fo_transform.h"
+#include "elgamal/ec_elgamal.h"
 #include "threshold/threshold_keys.h"
 
 namespace medcrypt::threshold {
@@ -52,24 +52,24 @@ struct ElGamalDealing {
 ElGamalDealing elgamal_threshold_setup(elgamal::Params params, std::size_t t,
                                        std::size_t n, RandomSource& rng);
 
-/// A partial decryption S_i = x_i·C1.
+/// A partial decryption S_i = x_i·U.
 struct ElGamalDecryptionShare {
   std::uint32_t index = 0;
   Point value;
 };
 
 /// Player-side partial decryption. Throws InvalidArgument unless
-/// C1 ∈ G1 \ {O}: x_i·T for T of order dividing h would leak x_i mod
+/// U ∈ G1 \ {O}: x_i·T for T of order dividing h would leak x_i mod
 /// that order.
 ElGamalDecryptionShare elgamal_decrypt_share(const ElGamalKeyShare& share,
-                                             const Point& c1);
+                                             const Point& u);
 
-/// Pairing-based share check: S_i ∈ G1 \ {O} and ê(P, S_i) = ê(Y_i, C1).
-bool elgamal_verify_share(const ElGamalSetup& setup, const Point& c1,
+/// Pairing-based share check: S_i ∈ G1 \ {O} and ê(P, S_i) = ê(Y_i, U).
+bool elgamal_verify_share(const ElGamalSetup& setup, const Point& u,
                           const ElGamalDecryptionShare& share);
 
 /// Combines exactly t shares with distinct indices in [1, n] into
-/// S = x·C1. Throws InvalidArgument otherwise.
+/// S = x·U. Throws InvalidArgument otherwise.
 Point elgamal_combine_shares(const ElGamalSetup& setup,
                              std::span<const ElGamalDecryptionShare> shares);
 

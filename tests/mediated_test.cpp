@@ -470,7 +470,7 @@ TEST_F(MediatedElGamalTest, GoldenVectors) {
   const auto ct = elgamal::fo_encrypt(params_, alice.public_key(), m, rng_);
   EXPECT_EQ(to_hex(alice.public_key().to_bytes()),
             "024ac6a03d116f90a142df3ef0b100e974");
-  EXPECT_EQ(to_hex(sem_.issue_token("alice", ct.c1).to_bytes()),
+  EXPECT_EQ(to_hex(sem_.issue_token("alice", ct.u).to_bytes()),
             "020f8e99c64379969219bee4e7b6bfa626");
   EXPECT_EQ(alice.decrypt(ct, sem_), m);
 }

@@ -9,6 +9,10 @@
 //   - the audit counters exactly account for every attempt;
 //   - after a final revocation epoch flip, every identity is denied.
 //
+// BatchIssueAgainstConcurrentRevocation runs the batch issuers
+// (IbeMediator and GdhMediator::issue_tokens, one shared revocation
+// snapshot per batch) against a revoker.
+//
 // SemStressSharedParams drives the other shared state every SEM thread
 // reads: one ParamSet's pairing context (engine, programs of P and P~,
 // ê(P, P)), used at once by GDH verifiers, Hess signers and verifiers,
@@ -30,7 +34,9 @@
 #include "gdh/bls.h"
 #include "hash/drbg.h"
 #include "ibs/hess.h"
+#include "ibe/pkg.h"
 #include "mediated/mediated_gdh.h"
+#include "mediated/mediated_ibe.h"
 #include "pairing/params.h"
 #include "threshold/threshold_ibe.h"
 
@@ -143,6 +149,108 @@ TEST(SemStress, ConcurrentInstallRevokeIssue) {
   for (const std::string& id : ids) {
     EXPECT_THROW((void)sem.issue_token(id, msg), RevokedError) << id;
   }
+}
+
+// Batch issuers against a live revocation list: IBE and GDH threads call
+// issue_tokens while a revoker flips the churned identities. Each batch
+// lists one churned identity twice; one batch reads one snapshot, so
+// both slots must agree. Stable identities are never revoked and must
+// always get issue_token's token.
+TEST(SemStress, BatchIssueAgainstConcurrentRevocation) {
+  const auto& group = pairing::toy_params();
+  auto revocations = std::make_shared<RevocationList>();
+  HmacDrbg rng(780);
+  const ibe::Pkg pkg(group, 32, rng);
+  IbeMediator ibe_sem(pkg.params(), revocations);
+  GdhMediator gdh_sem(group, revocations);
+
+  constexpr int kIds = 4;  // 0 and 1 stable, 2 and 3 churned
+  constexpr int kThreadsPerScheme = 2;
+  constexpr int kBatchesPerThread = 100;
+  const std::vector<std::string> ids = {"stable0", "stable1", "churned0",
+                                        "churned1"};
+  for (const std::string& id : ids) {
+    ibe_sem.install_key(id, pkg.extract_split(id, rng).sem);
+    gdh_sem.install_key(id, bigint::BigInt::random_unit(rng, group.order()));
+  }
+  const ec::Point u =
+      group.mul_g(bigint::BigInt::random_unit(rng, group.order()));
+  const Bytes msg = str_bytes("batch probe");
+  std::vector<field::Fp2> ibe_expected;
+  std::vector<ec::Point> gdh_expected;
+  for (const std::string& id : ids) {
+    ibe_expected.push_back(ibe_sem.issue_token(id, u));
+    gdh_expected.push_back(gdh_sem.issue_token(id, msg));
+  }
+  const SemStats ibe_before = ibe_sem.stats();
+  const SemStats gdh_before = gdh_sem.stats();
+
+  // Request i of a batch names ids[kPick[i]]: both stable identities and
+  // churned0 twice, around churned1.
+  constexpr int kPick[] = {0, 2, 3, 1, 2};
+  constexpr int kSlots = std::size(kPick);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> ibe_issued{0}, gdh_issued{0};
+  std::atomic<std::uint64_t> ibe_denied{0}, gdh_denied{0};
+  std::atomic<int> wrong{0};
+  // Checks one batch's slots; returns {issued, denied}.
+  const auto check = [&](const auto& out, const auto& expected) {
+    std::uint64_t issued = 0;
+    for (int i = 0; i < kSlots; ++i) {
+      if (!out[i].has_value()) continue;
+      ++issued;
+      if (!(*out[i] == expected[kPick[i]])) wrong.fetch_add(1);
+    }
+    if (!out[0] || !out[3]) wrong.fetch_add(1);  // stable
+    if (out[1].has_value() != out[4].has_value()) wrong.fetch_add(1);
+    return std::pair{issued, kSlots - issued};
+  };
+
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreadsPerScheme; ++t) {
+    pool.emplace_back([&] {
+      std::vector<IbeMediator::TokenRequest> batch;
+      for (const int pick : kPick) batch.push_back({ids[pick], &u});
+      for (int b = 0; b < kBatchesPerThread; ++b) {
+        const auto [issued, denied] =
+            check(ibe_sem.issue_tokens(batch), ibe_expected);
+        ibe_issued.fetch_add(issued);
+        ibe_denied.fetch_add(denied);
+      }
+    });
+    pool.emplace_back([&] {
+      std::vector<GdhMediator::SignRequest> batch;
+      for (const int pick : kPick) batch.push_back({ids[pick], msg});
+      for (int b = 0; b < kBatchesPerThread; ++b) {
+        const auto [issued, denied] =
+            check(gdh_sem.issue_tokens(batch), gdh_expected);
+        gdh_issued.fetch_add(issued);
+        gdh_denied.fetch_add(denied);
+      }
+    });
+  }
+  std::thread revoker([&] {
+    while (!stop.load()) {
+      for (int i = 2; i < kIds; ++i) revocations->revoke(ids[i]);
+      for (int i = 2; i < kIds; ++i) revocations->unrevoke(ids[i]);
+    }
+  });
+  for (auto& th : pool) th.join();
+  stop.store(true);
+  revoker.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  // Every slot is one issued token or one denial in the audit counters.
+  const std::uint64_t slots =
+      std::uint64_t{kThreadsPerScheme} * kBatchesPerThread * kSlots;
+  EXPECT_EQ(ibe_issued.load() + ibe_denied.load(), slots);
+  EXPECT_EQ(gdh_issued.load() + gdh_denied.load(), slots);
+  EXPECT_EQ(ibe_sem.stats().tokens_issued - ibe_before.tokens_issued,
+            ibe_issued.load());
+  EXPECT_EQ(ibe_sem.stats().denials - ibe_before.denials, ibe_denied.load());
+  EXPECT_EQ(gdh_sem.stats().tokens_issued - gdh_before.tokens_issued,
+            gdh_issued.load());
+  EXPECT_EQ(gdh_sem.stats().denials - gdh_before.denials, gdh_denied.load());
 }
 
 TEST(SemStress, ParallelReadersShareOneShardSafely) {

@@ -456,10 +456,10 @@ TEST_F(ThresholdElGamalTest, ThresholdDecryptionRoundTrip) {
       elgamal::fo_encrypt(dealing.setup.params, dealing.setup.public_key, m, rng_);
 
   std::vector<ElGamalDecryptionShare> shares = {
-      elgamal_decrypt_share(dealing.shares[0], ct.c1),
-      elgamal_decrypt_share(dealing.shares[2], ct.c1)};
+      elgamal_decrypt_share(dealing.shares[0], ct.u),
+      elgamal_decrypt_share(dealing.shares[2], ct.u)};
   for (const auto& s : shares) {
-    EXPECT_TRUE(elgamal_verify_share(dealing.setup, ct.c1, s));
+    EXPECT_TRUE(elgamal_verify_share(dealing.setup, ct.u, s));
   }
   const ec::Point shared = elgamal_combine_shares(dealing.setup, shares);
   EXPECT_EQ(elgamal::fo_decrypt_with_shared(dealing.setup.params, shared, ct), m);
@@ -471,14 +471,14 @@ TEST_F(ThresholdElGamalTest, BadShareDetected) {
   rng_.fill(m);
   const auto ct =
       elgamal::fo_encrypt(dealing.setup.params, dealing.setup.public_key, m, rng_);
-  ElGamalDecryptionShare bad = elgamal_decrypt_share(dealing.shares[0], ct.c1);
+  ElGamalDecryptionShare bad = elgamal_decrypt_share(dealing.shares[0], ct.u);
   bad.value = bad.value + dealing.setup.params.group.generator;
-  EXPECT_FALSE(elgamal_verify_share(dealing.setup, ct.c1, bad));
+  EXPECT_FALSE(elgamal_verify_share(dealing.setup, ct.u, bad));
   for (const std::uint32_t index : {0u, 4u}) {
     ElGamalDecryptionShare misplaced =
-        elgamal_decrypt_share(dealing.shares[0], ct.c1);
+        elgamal_decrypt_share(dealing.shares[0], ct.u);
     misplaced.index = index;
-    EXPECT_FALSE(elgamal_verify_share(dealing.setup, ct.c1, misplaced));
+    EXPECT_FALSE(elgamal_verify_share(dealing.setup, ct.u, misplaced));
   }
 }
 
@@ -497,15 +497,15 @@ TEST_F(ThresholdElGamalTest, SmallOrderShareRejected) {
   const ec::Point t = group.curve->point(field->zero(), field->zero());
 
   const ElGamalDecryptionShare honest =
-      elgamal_decrypt_share(dealing.shares[0], ct.c1);
+      elgamal_decrypt_share(dealing.shares[0], ct.u);
   ElGamalDecryptionShare bad = honest;
   bad.value += t;
   const pairing::TatePairing pairing(group.curve);
   ASSERT_EQ(pairing.pair(group.generator, bad.value),
             pairing.pair(group.generator, honest.value));
 
-  EXPECT_TRUE(elgamal_verify_share(dealing.setup, ct.c1, honest));
-  EXPECT_FALSE(elgamal_verify_share(dealing.setup, ct.c1, bad));
+  EXPECT_TRUE(elgamal_verify_share(dealing.setup, ct.u, honest));
+  EXPECT_FALSE(elgamal_verify_share(dealing.setup, ct.u, bad));
 }
 
 TEST_F(ThresholdElGamalTest, SetupRejectsBadIndicesAndThresholds) {
@@ -542,8 +542,8 @@ TEST_F(ThresholdElGamalTest, TwoOfTwoSplitIsMediatedShape) {
   const auto ct =
       elgamal::fo_encrypt(dealing.setup.params, dealing.setup.public_key, m, rng_);
   std::vector<ElGamalDecryptionShare> shares = {
-      elgamal_decrypt_share(dealing.shares[0], ct.c1),
-      elgamal_decrypt_share(dealing.shares[1], ct.c1)};
+      elgamal_decrypt_share(dealing.shares[0], ct.u),
+      elgamal_decrypt_share(dealing.shares[1], ct.u)};
   const ec::Point shared = elgamal_combine_shares(dealing.setup, shares);
   EXPECT_EQ(elgamal::fo_decrypt_with_shared(dealing.setup.params, shared, ct), m);
 }
@@ -601,7 +601,7 @@ void combine_labelled(Combiner combiner,
       std::vector<ElGamalDecryptionShare> shares;
       for (std::uint32_t label : labels) {
         shares.push_back(
-            elgamal_decrypt_share(dealing.shares[player(label)], ct.c1));
+            elgamal_decrypt_share(dealing.shares[player(label)], ct.u));
         shares.back().index = label;
       }
       (void)elgamal_combine_shares(dealing.setup, shares);
