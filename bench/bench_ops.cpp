@@ -15,6 +15,7 @@
 
 #include "bench_util.h"
 #include "bigint/montgomery.h"
+#include "ec/jacobian.h"
 #include "ec/hash_to_point.h"
 #include "hash/drbg.h"
 #include "hash/sha256.h"
@@ -124,6 +125,46 @@ void BM_ScalarMul_AffineAblation_sec80(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(f.p.mul_affine(f.a));
 }
 BENCHMARK(BM_ScalarMul_AffineAblation_sec80);
+
+// Σ ρ_i·V_i for three public 80-bit weights and points, the robust
+// combiner's batch left-hand side at t = 3: one Straus pass over
+// width-w NAF digits (ec::multi_mul) in place of three 160-step ladders.
+void BM_MultiMul_3x80_sec80(benchmark::State& state) {
+  hash::HmacDrbg rng(2);
+  std::vector<ec::Point> points;
+  std::vector<bigint::BigInt> weights;
+  for (int i = 0; i < 3; ++i) {
+    points.push_back(
+        params().mul_g(bigint::BigInt::random_unit(rng, params().order())));
+    weights.push_back(
+        bigint::BigInt::random_below(rng, bigint::BigInt(1) << 80));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ec::multi_mul(points, weights));
+  }
+}
+BENCHMARK(BM_MultiMul_3x80_sec80);
+
+// Π g_j^e_j over 12 G_T bases and 160-bit public exponents, the robust
+// combiner's batch right-hand side at t = 3: interleaved sliding
+// windows over one squaring chain (field::multi_pow).
+void BM_MultiPow_12x160_sec80(benchmark::State& state) {
+  auto& f = fixture();
+  hash::HmacDrbg rng(3);
+  const field::Fp2 g = f.engine.pair(f.p, f.q);
+  const std::size_t bits = params().order().bit_length();
+  std::vector<field::Fp2> bases;
+  std::vector<bigint::BigInt> exps;
+  for (int i = 0; i < 12; ++i) {
+    bases.push_back(field::pow_unitary(
+        g, bigint::BigInt::random_unit(rng, params().order()), bits));
+    exps.push_back(bigint::BigInt::random_unit(rng, params().order()));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(field::multi_pow(bases, exps));
+  }
+}
+BENCHMARK(BM_MultiPow_12x160_sec80);
 
 // g^a for a G_T value g and a secret 160-bit a, the power BF encryption
 // and the Hess commitments pay: the unitary Lucas ladder plus its one

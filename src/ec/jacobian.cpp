@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 
 #include "common/error.h"
 
@@ -272,6 +273,97 @@ JacPoint ladder_mul(const Point& p, const bigint::BigInt& k) {
   Fp yj = z.square();
   yj *= l.t0;               // Y'·Z'^2
   return JacPoint{std::move(xj), std::move(yj), std::move(z), false};
+}
+
+namespace {
+
+// NAF width for a public scalar of `bits` bits. A width-w table costs
+// 2^(w-1) - 2 mixed additions (P + P, then +P up to (2^(w-1) - 1)·P),
+// and the digits cost one addition per w + 1 bits on average, so each
+// width wins from where its saved additions pay for its table.
+unsigned naf_width(std::size_t bits) {
+  if (bits < 24) return 2;
+  if (bits < 80) return 3;
+  if (bits < 240) return 4;
+  return 5;
+}
+
+// Width-w NAF of |k|, least significant digit first: every digit is 0
+// or odd with |d| < 2^(w-1), and at least w - 1 zeros follow a nonzero
+// one (the carry-propagating scan of libsecp256k1's ecmult_wnaf).
+std::vector<int> wnaf(const bigint::BigInt& k, unsigned w) {
+  const std::size_t len = k.bit_length();
+  std::vector<int> digits(len + 1, 0);
+  int carry = 0;
+  for (std::size_t bit = 0; bit < len;) {
+    if (static_cast<int>(k.bit(bit)) == carry) {
+      ++bit;
+      continue;
+    }
+    // The window's low bit differs from the carry, so word is odd.
+    const std::size_t now = std::min<std::size_t>(w, len - bit);
+    int word = carry;
+    for (std::size_t j = 0; j < now; ++j) {
+      word += static_cast<int>(k.bit(bit + j)) << j;
+    }
+    carry = (word >> (w - 1)) & 1;
+    digits[bit] = word - (carry << w);
+    bit += now;
+  }
+  digits[len] = carry;
+  return digits;
+}
+
+}  // namespace
+
+Point multi_mul(std::span<const Point> points,
+                std::span<const bigint::BigInt> scalars) {
+  if (points.empty() || points.size() != scalars.size()) {
+    throw InvalidArgument("multi_mul: need equally long, non-empty spans");
+  }
+  const Curve* curve = points.front().curve();
+  if (curve == nullptr) {
+    throw InvalidArgument("multi_mul: default-constructed point");
+  }
+  // One term per nonzero multiple: the digits of |k| and where its table
+  // of odd multiples of sign(k)·P starts in `odd`.
+  struct Term {
+    std::vector<int> digits;
+    std::size_t table;
+  };
+  std::vector<Term> terms;
+  std::vector<JacPoint> odd_jac;
+  for (std::size_t j = 0; j < points.size(); ++j) {
+    const bigint::BigInt& k = scalars[j];
+    if (points[j].is_infinity() || k.is_zero()) continue;
+    const Point base = k.is_negative() ? -points[j] : points[j];
+    const unsigned w = naf_width(k.bit_length());
+    terms.push_back({wnaf(k, w), odd_jac.size()});
+    // P, 3P, 5P, ... by repeated mixed additions of P; an intermediate
+    // multiple may be O (P of small order), which the additions handle.
+    JacPoint multiple = jac_from_affine(base);
+    odd_jac.push_back(multiple);
+    for (std::size_t m = 2; m < (std::size_t{1} << (w - 1)); ++m) {
+      multiple = jac_add_mixed(multiple, base);
+      if (m % 2 == 1) odd_jac.push_back(multiple);
+    }
+  }
+  const std::vector<Point> odd = jac_to_affine_batch(curve, odd_jac);
+
+  std::size_t top = 0;
+  for (const Term& t : terms) top = std::max(top, t.digits.size());
+  JacPoint acc;
+  for (std::size_t i = top; i-- > 0;) {
+    acc = jac_dbl(acc);
+    for (const Term& t : terms) {
+      const int d = i < t.digits.size() ? t.digits[i] : 0;
+      if (d == 0) continue;
+      const Point& m = odd[t.table + static_cast<std::size_t>(std::abs(d)) / 2];
+      if (m.is_infinity()) continue;
+      acc = d > 0 ? jac_add_mixed(acc, m) : jac_add_mixed(acc, -m);
+    }
+  }
+  return jac_to_affine(curve, acc);
 }
 
 }  // namespace medcrypt::ec

@@ -15,7 +15,10 @@
 // Variable-base multiples (Point::mul, the subgroup check, cofactor
 // clearing) run one x-only Montgomery ladder instead (ladder_mul below):
 // y^2 = x^3 + x is the Montgomery curve B·y^2 = x^3 + A·x^2 + x with
-// A = 0 and B = 1, so the ladder needs no change of model.
+// A = 0 and B = 1, so the ladder needs no change of model. A sum of
+// multiples whose scalars and points are all public (the batch proof
+// check's Σ ρ_i·V_i) runs multi_mul, which pays per set digit rather
+// than per bit of q.
 //
 // The affine path in ec/point.cpp remains the reference implementation;
 // tests cross-check the two and an ablation bench measures the gap.
@@ -94,5 +97,18 @@ JacPoint jac_add_mixed(const JacPoint& t, const Point& p,
 /// subgroup check of a member pays the steps alone), and
 /// Z((k+1)P) = 0 gives -p.
 JacPoint ladder_mul(const Point& p, const bigint::BigInt& k);
+
+/// Σ scalars[j]·points[j] for PUBLIC scalars and points (Straus): one
+/// shared doubling chain over the width-w NAF digits of every scalar,
+/// each digit a mixed addition of ±(odd multiple) from the point's
+/// table P, 3P, ..., (2^(w-1) - 1)·P, all tables brought to affine by
+/// one batch inversion; w grows with the scalar's length. Exact for
+/// every on-curve input: any integer scalar (zero, negative, ≥ q) and
+/// any point (O, (0, 0), points outside the order-q subgroup, repeats).
+/// Variable time: branches and table indices follow the digits, so a
+/// secret scalar or point goes through ladder_mul instead. Throws
+/// InvalidArgument unless the spans are non-empty and equally long.
+Point multi_mul(std::span<const Point> points,
+                std::span<const bigint::BigInt> scalars);
 
 }  // namespace medcrypt::ec

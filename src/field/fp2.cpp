@@ -1,7 +1,9 @@
 #include "field/fp2.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 
@@ -175,14 +177,73 @@ Fp2 gt_from_bytes(const PrimeField* field, BytesView bytes) {
   return Fp2(std::move(re), std::move(im));
 }
 
+namespace {
+
+// Sliding-window width for a public exponent of `bits` bits. A width-w
+// table costs one squaring and 2^(w-1) - 1 multiplications (x, x^3, ...,
+// x^(2^w - 1)), and the windows cost one multiplication per w + 1 bits
+// on average, so each width wins from where its saved multiplications
+// pay for its table.
+unsigned window_width(std::size_t bits) {
+  if (bits < 12) return 1;
+  if (bits < 24) return 2;
+  if (bits < 80) return 3;
+  if (bits < 240) return 4;
+  return 5;
+}
+
+}  // namespace
+
 Fp2 multi_pow(std::span<const Fp2> bases, std::span<const BigInt> exps) {
-  std::size_t bits = 0;
-  for (const BigInt& e : exps) bits = std::max(bits, e.bit_length());
+  if (bases.empty() || bases.size() != exps.size()) {
+    throw InvalidArgument("multi_pow: need equally long, non-empty spans");
+  }
+  // Cut each exponent, from its top bit down, into windows of at most w
+  // bits that begin and end with a set bit. A window of value v whose low
+  // bit is i multiplies the shared accumulator by base^v right after the
+  // squaring for bit i, so only odd powers are tabled.
+  struct Term {
+    std::vector<std::uint8_t> windows;  // v at its low bit, else 0
+    std::vector<Fp2> odd_powers;        // base, base^3, ..., base^(2^w - 1)
+  };
+  std::vector<Term> terms(bases.size());
+  std::size_t top = 0;
+  for (std::size_t j = 0; j < bases.size(); ++j) {
+    const BigInt& e = exps[j];
+    if (e.is_negative()) throw InvalidArgument("multi_pow: negative exponent");
+    const std::size_t len = e.bit_length();
+    if (len == 0) continue;
+    const unsigned w = window_width(len);
+    Term& t = terms[j];
+    t.windows.assign(len, 0);
+    for (std::size_t i = len; i-- > 0;) {
+      if (!e.bit(i)) continue;
+      std::size_t low = i + 1 >= w ? i + 1 - w : 0;
+      while (!e.bit(low)) ++low;
+      std::uint8_t v = 0;
+      for (std::size_t b = i + 1; b-- > low;) {
+        v = static_cast<std::uint8_t>(2 * v + (e.bit(b) ? 1 : 0));
+      }
+      t.windows[low] = v;
+      i = low;
+    }
+    t.odd_powers.assign(std::size_t{1} << (w - 1), bases[j]);
+    if (t.odd_powers.size() > 1) {
+      const Fp2 sq = bases[j].square();
+      for (std::size_t k = 1; k < t.odd_powers.size(); ++k) {
+        t.odd_powers[k] = t.odd_powers[k - 1] * sq;
+      }
+    }
+    top = std::max(top, len);
+  }
+
   Fp2 acc = Fp2::one(bases.front().re().field());
-  for (std::size_t i = bits; i-- > 0;) {
+  for (std::size_t i = top; i-- > 0;) {
     acc.square_inplace();
-    for (std::size_t j = 0; j < bases.size(); ++j) {
-      if (exps[j].bit(i)) acc.mul_inplace(bases[j]);
+    for (const Term& t : terms) {
+      if (i < t.windows.size() && t.windows[i] != 0) {
+        acc.mul_inplace(t.odd_powers[t.windows[i] / 2]);
+      }
     }
   }
   return acc;

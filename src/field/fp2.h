@@ -127,9 +127,13 @@ Bytes gt_to_bytes(const Fp2& x);
 /// m ≥ p.
 Fp2 gt_from_bytes(const PrimeField* field, BytesView bytes);
 
-/// Π bases[j]^exps[j] over one shared squaring chain (Straus).
-/// Variable time like Fp2::pow: public exponents only. `bases` must be
-/// non-empty and as long as `exps`.
+/// Π bases[j]^exps[j] over one shared squaring chain (Straus), each
+/// exponent cut into sliding windows of odd value, so a base costs its
+/// odd powers base, base^3, ..., base^(2^w - 1) plus one multiplication
+/// per window; w grows with the exponent's length. Variable time like
+/// Fp2::pow: public exponents only. Throws InvalidArgument unless
+/// `bases` is non-empty and as long as `exps`, or on a negative
+/// exponent.
 Fp2 multi_pow(std::span<const Fp2> bases, std::span<const BigInt> exps);
 
 }  // namespace medcrypt::field

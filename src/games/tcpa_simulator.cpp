@@ -47,23 +47,21 @@ threshold::ThresholdSetup simulate_threshold_setup(
     const pairing::ParamSet& group, std::size_t message_len, std::size_t t,
     std::size_t n, std::span<const CorruptedShare> corrupted,
     const Point& p_pub) {
-  threshold::ThresholdSetup setup;
-  setup.params.group = group;
-  setup.params.p_pub = p_pub;
-  setup.params.message_len = message_len;
-  setup.threshold = t;
-  setup.players = n;
-  setup.verification_keys =
+  threshold::ThresholdKeys keys;
+  keys.threshold = t;
+  keys.players = n;
+  keys.verification_keys =
       simulate_verification_keys(group, t, n, corrupted, p_pub);
-  return setup;
+  return threshold::ThresholdSetup(
+      ibe::SystemParams(group, p_pub, message_len), std::move(keys));
 }
 
 threshold::KeyShare simulate_corrupted_key_share(
     const threshold::ThresholdSetup& setup, const CorruptedShare& share,
     std::string_view identity) {
-  return threshold::KeyShare{
-      share.index,
-      ibe::map_identity(setup.params, identity).mul(share.value)};
+  return threshold::KeyShare(
+      setup.params.group, share.index,
+      ibe::map_identity(setup.params, identity).mul(share.value));
 }
 
 }  // namespace medcrypt::games

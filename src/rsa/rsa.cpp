@@ -1,5 +1,7 @@
 #include "rsa/rsa.h"
 
+#include <utility>
+
 #include "bigint/prime.h"
 #include "common/error.h"
 
@@ -45,9 +47,13 @@ BigInt private_op(const PrivateKey& key, const BigInt& x) {
 
 std::pair<BigInt, BigInt> split_exponent(const BigInt& d, const BigInt& phi,
                                          RandomSource& rng) {
-  const BigInt d_user = BigInt::random_unit(rng, phi);
-  const BigInt d_sem = d.mod(phi).sub_mod(d_user, phi);
-  return {d_user, d_sem};
+  // The halves are moved out, so no copy of either outlives the call;
+  // d mod φ is wiped here.
+  BigInt d_user = BigInt::random_unit(rng, phi);
+  BigInt d_mod_phi = d.mod(phi);
+  const bigint::ScopedWipe wipe_d(d_mod_phi);
+  BigInt d_sem = d_mod_phi.sub_mod(d_user, phi);
+  return {std::move(d_user), std::move(d_sem)};
 }
 
 std::optional<std::pair<BigInt, BigInt>> factor_from_exponents(

@@ -140,22 +140,20 @@ ThresholdSetup ibe_setup_from_dkg(const pairing::ParamSet& group,
                                   std::size_t message_len, std::size_t t,
                                   std::size_t n,
                                   const DkgParticipant::Result& r) {
-  ThresholdSetup setup;
-  setup.params.group = group;
-  setup.params.p_pub = r.public_key;
-  setup.params.message_len = message_len;
-  setup.threshold = t;
-  setup.players = n;
-  setup.verification_keys = r.verification_keys;
-  return setup;
+  ThresholdKeys keys;
+  keys.threshold = t;
+  keys.players = n;
+  keys.verification_keys = r.verification_keys;
+  return ThresholdSetup(ibe::SystemParams(group, r.public_key, message_len),
+                        std::move(keys));
 }
 
 KeyShare ibe_key_share_from_dkg(const ThresholdSetup& setup,
                                 std::uint32_t index,
                                 const bigint::BigInt& secret_share,
                                 std::string_view identity) {
-  return KeyShare{index,
-                  ibe::map_identity(setup.params, identity).mul(secret_share)};
+  return KeyShare(setup.params.group, index,
+                  ibe::map_identity(setup.params, identity).mul(secret_share));
 }
 
 }  // namespace medcrypt::threshold

@@ -14,10 +14,10 @@
 //            ê(P, V) = w1 · Y1^e
 //            ê(U, V) = w2 · S^e
 //
-// The prover runs no raw-chain pairing: S and w2 replay one prepared
-// program of U, Y1 = ê(P, d_IDi) replays the ParamSet's program of P,
-// each finished by its own final exponentiation, and w1 = ê(P, P)^k
-// over the ParamSet's ê(P, P).
+// Per proof the prover pays only for what depends on U: S and w2 replay
+// one prepared program of U, each finished by its own final
+// exponentiation, and w1 = ê(P, P)^k over the ParamSet's ê(P, P). Y1 is
+// fixed by the key share, which carries it (KeyShare::y1).
 //
 // The verifier folds a whole batch of n statements into one pairing
 // (small-exponent randomized batching, Bellare–Garay–Rabin '98): with
@@ -25,10 +25,13 @@
 //
 //   ê(P + c·U, Σ ρ_i·V_i) = Π (w1_i · Y1_i^e_i)^ρ_i · (Π (w2_i · S_i^e_i)^ρ_i)^c
 //
-// A batch holding any false statement passes with probability at most
-// 2·2^-80 per attempt, provided every value lies in the prime-order G_T
-// (Boyd–Pavlovski '00) — hence the membership checks. docs/PERF.md §6
-// has the derivation and the cost.
+// Both G1 sides are public sums of short multiples (ec::multi_mul), the
+// right-hand side one multi-exponentiation (field::multi_pow). A batch
+// holding any false statement passes with probability at most 2·2^-80
+// per attempt, provided every value lies in the prime-order G_T
+// (Boyd–Pavlovski '00) — hence the membership checks, which
+// check_statement runs once per statement before any batch.
+// docs/PERF.md §6 has the derivation and the cost.
 #pragma once
 
 #include <cstdint>
@@ -63,13 +66,25 @@ struct ShareStatement {
   const ShareProof* proof = nullptr;
 };
 
-/// Computes the share value ê(U, d_idi) and its proof.
+/// Computes the share value ê(U, d_idi) and its proof; `y1` is the key
+/// share's ê(P, d_idi) (KeyShare::y1).
 ProvedShare prove_share(const pairing::ParamSet& group, const ec::Point& u,
-                        const ec::Point& d_idi, RandomSource& rng);
+                        const ec::Point& d_idi, const field::Fp2& y1,
+                        RandomSource& rng);
 
-/// True iff every statement in `batch` holds: each challenge matches its
-/// Fiat–Shamir hash, each S, w1, w2 lies in G_T, and the weighted
-/// combined check above passes. Empty batches are vacuously true.
+/// The per-statement checks: the challenge matches its Fiat–Shamir hash
+/// and S, w1, w2 lie in G_T.
+bool check_statement(const pairing::ParamSet& group, const ec::Point& u,
+                     const ShareStatement& statement);
+
+/// The weighted combined check above over statements that each passed
+/// check_statement (without that, it is not sound). Empty batches are
+/// vacuously true.
+bool check_batch_equation(const pairing::ParamSet& group, const ec::Point& u,
+                          std::span<const ShareStatement> batch);
+
+/// True iff every statement in `batch` holds: check_statement on each,
+/// then check_batch_equation on all. Empty batches are vacuously true.
 bool verify_share_batch(const pairing::ParamSet& group, const ec::Point& u,
                         std::span<const ShareStatement> batch);
 

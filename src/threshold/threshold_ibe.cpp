@@ -8,13 +8,38 @@
 
 namespace medcrypt::threshold {
 
+KeyShare::KeyShare(const pairing::ParamSet& group, std::uint32_t index_,
+                   Point value_)
+    : index(index_),
+      value(std::move(value_)),
+      y1(group.pairing->pair_with(*group.generator_program, value)) {}
+
+ThresholdSetup::ThresholdSetup(ibe::SystemParams params_, ThresholdKeys keys)
+    : ThresholdKeys(std::move(keys)), params(std::move(params_)) {
+  const pairing::TatePairing& pairing = *params.group.pairing;
+  auto programs = std::make_shared<std::vector<pairing::PreparedPairing>>();
+  programs->reserve(verification_keys.size());
+  for (const Point& key : verification_keys) {
+    programs->push_back(pairing.prepare(key));
+  }
+  verification_programs = std::move(programs);
+}
+
+const pairing::PreparedPairing& ThresholdSetup::verification_program(
+    std::uint32_t index) const {
+  (void)verification_key(index);
+  return (*verification_programs)[index - 1];
+}
+
 ThresholdDealer::ThresholdDealer(pairing::ParamSet group,
                                  std::size_t message_len, std::size_t t,
                                  std::size_t n, RandomSource& rng) {
-  coefficients_ =
-      deal(group, t, n, rng, setup_, setup_.params.p_pub).coefficients;
-  setup_.params.message_len = message_len;
-  setup_.params.group = std::move(group);
+  ThresholdKeys keys;
+  Point p_pub;
+  coefficients_ = deal(group, t, n, rng, keys, p_pub).coefficients;
+  setup_ = ThresholdSetup(
+      ibe::SystemParams(std::move(group), std::move(p_pub), message_len),
+      std::move(keys));
 }
 
 std::vector<KeyShare> ThresholdDealer::extract_shares(
@@ -33,8 +58,8 @@ std::vector<KeyShare> ThresholdDealer::extract_shares(
   for (std::uint32_t i = 1; i <= setup_.players; ++i) {
     const BigInt f_i = shamir::evaluate_polynomial(
         coefficients_, BigInt(static_cast<std::uint64_t>(i)), q);
-    shares.push_back(KeyShare{i, use_table ? q_id_table.mul(f_i)
-                                           : q_id.mul(f_i)});
+    shares.emplace_back(setup_.params.group, i,
+                        use_table ? q_id_table.mul(f_i) : q_id.mul(f_i));
   }
   return shares;
 }
@@ -45,15 +70,15 @@ Point ThresholdDealer::extract_full_key(std::string_view identity) const {
 
 bool verify_key_share(const ThresholdSetup& setup, std::string_view identity,
                       const KeyShare& share) {
-  // ê(P_pub^(i), Q_ID) · ê(P, −d_IDi) = 1 as one product pairing, with P
-  // from the ParamSet's program, the one the prover replays.
-  const Point* p_pub_i = setup.public_point(share.index);
-  if (p_pub_i == nullptr) return false;
+  // ê(P_pub^(i), Q_ID) · ê(P, −d_IDi) = 1 as one product pairing over
+  // two prepared programs: the setup's of P_pub^(i) and the ParamSet's
+  // of P, the one the share's Y1 replays.
+  if (setup.public_point(share.index) == nullptr) return false;
   const pairing::ParamSet& group = setup.params.group;
   const Point q_id = ibe::map_identity(setup.params, identity);
   const Point neg_d = -share.value;
   const std::array<pairing::TatePairing::PairTerm, 2> terms = {{
-      {.p = p_pub_i, .q = &q_id},
+      {.prepared = &setup.verification_program(share.index), .q = &q_id},
       {.prepared = group.generator_program.get(), .q = &neg_d},
   }};
   return group.pairing->pair_many(terms).is_one();
@@ -80,9 +105,10 @@ DecryptionShare compute_decryption_share(const ThresholdSetup& setup,
     return out;
   }
   // The proof statement's public side Y1 = ê(P_pub^(i), Q_ID) is
-  // recomputed by the verifier; the prover reaches the same value
-  // through its own key share, ê(P, d_IDi) = Y1 by key-share correctness.
-  ProvedShare proved = prove_share(setup.params.group, u, share.value, rng);
+  // recomputed by the verifier; the prover hashes the key share's own
+  // ê(P, d_IDi), the same value by key-share correctness.
+  ProvedShare proved =
+      prove_share(setup.params.group, u, share.value, share.y1, rng);
   out.value = proved.value;
   out.proof = std::move(proved.proof);
   return out;
@@ -104,6 +130,14 @@ Fp2 combine_decryption_shares(const ThresholdSetup& setup,
       values, setup.lagrange(indices, BigInt{}, setup.params.order()));
 }
 
+namespace {
+
+[[noreturn]] void throw_too_few() {
+  throw ProofError("select_valid_shares: fewer than t provably valid shares");
+}
+
+}  // namespace
+
 std::vector<DecryptionShare> select_valid_shares(
     const ThresholdSetup& setup, std::string_view identity, const Point& u,
     std::span<const DecryptionShare> shares) {
@@ -119,56 +153,65 @@ std::vector<DecryptionShare> select_valid_shares(
     candidates.push_back(&s);
   }
   const std::size_t t = setup.threshold;
-  if (candidates.size() < t) {
-    throw ProofError("select_valid_shares: fewer than t provably valid shares");
-  }
+  if (candidates.size() < t) throw_too_few();
 
-  // Y1_i = ê(P_pub^(i), Q_ID) = ê(Q_ID, P_pub^(i)) (the pairing is
-  // symmetric): replays of one program of Q_ID.
-  const pairing::TatePairing& pairing = *setup.params.group.pairing;
-  const pairing::PreparedPairing prep_q =
-      pairing.prepare(ibe::map_identity(setup.params, identity));
+  // Each candidate's cheap checks run once, in input order, until t
+  // pass: its Y1_i = ê(P_pub^(i), Q_ID), a replay of the setup's program
+  // of P_pub^(i), then check_statement. A candidate that fails them is
+  // dropped and the next one pulled in.
+  const pairing::ParamSet& group = setup.params.group;
+  const Point q_id = ibe::map_identity(setup.params, identity);
   std::vector<Fp2> vk_pairings;
   vk_pairings.reserve(candidates.size());  // statements point into it
-  for (std::size_t i = 0; i < t; ++i) {
-    vk_pairings.push_back(pairing.pair_with(
-        prep_q, setup.verification_key(candidates[i]->index)));
-  }
-
+  std::vector<bool> passed;                // check_statement per candidate
   const auto statement = [&](std::size_t i) {
     const DecryptionShare& s = *candidates[i];
     return ShareStatement{s.index, &s.value, &vk_pairings[i], &*s.proof};
   };
-  const auto verify = [&](std::span<const ShareStatement> batch) {
-    return verify_share_batch(setup.params.group, u, batch);
+  const auto examine = [&](std::size_t i) {
+    vk_pairings.push_back(group.pairing->pair_with(
+        setup.verification_program(candidates[i]->index), q_id));
+    passed.push_back(check_statement(group, u, statement(i)));
+    return passed.back();
   };
+  std::vector<std::size_t> survivors;
+  for (std::size_t i = 0; i < candidates.size() && survivors.size() < t;
+       ++i) {
+    if (examine(i)) survivors.push_back(i);
+  }
 
+  // One weighted pairing check over the t survivors. A call whose first
+  // t candidates were not all accepted counts as a fallback.
   std::vector<ShareStatement> batch;
   batch.reserve(t);
-  for (std::size_t i = 0; i < t; ++i) batch.push_back(statement(i));
+  for (const std::size_t i : survivors) batch.push_back(statement(i));
+  const bool accepted =
+      survivors.size() == t && check_batch_equation(group, u, batch);
+  if (!accepted || survivors.back() != t - 1) {
+    static obs::Counter& fallbacks =
+        obs::registry().counter("threshold.batch_fallbacks");
+    fallbacks.add();
+  }
+  if (survivors.size() < t) throw_too_few();
   std::vector<DecryptionShare> valid;
   valid.reserve(t);
-  if (verify(batch)) {
-    for (std::size_t i = 0; i < t; ++i) valid.push_back(*candidates[i]);
+  if (accepted) {
+    for (const std::size_t i : survivors) valid.push_back(*candidates[i]);
     return valid;
   }
 
-  // Some statement is false: check one at a time, in input order, to
-  // name the cheater.
-  static obs::Counter& fallbacks =
-      obs::registry().counter("threshold.batch_fallbacks");
-  fallbacks.add();
+  // Some survivor's equations are false: check the survivors one at a
+  // time, in input order, to name the cheater, examining further
+  // candidates as needed.
   for (std::size_t i = 0; i < candidates.size() && valid.size() < t; ++i) {
-    if (i == vk_pairings.size()) {
-      vk_pairings.push_back(pairing.pair_with(
-          prep_q, setup.verification_key(candidates[i]->index)));
-    }
+    if (i == passed.size() && !examine(i)) continue;
+    if (!passed[i]) continue;
     const ShareStatement single = statement(i);
-    if (verify(std::span(&single, 1))) valid.push_back(*candidates[i]);
+    if (check_batch_equation(group, u, std::span(&single, 1))) {
+      valid.push_back(*candidates[i]);
+    }
   }
-  if (valid.size() < t) {
-    throw ProofError("select_valid_shares: fewer than t provably valid shares");
-  }
+  if (valid.size() < t) throw_too_few();
   return valid;
 }
 

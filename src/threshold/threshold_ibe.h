@@ -16,6 +16,7 @@
 // a NIZK proof to every share — see threshold/robust.h.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -30,12 +31,17 @@ using bigint::BigInt;
 using ec::Point;
 using field::Fp2;
 
-/// One player's private key share d_IDi = f(i)·Q_ID. The share point is
-/// wiped on destruction (t of these recombine to the full identity key).
+/// One player's private key share d_IDi = f(i)·Q_ID, with its public
+/// Y1 = ê(P, d_IDi), the value the §3.2 prover hashes into every proof.
+/// Y1 equals ê(P_pub^(i), Q_ID), which anyone can compute, and is fixed
+/// by the share, so it is formed with the share (one prepared replay of
+/// P) and never recomputed per ciphertext. The share point is wiped on
+/// destruction (t of these recombine to the full identity key).
 struct KeyShare {
   KeyShare() = default;
-  KeyShare(std::uint32_t index_, Point value_)
-      : index(index_), value(std::move(value_)) {}
+  /// Forms player `index_`'s share `value_` and its Y1 over `group`.
+  KeyShare(const pairing::ParamSet& group, std::uint32_t index_,
+           Point value_);
   KeyShare(const KeyShare&) = default;
   KeyShare(KeyShare&&) = default;
   KeyShare& operator=(const KeyShare&) = default;
@@ -44,12 +50,27 @@ struct KeyShare {
 
   std::uint32_t index = 0;
   Point value;
+  Fp2 y1;
 };
 
 /// Public output of the threshold Setup: the BF system parameters plus
-/// t, n and the per-player verification keys P_pub^(i) (ThresholdKeys).
+/// t, n and the per-player verification keys P_pub^(i) (ThresholdKeys),
+/// each with its prepared Miller program: the combiner's Y1_i and the
+/// Keygen check pair against P_pub^(i) on every call. The programs are
+/// built once, by the constructor, from the keys it is given; the keys
+/// must not change afterwards.
 struct ThresholdSetup : ThresholdKeys {
+  ThresholdSetup() = default;
+  ThresholdSetup(ibe::SystemParams params_, ThresholdKeys keys);
+
+  /// The prepared program of P_pub^(index). Throws InvalidArgument where
+  /// verification_key does.
+  const pairing::PreparedPairing& verification_program(
+      std::uint32_t index) const;
+
   ibe::SystemParams params;
+  std::shared_ptr<const std::vector<pairing::PreparedPairing>>
+      verification_programs;
 };
 
 /// The trusted dealer (PKG) of the threshold scheme. Holds the secret

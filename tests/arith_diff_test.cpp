@@ -3,12 +3,16 @@
 // a naive BigInt reference on random inputs, and the fixed-base window
 // tables are checked against plain double-and-add — including the scalar
 // edge cases k = 0, k = order and k > order that the window walk must
-// reduce away.
+// reduce away. The public-input multi-exponentiations, ec::multi_mul and
+// field::multi_pow, are checked against sums and products of single
+// reference multiples.
 #include <gtest/gtest.h>
 
 #include "bigint/bigint.h"
 #include "common/error.h"
 #include "ec/fixed_base.h"
+#include "ec/hash_to_point.h"
+#include "ec/jacobian.h"
 #include "field/fp.h"
 #include "field/fp2.h"
 #include "hash/drbg.h"
@@ -308,6 +312,164 @@ TEST(ArithDiff, FixedBaseTableWipeReturnsToEmpty) {
   table.wipe();
   EXPECT_TRUE(table.empty());
   EXPECT_EQ(table.point_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Public-input multi-exponentiation vs single reference multiples
+// ---------------------------------------------------------------------------
+
+// Every on-curve shape a decoded point can take: O, the order-2 point
+// (0, 0), subgroup points with their negatives, a point of the whole
+// group E(F_p), its torsion part q·R, and one point of each small order
+// d ∈ {4, 3, 5, 7, ...} dividing #E = p + 1 (a cyclic group), so some
+// of a table's small multiples d·T are O.
+std::vector<Point> edge_points(const pairing::ParamSet& g, HmacDrbg& rng) {
+  const ec::Curve* curve = g.curve;
+  const auto& f = curve->field();
+  const BigInt group_order = f->modulus() + BigInt(1);
+  const Point p = g.mul_g(BigInt::random_unit(rng, g.order()));
+  const Point r = ec::hash_to_curve_candidate(curve, "multi_mul", Bytes{9});
+  std::vector<Point> out = {curve->infinity(),
+                            curve->point(f->zero(), f->zero()),
+                            g.generator,
+                            -g.generator,
+                            p,
+                            -p,
+                            r,
+                            r.mul_affine(g.order())};
+  for (const std::uint64_t d : {4, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}) {
+    BigInt quot, rem;
+    BigInt::divmod(group_order, BigInt(d), quot, rem);
+    if (!rem.is_zero()) continue;
+    const Point t = r.mul_affine(quot);
+    if (!t.is_infinity()) out.push_back(t);
+  }
+  return out;
+}
+
+// Scalars for the Straus digits: zero, ±1, small, negative, 80-bit
+// weights, q and multiples past it, and lengths on every window width.
+std::vector<BigInt> edge_scalars(const BigInt& q, HmacDrbg& rng) {
+  const BigInt w80 = BigInt::random_below(rng, BigInt(1) << 80);
+  const BigInt big = BigInt::random_below(rng, BigInt(1) << 300);
+  return {BigInt(0), BigInt(1), BigInt(-1), BigInt(2), BigInt(7),
+          BigInt(-15), BigInt::random_below(rng, BigInt(1) << 20),
+          BigInt::random_below(rng, BigInt(1) << 50), w80, -w80,
+          q - BigInt(1), q, q + BigInt(1), q + q + BigInt(5),
+          BigInt::random_below(rng, q), big, -big};
+}
+
+Point reference_sum(std::span<const Point> points,
+                    std::span<const BigInt> scalars) {
+  Point acc = points.front().curve()->infinity();
+  for (std::size_t j = 0; j < points.size(); ++j) {
+    acc += points[j].mul_affine(scalars[j]);
+  }
+  return acc;
+}
+
+class MultiMulDiff : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(MultiMulDiff, MatchesSumOfAffineMultiples) {
+  const pairing::ParamSet& g = pairing::named_params(GetParam());
+  HmacDrbg rng(9010);
+  const std::vector<Point> points = edge_points(g, rng);
+  const std::vector<BigInt> scalars = edge_scalars(g.order(), rng);
+  ASSERT_GT(points.size(), 8u) << "no point of small order found";
+
+  // Each point alone against each scalar.
+  for (const Point& p : points) {
+    for (const BigInt& k : scalars) {
+      EXPECT_EQ(ec::multi_mul(std::span(&p, 1), std::span(&k, 1)),
+                p.mul_affine(k))
+          << "k = " << k.to_hex();
+    }
+  }
+  // Random 2..5-term sums drawn from both lists.
+  for (std::size_t n = 2; n <= 5; ++n) {
+    for (int iter = 0; iter < 12; ++iter) {
+      std::vector<Point> ps;
+      std::vector<BigInt> ks;
+      for (std::size_t j = 0; j < n; ++j) {
+        ps.push_back(points[rng.next_u64() % points.size()]);
+        ks.push_back(scalars[rng.next_u64() % scalars.size()]);
+      }
+      EXPECT_EQ(ec::multi_mul(ps, ks), reference_sum(ps, ks));
+    }
+  }
+}
+
+TEST_P(MultiMulDiff, CancellingAndRepeatedTerms) {
+  const pairing::ParamSet& g = pairing::named_params(GetParam());
+  HmacDrbg rng(9011);
+  const BigInt k = BigInt::random_below(rng, BigInt(1) << 80);
+  const Point p = g.mul_g(BigInt::random_unit(rng, g.order()));
+  // P with −P under one scalar: O.
+  const std::vector<Point> opposite = {p, -p};
+  const std::vector<BigInt> same = {k, k};
+  EXPECT_TRUE(ec::multi_mul(opposite, same).is_infinity());
+  // P with itself under k and −k: O; under k and k: (2k)·P.
+  const std::vector<Point> twice = {p, p};
+  const std::vector<BigInt> k_neg_k = {k, -k};
+  EXPECT_TRUE(ec::multi_mul(twice, k_neg_k).is_infinity());
+  EXPECT_EQ(ec::multi_mul(twice, same), p.mul_affine(k + k));
+  // Every term O or zero: O.
+  const std::vector<Point> with_inf = {g.curve->infinity(), p};
+  const std::vector<BigInt> k_and_zero = {k, BigInt(0)};
+  EXPECT_TRUE(ec::multi_mul(with_inf, k_and_zero).is_infinity());
+}
+
+TEST_P(MultiMulDiff, RejectsMismatchedSpans) {
+  const pairing::ParamSet& g = pairing::named_params(GetParam());
+  const std::vector<Point> one = {g.generator};
+  const std::vector<BigInt> two = {BigInt(1), BigInt(2)};
+  EXPECT_THROW(ec::multi_mul(one, two), InvalidArgument);
+  EXPECT_THROW(ec::multi_mul({}, {}), InvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(NamedSets, MultiMulDiff,
+                         ::testing::Values("toy64", "sec80"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+TEST(ArithDiff, MultiPowMatchesProductOfPows) {
+  HmacDrbg rng(9012);
+  for (const auto& f : test_fields()) {
+    for (std::size_t n = 1; n <= 12; ++n) {
+      std::vector<Fp2> bases;
+      std::vector<BigInt> exps;
+      Fp2 expected = Fp2::one(f);
+      for (std::size_t j = 0; j < n; ++j) {
+        bases.push_back(Fp2::random(f, rng));
+        // 0, 1, then lengths off every window multiple, up to 300 bits.
+        const std::size_t bits = j == 0 ? 0 : 1 + rng.next_u64() % 300;
+        exps.push_back(j == 1 ? BigInt(1)
+                              : BigInt::random_below(rng, BigInt(1) << bits));
+        expected *= bases.back().pow(exps.back());
+      }
+      EXPECT_EQ(field::multi_pow(bases, exps), expected) << "n = " << n;
+    }
+  }
+}
+
+TEST(ArithDiff, MultiPowEdgeExponents) {
+  HmacDrbg rng(9013);
+  const PrimeField* f = pairing::paper_params().curve->field();
+  const Fp2 x = Fp2::random(f, rng);
+  const Fp2 y = Fp2::random(f, rng);
+  const std::vector<Fp2> bases = {x, y};
+  EXPECT_TRUE(field::multi_pow(bases, std::vector<BigInt>{0, 0}).is_one());
+  EXPECT_EQ(field::multi_pow(bases, std::vector<BigInt>{1, 0}), x);
+  EXPECT_EQ(field::multi_pow(bases, std::vector<BigInt>{1, 1}), x * y);
+  // All-ones exponents: every window is full and at the top bit.
+  const BigInt ones = (BigInt(1) << 161) - BigInt(1);
+  EXPECT_EQ(field::multi_pow(bases, std::vector<BigInt>{ones, ones}),
+            x.pow(ones) * y.pow(ones));
+  EXPECT_THROW(field::multi_pow(bases, std::vector<BigInt>{1}),
+               InvalidArgument);
+  EXPECT_THROW(field::multi_pow(bases, std::vector<BigInt>{1, -1}),
+               InvalidArgument);
 }
 
 }  // namespace

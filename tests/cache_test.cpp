@@ -160,7 +160,8 @@ TEST(PairingCaches, GeneratorWorkAddsNoCacheEntries) {
   const std::size_t values = pairing::pair_value_cache().size();
   const std::size_t programs = pairing::prepared_program_cache().size();
   (void)ibs::hess_sign(params, d_id, msg, rng);
-  (void)threshold::prove_share(group, u, d_id, rng);
+  const auto y1 = group.pairing->pair_with(*group.generator_program, d_id);
+  (void)threshold::prove_share(group, u, d_id, y1, rng);
   EXPECT_TRUE(gdh::verify_prehashed(group, kp.pub, h, sig));
   EXPECT_EQ(pairing::pair_value_cache().size(), values);
   EXPECT_EQ(pairing::prepared_program_cache().size(), programs);
