@@ -64,7 +64,7 @@ BENCHMARK(BM_PreparedPairing_sec80);
 // prepare() alone: the Miller chain of one first argument recorded as
 // a two-coefficient line program, including the one batched inversion
 // that scales every line's imaginary coefficient to 1. The SEM pays it
-// per enrolled identity, the threshold prover per proof.
+// per enrolled identity.
 void BM_PreparePairing_sec80(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) benchmark::DoNotOptimize(f.engine.prepare(f.q));

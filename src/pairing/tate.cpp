@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "ec/jacobian.h"
+#include "obs/registry.h"
 #include "obs/span.h"
 
 namespace medcrypt::pairing {
@@ -288,6 +289,10 @@ bool TatePairing::check_term(const Point* p, const PreparedPairing* prepared,
 Fp2 TatePairing::miller_loop(std::span<RawTerm> raws,
                              std::span<PrepTerm> preps) const {
   obs::Span span(obs::Stage::kPairingMiller);
+  // One span per call, so a k-term product reads as one loop there; the
+  // counter counts the loops themselves.
+  static obs::Counter& terms = obs::registry().counter("pairing.miller_terms");
+  terms.add(raws.size() + preps.size());
   // All factors share ONE accumulator, so the per-digit f² squaring is
   // paid once for the whole product: with F = ∏ f_i, each digit's
   // f_i ← f_i²·L_i collapses to F ← F²·∏L_i. Compound in-place ops keep

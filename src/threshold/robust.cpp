@@ -79,25 +79,28 @@ std::vector<BigInt> batch_weights(const Point& u, const BigInt& order,
 ProvedShare prove_share(const pairing::ParamSet& group, const Point& u,
                         const Point& d_idi, const Fp2& y1,
                         RandomSource& rng) {
-  const pairing::TatePairing& pairing = *group.pairing;
   const BigInt& order = group.order();
-  // Commitment R = k·P for random k (a uniform subgroup element).
+  const std::size_t bits = order.bit_length();
+  // Commitment R = k·d_idi for random k, never formed: w1 = ê(P, R) =
+  // Y1^k and w2 = ê(U, R) = S^k.
   BigInt k = BigInt::random_unit(rng, order);
-  Point r = group.mul_g(k);
-
-  // S = ê(U, d_idi) and w2 = ê(U, R) replay one program of U.
-  const pairing::PreparedPairing prep_u = pairing.prepare(u);
 
   ProvedShare out;
-  out.value = pairing.pair_with(prep_u, d_idi);
+  out.value = group.pairing->pair(u, d_idi);
   ShareProof& proof = out.proof;
-  proof.w2 = pairing.pair_with(prep_u, r);
-  // w1 = ê(P, k·P) = ê(P, P)^k.
-  proof.w1 = field::pow_unitary(group.gpp, k, order.bit_length());
+  proof.w1 = field::pow_unitary(y1, k, bits);
+  proof.w2 = field::pow_unitary(out.value, k, bits);
   proof.e = challenge(out.value, y1, proof.w1, proof.w2, u, order);
-  proof.v = r + d_idi.mul(proof.e);
+  // V = R + e·d_idi = s·d_idi with s = k + e reduced in Z_q by the
+  // field's modular add, so the ladder runs bits(q) steps whatever s is.
+  const field::PrimeField* zq = field::PrimeField::make(order);
+  field::Fp s_q = zq->from_bigint(k);
+  s_q += zq->from_bigint(proof.e);
+  BigInt s = s_q.to_bigint();
+  proof.v = d_idi.mul(s);
   k.wipe();
-  r.wipe();
+  s_q.wipe();
+  s.wipe();
   return out;
 }
 

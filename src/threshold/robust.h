@@ -6,7 +6,7 @@
 //   (ê(P, ·), ê(U, ·)) evaluated at d_IDi
 // yields (Y1, S) with Y1 = ê(P_pub^(i), Q_ID), without revealing d_IDi:
 //
-//   commit   R = k·P for random k, w1 = ê(P, R), w2 = ê(U, R)
+//   commit   R = k·d_IDi for random k, w1 = ê(P, R), w2 = ê(U, R)
 //   challenge e = H(S, Y1, w1, w2, U)                    (Fiat–Shamir)
 //   response V = R + e·d_IDi ∈ G1
 //
@@ -14,10 +14,15 @@
 //            ê(P, V) = w1 · Y1^e
 //            ê(U, V) = w2 · S^e
 //
-// Per proof the prover pays only for what depends on U: S and w2 replay
-// one prepared program of U, each finished by its own final
-// exponentiation, and w1 = ê(P, P)^k over the ParamSet's ê(P, P). Y1 is
-// fixed by the key share, which carries it (KeyShare::y1).
+// The paper asks only for a uniform R in G1. For d_IDi ≠ O and k uniform
+// in [1, q), k·d_IDi is uniform on G1 \ {O}, as k·P is; d_IDi = O means
+// f(i) ≡ 0 (probability 1/q), and then P_pub^(i) = O says so publicly.
+// With R a multiple of d_IDi the prover never forms R: w1 = Y1^k,
+// w2 = S^k and V = (k + e)·d_IDi. Per proof that is one raw pairing (S,
+// which an unproved share computes the same way), two constant-time
+// G_T ladders (field::pow_unitary) and one point ladder, with no
+// prepared program. Y1 is fixed by the key share, which carries it
+// (KeyShare::y1); a wrong stored Y1 yields a proof that fails.
 //
 // The verifier folds a whole batch of n statements into one pairing
 // (small-exponent randomized batching, Bellare–Garay–Rabin '98): with
