@@ -2,10 +2,11 @@
 // ablation A1 — the cost of the §3.2 robustness machinery.
 //
 // Paper claims reproduced (§3): threshold decryption is practical — per
-// server one pairing; the recombiner pays t Fp2 exponentiations; the
-// robustness proofs cost each server Miller replays instead of pairings
-// and the recombiner one batched check (docs/PERF.md §6), and let the
-// recombiner exclude cheating servers.
+// server one pairing; the recombiner pays t Fp2 exponentiations; a
+// robustness proof costs each server two G_T powers and a point ladder on
+// top of its one pairing, and the recombiner one batched check
+// (docs/PERF.md §6); the proofs let the recombiner exclude cheating
+// servers.
 #include <cstdio>
 
 #include "bench_util.h"

@@ -52,7 +52,7 @@ struct ParamSet {
   std::shared_ptr<const PreparedPairing> generator_program;
   std::shared_ptr<const PreparedPairing> inv_cofactor_program;
 
-  /// ê(P, P), the base of the Hess and threshold-proof commitments.
+  /// ê(P, P), the base of the Hess signers' commitments.
   Fp2 gpp;
 
   /// Shorthand for curve->order().

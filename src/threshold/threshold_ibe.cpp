@@ -105,8 +105,8 @@ DecryptionShare compute_decryption_share(const ThresholdSetup& setup,
     return out;
   }
   // The proof statement's public side Y1 = ê(P_pub^(i), Q_ID) is
-  // recomputed by the verifier; the prover hashes the key share's own
-  // ê(P, d_IDi), the same value by key-share correctness.
+  // recomputed by the verifier; the prover hashes and raises the key
+  // share's own ê(P, d_IDi), the same value by key-share correctness.
   ProvedShare proved =
       prove_share(setup.params.group, u, share.value, share.y1, rng);
   out.value = proved.value;

@@ -32,7 +32,8 @@ using ec::Point;
 using field::Fp2;
 
 /// One player's private key share d_IDi = f(i)·Q_ID, with its public
-/// Y1 = ê(P, d_IDi), the value the §3.2 prover hashes into every proof.
+/// Y1 = ê(P, d_IDi), the value the §3.2 prover hashes into every proof
+/// and raises to its nonce (w1 = Y1^k).
 /// Y1 equals ê(P_pub^(i), Q_ID), which anyone can compute, and is fixed
 /// by the share, so it is formed with the share (one prepared replay of
 /// P) and never recomputed per ciphertext. The share point is wiped on
