@@ -1,7 +1,8 @@
 // Generation of supersingular pairing parameter sets.
 //
-// Finds a subgroup order q (prime) and a field prime p = h·q - 1 with
-// h ≡ 0 (mod 4) (so p ≡ 3 (mod 4)) of the requested sizes, then derives
+// Takes the subgroup order q = 2^q_bits − 2^b − 1 (the smallest b ≥ 1
+// that makes it prime) and finds a field prime p = h·q - 1 of p_bits bits
+// with h random and h ≡ 0 (mod 4) (so p ≡ 3 (mod 4)), then derives
 // the curve y^2 = x^3 + x and a generator of the order-q subgroup, and
 // builds the set's whole pairing context once: the engine, the Miller
 // programs of the two generators and ê(P, P).
@@ -62,8 +63,9 @@ struct ParamSet {
   Point mul_g(const BigInt& k) const { return generator_table->mul(k); }
 };
 
-/// Generates a fresh parameter set with a `p_bits`-bit field prime and a
-/// `q_bits`-bit subgroup order. Requires p_bits >= q_bits + 3.
+/// Generates a fresh parameter set with a `p_bits`-bit field prime and
+/// the `q_bits`-bit Solinas subgroup order above. Requires
+/// p_bits >= q_bits + 3.
 ParamSet generate_params(std::size_t p_bits, std::size_t q_bits,
                          RandomSource& rng);
 

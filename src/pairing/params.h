@@ -4,11 +4,17 @@
 // use and cached for the process lifetime, so tests, examples and benches
 // across binaries all agree on the same groups without hardcoding hex.
 //
-//   toy64   p 128-bit, q  64-bit — unit tests (fast, no security)
-//   mid128  p 256-bit, q 128-bit — parameter sweeps
-//   sweep384 p 384-bit, q 160-bit — parameter sweeps
-//   sec80   p 512-bit, q 160-bit — the paper's setting (§4: "the same
-//            parameters as in [6]": 512-bit p, 160-bit q)
+//   toy64   p 128-bit, q = 2^64 − 2^8 − 1    — unit tests (fast, no
+//            security)
+//   mid128  p 256-bit, q = 2^128 − 2^18 − 1  — parameter sweeps
+//   sweep384 p 384-bit, q = 2^160 − 2^31 − 1 — parameter sweeps
+//   sec80   p 512-bit, q = 2^160 − 2^31 − 1 — the paper's setting (§4:
+//            "the same parameters as in [6]": 512-bit p, 160-bit q)
+//
+// Every q is the Solinas prime 2^n − 2^b − 1 with the smallest b ≥ 1
+// that makes it prime (generate_params), so its NAF has one digit below
+// the top that costs a Miller-loop addition. p = h·q − 1 is a generic
+// prime: h is drawn at random.
 #pragma once
 
 #include <string_view>
