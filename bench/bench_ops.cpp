@@ -222,6 +222,30 @@ void BM_FpMul_sec80(benchmark::State& state) {
 }
 BENCHMARK(BM_FpMul_sec80);
 
+// The modular add and subtract kernels as dependent chains, in place as
+// the Fp2 and point formulas run them.
+void BM_FpAdd_sec80(benchmark::State& state) {
+  auto& f = fixture();
+  auto field = params().curve->field();
+  field::Fp x = field->random(f.rng), y = field->random(f.rng);
+  for (auto _ : state) {
+    x += y;
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FpAdd_sec80);
+
+void BM_FpSub_sec80(benchmark::State& state) {
+  auto& f = fixture();
+  auto field = params().curve->field();
+  field::Fp x = field->random(f.rng), y = field->random(f.rng);
+  for (auto _ : state) {
+    x -= y;
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FpSub_sec80);
+
 // The in-place Fp2 operations the Miller loop and the final
 // exponentiation run: one Karatsuba multiply (3 Fp multiplies) and one
 // complex squaring (2 Fp multiplies).

@@ -83,7 +83,7 @@ int main() {
              fmt_us(jr.time_us("sign/hess_direct", kIters, [&] {
                (void)ibs::hess_sign(pkg.params(), d_signer, msg, ibs_rng);
              })),
-             "1 pairing + Fp2 exp + 2 scalar mults"});
+             "Fp2 exp of e(P,P) + 1 ladder + 1 fixed-base mult"});
   t.add_row({"Sign", "mediated Hess IBS (user+SEM)",
              fmt_us(jr.time_us("sign/hess_mediated", kIters, [&] {
                (void)ibs_user.sign(msg, ibs_sem, ibs_rng);

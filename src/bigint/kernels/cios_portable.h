@@ -1,10 +1,11 @@
-// The one portable CIOS Montgomery multiply and the one conditional
-// subtraction that ends every multiply and every modular add.
+// The one portable CIOS Montgomery multiply and the one portable
+// conditional subtraction that ends every multiply and every modular
+// add, plus the borrow and mask helpers the portable add/sub/neg share.
 //
 // cios<K> is a template on the width: K = 0 reads the width from its
 // argument (any 1 <= k <= kMaxLimbs), a nonzero K fixes it at compile
 // time so the loops unroll. portable.cpp decides which widths get a
-// fixed instantiation; bmi2.cpp reuses cond_sub_n for its asm epilogues.
+// fixed instantiation; the bmi2 asm has its own masked tail (MC_TAIL).
 //
 // Behavioral contract (the accelerated tiers replicate it bit for bit):
 // inputs are k-limb little-endian arrays; after the interleaved
@@ -14,7 +15,6 @@
 // every tier agrees on.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -22,32 +22,44 @@
 
 namespace medcrypt::bigint::kernels {
 
+/// All-ones if `bit` is 1, zero if it is 0. The empty asm hides the
+/// value from the optimizer, so a select written as `x & mask` stays a
+/// mask and is not turned back into a branch.
+inline u64 mask_from_bit(u64 bit) {
+  u64 mask = 0 - bit;
+#if defined(__GNUC__)
+  __asm__("" : "+r"(mask));
+#endif
+  return mask;
+}
+
+/// Borrow out of a - b - borrow_in as 0 or 1; `diff` gets the low limb.
+inline u64 sub_borrow(u64 a, u64 b, u64 borrow_in, u64& diff) {
+  u64 t;
+  const bool b1 = __builtin_sub_overflow(a, b, &t);
+  const bool b2 = __builtin_sub_overflow(t, borrow_in, &diff);
+  return static_cast<u64>(b1 | b2);
+}
+
 /// out = hi:t - n if hi:t >= n, else t, where hi:t is the (k+1)-limb
 /// value hi·2^(64k) + t[0..k). One subtraction, so a value below 2n
 /// comes out reduced. `out` may alias `t`.
+///
+/// Branch-free: a full borrow chain forms hi:t - n on the stack, and a
+/// mask of its final borrow selects t or the difference, with no early
+/// exit and no branch on limb data.
 inline void cond_sub_n(const u64* t, u64 hi, const u64* n, std::size_t k,
                        u64* out) {
-  using u128 = unsigned __int128;
-  bool ge = hi != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = k; i-- > 0;) {
-      if (t[i] != n[i]) {
-        ge = t[i] > n[i];
-        break;
-      }
-    }
+  u64 d[kMaxLimbs];
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    borrow = sub_borrow(t[i], n[i], borrow, d[i]);
   }
-  if (ge) {
-    u64 borrow = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const u128 diff = static_cast<u128>(t[i]) - n[i] - borrow;
-      out[i] = static_cast<u64>(diff);
-      borrow = (diff >> 64) ? 1 : 0;
-    }
-  } else if (out != t) {
-    std::copy_n(t, k, out);
-  }
+  u64 unused;
+  borrow = sub_borrow(hi, 0, borrow, unused);  // 1 iff hi:t < n
+  const u64 keep_t = mask_from_bit(borrow);
+  for (std::size_t i = 0; i < k; ++i) out[i] = d[i] ^ ((d[i] ^ t[i]) & keep_t);
+  scrub_scratch(d, k);
 }
 
 /// CIOS product a*b*R^{-1} mod n; the width is K, or `k` when K = 0.

@@ -10,9 +10,15 @@
 //   - portable: plain C++ (u128 carries), the one CIOS body in
 //     cios_portable.h. Always available, the reference for the
 //     differential fuzz suite.
-//   - bmi2:     hand-scheduled MULX/ADCX/ADOX inline-asm CIOS multiplies
-//     at k = 4 and k = 8 (requires BMI2 + ADX); every other width and
-//     every other entry is the portable one.
+//   - bmi2:     hand-scheduled inline asm at k = 4 and k = 8 (requires
+//     BMI2 + ADX): MULX/ADCX/ADOX CIOS multiplies and straight-line
+//     ADC/SBB add, sub and neg. Every other width runs the portable
+//     entry.
+//
+// No entry of either tier branches on limb data or exits early: every
+// conditional subtraction and wrap-around add is a full carry chain
+// and a masked (AND or CMOV) select, so their timing depends on the
+// width only.
 //
 // Selection happens once, at the first active() call: CPUID picks the
 // best supported tier, MEDCRYPT_KERNEL=portable|bmi2 forces one for
@@ -24,8 +30,8 @@
 //
 // Every entry of every tier is bit-identical to the portable tier on ALL
 // inputs — including unreduced operands up to R-1, where the single
-// conditional subtraction (cond_sub_n in cios_portable.h, shared by all
-// of them) leaves the same not-fully-reduced residue on every tier
+// conditional subtraction (cond_sub_n in cios_portable.h, MC_TAIL in
+// the bmi2 asm) leaves the same not-fully-reduced residue on every tier
 // (tests/kernel_diff_test.cpp pins this at every width it sweeps).
 #pragma once
 

@@ -46,32 +46,27 @@ void sub_portable(const u64* a, const u64* b, const u64* n, std::size_t k,
                   u64* out) {
   u64 borrow = 0;
   for (std::size_t i = 0; i < k; ++i) {
-    const u128 diff = static_cast<u128>(a[i]) - b[i] - borrow;
-    out[i] = static_cast<u64>(diff);
-    borrow = (diff >> 64) ? 1 : 0;
+    borrow = sub_borrow(a[i], b[i], borrow, out[i]);
   }
-  if (borrow) {  // a < b: wrap back into range by adding n
-    u64 carry = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const u128 s = static_cast<u128>(out[i]) + n[i] + carry;
-      out[i] = static_cast<u64>(s);
-      carry = static_cast<u64>(s >> 64);
-    }
+  // a < b wraps back into range by adding n; otherwise n & mask is 0.
+  const u64 mask = mask_from_bit(borrow);
+  u64 carry = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const u128 s = static_cast<u128>(out[i]) + (n[i] & mask) + carry;
+    out[i] = static_cast<u64>(s);
+    carry = static_cast<u64>(s >> 64);
   }
 }
 
 void neg_portable(const u64* a, const u64* n, std::size_t k, u64* out) {
   u64 nonzero = 0;
   for (std::size_t i = 0; i < k; ++i) nonzero |= a[i];
-  if (nonzero == 0) {
-    for (std::size_t i = 0; i < k; ++i) out[i] = 0;
-    return;
-  }
+  // -0 is 0, not n: the difference is masked away when a is zero.
+  const u64 mask = mask_from_bit((nonzero | (0 - nonzero)) >> 63);
   u64 borrow = 0;
   for (std::size_t i = 0; i < k; ++i) {
-    const u128 diff = static_cast<u128>(n[i]) - a[i] - borrow;
-    out[i] = static_cast<u64>(diff);
-    borrow = (diff >> 64) ? 1 : 0;
+    borrow = sub_borrow(n[i], a[i], borrow, out[i]);
+    out[i] &= mask;
   }
 }
 

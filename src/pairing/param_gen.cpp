@@ -41,9 +41,20 @@ ParamSet generate_params(std::size_t p_bits, std::size_t q_bits,
   const BigInt h_span = ((BigInt(1) << p_bits) - BigInt(1)) / four_q - h_min +
                         BigInt(1);
   BigInt p, h;
+  // A draw gives a prime p with probability about 2/(p_bits ln 2) when
+  // the range is wide, so 64·p_bits draws all fail with probability
+  // about e^-180. A narrow range (p_bits near q_bits + 3 leaves a
+  // handful of h) may hold no prime at all; the bound makes that an
+  // error instead of an endless loop.
+  const std::size_t max_draws = 64 * p_bits;
   // Prime search over public system parameters — (p, q, h) are all
   // published with the ParamSet.  medlint: allow(ct-variable-time)
-  for (;;) {
+  for (std::size_t draw = 0;; ++draw) {
+    if (draw == max_draws) {
+      throw InvalidArgument(
+          "generate_params: no prime p = hq - 1 in range; widen p_bits - "
+          "q_bits");
+    }
     h = (h_min + BigInt::random_below(rng, h_span)) << 2;
     if (h.mod(q).is_zero()) continue;  // h must be invertible mod q
     p = h * q - BigInt(1);

@@ -65,7 +65,10 @@ struct ParamSet {
 
 /// Generates a fresh parameter set with a `p_bits`-bit field prime and
 /// the `q_bits`-bit Solinas subgroup order above. Requires
-/// p_bits >= q_bits + 3.
+/// p_bits >= q_bits + 3; throws InvalidArgument if the cofactor search
+/// finds no prime p in its bounded number of draws, which in practice
+/// happens only when p_bits - q_bits is small enough to leave a handful
+/// of cofactors.
 ParamSet generate_params(std::size_t p_bits, std::size_t q_bits,
                          RandomSource& rng);
 

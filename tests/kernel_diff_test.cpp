@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bigint/bigint.h"
@@ -164,8 +165,51 @@ TEST(KernelDiff, FixedWidthMulAllowsAliasedOutput) {
 }
 
 // ---------------------------------------------------------------------------
-// Width-generic add/sub/neg (every tier runs the portable entries)
+// Modular add/sub/neg: the bmi2 asm at k = 4 and 8, portable elsewhere
 // ---------------------------------------------------------------------------
+
+// One tier's add, sub and neg on (a, b), checked against the portable
+// reference, with the output in a fresh buffer and aliasing each input
+// the contract allows.
+void expect_add_sub_neg_match(const kernels::Table& t,
+                              const std::vector<u64>& a,
+                              const std::vector<u64>& b, const u64* n,
+                              const std::string& label) {
+  const std::size_t k = a.size();
+  const auto& pt = kernels::portable_table();
+  std::vector<u64> aref(k), sref(k), nref(k);
+  pt.add(a.data(), b.data(), n, k, aref.data());
+  pt.sub(a.data(), b.data(), n, k, sref.data());
+  pt.neg(a.data(), n, k, nref.data());
+  const std::string on = label + " on " + t.name;
+
+  std::vector<u64> out(k, 0xa5a5a5a5a5a5a5a5ull);
+  t.add(a.data(), b.data(), n, k, out.data());
+  EXPECT_EQ(out, aref) << on << " add";
+  std::vector<u64> x = a;  // add, out aliases a
+  t.add(x.data(), b.data(), n, k, x.data());
+  EXPECT_EQ(x, aref) << on << " add out == a";
+  std::vector<u64> y = b;  // add, out aliases b
+  t.add(a.data(), y.data(), n, k, y.data());
+  EXPECT_EQ(y, aref) << on << " add out == b";
+
+  out.assign(k, 0xa5a5a5a5a5a5a5a5ull);
+  t.sub(a.data(), b.data(), n, k, out.data());
+  EXPECT_EQ(out, sref) << on << " sub";
+  x = a;  // sub, out aliases a
+  t.sub(x.data(), b.data(), n, k, x.data());
+  EXPECT_EQ(x, sref) << on << " sub out == a";
+  y = b;  // sub, out aliases b
+  t.sub(a.data(), y.data(), n, k, y.data());
+  EXPECT_EQ(y, sref) << on << " sub out == b";
+
+  out.assign(k, 0xa5a5a5a5a5a5a5a5ull);
+  t.neg(a.data(), n, k, out.data());
+  EXPECT_EQ(out, nref) << on << " neg";
+  x = a;  // neg in place
+  t.neg(x.data(), n, k, x.data());
+  EXPECT_EQ(x, nref) << on << " neg out == a";
+}
 
 TEST(KernelDiff, ModularAddSubNegBitIdenticalAcrossKernels) {
   HmacDrbg rng(7105);
@@ -173,6 +217,7 @@ TEST(KernelDiff, ModularAddSubNegBitIdenticalAcrossKernels) {
   for (const auto& [label, mont] : sweep_contexts(rng)) {
     const std::size_t k = mont.limbs();
     const BigInt& p = mont.modulus();
+    const u64* n = mont.modulus_limbs();
     // add/sub/neg operate on REDUCED operands only; restrict the edge
     // set accordingly (R-1 and unreduced randoms are out of contract).
     std::vector<std::vector<u64>> pool;
@@ -183,37 +228,82 @@ TEST(KernelDiff, ModularAddSubNegBitIdenticalAcrossKernels) {
     for (int i = 0; i < 16; ++i) {
       pool.push_back(to_limbs(BigInt::random_below(rng, p), k));
     }
-    const u64* n = mont.modulus_limbs();
-    const auto& pt = kernels::portable_table();
     for (const auto& a : pool) {
-      std::vector<u64> nref(k);
-      pt.neg(a.data(), n, k, nref.data());
+      for (const auto& b : pool) {
+        for (const Kind kind : kinds) {
+          expect_add_sub_neg_match(kernels::table(kind), a, b, n, label);
+        }
+      }
+    }
+
+    // Boundary pairs, where the conditional subtraction and the
+    // wrap-around add flip: a + b = p-1, p and 2p-2; a - b = 0 and -1;
+    // neg of 0 and p-1 (the a-operands of the pairs below).
+    const BigInt one(1);
+    std::vector<std::pair<BigInt, BigInt>> pairs = {
+        {BigInt(0), p - one}, {one, p - one}, {p - one, p - one},
+        {BigInt(0), BigInt(0)}, {BigInt(0), one}, {p - one, BigInt(0)}};
+    for (int i = 0; i < 8; ++i) {
+      const BigInt r = BigInt::random_below(rng, p - one);  // r < p-1
+      pairs.push_back({r, p - one - r});       // sum p-1
+      pairs.push_back({r + one, p - r - one});  // sum p
+      pairs.push_back({r, r});                 // difference 0
+      pairs.push_back({r, r + one});           // difference -1
+    }
+    for (const auto& [av, bv] : pairs) {
+      const auto a = to_limbs(av, k), b = to_limbs(bv, k);
+      const auto expect = [&](const char* what, const BigInt& want,
+                              const std::vector<u64>& got) {
+        EXPECT_EQ(mont.bigint_from_limbs(got.data()), want) << label << " "
+                                                             << what;
+      };
       for (const Kind kind : kinds) {
         const auto& t = kernels::table(kind);
-        std::vector<u64> out(k, 0xa5a5a5a5a5a5a5a5ull);
+        expect_add_sub_neg_match(t, a, b, n, label);
+        std::vector<u64> out(k);
+        t.add(a.data(), b.data(), n, k, out.data());
+        expect("add", av.add_mod(bv, p), out);
+        t.sub(a.data(), b.data(), n, k, out.data());
+        expect("sub", av.sub_mod(bv, p), out);
         t.neg(a.data(), n, k, out.data());
-        EXPECT_EQ(out, nref) << label << " neg diverges on "
-                             << kernels::kind_name(kind);
-        std::vector<u64> ali = a;  // aliased in place
-        t.neg(ali.data(), n, k, ali.data());
-        EXPECT_EQ(ali, nref);
+        expect("neg", BigInt(0).sub_mod(av, p), out);
       }
+    }
+  }
+}
+
+// Out-of-contract operands (up to R-1) still get one well-defined
+// answer, the same on every tier: add subtracts n once when a + b >= n,
+// sub adds n once when a < b, neg maps 0 to 0 and a to n - a; all mod R.
+TEST(KernelDiff, ModularAddSubNegFixedResultOnUnreducedInputs) {
+  HmacDrbg rng(7107);
+  const auto kinds = available_kinds();
+  for (const auto& [label, mont] : sweep_contexts(rng)) {
+    const std::size_t k = mont.limbs();
+    const BigInt& p = mont.modulus();
+    const BigInt r = BigInt(1) << (64 * k);
+    const u64* n = mont.modulus_limbs();
+    const auto pool = operand_pool(mont, rng, 4);
+    for (const auto& a : pool) {
+      const BigInt av = mont.bigint_from_limbs(a.data());
+      const BigInt neg_want = av.is_zero() ? av : (p + r - av).mod(r);
       for (const auto& b : pool) {
-        std::vector<u64> aref(k), sref(k);
-        pt.add(a.data(), b.data(), n, k, aref.data());
-        pt.sub(a.data(), b.data(), n, k, sref.data());
+        const BigInt bv = mont.bigint_from_limbs(b.data());
+        const BigInt sum = av + bv;
+        const BigInt add_want = (sum >= p ? sum - p : sum).mod(r);
+        const BigInt sub_want = (av >= bv ? av - bv : av + r - bv + p).mod(r);
         for (const Kind kind : kinds) {
           const auto& t = kernels::table(kind);
-          std::vector<u64> ao(k), so(k);
-          t.add(a.data(), b.data(), n, k, ao.data());
-          t.sub(a.data(), b.data(), n, k, so.data());
-          EXPECT_EQ(ao, aref) << label << " add diverges on "
-                              << kernels::kind_name(kind);
-          EXPECT_EQ(so, sref) << label << " sub diverges on "
-                              << kernels::kind_name(kind);
-          std::vector<u64> ali = a;  // out aliases a
-          t.add(ali.data(), b.data(), n, k, ali.data());
-          EXPECT_EQ(ali, aref);
+          std::vector<u64> out(k);
+          t.add(a.data(), b.data(), n, k, out.data());
+          EXPECT_EQ(mont.bigint_from_limbs(out.data()), add_want)
+              << label << " add on " << t.name;
+          t.sub(a.data(), b.data(), n, k, out.data());
+          EXPECT_EQ(mont.bigint_from_limbs(out.data()), sub_want)
+              << label << " sub on " << t.name;
+          t.neg(a.data(), n, k, out.data());
+          EXPECT_EQ(mont.bigint_from_limbs(out.data()), neg_want)
+              << label << " neg on " << t.name;
         }
       }
     }

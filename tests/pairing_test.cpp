@@ -541,6 +541,14 @@ TEST(ParamGen, NamedSetsHaveSolinasOrders) {
   }
 }
 
+// At p_bits = q_bits + 3 the range of h/4 holds one value, 2, and
+// 8q − 1 is composite for the 64-bit Solinas q, so no p exists. The
+// bounded h search reports that instead of looping forever.
+TEST(ParamGen, NarrowGapThrows) {
+  HmacDrbg rng(65);
+  EXPECT_THROW(generate_params(67, 64, rng), InvalidArgument);
+}
+
 // Contexts are never freed, so a point outlives the set it came from
 // (the ASan job would report a use after free otherwise).
 TEST(ParamGen, PointOutlivesItsParamSet) {
