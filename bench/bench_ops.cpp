@@ -104,13 +104,25 @@ void BM_ScalarMul_Jacobian_sec80(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarMul_Jacobian_sec80);
 
-// The G1 check every verifier runs on σ: Z(q·P) = 0 from the same
-// ladder, no y-recovery and no inversion.
+// The G1 check every verifier runs on σ: x(2^160·P) = x((2^31 + 1)·P)
+// by a 32-step x-only ladder and 129 x-only doublings (ec::
+// in_subgroup_chain), no y-recovery and no inversion.
 void BM_InSubgroup_sec80(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) benchmark::DoNotOptimize(f.q.in_subgroup());
 }
 BENCHMARK(BM_InSubgroup_sec80);
+
+// The G_T check the robust combiner runs on S, w1 and w2: norm 1, then
+// Re(x^(2^160)) = Re(x^(2^31 + 1)) by a 32-step trace ladder and 129
+// trace doublings (field::in_gt).
+void BM_InGt_sec80(benchmark::State& state) {
+  auto& f = fixture();
+  const field::Fp2 x = f.engine.pair(f.p, f.q);
+  const field::OrderChain& chain = params().curve->chain();
+  for (auto _ : state) benchmark::DoNotOptimize(field::in_gt(x, chain));
+}
+BENCHMARK(BM_InGt_sec80);
 
 void BM_ScalarMul_FixedBase_sec80(benchmark::State& state) {
   // k·P through the generator's precomputed window table — the path
@@ -210,6 +222,38 @@ void BM_FpInverse_sec80(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FpInverse_sec80);
+
+// 64 random elements of the sec80 field, which the rows below take in
+// turn so no branch predictor learns one input.
+std::vector<field::Fp> random_elements() {
+  auto& f = fixture();
+  std::vector<field::Fp> xs;
+  for (int i = 0; i < 64; ++i) {
+    xs.push_back(params().curve->field()->random(f.rng));
+  }
+  return xs;
+}
+
+// The Legendre symbol that rejects a non-residue hash candidate
+// (Fp::legendre, variable-time posdivsteps) before try_sqrt's one power
+// by (p+1)/4, the next row.
+void BM_Jacobi_sec80(benchmark::State& state) {
+  const std::vector<field::Fp> xs = random_elements();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xs[i++ % xs.size()].legendre());
+  }
+}
+BENCHMARK(BM_Jacobi_sec80);
+
+void BM_FpTrySqrt_sec80(benchmark::State& state) {
+  const std::vector<field::Fp> xs = random_elements();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xs[i++ % xs.size()].try_sqrt());
+  }
+}
+BENCHMARK(BM_FpTrySqrt_sec80);
 
 void BM_FpMul_sec80(benchmark::State& state) {
   auto& f = fixture();

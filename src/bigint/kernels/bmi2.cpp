@@ -232,7 +232,7 @@ void mul_bmi2(const u64* a, const u64* b, const u64* n, u64 n0inv,
               std::size_t k, u64* out) {
   if (k == 8) return cios8_asm(a, b, n, n0inv, out);
   if (k == 4) return cios4_asm(a, b, n, n0inv, out);
-  portable_table().mul(a, b, n, n0inv, k, out);
+  mul_portable(a, b, n, n0inv, k, out);
 }
 
 // --- modular add/sub/neg on registers s0..s7 and m ----------------------
@@ -292,7 +292,7 @@ void add_bmi2(const u64* a, const u64* b, const u64* n, std::size_t k,
                      : [a] "r"(a), [b] "r"(b), [n] "r"(n), [out] "r"(out)
                      : "cc", "memory");
   } else {
-    portable_table().add(a, b, n, k, out);
+    add_portable(a, b, n, k, out);
   }
 }
 
@@ -310,7 +310,7 @@ void sub_bmi2(const u64* a, const u64* b, const u64* n, std::size_t k,
                      : [a] "r"(a), [b] "r"(b), [n] "r"(n), [out] "r"(out)
                      : "cc", "memory");
   } else {
-    portable_table().sub(a, b, n, k, out);
+    sub_portable(a, b, n, k, out);
   }
 }
 
@@ -327,7 +327,7 @@ void neg_bmi2(const u64* a, const u64* n, std::size_t k, u64* out) {
                      : [a] "r"(a), [n] "r"(n), [out] "r"(out)
                      : "cc", "memory");
   } else {
-    portable_table().neg(a, n, k, out);
+    neg_portable(a, n, k, out);
   }
 }
 

@@ -93,6 +93,16 @@ const char* kind_name(Kind kind);
 const Table& portable_table();
 const Table& bmi2_table();
 
+// The portable tier's entries (portable.cpp), named so the bmi2 tier
+// calls them directly at the widths its asm does not cover.
+void mul_portable(const u64* a, const u64* b, const u64* n, u64 n0inv,
+                  std::size_t k, u64* out);
+void add_portable(const u64* a, const u64* b, const u64* n, std::size_t k,
+                  u64* out);
+void sub_portable(const u64* a, const u64* b, const u64* n, std::size_t k,
+                  u64* out);
+void neg_portable(const u64* a, const u64* n, std::size_t k, u64* out);
+
 // --- scratch hygiene ------------------------------------------------------
 
 /// Volatile-scrubs a kernel scratch buffer. In wiping builds

@@ -12,8 +12,6 @@ namespace medcrypt::bigint::kernels {
 
 using u128 = unsigned __int128;
 
-namespace {
-
 // Fixed widths only where they measured faster than the runtime-width
 // loop (docs/PERF.md §5): the named sets' field widths (2, 4, 6 and 8
 // limbs), sec80's 3-limb q and RSA-1024's 16 limbs.
@@ -69,8 +67,6 @@ void neg_portable(const u64* a, const u64* n, std::size_t k, u64* out) {
     out[i] &= mask;
   }
 }
-
-}  // namespace
 
 const Table& portable_table() {
   static const Table kTable = {

@@ -1,6 +1,8 @@
 #include "bigint/montgomery.h"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "common/error.h"
 
@@ -161,6 +163,58 @@ void add_n_if_negative(i64* a, const i64* n, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) a[i] += n[i] & neg;
   carry_s62(a, len);
 }
+
+// Runs 62 posdivsteps on the low 64 bits of f (odd) and g and returns
+// the new eta = −delta; t receives the transition matrix as
+// divsteps_62's does. A posdivstep is a divstep with g + f in place of
+// g − f, so f and g stay nonnegative and the Jacobi symbol (g | f) keeps
+// its meaning; bit 0 of `jac` flips each time that symbol changes sign.
+// Variable time: a run of halvings is one shift, and a step on odd g
+// adds the multiple w·f that clears up to 4 (or, after a swap, 6) low
+// bits of g at once (Pornin, ePrint 2020/972; libsecp256k1's
+// jacobi64). The low 64 bits of f and g, not 62, keep f mod 8 and
+// g mod 4 known through the batch's last steps.
+i64 posdivsteps_62(i64 eta, u64 f, u64 g, i64* t, u64& jac) {
+  u64 u = 1, v = 0, q = 0, r = 1;
+  int left = kBatch;
+  // Halves g up to `left` times (the sentinel bits cap the count).
+  const auto halve = [&] {
+    const int zeros = __builtin_ctzll(g | (~u64{0} << left));
+    g >>= zeros;
+    u <<= zeros;
+    v <<= zeros;
+    eta -= zeros;
+    left -= zeros;
+    // (2 | f) = −1 iff f ≡ 3 or 5 (mod 8).
+    jac ^= static_cast<u64>(zeros) & ((f >> 1) ^ (f >> 2));
+  };
+  // Every pass clears at least the low bit of the odd g, so `left`
+  // falls by at least one per pass.
+  for (halve(); left > 0; halve()) {
+    u64 w;  // −g/f modulo 2^6 after a swap, 2^4 otherwise
+    if (eta < 0) {
+      eta = -eta;
+      std::swap(f, g);
+      std::swap(u, q);
+      std::swap(v, r);
+      // Reciprocity: (f | g) = −(g | f) iff both are 3 (mod 4).
+      jac ^= (f & g) >> 1;
+      w = f * g * (f * f - 2) & 63;  // f(f² − 2) = −1/f (mod 64)
+    } else {
+      w = (0 - (f + (((f + 1) & 4) << 1)) * g) & 15;  // 1/f (mod 16)
+    }
+    // At most eta + 1 steps pass before the next swap, and `left` remain.
+    w &= ~u64{0} >> (64 - std::min<i64>(eta + 1, left));
+    g += f * w;
+    q += u * w;
+    r += v * w;
+  }
+  t[0] = static_cast<i64>(u);
+  t[1] = static_cast<i64>(v);
+  t[2] = static_cast<i64>(q);
+  t[3] = static_cast<i64>(r);
+  return eta;
+}
 }  // namespace
 
 Montgomery::Montgomery(BigInt n) : n_(std::move(n)) {
@@ -263,6 +317,40 @@ void Montgomery::inv_limbs(const u64* a, u64* out) const {
   from_s62(d, len, out, k_);
   // f, g, d, e and the matrices all derive from the operand.
   kernels::scrub_scratch(reinterpret_cast<u64*>(state), 4 * len + 4);
+}
+
+std::optional<int> Montgomery::jacobi_limbs(const u64* a) const {
+  if (std::all_of(a, a + k_, [](u64 l) { return l == 0; })) return 0;
+  // (g | f) from f = n, g = a. Posdivsteps keep f odd and g >= 0 and
+  // end at f = g = gcd(a, n), a fixed point of the steps. f and g get
+  // one spare zero limb, so their low 64 bits read in bounds after `len`
+  // shrinks to one limb.
+  std::size_t len = s62_len_;
+  i64 state[2 * kMaxS62 + 6];
+  i64* f = state;
+  i64* g = f + len + 1;
+  i64* t = g + len + 1;
+  std::copy_n(n_s62_.data(), len, f);
+  to_s62(a, k_, g, len);
+  f[len] = g[len] = 0;
+  const auto low64 = [](const i64* x) {
+    return static_cast<u64>(x[0]) | static_cast<u64>(x[1]) << kBatch;
+  };
+  i64 eta = -1;
+  u64 jac = 0;
+  // No bound on the posdivstep count is proved; twice the divsteps that
+  // provably end a safegcd inversion (~5.8 per bit of n) is ample.
+  for (std::size_t b = 0; b < 2 * divstep_batches_; ++b) {
+    eta = posdivsteps_62(eta, low64(f), low64(g), t, jac);
+    update_fg(f, g, len, t);
+    if (f[0] == 1 &&
+        std::all_of(f + 1, f + len, [](i64 l) { return l == 0; })) {
+      return (jac & 1) != 0 ? -1 : 1;  // (g | 1) = 1
+    }
+    if (std::equal(f, f + len, g)) return 0;  // f = g = gcd(a, n) > 1
+    if (len > 1 && f[len - 1] == 0 && g[len - 1] == 0) --len;
+  }
+  return std::nullopt;
 }
 
 void Montgomery::add_limbs(const u64* a, const u64* b, u64* out) const {

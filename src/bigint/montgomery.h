@@ -2,12 +2,12 @@
 //
 // A Montgomery context precomputes R = 2^(64k), R^2 mod N and
 // -N^{-1} mod 2^64 for a fixed odd modulus N of k limbs (at most 4096
-// bits), and offers CIOS multiplication, fixed-window exponentiation and
-// a constant-time safegcd inversion. The prime-field layer keeps its
-// elements permanently in Montgomery form and reuses one shared context
-// per field, which is what makes the 512-bit Tate pairing usable;
-// BigInt::pow_mod (RSA, mRSA, IB-mRSA) and Miller–Rabin build a context
-// per call.
+// bits), and offers CIOS multiplication, fixed-window exponentiation, a
+// constant-time safegcd inversion and a variable-time Jacobi symbol. The
+// prime-field layer keeps its elements permanently in Montgomery form
+// and reuses one shared context per field, which is what makes the
+// 512-bit Tate pairing usable; BigInt::pow_mod (RSA, mRSA, IB-mRSA) and
+// Miller–Rabin build a context per call.
 //
 // Every routine operates on fixed k-limb little-endian arrays owned by
 // the caller, tolerates `out` aliasing an input and never allocates,
@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "bigint/bigint.h"
@@ -88,6 +89,17 @@ class Montgomery {
   /// length of n alone, updated with masks only, so `a` may be secret.
   void inv_limbs(const std::uint64_t* a, std::uint64_t* out) const;
 
+  /// The Jacobi symbol (a | n) of a k-limb value 0 <= a < n: 1 or −1,
+  /// and 0 when gcd(a, n) > 1. R = 2^(64k) is a square, so a
+  /// Montgomery-form a = xR gives (x | n) with no conversion. Runs
+  /// posdivsteps (Pornin; libsecp256k1's jacobi64): the safegcd
+  /// batches with f and g kept nonnegative, so the symbol's sign can be
+  /// tracked. No bound on their count is proved, so after twice the
+  /// inversion's divsteps it gives up with nullopt, which random inputs
+  /// do not reach. Variable time: it branches on `a`, which must be
+  /// public.
+  std::optional<int> jacobi_limbs(const std::uint64_t* a) const;
+
   /// R mod n zero-padded to k limbs (the Montgomery form of 1).
   const std::uint64_t* one_limbs() const { return one_padded_.data(); }
 
@@ -108,7 +120,8 @@ class Montgomery {
   const kernels::Table* kt_ = nullptr;  // dispatched limb kernels
   std::vector<std::uint64_t> one_padded_;  // R mod n, k limbs
   std::vector<std::uint64_t> r2_padded_;   // R^2 mod n, k limbs
-  // inv_limbs state: n and R^2 mod n in signed 62-bit limbs.
+  // inv_limbs state: n and R^2 mod n in signed 62-bit limbs (n also
+  // starts jacobi_limbs).
   std::size_t s62_len_ = 0;                // signed 62-bit limb count
   std::size_t divstep_batches_ = 0;        // batches of 62 divsteps
   std::uint64_t n_inv62_ = 0;              // n^{-1} mod 2^62

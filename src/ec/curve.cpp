@@ -11,7 +11,10 @@
 namespace medcrypt::ec {
 
 Curve::Curve(const PrimeField* field, BigInt order, BigInt cofactor)
-    : field_(field), order_(std::move(order)), cofactor_(std::move(cofactor)) {}
+    : field_(field),
+      order_(std::move(order)),
+      cofactor_(std::move(cofactor)),
+      chain_(order_, cofactor_) {}
 
 const Curve* Curve::make(const PrimeField* field, BigInt order,
                          BigInt cofactor) {

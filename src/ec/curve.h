@@ -10,7 +10,7 @@
 // order 2, the ladder's one special input.
 #pragma once
 
-#include "field/fp.h"
+#include "field/fp2.h"
 
 namespace medcrypt::ec {
 
@@ -42,6 +42,10 @@ class Curve {
   /// Cofactor h with #E(F_p) = h·q.
   const BigInt& cofactor() const { return cofactor_; }
 
+  /// The chain q = 2^n − c and g = gcd(2^n + c, h) that
+  /// Point::in_subgroup and field::in_gt test membership by.
+  const field::OrderChain& chain() const { return chain_; }
+
   /// The point at infinity.
   Point infinity() const;
 
@@ -67,6 +71,7 @@ class Curve {
   const PrimeField* field_;
   BigInt order_;
   BigInt cofactor_;
+  field::OrderChain chain_;
 };
 
 }  // namespace medcrypt::ec

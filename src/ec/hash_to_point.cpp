@@ -29,10 +29,13 @@ bool derive_candidate(const Curve* curve, std::string_view domain,
       BigInt::from_bytes_be(BytesView(material.data(), xbytes)));
   const Fp rhs = curve->rhs(x);
 
-  // With p ≡ 3 (mod 4), try_sqrt fuses the Legendre test into the root
-  // (one exponentiation). It accepts rhs == 0, whose order-2 point (x, 0)
-  // the callers discard: cofactor clearing kills it, and the raw
-  // candidate path skips it explicitly.
+  // About half the candidates are non-residues: the Legendre symbol
+  // (variable time, on public hash material) rejects them with no power.
+  // try_sqrt then pays its one exponentiation only on a square. It
+  // accepts rhs == 0, whose order-2 point (x, 0) the callers discard:
+  // cofactor clearing kills it, and the raw candidate path skips it
+  // explicitly.
+  if (rhs.legendre() < 0) return false;
   std::optional<Fp> y = rhs.try_sqrt();
   if (!y) return false;
   // Use one derived bit to pick the root deterministically.

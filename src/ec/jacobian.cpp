@@ -151,15 +151,16 @@ JacPoint jac_add_mixed(const JacPoint& t, const Point& p, AddTrace* trace) {
 
 namespace {
 
-// The x-only ladder over projective (X : Z), most significant bit first.
-// On return (x2 : z2) = k·P and (x3 : z3) = (k+1)·P; t0..t3 are scratch
-// for the step and for y-recovery. Every member derives from k, so the
-// destructor wipes them all, on every exit path. Requires P finite with
-// y != 0 (so x(P) != 0) and k >= 0.
+// The x-only ladder over projective (X : Z), most significant bit first,
+// for `bits` >= bits(k) steps. On return (x2 : z2) = k·P and
+// (x3 : z3) = (k+1)·P; t0..t3 are scratch for the step and for
+// y-recovery. Every member derives from k, so the destructor wipes them
+// all, on every exit path. Requires P finite with y != 0 (so
+// x(P) != 0) and k >= 0.
 struct Ladder {
   Fp x2, z2, x3, z3, t0, t1, t2, t3;
 
-  Ladder(const Point& p, const bigint::BigInt& k) {
+  Ladder(const Point& p, const bigint::BigInt& k, std::size_t bits) {
     const Fp& x1 = p.x();
     const auto& field = x1.field();
     x2 = field->one();  // O = (1 : 0)
@@ -170,8 +171,6 @@ struct Ladder {
     t1 = z2;
     t2 = z2;
     t3 = z2;
-    const std::size_t bits =
-        std::max(k.bit_length(), p.curve()->order().bit_length());
     // A set bit maps (R, R + P) to (2R + P, 2R + 2P), the mirror image
     // of a clear bit's (2R, 2R + P): the pair is swapped in, stepped by
     // the clear-bit formulas and swapped back out, and consecutive swaps
@@ -223,6 +222,22 @@ struct Ladder {
     x2 *= t0;
     x2.dbl_inplace();     // X(2R) = 2·AA·BB
   }
+
+  // (x2 : z2) ← 2·(x2 : z2) by the step's doubling half alone, 2M + 2S.
+  void dbl() {
+    t0 = x2;
+    t0 += z2;
+    t0.square_inplace();  // AA
+    x2 -= z2;
+    x2.square_inplace();  // BB
+    z2 = t0;
+    z2 -= x2;             // E = AA - BB
+    t1 = t0;
+    t1 += x2;
+    z2 *= t1;             // E·(AA + BB)
+    x2 *= t0;
+    x2.dbl_inplace();     // 2·AA·BB
+  }
 };
 
 }  // namespace
@@ -236,7 +251,7 @@ JacPoint ladder_mul(const Point& p, const bigint::BigInt& k) {
   if (p.y().is_zero()) {  // (0, 0) has order 2
     return k.bit(0) ? jac_from_affine(p) : JacPoint{};
   }
-  Ladder l(p, k);
+  Ladder l(p, k, std::max(k.bit_length(), p.curve()->order().bit_length()));
   if (l.z2.is_zero()) return JacPoint{};           // kP = O
   if (l.z3.is_zero()) return jac_from_affine(-p);  // (k+1)P = O
 
@@ -273,6 +288,30 @@ JacPoint ladder_mul(const Point& p, const bigint::BigInt& k) {
   Fp yj = z.square();
   yj *= l.t0;               // Y'·Z'^2
   return JacPoint{std::move(xj), std::move(yj), std::move(z), false};
+}
+
+bool in_subgroup_chain(const Point& p) {
+  if (!p.curve()) {
+    throw InvalidArgument("in_subgroup_chain: default-constructed point");
+  }
+  if (p.is_infinity()) return true;
+  const bigint::BigInt& q = p.curve()->order();
+  if (p.y().is_zero()) return !q.bit(0);  // (0, 0) has order 2
+  const field::OrderChain& chain = p.curve()->chain();
+  // (x2 : z2) = (c−1)·P and (x3 : z3) = c·P; with a head, (c−1)·P is
+  // 2^head·P, else the doublings start from P.
+  Ladder l(p, chain.ladder, chain.ladder.bit_length());
+  if (chain.head == 0) {
+    l.x2 = p.x();
+    l.z2 = l.x2.field()->one();
+  }
+  for (std::size_t i = chain.head; i < chain.n; ++i) l.dbl();
+  l.t0 = l.x2;  // x(2^n·P) = x(c·P), projectively
+  l.t0 *= l.z3;
+  l.t1 = l.x3;
+  l.t1 *= l.z2;
+  if (!(l.t0 == l.t1)) return false;
+  return !Ladder(p, chain.g, chain.g.bit_length()).z2.is_zero();
 }
 
 namespace {

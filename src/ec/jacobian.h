@@ -12,8 +12,9 @@
 // (the scale lies in the subfield the exponentiation kills), so the
 // pairing multiplies by the numerator-scaled line directly.
 //
-// Variable-base multiples (Point::mul, the subgroup check, cofactor
-// clearing) run one x-only Montgomery ladder instead (ladder_mul below):
+// Variable-base multiples (Point::mul, cofactor clearing) run one
+// x-only Montgomery ladder instead (ladder_mul below), and the subgroup
+// check runs it over the short chain of q (in_subgroup_chain).
 // y^2 = x^3 + x is the Montgomery curve B·y^2 = x^3 + A·x^2 + x with
 // A = 0 and B = 1, so the ladder needs no change of model. A sum of
 // multiples whose scalars and points are all public (the batch proof
@@ -93,10 +94,18 @@ JacPoint jac_add_mixed(const JacPoint& t, const Point& p,
 /// return. y is recovered by Okeya–Sakurai from x(P), y(P), x(kP) and
 /// x((k+1)P). Negative k multiplies -p by |k|. Branches only on p and on
 /// the result: (0, 0), the one 2-torsion point, maps to itself for odd
-/// k and to O for even k; Z(kP) = 0 gives O before any recovery (so a
-/// subgroup check of a member pays the steps alone), and
+/// k and to O for even k; Z(kP) = 0 gives O before any recovery, and
 /// Z((k+1)P) = 0 gives -p.
 JacPoint ladder_mul(const Point& p, const bigint::BigInt& k);
+
+/// True iff q·p = O for the curve's order q, by its chain
+/// (field::OrderChain): x(2^n·p) = x(c·p) from an x-only ladder over
+/// c − 1 and n − head x-only doublings (2M + 2S each), compared
+/// projectively, then g·p ≠ O unless p = O. At sec80 that is 32 ladder
+/// steps and 129 doublings, ~800 multiplies against ladder_mul's ~1,440
+/// over q. (0, 0) answers by the parity of q, as in ladder_mul.
+/// Variable time: for public points (signatures, tokens, ciphertexts).
+bool in_subgroup_chain(const Point& p);
 
 /// Σ scalars[j]·points[j] for PUBLIC scalars and points (Straus): one
 /// shared doubling chain over the width-w NAF digits of every scalar,

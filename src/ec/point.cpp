@@ -96,12 +96,7 @@ Point Point::mul_affine(const BigInt& k) const {
   return acc;
 }
 
-bool Point::in_subgroup() const {
-  if (!curve_) throw InvalidArgument("Point: in_subgroup of default point");
-  // q·P stays Jacobian: a member returns at Z(q·P) = 0, with no
-  // y-recovery and no field inversion.
-  return ladder_mul(*this, curve_->order()).inf;
-}
+bool Point::in_subgroup() const { return in_subgroup_chain(*this); }
 
 Bytes Point::to_bytes() const {
   if (!curve_) throw InvalidArgument("Point: to_bytes of default point");

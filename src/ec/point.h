@@ -42,7 +42,8 @@ class Point {
   /// path and for the coordinate-system ablation bench.
   Point mul_affine(const BigInt& k) const;
 
-  /// True iff the point lies in the order-q subgroup (q·P = O).
+  /// True iff the point lies in the order-q subgroup (q·P = O), by the
+  /// chain of q (ec::in_subgroup_chain). Variable time: public points.
   bool in_subgroup() const;
 
   /// Compressed encoding: 0x00 for infinity (single byte is padded to

@@ -205,6 +205,15 @@ bool Fp::is_square() const {
   return pow(field_->legendre_exponent()).is_one();
 }
 
+int Fp::legendre() const {
+  check_bound("legendre");
+  if (const std::optional<int> symbol =
+          field_->mont().jacobi_limbs(store_.data())) {
+    return *symbol;
+  }
+  return is_square() ? 1 : -1;  // nonzero: jacobi_limbs settles zero
+}
+
 Fp Fp::sqrt() const {
   std::optional<Fp> root = try_sqrt();
   if (!root) throw InvalidArgument("Fp: sqrt of non-square");
@@ -213,46 +222,13 @@ Fp Fp::sqrt() const {
 
 std::optional<Fp> Fp::try_sqrt() const {
   check_bound("sqrt");
+  if (field_->sqrt_exponent().is_zero()) {
+    throw InvalidArgument("Fp: sqrt needs p = 3 (mod 4)");
+  }
   if (is_zero()) return *this;
-  if (!field_->sqrt_exponent().is_zero()) {  // p ≡ 3 (mod 4)
-    Fp s = pow(field_->sqrt_exponent());
-    if (!(s.square() == *this)) return std::nullopt;
-    return s;
-  }
-  if (!is_square()) return std::nullopt;
-
-  // Tonelli–Shanks for p ≡ 1 (mod 4).
-  const BigInt& p = field_->modulus();
-  BigInt q = p - BigInt(1);
-  std::size_t s = 0;
-  while (q.is_even()) {
-    q = q >> 1;
-    ++s;
-  }
-  // Find a non-square z.
-  Fp z = field_->from_u64(2);
-  while (z.is_square()) z = z + field_->one();
-
-  Fp m_pow = z.pow(q);                       // c
-  Fp t = pow(q);                             // t
-  Fp r = pow((q + BigInt(1)) >> 1);          // r
-  std::size_t m = s;
-  while (!t.is_one()) {
-    // Find least i with t^(2^i) == 1.
-    std::size_t i = 0;
-    Fp probe = t;
-    while (!probe.is_one()) {
-      probe = probe.square();
-      ++i;
-    }
-    Fp b = m_pow;
-    for (std::size_t j = 0; j + i + 1 < m; ++j) b = b.square();
-    m_pow = b.square();
-    t = t * m_pow;
-    r = r * b;
-    m = i;
-  }
-  return r;
+  Fp s = pow(field_->sqrt_exponent());
+  if (!(s.square() == *this)) return std::nullopt;
+  return s;
 }
 
 BigInt Fp::to_bigint() const {

@@ -133,15 +133,23 @@ class Fp {
   /// Euler criterion; zero counts as a square.
   bool is_square() const;
 
+  /// The Legendre symbol (this | p): 1 for a nonzero square, −1 for a
+  /// non-square, 0 for zero, by Montgomery::jacobi_limbs on the
+  /// Montgomery form, with no power (Euler's criterion should it give
+  /// up). Variable time: for public values only (hash-to-curve
+  /// candidates).
+  int legendre() const;
+
   /// A square root (the caller picks the sign via canonical_sqrt or
-  /// negation); throws InvalidArgument if not a square.
-  /// Uses x^((p+1)/4) when p ≡ 3 (mod 4), Tonelli–Shanks otherwise.
+  /// negation); throws InvalidArgument if not a square. Same contract
+  /// as try_sqrt.
   Fp sqrt() const;
 
-  /// A square root, or nullopt if this is not a square. With
-  /// p ≡ 3 (mod 4) it costs one exponentiation: s = x^((p+1)/4) is a
-  /// root iff x is a square, so the s^2 == x check replaces the
-  /// separate Euler-criterion power.
+  /// A square root, or nullopt if this is not a square, for
+  /// p ≡ 3 (mod 4), as every field the library builds is (each named p
+  /// and q). It costs one exponentiation: s = x^((p+1)/4) is a root iff
+  /// x is a square, so the s^2 == x check replaces the separate
+  /// Euler-criterion power. Throws InvalidArgument when p ≡ 1 (mod 4).
   std::optional<Fp> try_sqrt() const;
 
   /// Canonical integer representative in [0, p).

@@ -144,6 +144,29 @@ Fp pow_unitary_re(const Fp2& base, const BigInt& k, std::size_t bits) {
   return r0;
 }
 
+OrderChain::OrderChain(const BigInt& q, const BigInt& h)
+    : n(q.bit_length()), ladder((BigInt(1) << n) - q - BigInt(1)), head(0) {
+  const std::size_t top = ladder.bit_length();
+  if (top > 1 && ladder == BigInt(1) << (top - 1)) head = top - 1;
+  g = BigInt::gcd((BigInt(1) << (n + 1)) - q, h);  // 2^n + c = 2^(n+1) − q
+}
+
+bool in_gt(const Fp2& x, const OrderChain& chain) {
+  if (!x.norm().is_one()) return false;
+  Fp r0, r1;  // Re(x^(c−1)), Re(x^c)
+  lucas_ladder(x, chain.ladder, chain.ladder.bit_length(), r0, r1);
+  if (chain.head == 0) r0 = x.re();  // else r0 = Re(x^(2^head)) already
+  const Fp one = r0.field()->one();
+  for (std::size_t i = chain.head; i < chain.n; ++i) {
+    r0.square_inplace();  // R_2j = 2R_j² − 1
+    r0.dbl_inplace();
+    r0 -= one;
+  }
+  return r0 == r1 &&
+         (x.is_one() ||
+          !pow_unitary_re(x, chain.g, chain.g.bit_length()).is_one());
+}
+
 Bytes gt_to_bytes(const Fp2& x) {
   if (!x.norm().is_one()) {
     throw InvalidArgument("gt_to_bytes: not a norm-1 element");

@@ -112,6 +112,35 @@ Fp2 pow_unitary(const Fp2& base, const BigInt& k, std::size_t bits,
 /// ladder without the recovery, so no inversion. Same contract.
 Fp pow_unitary_re(const Fp2& base, const BigInt& k, std::size_t bits);
 
+/// The shape q = 2^n − c of a group order q that divides p + 1, which
+/// the membership tests of G1 (ec::Point::in_subgroup) and G_T (in_gt)
+/// run on. Written additively, an x of order dividing p + 1 has q·x = 0
+/// iff 2^n·x = c·x. Equal x-coordinates (G1) or real parts (G_T) mean
+/// 2^n·x = ±c·x, so they also admit the x with (2^n + c)·x = 0. For an
+/// odd prime q, as in every named set, q does not divide 2^n + c, so
+/// those x are the ones whose order divides g = gcd(2^n + c, h), and
+/// only x = 0 among them lies in the subgroup: the tests reject the
+/// x ≠ 0 with g·x = 0. A ladder over c − 1 yields (c − 1)·x and c·x
+/// together; for a Solinas q = 2^n − 2^b − 1, c − 1 = 2^b, so it also
+/// yields the chain's first b doublings. Built once per curve by
+/// ec::Curve::make.
+struct OrderChain {
+  OrderChain(const BigInt& q, const BigInt& h);
+
+  std::size_t n;     // bits(q)
+  BigInt ladder;     // c − 1, with c = 2^n − q in [1, 2^(n−1)]
+  std::size_t head;  // b when c − 1 = 2^b with b >= 1, else 0
+  BigInt g;          // gcd(2^n + c, h)
+};
+
+/// True iff x^q = 1 for the order q of `chain`: norm 1, then
+/// Re(x^(2^n)) = Re(x^c) from the trace ladder over c − 1 and
+/// n − head trace doublings R ← 2R² − 1 (one squaring each), then
+/// x = 1 or Re(x^g) ≠ 1. About 2·bits(c − 1) + n − head multiplies,
+/// where the ladder over q costs 2n. Variable time: for public values
+/// (threshold shares and their proofs).
+bool in_gt(const Fp2& x, const OrderChain& chain);
+
 /// Wire form of a G_T value: the single F_p element m = (1 + a)/b of a
 /// unitary x = a + b·i (T2 torus compression; Rubin–Silverberg, CRYPTO
 /// 2003), byte_size() bytes, half of to_bytes(). x = 1 (b = 0) encodes

@@ -34,18 +34,6 @@ BigInt challenge(const Fp2& share_value, const Fp2& vk_pairing, const Fp2& w1,
   return hash::hash_to_range("TIBE.proof", data, order);
 }
 
-// Membership in the order-q subgroup G_T of F*_{p^2}. Pairing outputs
-// always pass; a published value with a small-order component (−S has
-// order 2·q) would let a forger cancel that component against a weight's
-// parity, so the batch is only sound after this check. For a norm-1 x,
-// x^-1 = conj(x), so x^q = 1 iff Re(x^q) = 1: x^q + x^-q = 2 iff
-// (x^q − 1)² = x^q·(x^q + x^-q − 2) = 0. That needs only the trace
-// ladder, with no recovery.
-bool in_gt(const Fp2& x, const BigInt& order) {
-  return x.norm().is_one() &&
-         field::pow_unitary_re(x, order, order.bit_length()).is_one();
-}
-
 // Nonzero 80-bit weights ρ_1..ρ_n, then c, from SHA-256 over U and every
 // statement (index, S, w1, w2, e, V): no weight is known before the whole
 // batch is fixed.
@@ -107,13 +95,17 @@ ProvedShare prove_share(const pairing::ParamSet& group, const Point& u,
 bool check_statement(const pairing::ParamSet& group, const Point& u,
                      const ShareStatement& s) {
   // The challenge and the published values are public proof components;
-  // branching on them reveals only the (public) verdict.
+  // branching on them reveals only the (public) verdict. Pairing outputs
+  // always lie in G_T; a published value with a small-order component
+  // (−S has order 2·q) would let a forger cancel that component against
+  // a weight's parity, so the batch is only sound after the G_T tests.
   const BigInt& order = group.order();
   const ShareProof& proof = *s.proof;
+  const field::OrderChain& chain = group.curve->chain();
   return challenge(*s.value, *s.vk_pairing, proof.w1, proof.w2, u, order) ==
              proof.e &&
-         in_gt(*s.value, order) && in_gt(proof.w1, order) &&
-         in_gt(proof.w2, order);
+         field::in_gt(*s.value, chain) && field::in_gt(proof.w1, chain) &&
+         field::in_gt(proof.w2, chain);
 }
 
 bool check_batch_equation(const pairing::ParamSet& group, const Point& u,

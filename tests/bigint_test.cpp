@@ -269,6 +269,48 @@ TEST(Montgomery, MatchesNaivePowMod) {
   }
 }
 
+// jacobi_limbs on a composite modulus n = 103·107, every residue in
+// Montgomery form: the product of the two Legendre symbols (Euler's
+// criterion mod each prime), so 0 exactly on the multiples of 103 or
+// 107.
+TEST(Montgomery, JacobiMatchesLegendreProductOnCompositeModulus) {
+  const auto legendre = [](std::uint64_t a, std::uint64_t p) {
+    const BigInt e = BigInt(a).pow_mod(BigInt((p - 1) / 2), BigInt(p));
+    return e.is_zero() ? 0 : e == BigInt(1) ? 1 : -1;
+  };
+  const Montgomery mont(BigInt(103 * 107));
+  std::uint64_t x[1];
+  int zeros = 0;
+  for (std::uint64_t a = 0; a < 103 * 107; ++a) {
+    mont.to_mont_limbs(BigInt(a), x);
+    const std::optional<int> symbol = mont.jacobi_limbs(x);
+    ASSERT_TRUE(symbol.has_value()) << a;
+    ASSERT_EQ(*symbol, legendre(a, 103) * legendre(a, 107)) << a;
+    zeros += *symbol == 0;
+  }
+  EXPECT_EQ(zeros, 103 + 107 - 1);
+
+  // Four limbs: the product of the toy64 and sec80 Solinas orders.
+  const BigInt p1 = (BigInt(1) << 64) - (BigInt(1) << 8) - BigInt(1);
+  const BigInt p2 = (BigInt(1) << 160) - (BigInt(1) << 31) - BigInt(1);
+  const auto big_legendre = [](const BigInt& a, const BigInt& p) {
+    const BigInt e = a.pow_mod((p - BigInt(1)) >> 1, p);
+    return e.is_zero() ? 0 : e == BigInt(1) ? 1 : -1;
+  };
+  const Montgomery wide(p1 * p2);
+  ASSERT_EQ(wide.limbs(), 4u);
+  HmacDrbg rng(71);
+  std::uint64_t y[4];
+  for (int i = 0; i < 100; ++i) {
+    BigInt a = BigInt::random_below(rng, p1 * p2);
+    if (i % 10 == 0) a = (a * p1).mod(p1 * p2);  // shares the factor p1
+    wide.to_mont_limbs(a, y);
+    const std::optional<int> symbol = wide.jacobi_limbs(y);
+    ASSERT_TRUE(symbol.has_value()) << i;
+    EXPECT_EQ(*symbol, big_legendre(a, p1) * big_legendre(a, p2)) << i;
+  }
+}
+
 TEST(Montgomery, RejectsEvenModulus) {
   EXPECT_THROW(Montgomery(BigInt(10)), InvalidArgument);
   EXPECT_THROW(Montgomery(BigInt(1)), InvalidArgument);

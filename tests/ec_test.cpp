@@ -235,6 +235,51 @@ TEST_P(InSubgroupDiffTest, MatchesAffineReference) {
 INSTANTIATE_TEST_SUITE_P(Params, InSubgroupDiffTest,
                          ::testing::Values("toy64", "sec80"));
 
+// The chain test behind Point::in_subgroup (ec::in_subgroup_chain)
+// against Z(q·P) = 0 from the ladder over q, on points of all of
+// E(F_p): raw hash candidates and random multiples of them, subgroup
+// points, points whose order divides g (g = 13 on toy64, where
+// x(2^n·P) = x(c·P) admits them; O at sec80, where g = 1), sums of
+// these, (0, 0) and O.
+class InSubgroupChainTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(InSubgroupChainTest, MatchesLadderOverQ) {
+  const auto& params = pairing::named_params(GetParam());
+  const Curve* c = params.curve;
+  const BigInt& q = params.order();
+  const BigInt hq = c->cofactor() * q;  // #E(F_p) = p + 1
+  const BigInt& g = c->chain().g;
+  HmacDrbg rng(41);
+  const Point t = order_two_point(c);
+  std::vector<Point> pts = {c->infinity(), t, params.generator};
+  for (int i = 0; i < 12; ++i) {
+    const Point cand =
+        hash_to_curve_candidate(c, "Chain", str_bytes(std::to_string(i)));
+    const Point s = params.mul_g(BigInt::random_unit(rng, q));
+    const Point small = cand.mul(hq / g);  // order divides g
+    pts.insert(pts.end(),
+               {cand, cand.mul(BigInt::random_below(rng, hq)), cand.mul(q),
+                s, s + t, small, small + t, s + small});
+  }
+  int members = 0, small_order = 0;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const Point& p = pts[i];
+    const bool member = ladder_mul(p, q).inf;
+    EXPECT_EQ(p.in_subgroup(), member) << i;
+    EXPECT_EQ(in_subgroup_chain(p), member) << i;
+    members += member;
+    small_order += !p.is_infinity() && p.mul(g).is_infinity();
+  }
+  EXPECT_GE(members, 14);  // O, the generator and the 12 s
+  EXPECT_LT(members, static_cast<int>(pts.size()) - 12);
+  if (g > BigInt(1)) {
+    EXPECT_GE(small_order, 6);  // ~12/13 of the 12 `small`
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Params, InSubgroupChainTest,
+                         ::testing::Values("toy64", "sec80"));
+
 // Equal parameters give one context, so the only mixed-curve case is
 // curves whose parameters differ. These two share the field F_103 (so
 // the coordinates themselves mix freely) and differ in (q, h).

@@ -7,6 +7,7 @@
 #include "field/fp.h"
 #include "field/fp2.h"
 #include "hash/drbg.h"
+#include "pairing/params.h"
 
 namespace medcrypt::field {
 namespace {
@@ -19,7 +20,7 @@ const PrimeField* small_field() {
 }
 
 const PrimeField* big_field() {
-  // 2^255 - 19 is prime; ≡ 1 (mod 4), exercising Tonelli–Shanks.
+  // 2^255 - 19 is prime and ≡ 1 (mod 4): try_sqrt refuses it.
   return PrimeField::make(BigInt::from_hex(
       "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed"));
 }
@@ -100,14 +101,16 @@ TEST(Fp, SqrtOn3Mod4Field) {
   }
 }
 
-TEST(Fp, SqrtTonelliShanks) {
-  auto f = big_field();  // p ≡ 1 (mod 4)
-  HmacDrbg rng(23);
-  for (int i = 0; i < 20; ++i) {
-    const Fp a = f->random(rng);
-    const Fp sq = a.square();
-    const Fp root = sq.sqrt();
-    EXPECT_TRUE(root == a || root == -a) << "iteration " << i;
+// Every field the library builds is ≡ 3 (mod 4), so a p ≡ 1 (mod 4)
+// field gets no square root at all, not even of a square or of zero.
+TEST(Fp, SqrtRejects1Mod4Field) {
+  for (const auto& f : {big_field(), PrimeField::make(BigInt(97))}) {
+    HmacDrbg rng(23);
+    const Fp sq = f->random(rng).square();
+    EXPECT_THROW(sq.try_sqrt(), InvalidArgument);
+    EXPECT_THROW(sq.sqrt(), InvalidArgument);
+    EXPECT_THROW(f->zero().try_sqrt(), InvalidArgument);
+    EXPECT_TRUE(sq.is_square());  // Euler's criterion has no such limit
   }
 }
 
@@ -128,10 +131,10 @@ TEST(Fp, NonSquareThrows) {
 }
 
 TEST(Fp, TrySqrtMatchesEulerCriterion) {
-  // The fused p ≡ 3 (mod 4) root (one power, then s^2 == x) and the
-  // Tonelli–Shanks path both accept exactly the squares.
-  for (const auto& f : {small_field(), PrimeField::make(BigInt(97))}) {
-    for (std::uint64_t v = 0; v < 97; ++v) {
+  // The fused p ≡ 3 (mod 4) root (one power, then s^2 == x) accepts
+  // exactly the squares, on every residue of two small fields.
+  for (const auto& f : {small_field(), PrimeField::make(BigInt(107))}) {
+    for (std::uint64_t v = 0; v < f->modulus().limbs()[0]; ++v) {
       const Fp a = f->from_u64(v);
       const std::optional<Fp> root = a.try_sqrt();
       ASSERT_EQ(root.has_value(), a.is_square()) << "v = " << v;
@@ -147,6 +150,41 @@ TEST(Fp, TrySqrtMatchesEulerCriterion) {
     const Fp a = f->random(rng);
     EXPECT_EQ(a.try_sqrt().has_value(), a.is_square()) << "iteration " << i;
   }
+}
+
+// The Legendre symbol is Euler's criterion with 0 for zero: on every
+// residue of two small fields, on 0, 1, 2 and p − 1 and random values
+// of a p ≡ 1 (mod 4) and a p ≡ 3 (mod 4) field and of the named sets'
+// fields (these run on each kernel tier, as test_field_{portable,bmi2}).
+int euler_symbol(const Fp& a) {
+  if (a.is_zero()) return 0;
+  return a.is_square() ? 1 : -1;
+}
+
+TEST(Fp, LegendreMatchesEulerCriterion) {
+  for (const auto& f : {small_field(), PrimeField::make(BigInt(107))}) {
+    int squares = 0;
+    for (std::uint64_t v = 0; v < f->modulus().limbs()[0]; ++v) {
+      const Fp a = f->from_u64(v);
+      ASSERT_EQ(a.legendre(), euler_symbol(a)) << "v = " << v;
+      squares += a.legendre() > 0;
+    }
+    EXPECT_EQ(2 * squares + 1, static_cast<int>(f->modulus().limbs()[0]));
+  }
+  HmacDrbg rng(25);
+  for (const PrimeField* f :
+       {big_field(), big_field_3mod4(),
+        pairing::named_params("toy64").curve->field(),
+        pairing::named_params("sec80").curve->field()}) {
+    std::vector<Fp> values = {f->zero(), f->one(), f->from_u64(2),
+                              -f->one()};
+    for (int i = 0; i < 200; ++i) values.push_back(f->random(rng));
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(values[i].legendre(), euler_symbol(values[i]))
+          << f->modulus() << " value " << i;
+    }
+  }
+  EXPECT_THROW(Fp{}.legendre(), InvalidArgument);
 }
 
 TEST(Fp, BytesRoundTrip) {

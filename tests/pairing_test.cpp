@@ -541,6 +541,33 @@ TEST(ParamGen, NamedSetsHaveSolinasOrders) {
   }
 }
 
+// The membership chain of every named set (field::OrderChain): q =
+// 2^n − c with c − 1 = 2^b, so the ladder over c − 1 also yields the
+// first b doublings, and g = gcd(2^n + c, h), pinned: 1 at sec80 and
+// mid128, whose membership tests reject no small order; 13 at toy64,
+// whose tests exercise the rejection; 5 at sweep384.
+TEST(ParamGen, NamedSetsPinTheirMembershipChain) {
+  struct Spec {
+    const char* set;
+    std::size_t q_bits, b;
+    std::uint64_t g;
+  };
+  for (const Spec spec :
+       {Spec{"toy64", 64, 8, 13}, Spec{"mid128", 128, 18, 1},
+        Spec{"sweep384", 160, 31, 5}, Spec{"sec80", 160, 31, 1}}) {
+    const auto& params = named_params(spec.set);
+    const BigInt& q = params.order();
+    const field::OrderChain& chain = params.curve->chain();
+    EXPECT_EQ(chain.n, spec.q_bits) << spec.set;
+    EXPECT_EQ(chain.ladder, BigInt(1) << spec.b) << spec.set;
+    EXPECT_EQ(chain.head, spec.b) << spec.set;
+    EXPECT_EQ(chain.g, BigInt(spec.g)) << spec.set;
+    EXPECT_EQ(chain.g, BigInt::gcd((BigInt(1) << (spec.q_bits + 1)) - q,
+                                   params.curve->cofactor()))
+        << spec.set;
+  }
+}
+
 // At p_bits = q_bits + 3 the range of h/4 holds one value, 2, and
 // 8q − 1 is composite for the 64-bit Solinas q, so no p exists. The
 // bounded h search reports that instead of looping forever.
@@ -679,6 +706,42 @@ TEST_P(GtPowTest, MultiPowMatchesProductOfPowers) {
   EXPECT_EQ(field::multi_pow(std::span(bases).first(1),
                              std::span(exps).first(1)),
             bases[0].pow(exps[0]));
+}
+
+// The G_T membership test (field::in_gt) against Re(x^q) = 1 from the
+// trace ladder over q, on pairing outputs, random norm-1 values, values
+// whose order divides g (g = 13 on toy64; 1 at sec80) and their
+// products with pairing outputs, ±1 and values of other norms.
+TEST_P(GtPowTest, InGtMatchesLadderOverQ) {
+  const auto& field = params().curve->field();
+  const BigInt& q = params().order();
+  const field::OrderChain& chain = params().curve->chain();
+  const BigInt order = field->modulus() + BigInt(1);  // of the norm-1 group
+  HmacDrbg rng(66);
+  Fp2 other = Fp2::random(field, rng);
+  while (other.norm().is_one()) other = Fp2::random(field, rng);
+  std::vector<Fp2> xs = {Fp2::one(field), -Fp2::one(field), other,
+                         Fp2(field->zero()), Fp2(field->from_u64(2))};
+  for (int i = 0; i < 8; ++i) {
+    const Fp2 gt = gt_element(BigInt::random_unit(rng, q));
+    const Fp2 z = random_unitary(rng);
+    const Fp2 small = z.pow(order / chain.g);  // order divides g
+    xs.insert(xs.end(), {gt, z, small, gt * small, -gt, z.pow(q)});
+  }
+  int members = 0, small_order = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const Fp2& x = xs[i];
+    const bool member = x.norm().is_one() &&
+                        field::pow_unitary_re(x, q, q.bit_length()).is_one();
+    EXPECT_EQ(field::in_gt(x, chain), member) << i;
+    members += member;
+    small_order += !x.is_one() && x.pow(chain.g).is_one();
+  }
+  EXPECT_GE(members, 9);  // 1 and the 8 pairing outputs
+  EXPECT_LT(members, static_cast<int>(xs.size()) - 8);
+  if (chain.g > BigInt(1)) {
+    EXPECT_GE(small_order, 4);  // ~12/13 of the 8 `small`
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(NamedSets, GtPowTest,
